@@ -92,4 +92,9 @@ echo "== bench regression gate (bench_regression vs bench_results/baselines)"
 cargo run -q --release -p kw-bench --bin bench_regression -- \
     --baseline-dir bench_results/baselines --fresh-dir "$bench_dir"
 
+echo "== repo benchmark tests (benchmark/)"
+# benchmark/ is its own workspace, so `cargo test --workspace` above never
+# reaches its determinism, BENCHMARK.json-schema and oracle tests.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "CI OK"

@@ -360,62 +360,13 @@ pub fn admit(
     })
 }
 
-/// The admission controller's verdict on a *batch* of concurrent queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchAdmission {
-    /// Device bytes available when admission ran.
-    pub capacity: u64,
-    /// Per-query verdicts, in batch order.
-    pub per_query: Vec<AdmissionReport>,
-    /// Sum of the per-query resident peaks — the footprint the device must
-    /// hold when every query of the batch is in flight at once.
-    pub concurrent_peak: u64,
-}
-
-/// One query of a batch as [`admit_batch`] sees it: the plan, its compiled
+/// One query of a batch as [`plan_waves`] sees it: the plan, its compiled
 /// form, and its input bindings.
 pub type BatchAdmissionQuery<'a> = (
     &'a QueryPlan,
     &'a CompiledPlan,
     &'a [(&'a str, &'a Relation)],
 );
-
-/// Admit a batch of queries for *concurrent* resident execution.
-///
-/// The multi-query scheduler keeps every query of a batch GPU-resident for
-/// its whole flight, so unlike [`admit`]'s per-query ladder the batch has no
-/// cheaper rung to degrade to: each query must fit resident on its own AND
-/// the sum of resident peaks must fit together. Callers wanting degradation
-/// should shrink the batch (or fall back to [`admit`] per query) instead.
-///
-/// # Errors
-///
-/// Returns [`WeaverError::Binding`] for unbound plan inputs and
-/// [`WeaverError::Admission`] when the concurrent footprint exceeds
-/// `capacity`.
-pub fn admit_batch(queries: &[BatchAdmissionQuery<'_>], capacity: u64) -> Result<BatchAdmission> {
-    let mut per_query = Vec::with_capacity(queries.len());
-    let mut concurrent_peak = 0u64;
-    for &(plan, compiled, bindings) in queries {
-        // Per-query prediction against the full capacity: a query that
-        // cannot fit alone can certainly not fit alongside the others.
-        let report = admit(plan, compiled, bindings, capacity)?;
-        concurrent_peak = concurrent_peak.saturating_add(report.resident_peak);
-        per_query.push(report);
-    }
-    if concurrent_peak > capacity {
-        return Err(WeaverError::admission(format!(
-            "batch of {} queries needs {concurrent_peak} concurrent device bytes, only \
-             {capacity} available; shrink the batch or run queries solo",
-            queries.len()
-        )));
-    }
-    Ok(BatchAdmission {
-        capacity,
-        per_query,
-        concurrent_peak,
-    })
-}
 
 /// One query's place in a [`BatchWavePlan`].
 #[derive(Debug, Clone, PartialEq)]
@@ -465,7 +416,7 @@ pub struct BatchWavePlan {
 /// predicted resident peaks) so every wave's concurrent footprint fits in
 /// `capacity` device bytes.
 ///
-/// Unlike [`admit_batch`] this never fails the whole batch: queries whose
+/// Planning never fails the whole batch: queries whose
 /// resident peak exceeds capacity alone become [`QueryAdmission::Ladder`]
 /// (a cheaper mode fits), and queries no mode can run become
 /// [`QueryAdmission::Rejected`] — both are per-query verdicts the caller
@@ -775,33 +726,5 @@ mod tests {
             QueryAdmission::Rejected { .. }
         ));
         assert_eq!(mixed.waves.len(), 1);
-    }
-
-    #[test]
-    fn batch_admission_sums_concurrent_resident_peaks() {
-        let input = gen::micro_input(10_000, 6);
-        let plan = select_chain(input.schema().clone(), 2);
-        let compiled = compile(&plan, &WeaverConfig::default()).unwrap();
-        let bindings: &[(&str, &Relation)] = &[("t", &input)];
-
-        let solo = admit(&plan, &compiled, bindings, u64::MAX).unwrap();
-        let batch = admit_batch(
-            &[(&plan, &compiled, bindings), (&plan, &compiled, bindings)],
-            u64::MAX,
-        )
-        .unwrap();
-        assert_eq!(batch.per_query.len(), 2);
-        assert_eq!(batch.concurrent_peak, 2 * solo.resident_peak);
-
-        // A capacity that fits one query resident but not two rejects the
-        // batch: concurrent execution has no cheaper rung to degrade to.
-        let capacity = solo.resident_peak + solo.resident_peak / 2;
-        assert!(admit(&plan, &compiled, bindings, capacity).is_ok());
-        let err = admit_batch(
-            &[(&plan, &compiled, bindings), (&plan, &compiled, bindings)],
-            capacity,
-        )
-        .unwrap_err();
-        assert!(matches!(err, WeaverError::Admission { .. }), "{err}");
     }
 }

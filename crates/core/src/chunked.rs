@@ -20,11 +20,12 @@
 //! and chunk *i−1*'s download. Fusion composes with this: the fused kernel
 //! still runs per chunk, and still moves less data.
 
-use kw_gpu_sim::{ArenaStats, Device, Direction, ScratchArena, SimStats};
+use kw_gpu_sim::{ArenaStats, Device, Direction};
 use kw_primitives::{consumer_class, DependenceClass};
 use kw_relational::{Relation, Schema};
 
 use crate::chunk_strategy::{bucket_of, merge_partials, partial_aggregate_plan};
+use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
     compile, select_chunk_strategy, ChunkStrategy, CompiledPlan, NodeId, QueryPlan, Result,
     WeaverConfig, WeaverError,
@@ -69,7 +70,7 @@ pub struct ChunkedReport {
     /// Largest footprint any single chunk actually reached on the shared
     /// scratch device — the memory a real GPU would need for this schedule.
     /// Also folded into the parent device's memory gauges via
-    /// [`Device::absorb_scratch_peak`].
+    /// [`Device::absorb_scratch`].
     pub peak_device_bytes: u64,
     /// Accounting for the run's single scratch arena: all chunks share one
     /// reservation (the max of the per-chunk admission predictions), reset
@@ -298,22 +299,11 @@ fn run_chunks(
     device: &mut Device,
     config: &WeaverConfig,
 ) -> Result<ChunkRun> {
-    let base_cycles = device.sync_streams();
-    let mut outputs: std::collections::BTreeMap<NodeId, Vec<u64>> = Default::default();
-    let mut schemas: std::collections::BTreeMap<NodeId, Schema> = Default::default();
-    // Prepopulate so skipped slots still leave every marked output present
-    // (as an empty relation) in the assembled report.
-    for &o in plan.outputs() {
-        outputs.entry(o).or_default();
-        schemas.entry(o).or_insert_with(|| plan.schema(o).clone());
-    }
-
-    // One scratch fork and ONE arena serve every chunk iteration: the
-    // reservation is the max of the per-chunk admission predictions, the
-    // arena is reset between chunks, so the whole out-of-core run emits one
-    // alloc/free span pair instead of O(steps × chunks). The fork carries
-    // the parent's fault rates on a derived stream, so injected faults keep
-    // striking inside chunk execution too.
+    // One scratch run — one fork, ONE arena — serves every chunk
+    // iteration: the reservation is the max of the per-chunk admission
+    // predictions, the arena is reset between chunks, so the whole
+    // out-of-core run emits one alloc/free span pair instead of
+    // O(steps × chunks).
     let mut reservation: Option<u64> = None;
     for chunk in slots {
         if chunk.iter().all(|(_, r)| r.is_empty()) {
@@ -323,35 +313,36 @@ fn run_chunks(
         let need = crate::admission::predict_reservation(plan, compiled, &refs, config.mode)?;
         reservation = Some(reservation.unwrap_or(0).max(need));
     }
-    let mut shared: Option<(Device, ScratchArena)> = match reservation {
-        Some(bytes) => {
-            let mut scratch = device.fork_scratch();
-            let arena = scratch.create_arena(bytes, "chunked.arena")?;
-            Some((scratch, arena))
-        }
-        None => None,
-    };
-    // Fold the fork's true high-water mark into the parent device's memory
-    // gauges whether the run lands or dies: the footprint was real either
-    // way, and the parent's `kw_*` series must report it.
-    let absorb = |device: &mut Device, shared: Option<(Device, ScratchArena)>| {
-        shared.map(|(mut scratch, arena)| {
-            let stats = scratch.release_arena(arena);
-            let stats = match stats {
-                Ok(s) => Some(s),
-                Err(fe) => {
-                    scratch.note_free_error(&fe);
-                    None
-                }
-            };
-            device.absorb_scratch_peak(scratch.memory().peak());
-            let fork_free_errors = scratch.metrics().counter("kw_free_errors_total");
-            device
-                .metrics_mut()
-                .inc("kw_free_errors_total", fork_free_errors);
-            stats
-        })
-    };
+    let mut scratch = reservation
+        .map(|bytes| ScratchRun::open(device, bytes, "chunked.arena"))
+        .transpose()?;
+    let run = replay_chunks(plan, compiled, slots, device, config, &mut scratch);
+    // Fold the fork into the parent whether the run landed or died: the
+    // footprint was real either way, and the parent's `kw_*` series must
+    // report it.
+    let arena = scratch.and_then(|s| s.close(device));
+    Ok(ChunkRun { arena, ..run? })
+}
+
+/// The chunk loop of [`run_chunks`]: execute each non-empty slot on the
+/// scratch run, then issue its measured cost on `device`.
+fn replay_chunks(
+    plan: &QueryPlan,
+    compiled: &CompiledPlan,
+    slots: &[Vec<(&str, Relation)>],
+    device: &mut Device,
+    config: &WeaverConfig,
+    scratch: &mut Option<ScratchRun>,
+) -> Result<ChunkRun> {
+    let base_cycles = device.sync_streams();
+    let mut outputs: std::collections::BTreeMap<NodeId, Vec<u64>> = Default::default();
+    let mut schemas: std::collections::BTreeMap<NodeId, Schema> = Default::default();
+    // Prepopulate so skipped slots still leave every marked output present
+    // (as an empty relation) in the assembled report.
+    for &o in plan.outputs() {
+        outputs.entry(o).or_default();
+        schemas.entry(o).or_insert_with(|| plan.schema(o).clone());
+    }
 
     let mut executed = 0usize;
     let mut peak_device_bytes = 0u64;
@@ -365,22 +356,12 @@ fn run_chunks(
         }
         executed += 1;
         let refs: Vec<(&str, &Relation)> = chunk.iter().map(|(n, r)| (*n, r)).collect();
-        let (scratch, arena) = shared.as_mut().expect("non-empty chunk implies a fork");
-        // The scratch device accumulates over chunks; per-chunk costs are
-        // the counter deltas around this iteration.
-        let before = *scratch.stats();
-        let report = match crate::executor::execute_compiled_in_arena(
-            plan, compiled, &refs, scratch, config, arena,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                absorb(device, shared.take());
-                return Err(e);
-            }
-        };
-        arena.reset();
+        let run = scratch.as_mut().expect("non-empty chunk implies a fork");
+        // One reset per chunk iteration, whether the chunk landed or not.
+        let result = run.execute(plan, compiled, &refs, config);
+        run.reset_arena();
+        let ScratchExecution { report, delta, .. } = result?;
         peak_device_bytes = peak_device_bytes.max(report.peak_device_bytes);
-        let delta = scratch.stats().diff(&before);
 
         let in_bytes: u64 = chunk.iter().map(|(_, r)| r.byte_size() as u64).sum();
         let out_bytes: u64 = report.outputs.values().map(|r| r.byte_size() as u64).sum();
@@ -393,32 +374,14 @@ fn run_chunks(
         // are surfaced separately as `residual_pcie_seconds`.
         let residual = (delta.pcie_seconds - h2d - d2h).max(0.0);
         residual_pcie_seconds += residual;
-        let scratch_stats = delta;
-        let mid_cycles = scratch_stats
+        let mid_cycles = delta
             .gpu_cycles
             .saturating_add(device.config().seconds_to_cycles(residual));
-        total_gpu_cycles += scratch_stats.gpu_cycles;
-
-        // The chunk's kernel-side counters, without its transfer traffic:
+        total_gpu_cycles += delta.gpu_cycles;
+        // The compute span carries only the chunk's kernel-side counters:
         // the boundary transfers are mirrored below as real streamed
-        // transfers (fault-injectable like any transfer), and double
-        // counting either side would break the reconciliation invariant.
-        let compute_delta = SimStats {
-            kernel_launches: scratch_stats.kernel_launches,
-            launch_cycles: scratch_stats.launch_cycles,
-            global_bytes_read: scratch_stats.global_bytes_read,
-            global_bytes_written: scratch_stats.global_bytes_written,
-            global_access_cycles: scratch_stats.global_access_cycles,
-            shared_bytes_read: scratch_stats.shared_bytes_read,
-            shared_bytes_written: scratch_stats.shared_bytes_written,
-            shared_access_cycles: scratch_stats.shared_access_cycles,
-            alu_ops: scratch_stats.alu_ops,
-            alu_cycles: scratch_stats.alu_cycles,
-            barriers: scratch_stats.barriers,
-            barrier_cycles: scratch_stats.barrier_cycles,
-            gpu_cycles: scratch_stats.gpu_cycles,
-            ..SimStats::default()
-        };
+        // transfers (fault-injectable like any transfer).
+        let compute_delta = delta.compute_only();
 
         // Issue the chunk on its own stream. Zero-byte transfers are
         // skipped entirely — a fully-selective filter must not pay the
@@ -444,7 +407,6 @@ fn run_chunks(
             Ok(transfers) => pcie_seconds += transfers,
             Err(e) => {
                 device.sync_streams();
-                absorb(device, shared.take());
                 return Err(e.into());
             }
         }
@@ -478,7 +440,6 @@ fn run_chunks(
     let pipelined = device.config().cycles_to_seconds(end_cycles - base_cycles);
     let serialized = device.config().cycles_to_seconds(serialized_cycles);
     let gpu_seconds = device.config().cycles_to_seconds(total_gpu_cycles);
-    let arena = absorb(device, shared.take()).flatten();
 
     Ok(ChunkRun {
         outputs,
@@ -490,7 +451,7 @@ fn run_chunks(
         pipelined_seconds: pipelined,
         executed,
         peak_device_bytes,
-        arena,
+        arena: None, // the scratch run's, set by `run_chunks` on close
     })
 }
 

@@ -239,48 +239,19 @@ pub(crate) fn execute_compiled_sized(
     config: &WeaverConfig,
     reservation: u64,
 ) -> Result<PlanReport> {
-    // Bytes already resident before this run (a batch wave's other working
-    // sets): part of the true footprint but not of this arena.
-    let base_in_use = device.memory().in_use();
     let mut arena = device.create_arena(reservation, "plan.arena")?;
-    let mut live = LiveBuffers::default();
-    let scope_depth = device.scope_depth();
-    let result = run_compiled(
-        plan,
-        compiled,
-        bindings,
-        device,
-        config,
-        &mut arena,
-        &mut live,
-        base_in_use,
-    );
+    let result = execute_compiled_in_arena(plan, compiled, bindings, device, config, &mut arena);
     match result {
-        Ok(mut report) => {
+        Ok((mut report, _)) => {
             report.arena = Some(device.release_arena(arena)?);
             // Refresh the span snapshot so it includes the arena's Free span.
             report.spans = device.spans().to_vec();
             Ok(report)
         }
         Err(e) => {
-            // Cleanup guard: any early error return would otherwise leak
-            // the arena and its spills, leaving the device unusable for a
-            // retry or a degraded re-execution. Unwind any provenance
-            // scopes the failed run left pushed and drain in-flight
-            // streamed staging so the retry's clock starts from a settled
-            // makespan. Arena slices need no individual release — the
-            // backing reservation goes back in one piece — and free errors
-            // during unwind are counted on the device, not propagated: the
-            // original error is the one worth reporting.
-            device.truncate_scope(scope_depth);
-            device.sync_streams();
-            for slot in live.drain() {
-                if let Slot::Spill(buf, _) = slot {
-                    if let Err(fe) = device.free(buf) {
-                        device.note_free_error(&fe);
-                    }
-                }
-            }
+            // The reservation goes back in one piece; a failed free is
+            // counted, not propagated (the original error is the one worth
+            // reporting).
             if let Err(fe) = device.release_arena(arena) {
                 device.note_free_error(&fe);
             }
@@ -289,13 +260,14 @@ pub(crate) fn execute_compiled_sized(
     }
 }
 
-/// Execute a compiled plan inside a caller-owned arena. The chunked driver
-/// reserves one arena for a whole out-of-core run and calls this per chunk
-/// with a [`ScratchArena::reset`] in between, so the alloc/free span count
-/// stays O(1) for the entire run, not O(chunks).
+/// Execute a compiled plan inside a caller-owned arena, returning the
+/// report and one compute-only [`SimStats`] per compiled step. The chunked
+/// driver reserves one arena for a whole out-of-core run and calls this per
+/// chunk with a [`ScratchArena::reset`] in between, so the alloc/free span
+/// count stays O(1) for the entire run, not O(chunks).
 ///
-/// The arena is NOT created or released here; on error it is reset (and
-/// spills freed) so the caller can retry or unwind with clean accounting.
+/// The arena is NOT created, reset or released here: on error the run's
+/// spills are freed and the caller releases the arena.
 pub(crate) fn execute_compiled_in_arena(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
@@ -303,9 +275,10 @@ pub(crate) fn execute_compiled_in_arena(
     device: &mut Device,
     config: &WeaverConfig,
     arena: &mut ScratchArena,
-) -> Result<PlanReport> {
-    // The backing reservation is already charged to the device tracker;
-    // subtract it so the footprint baseline counts only foreign bytes.
+) -> Result<(PlanReport, Vec<SimStats>)> {
+    // Bytes already resident before this run (a batch wave's other working
+    // sets) are part of the true footprint but not of this arena, whose
+    // backing reservation the tracker already counts.
     let base_in_use = device.memory().in_use().saturating_sub(arena.reservation());
     let mut live = LiveBuffers::default();
     let scope_depth = device.scope_depth();
@@ -319,25 +292,25 @@ pub(crate) fn execute_compiled_in_arena(
         &mut live,
         base_in_use,
     );
-    match result {
-        Ok(mut report) => {
-            report.arena = Some(arena.stats());
-            Ok(report)
-        }
-        Err(e) => {
-            device.truncate_scope(scope_depth);
-            device.sync_streams();
-            for slot in live.drain() {
-                if let Slot::Spill(buf, _) = slot {
-                    if let Err(fe) = device.free(buf) {
-                        device.note_free_error(&fe);
-                    }
+    if result.is_err() {
+        // Cleanup guard: any early error return would otherwise leak the
+        // run's spills, leaving the device unusable for a retry or a
+        // degraded re-execution. Unwind any provenance scopes the failed
+        // run left pushed and drain in-flight streamed staging so the
+        // retry's clock starts from a settled makespan. Arena slices need
+        // no individual release, and free errors during unwind are counted
+        // on the device, not propagated.
+        device.truncate_scope(scope_depth);
+        device.sync_streams();
+        for slot in live.drain() {
+            if let Slot::Spill(buf, _) = slot {
+                if let Err(fe) = device.free(buf) {
+                    device.note_free_error(&fe);
                 }
             }
-            arena.reset();
-            Err(e)
         }
     }
+    result
 }
 
 /// One live buffer of an in-flight execution: a span-free arena slice, or
@@ -448,7 +421,12 @@ fn run_compiled(
     arena: &mut ScratchArena,
     live: &mut LiveBuffers,
     base_in_use: u64,
-) -> Result<PlanReport> {
+) -> Result<(PlanReport, Vec<SimStats>)> {
+    // Each step's kernel-side cost, for callers that replay the run.
+    // Allocated before the relation buffers below: a small live block
+    // placed above them on the heap keeps the allocator from returning
+    // their memory, which raised host peak RSS ~10% on TPC-H.
+    let mut step_costs = Vec::with_capacity(compiled.steps.len());
     // Resolve input nodes to bound relations.
     let mut values: BTreeMap<NodeId, Relation> = BTreeMap::new();
     for id in plan.node_ids() {
@@ -524,6 +502,7 @@ fn run_compiled(
     device.pop_scope();
 
     for (step_idx, step) in compiled.steps.iter().enumerate() {
+        let before = *device.stats();
         // Every span this step emits (kernels, staging transfers, faults)
         // carries the operator's provenance. Fused steps keep their
         // `fused[...]` label, so fusion candidates stay identifiable in the
@@ -631,6 +610,7 @@ fn run_compiled(
             }
         }
         device.pop_scope();
+        step_costs.push(device.stats().diff(&before).compute_only());
     }
 
     // Resident mode: download marked outputs. Then release whatever remains.
@@ -690,7 +670,7 @@ fn run_compiled(
     );
     profile.peak_device_bytes = device.memory().peak();
 
-    Ok(PlanReport {
+    let report = PlanReport {
         outputs,
         gpu_seconds: device.gpu_seconds(),
         pcie_seconds: device.pcie_secs(),
@@ -707,7 +687,8 @@ fn run_compiled(
         first_free_error: device.first_free_error().map(String::from),
         spans: device.spans().to_vec(),
         profile,
-    })
+    };
+    Ok((report, step_costs))
 }
 
 #[cfg(test)]

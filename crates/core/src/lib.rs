@@ -67,13 +67,14 @@ mod profile;
 mod reschedule;
 mod resilient;
 mod scheduler;
+mod scratch;
 mod selection;
 mod service;
 mod weave;
 
 pub use admission::{
-    admit, admit_batch, plan_waves, AdmissionReport, AdmittedMode, BatchAdmission,
-    BatchAdmissionQuery, BatchWavePlan, QueryAdmission, MAX_CHUNKS,
+    admit, plan_waves, AdmissionReport, AdmittedMode, BatchAdmissionQuery, BatchWavePlan,
+    QueryAdmission, MAX_CHUNKS,
 };
 pub use candidates::{
     find_candidates, is_input_node, is_weavable, kernel_boundaries, FusionOptions,

@@ -125,7 +125,7 @@ pub struct ProfileReport {
     /// True device-memory high-water mark of the profiled run, bytes —
     /// including footprint reached on forked scratch devices (chunked
     /// execution folds it back via
-    /// [`kw_gpu_sim::Device::absorb_scratch_peak`]). Zero when the caller
+    /// [`kw_gpu_sim::Device::absorb_scratch`]). Zero when the caller
     /// had no memory tracker in scope (e.g. profiles built from bare span
     /// logs).
     pub peak_device_bytes: u64,

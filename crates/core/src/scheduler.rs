@@ -35,9 +35,11 @@
 //!   via the [`crate::execute_resilient`] Resident → Staged → Chunked
 //!   ladder and report [`QueryOutcome::Degraded`].
 //!
-//! Per-query computation runs ahead of the replay on a scratch device fork
-//! (the same replay idiom as [`crate::execute_chunked`]): real relations in,
-//! real relations out, per-step compute costs measured. The shared device
+//! Per-query computation runs ahead of the replay on a scratch run — one
+//! fork of the shared device per attempt, the same fork-and-replay seam
+//! [`crate::execute_chunked`] uses: real relations in, real relations out,
+//! one typed compute-only cost per compiled step, and the fork's peak and
+//! free errors folded back into the shared device. The shared device
 //! then sees each step as one `compute_on` span plus real streamed boundary
 //! transfers, so its span log still reconciles ([`kw_gpu_sim::reconcile`])
 //! and its stream graph — not a side formula — produces the batch makespan,
@@ -49,15 +51,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use kw_gpu_sim::{
-    BufferId, Device, Direction, EventId, SimStats, Span, SpanKind, StreamId, StreamOp,
-};
+use kw_gpu_sim::{BufferId, Device, Direction, EventId, SpanKind, StreamId, StreamOp};
 use kw_relational::Relation;
 
 use crate::admission::{
     plan_waves, AdmittedMode, BatchAdmissionQuery, BatchWavePlan, QueryAdmission,
 };
 use crate::resilient::RetryPolicy;
+use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
     compile, CompiledPlan, ExecMode, NodeId, PlanNode, PlanReport, QueryPlan, Result, WeaverConfig,
     WeaverError,
@@ -233,43 +234,6 @@ impl BatchReport {
     fn count(&self, pred: impl Fn(&QueryOutcome) -> bool) -> usize {
         self.queries.iter().filter(|q| pred(&q.outcome)).count()
     }
-}
-
-/// Per-step compute cost measured on the scratch run: the merged
-/// kernel-side [`SimStats`] delta and its duration in cycles.
-struct StepCompute {
-    delta: SimStats,
-    cycles: u64,
-}
-
-/// Group the scratch run's kernel spans by the `step{i}:` provenance frame
-/// the executor pushes, yielding one compute-only delta per compiled step.
-fn step_computes(spans: &[Span], steps: usize) -> Vec<StepCompute> {
-    let mut out: Vec<StepCompute> = (0..steps)
-        .map(|_| StepCompute {
-            delta: SimStats::default(),
-            cycles: 0,
-        })
-        .collect();
-    for span in spans {
-        if span.kind != SpanKind::Kernel {
-            continue;
-        }
-        let Some(rest) = span.provenance.strip_prefix("step") else {
-            continue;
-        };
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        let Ok(idx) = digits.parse::<usize>() else {
-            continue;
-        };
-        if let Some(slot) = out.get_mut(idx) {
-            slot.delta.merge(&span.delta);
-        }
-    }
-    for slot in &mut out {
-        slot.cycles = slot.delta.gpu_cycles;
-    }
-    out
 }
 
 /// Per-query retry accounting: one fault domain's budget and history.
@@ -498,13 +462,12 @@ pub fn execute_batch_compiled_with_policy(
     let mut counters: Vec<RetryCounters> = vec![RetryCounters::default(); queries.len()];
     let mut degraded: Vec<Option<AdmittedMode>> = vec![None; queries.len()];
 
-    // Phase 1: run every wave query on a scratch fork (derived fault
+    // Phase 1: run every wave query on a scratch run (derived fault
     // streams keep injected faults striking inside query execution) to
     // obtain its outputs and measured per-step compute costs. Each query
     // is a fault domain: transients retry with backoff, a capacity miss
     // re-routes the query to the ladder tail, anything else quarantines it.
-    let mut scratch: Vec<Option<(PlanReport, Vec<StepCompute>, u64)>> =
-        (0..queries.len()).map(|_| None).collect();
+    let mut scratch: Vec<Option<ScratchExecution>> = (0..queries.len()).map(|_| None).collect();
     for (qi, q) in queries.iter().enumerate() {
         if wave_of[qi].is_none() || failed[qi].is_some() {
             continue;
@@ -515,22 +478,20 @@ pub fn execute_batch_compiled_with_policy(
             QueryAdmission::Wave { report, .. } => report.resident_peak,
             _ => unreachable!("phase 1 only runs wave-admitted queries"),
         };
+        let mut cfg = *config;
+        cfg.mode = ExecMode::Resident;
         loop {
-            let mut cfg = *config;
-            cfg.mode = ExecMode::Resident;
-            let mut fork = device.fork_scratch();
-            match crate::executor::execute_compiled_sized(
-                q.plan,
-                &compiled[qi],
-                q.bindings,
-                &mut fork,
-                &cfg,
-                reservation,
-            ) {
-                Ok(report) => {
-                    let computes = step_computes(&report.spans, compiled[qi].steps.len());
-                    let peak = fork.memory().peak();
-                    scratch[qi] = Some((report, computes, peak));
+            // One scratch run per attempt: every fork advances the parent's
+            // fault stream, so a retry meets fresh derived faults.
+            let attempt =
+                ScratchRun::open(device, reservation, "plan.arena").and_then(|mut run| {
+                    let result = run.execute(q.plan, &compiled[qi], q.bindings, &cfg);
+                    run.close(device);
+                    result
+                });
+            match attempt {
+                Ok(run) => {
+                    scratch[qi] = Some(run);
                     break;
                 }
                 Err(e) if e.is_transient() => {
@@ -547,7 +508,6 @@ pub fn execute_batch_compiled_with_policy(
                     // Admission over-estimated the free headroom (or the
                     // estimate under-shot the real footprint): fall out of
                     // the wave and take the ladder after the batch.
-                    let _ = e;
                     wave_of[qi] = None;
                     on_ladder[qi] = true;
                     break;
@@ -669,7 +629,8 @@ pub fn execute_batch_compiled_with_policy(
                 };
                 let stream = step_streams[qi][slot];
                 let state = states.get_mut(&qi).expect("alive queries have state");
-                let (report, computes, _) = scratch[qi].as_ref().expect("alive queries ran ahead");
+                let ScratchExecution { report, steps, .. } =
+                    scratch[qi].as_ref().expect("alive queries ran ahead");
                 let budget = &mut counters[qi];
 
                 // Every span this step emits carries the query's identity,
@@ -733,13 +694,8 @@ pub fn execute_batch_compiled_with_policy(
                         }
                     }
 
-                    let compute = &computes[slot];
-                    device.compute_on(
-                        stream,
-                        step.op.label.clone(),
-                        &compute.delta,
-                        compute.cycles,
-                    )?;
+                    let cost = &steps[slot];
+                    device.compute_on(stream, step.op.label.clone(), cost, cost.gpu_cycles)?;
 
                     // Marked plan outputs return to the host as soon as
                     // their producing step finishes; the download then
@@ -855,7 +811,7 @@ pub fn execute_batch_compiled_with_policy(
     let batch_ops: Vec<StreamOp> = device.streams().ops()[ops_before..].to_vec();
 
     let mut reports = Vec::with_capacity(queries.len());
-    let mut latencies: Vec<u64> = Vec::new();
+    let mut latencies: Vec<f64> = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let outcome = if let Some(reason) = failed[qi].take() {
             QueryOutcome::Failed { reason }
@@ -868,7 +824,7 @@ pub fn execute_batch_compiled_with_policy(
         };
 
         let (outputs, latency_cycles, gpu_cycles, pcie_seconds, peak) =
-            if let Some((report, computes, peak)) = &scratch[qi] {
+            if let Some(run) = &scratch[qi] {
                 if outcome.is_success() {
                     let streams: BTreeSet<StreamId> = step_streams[qi].iter().copied().collect();
                     let last_end = batch_ops
@@ -877,7 +833,7 @@ pub fn execute_batch_compiled_with_policy(
                         .map(|op| op.end_cycle)
                         .max()
                         .unwrap_or(batch_start);
-                    let gpu: u64 = computes.iter().map(|c| c.cycles).sum();
+                    let gpu: u64 = run.steps.iter().map(|s| s.gpu_cycles).sum();
                     // PCIe seconds were accumulated per wave-local state; they
                     // equal the sum of this query's streamed transfer spans.
                     let pcie: f64 = device.spans()[spans_before..]
@@ -892,14 +848,14 @@ pub fn execute_batch_compiled_with_policy(
                         .map(|s| s.delta.pcie_seconds)
                         .sum();
                     (
-                        report.outputs.clone(),
+                        run.report.outputs.clone(),
                         last_end.max(batch_start) - batch_start,
                         gpu,
                         pcie,
-                        *peak,
+                        run.fork_peak,
                     )
                 } else {
-                    (BTreeMap::new(), 0, 0, 0.0, *peak)
+                    (BTreeMap::new(), 0, 0, 0.0, run.fork_peak)
                 }
             } else if let Some((report, gpu_cycles, pcie, last_end)) = &ladder_done[qi] {
                 (
@@ -914,7 +870,7 @@ pub fn execute_batch_compiled_with_policy(
             };
 
         if outcome.is_success() {
-            latencies.push(latency_cycles);
+            latencies.push(device.config().cycles_to_seconds(latency_cycles));
             device
                 .metrics_mut()
                 .observe("kw_batch_query_latency_cycles", latency_cycles);
@@ -1014,15 +970,7 @@ pub fn execute_batch_compiled_with_policy(
     // monitoring; the report quotes the true order statistics so a
     // quoted p95 is always one of the actual latencies, not a
     // power-of-two bucket's upper bound.
-    latencies.sort_unstable();
-    let latency_at = |q: f64| -> f64 {
-        let n = latencies.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        device.config().cycles_to_seconds(latencies[rank - 1])
-    };
+    let latency = crate::service::percentiles(&mut latencies);
 
     Ok(BatchReport {
         queries: reports,
@@ -1031,9 +979,9 @@ pub fn execute_batch_compiled_with_policy(
         throughput_qps,
         goodput_qps,
         waves: waves_issued,
-        latency_p50_seconds: latency_at(0.50),
-        latency_p95_seconds: latency_at(0.95),
-        latency_p99_seconds: latency_at(0.99),
+        latency_p50_seconds: latency.p50_seconds,
+        latency_p95_seconds: latency.p95_seconds,
+        latency_p99_seconds: latency.p99_seconds,
         engine_busy_seconds,
         engine_utilization,
         profile,
@@ -1338,6 +1286,37 @@ mod tests {
         );
         assert_eq!(dev.memory().in_use(), 0);
         kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
+    }
+
+    #[test]
+    fn scratch_peak_reaches_the_parent_even_when_the_query_fails() {
+        let a = gen::micro_input(20_000, 53);
+        let plan = chain(a.schema().clone(), 2);
+        let bindings = [("t", &a)];
+        let queries = [BatchQuery {
+            name: "q",
+            plan: &plan,
+            bindings: &bindings,
+        }];
+        let mut dev = device();
+        // Attempt 0 of the parent's alloc stream is the wave reservation,
+        // made after the scratch run; with no retries it quarantines.
+        dev.inject_faults(FaultConfig::scripted(vec![ScriptedFault {
+            kind: FaultKind::Alloc,
+            attempt: 0,
+        }]));
+        let policy = RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        };
+        let batch =
+            execute_batch_with_policy(&queries, &mut dev, &WeaverConfig::default(), &policy)
+                .unwrap();
+        let q = &batch.queries[0];
+        assert!(matches!(q.outcome, QueryOutcome::Failed { .. }), "{q:?}");
+        assert!(q.peak_device_bytes > 0);
+        assert!(dev.memory().peak() >= q.peak_device_bytes);
+        assert_eq!(dev.memory().in_use(), 0);
     }
 
     #[test]

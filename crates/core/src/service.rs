@@ -181,8 +181,10 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-fn percentiles(latencies: &mut [f64]) -> ServicePercentiles {
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+/// Sort `latencies` and read off the nearest-rank p50/p95/p99 — the one
+/// percentile rule the batch scheduler and the service share.
+pub(crate) fn percentiles(latencies: &mut [f64]) -> ServicePercentiles {
+    latencies.sort_by(f64::total_cmp);
     ServicePercentiles {
         p50_seconds: percentile(latencies, 0.50),
         p95_seconds: percentile(latencies, 0.95),

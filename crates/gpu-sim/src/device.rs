@@ -375,12 +375,33 @@ impl Device {
         Ok(stats)
     }
 
-    /// Fold a scratch fork's memory peak into this device's high-water
-    /// accounting. Chunked execution runs each chunk on a forked scratch
-    /// device; the bytes it held are bytes the simulated hardware really
-    /// held, so the parent's `peak()` and `kw_device_mem_peak_bytes`
-    /// gauge must see them.
-    pub fn absorb_scratch_peak(&mut self, bytes: u64) {
+    /// Fold a scratch fork (see [`Device::fork_scratch`]) into this device:
+    /// its memory high-water mark — the bytes it held are bytes the
+    /// simulated hardware really held, so `peak()` and the
+    /// `kw_device_mem_peak_bytes` gauge must see them — its swallowed free
+    /// errors (count and first message) and its `kw_arena_*` series. The
+    /// fork's costs are NOT folded: callers replay those as streamed
+    /// operations.
+    pub fn absorb_scratch(&mut self, scratch: &Device) {
+        self.absorb_scratch_peak(scratch.memory.peak());
+        let folded = |name: &str| name.starts_with("kw_arena_") || name == "kw_free_errors_total";
+        for (name, n) in scratch.metrics.counters().filter(|(name, _)| folded(name)) {
+            self.metrics.inc(name, n);
+        }
+        for (name, v) in scratch.metrics.gauges().filter(|(name, _)| folded(name)) {
+            // High water stays monotone across arenas; the rest is last-write.
+            let v = match self.metrics.gauge(name) {
+                Some(mine) if name == "kw_arena_high_water_bytes" => v.max(mine),
+                _ => v,
+            };
+            self.metrics.set_gauge(name, v);
+        }
+        if self.first_free_error.is_none() {
+            self.first_free_error = scratch.first_free_error.clone();
+        }
+    }
+
+    fn absorb_scratch_peak(&mut self, bytes: u64) {
         self.memory.raise_peak(bytes);
         self.publish_memory_gauges();
     }

@@ -140,9 +140,9 @@ impl MemoryTracker {
     }
 
     /// Fold an externally-observed high-water mark into this tracker's
-    /// peak. Chunked execution holds its working set on a forked scratch
-    /// device; the parent tracker must still report the true footprint
-    /// (see [`crate::Device::absorb_scratch_peak`]).
+    /// peak. Chunked and batch execution hold working sets on forked
+    /// scratch devices; the parent tracker must still report the true
+    /// footprint (see [`crate::Device::absorb_scratch`]).
     pub(crate) fn raise_peak(&mut self, bytes: u64) {
         self.peak = self.peak.max(bytes);
     }

@@ -106,6 +106,25 @@ impl SimStats {
         for_each_counter!(self, earlier, saturating_sub, -)
     }
 
+    /// Only the kernel-side counters (launches, memory traffic, ALU,
+    /// barriers and `gpu_cycles`); PCIe traffic, faults and backoff are
+    /// zeroed. This is what a fork-and-replay re-charges through
+    /// [`crate::Device::compute_on`]: the transfers are replayed as real
+    /// streamed transfers, and counting them twice would break
+    /// reconciliation.
+    pub fn compute_only(&self) -> SimStats {
+        SimStats {
+            h2d_transfers: 0,
+            h2d_bytes: 0,
+            d2h_transfers: 0,
+            d2h_bytes: 0,
+            pcie_seconds: 0.0,
+            faults_injected: 0,
+            backoff_seconds: 0.0,
+            ..*self
+        }
+    }
+
     /// Whether `gpu_cycles` equals the sum of its component cycle counters
     /// (launch + global + shared + ALU + barrier). Holds for every honestly
     /// accumulated stats block; a saturated or hand-edited block breaks it.
