@@ -12,6 +12,14 @@ cargo fmt --all -- --check
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --no-deps -- -D warnings"
+# Rustdoc warnings are errors, so a doc link to a renamed or deleted item
+# fails the build. Only the kw-* crates: the third_party/ stand-ins are
+# not this project's API.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
+    -p kw-relational -p kw-gpu-sim -p kw-kernel-ir -p kw-primitives \
+    -p kw-core -p kw-datalog -p kw-tpch -p kw-bench
+
 echo "== cargo build --release"
 # The tier-1 gate builds release before testing; catching release-only
 # breakage (e.g. debug_assert-guarded code) locally keeps CI honest.

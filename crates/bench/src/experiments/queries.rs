@@ -37,13 +37,13 @@ pub fn run_query(workload: &Workload) -> QueryRow {
     let fused = workload
         .run(&mut fused_dev, &resident())
         .expect("fused query");
-    let fused_sort = cycles_for_label(fused_dev.timeline(), "sort");
+    let fused_sort = cycles_for_label(fused_dev.spans(), "sort");
 
     let mut base_dev = device();
     let base = workload
         .run(&mut base_dev, &resident().baseline())
         .expect("baseline query");
-    let base_sort = cycles_for_label(base_dev.timeline(), "sort");
+    let base_sort = cycles_for_label(base_dev.spans(), "sort");
 
     assert_eq!(fused.outputs, base.outputs, "{} mismatch", workload.name);
 

@@ -42,6 +42,7 @@
 //! `kw_arena_spills_total`) or fails with the typed
 //! [`kw_gpu_sim::SimError::ArenaOverflow`] for the resilient ladder.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use kw_gpu_sim::{
@@ -225,12 +226,16 @@ pub fn execute_compiled(
     config: &WeaverConfig,
 ) -> Result<PlanReport> {
     let reservation = crate::admission::predict_reservation(plan, compiled, bindings, config.mode)?;
-    execute_compiled_sized(plan, compiled, bindings, device, config, reservation)
+    let mut report = execute_compiled_sized(plan, compiled, bindings, device, config, reservation)?;
+    // The one span snapshot, taken after the arena's Free span.
+    report.spans = device.spans().to_vec();
+    Ok(report)
 }
 
 /// [`execute_compiled`] with an explicit arena reservation — for callers
-/// (the resilient driver, the batch scheduler) that already hold the
-/// admission peak and must guarantee the reservation equals it bit-exactly.
+/// (the resilient driver) that already hold the admission peak and must
+/// guarantee the reservation equals it bit-exactly. The report's `spans`
+/// stay empty: the caller snapshots the span log once, when its run ends.
 pub(crate) fn execute_compiled_sized(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
@@ -244,8 +249,6 @@ pub(crate) fn execute_compiled_sized(
     match result {
         Ok((mut report, _)) => {
             report.arena = Some(device.release_arena(arena)?);
-            // Refresh the span snapshot so it includes the arena's Free span.
-            report.spans = device.spans().to_vec();
             Ok(report)
         }
         Err(e) => {
@@ -427,8 +430,10 @@ fn run_compiled(
     // placed above them on the heap keeps the allocator from returning
     // their memory, which raised host peak RSS ~10% on TPC-H.
     let mut step_costs = Vec::with_capacity(compiled.steps.len());
-    // Resolve input nodes to bound relations.
-    let mut values: BTreeMap<NodeId, Relation> = BTreeMap::new();
+    // Resolve input nodes to bound relations, borrowed: a per-run copy of
+    // every base relation fragmented the host heap (TPC-H peak RSS swung by
+    // one lineitem-sized block with unrelated allocation changes).
+    let mut values: BTreeMap<NodeId, Cow<'_, Relation>> = BTreeMap::new();
     for id in plan.node_ids() {
         if let PlanNode::Input { name, schema } = plan.node(id) {
             let bound = bindings
@@ -442,7 +447,7 @@ fn run_compiled(
                     bound.schema()
                 )));
             }
-            values.insert(id, bound.clone());
+            values.insert(id, Cow::Borrowed(bound));
         }
     }
 
@@ -548,6 +553,7 @@ fn run_compiled(
             .map(|i| {
                 values
                     .get(i)
+                    .map(Cow::as_ref)
                     .ok_or_else(|| WeaverError::plan(format!("step input {i} not computed")))
             })
             .collect::<Result<_>>()?;
@@ -570,7 +576,7 @@ fn run_compiled(
         release_slot(device, arena, &mut fp, scratch)?;
 
         for (rel, &node) in result.outputs.into_iter().zip(&step.outputs) {
-            values.insert(node, rel);
+            values.insert(node, Cow::Owned(rel));
         }
 
         // Release inputs nobody else needs (base relations and, in resident
@@ -637,9 +643,12 @@ fn run_compiled(
         .outputs()
         .iter()
         .map(|&o| {
-            values.get(&o).cloned().map(|r| (o, r)).ok_or_else(|| {
-                WeaverError::plan(format!("plan output {o} was never computed by any step"))
-            })
+            values
+                .get(&o)
+                .map(|r| (o, r.as_ref().clone()))
+                .ok_or_else(|| {
+                    WeaverError::plan(format!("plan output {o} was never computed by any step"))
+                })
         })
         .collect::<Result<_>>()?;
 
@@ -685,7 +694,7 @@ fn run_compiled(
         arena: None, // filled by the entry points once the arena settles
         free_errors: device.metrics().counter("kw_free_errors_total"),
         first_free_error: device.first_free_error().map(String::from),
-        spans: device.spans().to_vec(),
+        spans: Vec::new(), // snapshot once by the public entry points
         profile,
     };
     Ok((report, step_costs))

@@ -100,7 +100,6 @@ pub use scheduler::{
 };
 pub use selection::{select_fusions, ResourceBudget};
 pub use service::{
-    run_service, run_service_with_policy, ServiceConfig, ServicePercentiles, ServiceQueryReport,
-    ServiceReport,
+    run_service, ServiceConfig, ServicePercentiles, ServiceQueryReport, ServiceReport,
 };
 pub use weave::{weave, WovenOperator};

@@ -9,7 +9,7 @@
 //! 2. **Retry** — transient injected faults (PCIe transfer, kernel launch,
 //!    allocation — see [`kw_gpu_sim::SimError::is_transient`]) are retried
 //!    on the same rung with exponential backoff; the backoff wait is charged
-//!    to the device timeline so reports stay honest about elapsed time.
+//!    to the device clock so reports stay honest about elapsed time.
 //! 3. **Degradation** — a mid-run capacity miss (admission under-estimated)
 //!    drops one rung: Resident → Staged → Chunked(c) → Chunked(2c), chunked
 //!    rungs only for plans with a [`crate::ChunkStrategy`] (row-sliceable,
@@ -80,7 +80,7 @@ pub struct ResilienceReport {
     pub faults_survived: u32,
     /// Rung drops taken after mid-run capacity misses, in order.
     pub degradations: Vec<Degradation>,
-    /// Simulated seconds of retry backoff charged to the device timeline.
+    /// Simulated seconds of retry backoff charged to the device clock.
     pub backoff_seconds: f64,
 }
 

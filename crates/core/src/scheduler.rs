@@ -49,9 +49,9 @@
 //! concurrent footprint admission signed off on — and every error path
 //! frees those reservations before moving on.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use kw_gpu_sim::{BufferId, Device, Direction, EventId, SpanKind, StreamId, StreamOp};
+use kw_gpu_sim::{BufferId, Device, Direction, EventId, SpanKind, StreamId};
 use kw_relational::Relation;
 
 use crate::admission::{
@@ -284,10 +284,10 @@ fn transfer_with_retry(
     bytes: u64,
     policy: &RetryPolicy,
     counters: &mut RetryCounters,
-) -> Result<f64> {
+) -> Result<()> {
     loop {
         match device.transfer_on(stream, direction, bytes) {
-            Ok(seconds) => return Ok(seconds),
+            Ok(_) => return Ok(()),
             Err(e) if e.is_transient() && counters.absorb(device, policy) => {}
             Err(e) => return Err(e.into()),
         }
@@ -422,7 +422,6 @@ pub fn execute_batch_compiled_with_policy(
     // window (the wait delays the streamed work that follows).
     let batch_start = device.sync_streams();
     let spans_before = device.spans().len();
-    let ops_before = device.streams().ops().len();
 
     // Elastic admission: pack wave-sized queries first-fit-decreasing,
     // route oversized ones to the ladder tail, reject per query.
@@ -461,6 +460,9 @@ pub fn execute_batch_compiled_with_policy(
     }
     let mut counters: Vec<RetryCounters> = vec![RetryCounters::default(); queries.len()];
     let mut degraded: Vec<Option<AdmittedMode>> = vec![None; queries.len()];
+    // The cycle each query's last operation finished at: its wave steps'
+    // completion events, or the device makespan after its ladder run.
+    let mut finish_cycle: Vec<u64> = vec![batch_start; queries.len()];
 
     // Phase 1: run every wave query on a scratch run (derived fault
     // streams keep injected faults striking inside query execution) to
@@ -523,7 +525,6 @@ pub fn execute_batch_compiled_with_policy(
 
     // Phase 2: schedule each wave on the shared device. Streams are
     // created slot-major so the engine round-robin spreads queries first.
-    let mut step_streams: Vec<Vec<StreamId>> = queries.iter().map(|_| Vec::new()).collect();
     let mut waves_issued = 0usize;
     for (wi, wave) in admission.waves.iter().enumerate() {
         let members: Vec<usize> = wave
@@ -577,6 +578,7 @@ pub fn execute_batch_compiled_with_policy(
             .map(|&qi| compiled[qi].steps.len())
             .max()
             .unwrap_or(0);
+        let mut step_streams: Vec<Vec<StreamId>> = vec![Vec::new(); queries.len()];
         for slot in 0..max_steps {
             for &qi in &alive {
                 if slot < compiled[qi].steps.len() {
@@ -594,7 +596,6 @@ pub fn execute_batch_compiled_with_policy(
             uploaded: BTreeMap<NodeId, Option<(StreamId, EventId)>>,
             /// Completion event per issued step.
             step_done: Vec<Option<EventId>>,
-            pcie_seconds: f64,
         }
         let mut states: BTreeMap<usize, QState> = alive
             .iter()
@@ -612,7 +613,6 @@ pub fn execute_batch_compiled_with_policy(
                         producer,
                         uploaded: BTreeMap::new(),
                         step_done: vec![None; c.steps.len()],
-                        pcie_seconds: 0.0,
                     },
                 )
             })
@@ -632,6 +632,7 @@ pub fn execute_batch_compiled_with_policy(
                 let ScratchExecution { report, steps, .. } =
                     scratch[qi].as_ref().expect("alive queries ran ahead");
                 let budget = &mut counters[qi];
+                let finish = &mut finish_cycle[qi];
 
                 // Every span this step emits carries the query's identity,
                 // so a batch trace shows which query each overlapped op
@@ -661,7 +662,7 @@ pub fn execute_batch_compiled_with_policy(
                                 WeaverError::binding(format!("no relation bound to '{name}'"))
                             })?;
                         let ev = if bytes > 0 {
-                            state.pcie_seconds += transfer_with_retry(
+                            transfer_with_retry(
                                 device,
                                 stream,
                                 Direction::HostToDevice,
@@ -706,7 +707,7 @@ pub fn execute_batch_compiled_with_policy(
                         }
                         let bytes = report.outputs[&node].byte_size() as u64;
                         if bytes > 0 {
-                            state.pcie_seconds += transfer_with_retry(
+                            transfer_with_retry(
                                 device,
                                 stream,
                                 Direction::DeviceToHost,
@@ -716,7 +717,9 @@ pub fn execute_batch_compiled_with_policy(
                             )?;
                         }
                     }
-                    state.step_done[slot] = Some(device.record_event(stream)?);
+                    let done = device.record_event(stream)?;
+                    state.step_done[slot] = Some(done);
+                    *finish = (*finish).max(device.streams().event_cycle(done)?);
                     Ok(())
                 })(device);
                 device.pop_scope();
@@ -750,7 +753,7 @@ pub fn execute_batch_compiled_with_policy(
     // Ladder tail: queries too large for a solo wave (or whose scratch run
     // hit a capacity miss) run one at a time through the resilient
     // Resident → Staged → Chunked driver on the now-empty shared device.
-    let mut ladder_done: Vec<Option<(PlanReport, u64, f64, u64)>> =
+    let mut ladder_done: Vec<Option<(PlanReport, u64, f64)>> =
         (0..queries.len()).map(|_| None).collect();
     for (qi, q) in queries.iter().enumerate() {
         if !on_ladder[qi] || failed[qi].is_some() {
@@ -781,8 +784,8 @@ pub fn execute_batch_compiled_with_policy(
                 }
                 let gpu_cycles = device.stats().gpu_cycles - gpu_before;
                 let pcie = device.stats().pcie_seconds - pcie_before;
-                let last_end = device.makespan();
-                ladder_done[qi] = Some((report, gpu_cycles, pcie, last_end));
+                finish_cycle[qi] = finish_cycle[qi].max(device.makespan());
+                ladder_done[qi] = Some((report, gpu_cycles, pcie));
             }
             Err(e) => {
                 // The executor's cleanup guards already freed the attempt's
@@ -793,22 +796,24 @@ pub fn execute_batch_compiled_with_policy(
         }
     }
 
-    // Read the batch off the stream graph: makespan from the unified cycle
-    // clock, per-query latency from each query's last operation, serialized
-    // cost as the overlap-free sum of every span's duration in the window
-    // (streamed ops, ladder work and backoff alike — so `serialized >=
-    // makespan` survives retried batches).
+    // Read the batch off the stream graph and the window's spans: makespan
+    // from the unified cycle clock; serialized cost as the overlap-free sum
+    // of every span's duration (streamed ops, ladder work and backoff alike
+    // — so `serialized >= makespan` survives retried batches); busy time
+    // per engine from the spans that occupied one (the device-lifetime
+    // `engine_busy()` would include any pre-batch streamed work).
     let end_cycles = device.sync_streams();
     let makespan_cycles = end_cycles - batch_start;
     let makespan_seconds = device.config().cycles_to_seconds(makespan_cycles);
-    let serialized_cycles: u64 = device.spans()[spans_before..]
-        .iter()
-        .map(|s| s.end_cycle - s.start_cycle)
-        .sum();
+    let mut serialized_cycles = 0u64;
+    let mut engine_busy_cycles: BTreeMap<String, u64> = BTreeMap::new();
+    for s in &device.spans()[spans_before..] {
+        serialized_cycles += s.cycles();
+        if let Some(engine) = s.engine {
+            *engine_busy_cycles.entry(engine.name()).or_insert(0) += s.cycles();
+        }
+    }
     let serialized_seconds = device.config().cycles_to_seconds(serialized_cycles);
-    // Copy the batch window's ops out of the device so metrics publication
-    // below can borrow it mutably.
-    let batch_ops: Vec<StreamOp> = device.streams().ops()[ops_before..].to_vec();
 
     let mut reports = Vec::with_capacity(queries.len());
     let mut latencies: Vec<f64> = Vec::new();
@@ -823,51 +828,36 @@ pub fn execute_batch_compiled_with_policy(
             QueryOutcome::Completed
         };
 
-        let (outputs, latency_cycles, gpu_cycles, pcie_seconds, peak) =
-            if let Some(run) = &scratch[qi] {
-                if outcome.is_success() {
-                    let streams: BTreeSet<StreamId> = step_streams[qi].iter().copied().collect();
-                    let last_end = batch_ops
-                        .iter()
-                        .filter(|op| streams.contains(&op.stream))
-                        .map(|op| op.end_cycle)
-                        .max()
-                        .unwrap_or(batch_start);
-                    let gpu: u64 = run.steps.iter().map(|s| s.gpu_cycles).sum();
-                    // PCIe seconds were accumulated per wave-local state; they
-                    // equal the sum of this query's streamed transfer spans.
-                    let pcie: f64 = device.spans()[spans_before..]
-                        .iter()
-                        .filter(|s| s.kind == SpanKind::Transfer)
-                        .filter(|s| {
-                            s.provenance
-                                .split('/')
-                                .next()
-                                .is_some_and(|f| f == format!("q{qi}:{}", q.name))
-                        })
-                        .map(|s| s.delta.pcie_seconds)
-                        .sum();
-                    (
-                        run.report.outputs.clone(),
-                        last_end.max(batch_start) - batch_start,
-                        gpu,
-                        pcie,
-                        run.fork_peak,
-                    )
-                } else {
-                    (BTreeMap::new(), 0, 0, 0.0, run.fork_peak)
-                }
-            } else if let Some((report, gpu_cycles, pcie, last_end)) = &ladder_done[qi] {
-                (
-                    report.outputs.clone(),
-                    last_end.max(&batch_start) - batch_start,
-                    *gpu_cycles,
-                    *pcie,
-                    report.peak_device_bytes,
-                )
+        let (outputs, gpu_cycles, pcie_seconds, peak) = if let Some(run) = &scratch[qi] {
+            if outcome.is_success() {
+                let gpu: u64 = run.steps.iter().map(|s| s.gpu_cycles).sum();
+                // This query's streamed transfer spans, by scope frame.
+                let frame = format!("q{qi}:{}", q.name);
+                let pcie: f64 = device.spans()[spans_before..]
+                    .iter()
+                    .filter(|s| s.kind == SpanKind::Transfer)
+                    .filter(|s| s.provenance.split('/').next() == Some(frame.as_str()))
+                    .map(|s| s.delta.pcie_seconds)
+                    .sum();
+                (run.report.outputs.clone(), gpu, pcie, run.fork_peak)
             } else {
-                (BTreeMap::new(), 0, 0, 0.0, 0)
-            };
+                (BTreeMap::new(), 0, 0.0, run.fork_peak)
+            }
+        } else if let Some((report, gpu_cycles, pcie)) = &ladder_done[qi] {
+            (
+                report.outputs.clone(),
+                *gpu_cycles,
+                *pcie,
+                report.peak_device_bytes,
+            )
+        } else {
+            (BTreeMap::new(), 0, 0.0, 0)
+        };
+        let latency_cycles = if outcome.is_success() {
+            finish_cycle[qi] - batch_start
+        } else {
+            0
+        };
 
         if outcome.is_success() {
             latencies.push(device.config().cycles_to_seconds(latency_cycles));
@@ -923,12 +913,6 @@ pub fn execute_batch_compiled_with_policy(
         0.0
     };
 
-    // Per-engine busy time over this batch's window (the device-lifetime
-    // `engine_busy()` would include any pre-batch streamed work).
-    let mut engine_busy_cycles: BTreeMap<String, u64> = BTreeMap::new();
-    for op in batch_ops {
-        *engine_busy_cycles.entry(op.engine.name()).or_insert(0) += op.duration();
-    }
     let engine_busy_seconds: BTreeMap<String, f64> = engine_busy_cycles
         .iter()
         .map(|(name, &c)| (name.clone(), device.config().cycles_to_seconds(c)))

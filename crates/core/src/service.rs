@@ -211,21 +211,6 @@ pub fn run_service(
     config: &WeaverConfig,
     service: &ServiceConfig,
 ) -> Result<ServiceReport> {
-    run_service_with_policy(shapes, device, config, service, &RetryPolicy::default())
-}
-
-/// [`run_service`] with an explicit per-query [`RetryPolicy`].
-///
-/// # Errors
-///
-/// Same contract as [`run_service`].
-pub fn run_service_with_policy(
-    shapes: &[BatchQuery<'_>],
-    device: &mut Device,
-    config: &WeaverConfig,
-    service: &ServiceConfig,
-    policy: &RetryPolicy,
-) -> Result<ServiceReport> {
     if shapes.is_empty() {
         return Err(crate::WeaverError::plan(
             "service needs at least one plan shape",
@@ -346,7 +331,7 @@ pub fn run_service_with_policy(
             &batch_compiled,
             device,
             config,
-            policy,
+            &RetryPolicy::default(),
         )?;
         dispatches += 1;
         busy_seconds += report.makespan_seconds;

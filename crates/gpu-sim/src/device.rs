@@ -1,11 +1,14 @@
 //! The simulated device facade.
 //!
-//! [`Device`] owns the memory tracker, statistics and event timeline, and is
-//! the single place where kernel launches and PCIe transfers are charged.
+//! [`Device`] owns the memory tracker, statistics, trace spans and metrics
+//! registry, and is the single place where kernel launches and PCIe
+//! transfers are charged. Each charged operation is recorded once: in the
+//! aggregate [`SimStats`], as one [`Span`], and in the metrics derived from
+//! that span.
 
 use crate::{
-    kernel_cost, pcie_seconds, ArenaStats, BufferId, DeviceConfig, Direction, Engine, Event,
-    EventId, FaultConfig, FaultInjector, FaultKind, KernelCost, KernelQuantities, KernelResources,
+    kernel_cost, pcie_seconds, ArenaStats, BufferId, DeviceConfig, Direction, Engine, EventId,
+    FaultConfig, FaultInjector, FaultKind, KernelCost, KernelQuantities, KernelResources,
     LaunchDims, MemoryTracker, MetricsRegistry, Result, ScratchArena, SimError, SimStats, Span,
     SpanKind, StreamId, StreamModel,
 };
@@ -34,7 +37,6 @@ pub struct Device {
     config: DeviceConfig,
     memory: MemoryTracker,
     stats: SimStats,
-    timeline: Vec<Event>,
     faults: Option<FaultInjector>,
     /// Structured trace: one span per charged operation (see [`Span`]).
     spans: Vec<Span>,
@@ -65,7 +67,6 @@ impl Device {
             config,
             memory,
             stats: SimStats::default(),
-            timeline: Vec::new(),
             faults: None,
             spans: Vec::new(),
             scope: Vec::new(),
@@ -104,16 +105,12 @@ impl Device {
     }
 
     /// Whether an injected fault fires for the next operation of `kind`;
-    /// when it does, the fault is recorded in the stats, timeline and trace.
+    /// when it does, the fault is recorded in the stats and the trace.
     fn fault_fires(&mut self, kind: FaultKind, label: &str) -> bool {
         let fires = self.faults.as_mut().is_some_and(|f| f.should_fault(kind));
         if fires {
             let before = self.stats;
             self.stats.faults_injected += 1;
-            self.timeline.push(Event::Fault {
-                kind,
-                label: label.to_string(),
-            });
             self.record_span(
                 SpanKind::Fault,
                 format!("fault.{}:{label}", kind.name()),
@@ -268,18 +265,12 @@ impl Device {
         &self.memory
     }
 
-    /// The recorded event timeline.
-    pub fn timeline(&self) -> &[Event] {
-        &self.timeline
-    }
-
-    /// Reset statistics, timeline, trace spans, the trace clock, the
-    /// stream scheduler and the metrics registry (allocations and the
-    /// provenance scope stack survive; outstanding
-    /// [`StreamId`]/[`EventId`] handles go stale).
+    /// Reset statistics, trace spans, the trace clock, the stream
+    /// scheduler and the metrics registry (allocations and the provenance
+    /// scope stack survive; outstanding [`StreamId`]/[`EventId`] handles go
+    /// stale).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        self.timeline.clear();
         self.spans.clear();
         self.clock_cycles = 0;
         self.reconciled = SimStats::default();
@@ -299,10 +290,6 @@ impl Device {
             return Err(SimError::AllocFault { requested: bytes });
         }
         let id = self.memory.alloc(bytes, label.clone())?;
-        self.timeline.push(Event::Alloc {
-            label: label.clone(),
-            bytes,
-        });
         let before = self.stats;
         self.record_span(SpanKind::Alloc, label, before, 0);
         self.publish_memory_gauges();
@@ -317,7 +304,6 @@ impl Device {
     pub fn free(&mut self, id: BufferId) -> Result<()> {
         let bytes = self.memory.size_of(id)?;
         self.memory.free(id)?;
-        self.timeline.push(Event::Free { bytes });
         let before = self.stats;
         self.record_span(SpanKind::Free, format!("free.{bytes}B"), before, 0);
         self.publish_memory_gauges();
@@ -441,10 +427,10 @@ impl Device {
         Ok(cost)
     }
 
-    /// Fault-check, price and charge one kernel execution to the stats and
-    /// timeline. Span recording is left to the caller: serial launches
-    /// advance the trace clock, streamed launches take their interval from
-    /// the stream scheduler.
+    /// Fault-check, price and charge one kernel execution to the stats.
+    /// Span recording is left to the caller: serial launches advance the
+    /// trace clock, streamed launches take their interval from the stream
+    /// scheduler.
     fn charge_kernel(
         &mut self,
         label: &str,
@@ -483,15 +469,6 @@ impl Device {
             self.stats.cycles_consistent(),
             "gpu_cycles drifted from its component cycle counters after kernel {label:?}"
         );
-
-        self.timeline.push(Event::Kernel {
-            label: label.to_string(),
-            cycles: cost.total_cycles(),
-            global_cycles: cost.global_cycles,
-            occupancy: cost.occupancy,
-            grid_ctas: dims.grid_ctas,
-            threads_per_cta: dims.threads_per_cta,
-        });
         Ok((before, cost))
     }
 
@@ -512,9 +489,8 @@ impl Device {
         Ok(seconds)
     }
 
-    /// Fault-check, price and charge one PCIe transfer to the stats and
-    /// timeline (span recording left to the caller, as with
-    /// [`Device::charge_kernel`]).
+    /// Fault-check, price and charge one PCIe transfer to the stats (span
+    /// recording left to the caller, as with [`Device::charge_kernel`]).
     fn charge_transfer(&mut self, direction: Direction, bytes: u64) -> Result<(SimStats, f64)> {
         if self.fault_fires(FaultKind::Transfer, &format!("{direction:?}")) {
             return Err(SimError::TransferFault { direction, bytes });
@@ -532,11 +508,6 @@ impl Device {
             }
         }
         self.stats.pcie_seconds += seconds;
-        self.timeline.push(Event::Transfer {
-            direction,
-            bytes,
-            seconds,
-        });
         Ok((before, seconds))
     }
 
@@ -544,7 +515,6 @@ impl Device {
     pub fn charge_backoff(&mut self, seconds: f64) {
         let before = self.stats;
         self.stats.backoff_seconds += seconds;
-        self.timeline.push(Event::Backoff { seconds });
         self.record_span(
             SpanKind::Backoff,
             "backoff".to_string(),
@@ -562,18 +532,19 @@ impl Device {
         self.streams.create_stream()
     }
 
-    /// The stream scheduler: scheduled operations, per-engine busy
-    /// intervals, and the event-graph makespan.
+    /// The stream scheduler: per-engine busy time and the event-graph
+    /// makespan. Each streamed operation's interval and engine are on its
+    /// [`Span`].
     pub fn streams(&self) -> &StreamModel {
         &self.streams
     }
 
     /// Launch a kernel asynchronously on `stream`.
     ///
-    /// Charges exactly what [`Device::launch`] charges (stats, timeline,
-    /// fault injection, reconcilable span), but the span's interval comes
-    /// from the stream scheduler and the serial trace clock does not
-    /// advance — call [`Device::sync_streams`] to realize the wallclock.
+    /// Charges exactly what [`Device::launch`] charges (stats, fault
+    /// injection, reconcilable span), but the span's interval comes from
+    /// the stream scheduler and the serial trace clock does not advance —
+    /// call [`Device::sync_streams`] to realize the wallclock.
     ///
     /// # Errors
     ///
@@ -591,13 +562,9 @@ impl Device {
         self.streams.validate(stream)?;
         let (before, cost) = self.charge_kernel(&label, dims, res, q)?;
         let engine = self.streams.compute_engine(stream);
-        let (start, end) = self.streams.schedule(
-            stream,
-            engine,
-            label.clone(),
-            cost.total_cycles(),
-            self.clock_cycles,
-        )?;
+        let (start, end) =
+            self.streams
+                .schedule(stream, engine, cost.total_cycles(), self.clock_cycles)?;
         self.record_span_at(SpanKind::Kernel, label, before, start, end, Some(engine));
         Ok(cost)
     }
@@ -622,14 +589,11 @@ impl Device {
             Direction::HostToDevice => Engine::CopyH2D,
             Direction::DeviceToHost => Engine::CopyD2H,
         };
+        let duration = self.config.seconds_to_cycles(seconds);
+        let (start, end) = self
+            .streams
+            .schedule(stream, engine, duration, self.clock_cycles)?;
         let label = format!("{direction:?}.{bytes}B");
-        let (start, end) = self.streams.schedule(
-            stream,
-            engine,
-            label.clone(),
-            self.config.seconds_to_cycles(seconds),
-            self.clock_cycles,
-        )?;
         self.record_span_at(SpanKind::Transfer, label, before, start, end, Some(engine));
         Ok(seconds)
     }
@@ -673,13 +637,9 @@ impl Device {
             "mirrored compute delta broke cycle consistency for {label:?}"
         );
         let engine = self.streams.compute_engine(stream);
-        let (start, end) = self.streams.schedule(
-            stream,
-            engine,
-            label.clone(),
-            duration_cycles,
-            self.clock_cycles,
-        )?;
+        let (start, end) =
+            self.streams
+                .schedule(stream, engine, duration_cycles, self.clock_cycles)?;
         self.record_span_at(SpanKind::Kernel, label, before, start, end, Some(engine));
         Ok(())
     }
@@ -781,7 +741,8 @@ mod tests {
         assert_eq!(d.stats().kernel_launches, 1);
         assert_eq!(d.stats().global_bytes_read, 1 << 20);
         assert!(d.stats().gpu_cycles > 0);
-        assert_eq!(d.timeline().len(), 1);
+        assert_eq!(d.spans().len(), 1);
+        assert_eq!(d.spans()[0].delta.gpu_cycles, d.stats().gpu_cycles);
         assert!(d.gpu_seconds() > 0.0);
     }
 
@@ -821,7 +782,8 @@ mod tests {
         let mut d = device();
         let b = d.alloc(1024, "x").unwrap();
         d.free(b).unwrap();
-        assert_eq!(d.timeline().len(), 2);
+        let kinds: Vec<SpanKind> = d.spans().iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Alloc, SpanKind::Free]);
         assert_eq!(d.memory().peak(), 1024);
     }
 
@@ -888,7 +850,7 @@ mod tests {
         d.transfer(Direction::HostToDevice, 100).unwrap();
         d.reset_stats();
         assert_eq!(d.stats().pcie_bytes(), 0);
-        assert!(d.timeline().is_empty());
+        assert!(d.spans().is_empty());
         assert_eq!(d.memory().in_use(), 1024);
     }
 
@@ -904,13 +866,8 @@ mod tests {
         assert!(err.is_transient());
         assert_eq!(d.stats().h2d_transfers, 0);
         assert_eq!(d.stats().faults_injected, 1);
-        assert!(matches!(
-            d.timeline()[0],
-            Event::Fault {
-                kind: crate::FaultKind::Transfer,
-                ..
-            }
-        ));
+        assert_eq!(d.spans()[0].kind, SpanKind::Fault);
+        assert_eq!(d.spans()[0].label, "fault.transfer:HostToDevice");
         // The retry (attempt 1) succeeds.
         assert!(d.transfer(Direction::HostToDevice, 1 << 20).is_ok());
     }
@@ -953,7 +910,7 @@ mod tests {
         let before = d.total_seconds();
         d.charge_backoff(0.125);
         assert!((d.total_seconds() - before - 0.125).abs() < 1e-12);
-        assert!(matches!(d.timeline()[0], Event::Backoff { .. }));
+        assert_eq!(d.spans()[0].kind, SpanKind::Backoff);
     }
 
     #[test]
@@ -1007,9 +964,10 @@ mod tests {
         assert!(floor > 0);
         let s = d.create_stream();
         d.transfer_on(s, Direction::HostToDevice, 1 << 20).unwrap();
-        let op = d.streams().ops().last().unwrap().clone();
+        let span = d.spans().last().unwrap();
+        assert_eq!(span.engine, Some(Engine::CopyH2D));
         assert!(
-            op.start_cycle >= floor,
+            span.start_cycle >= floor,
             "async work cannot predate its issue"
         );
     }

@@ -32,7 +32,7 @@ impl FaultKind {
         }
     }
 
-    /// Stable lowercase name, used in timeline events and reports.
+    /// Stable lowercase name, used in fault span labels and reports.
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::Transfer => "transfer",

@@ -19,9 +19,13 @@
 //!   engine's free cycle, and the issue-time floor its caller supplies
 //!   (the [`Device`](crate::Device) passes its serial trace clock, so
 //!   streamed work never pretends to predate the work that enqueued it);
-//! * [`StreamModel::makespan`] is the maximum end cycle over all scheduled
-//!   operations — the wallclock of the whole event graph on the same
-//!   unified cycle clock the serial trace uses.
+//! * [`StreamModel::makespan`] is the latest cycle any engine is busy
+//!   until — the wallclock of the whole event graph on the same unified
+//!   cycle clock the serial trace uses.
+//!
+//! The model keeps only the state scheduling needs (ready and free cycles,
+//! per-engine busy sums); the record of each operation is its trace
+//! [`Span`](crate::Span), which carries the scheduled interval and engine.
 //!
 //! # Examples
 //!
@@ -33,9 +37,9 @@
 //! let mut m = StreamModel::new(1);
 //! for chunk in 0..2u64 {
 //!     let s = m.create_stream();
-//!     m.schedule(s, Engine::CopyH2D, "h2d", 10, 0).unwrap();
-//!     m.schedule(s, m.compute_engine(s), "compute", 30, 0).unwrap();
-//!     m.schedule(s, Engine::CopyD2H, "d2h", 10, 0).unwrap();
+//!     m.schedule(s, Engine::CopyH2D, 10, 0).unwrap();
+//!     m.schedule(s, m.compute_engine(s), 30, 0).unwrap();
+//!     m.schedule(s, Engine::CopyD2H, 10, 0).unwrap();
 //! }
 //! // Chunk 1's upload hides behind chunk 0's compute: 10 + 30 + 30 + 10.
 //! assert_eq!(m.makespan(), 80);
@@ -91,29 +95,6 @@ impl Engine {
     }
 }
 
-/// One operation scheduled on the stream/event graph: a closed cycle
-/// interval on a single engine, issued by a single stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamOp {
-    /// The stream that issued the operation.
-    pub stream: StreamId,
-    /// The engine the operation occupied.
-    pub engine: Engine,
-    /// Caller-supplied label (matches the trace span label).
-    pub label: String,
-    /// Cycle at which the engine started the operation.
-    pub start_cycle: u64,
-    /// Cycle at which the engine finished (`start_cycle + duration`).
-    pub end_cycle: u64,
-}
-
-impl StreamOp {
-    /// Duration of the operation in cycles.
-    pub fn duration(&self) -> u64 {
-        self.end_cycle - self.start_cycle
-    }
-}
-
 /// Deterministic scheduler for streams, events and engines.
 ///
 /// Owned by [`Device`](crate::Device), but usable standalone (the property
@@ -129,8 +110,8 @@ pub struct StreamModel {
     events: Vec<u64>,
     /// Cycle at which each engine finishes its last accepted operation.
     engine_free: BTreeMap<Engine, u64>,
-    /// Every scheduled operation, in issue order.
-    ops: Vec<StreamOp>,
+    /// Busy cycles per engine: the running sum of scheduled durations.
+    engine_busy: BTreeMap<Engine, u64>,
 }
 
 impl StreamModel {
@@ -190,7 +171,6 @@ impl StreamModel {
         &mut self,
         stream: StreamId,
         engine: Engine,
-        label: impl Into<String>,
         duration_cycles: u64,
         not_before: u64,
     ) -> Result<(u64, u64)> {
@@ -211,13 +191,7 @@ impl StreamModel {
         let end = start.saturating_add(duration_cycles);
         self.stream_ready[idx] = end;
         self.engine_free.insert(engine, end);
-        self.ops.push(StreamOp {
-            stream,
-            engine,
-            label: label.into(),
-            start_cycle: start,
-            end_cycle: end,
-        });
+        *self.engine_busy.entry(engine).or_insert(0) += end - start;
         Ok((start, end))
     }
 
@@ -268,24 +242,16 @@ impl StreamModel {
     }
 
     /// The cycle at which every scheduled operation has finished (0 when
-    /// nothing was scheduled) — the event graph's wallclock.
+    /// nothing was scheduled) — the event graph's wallclock. Engines are
+    /// FIFO, so each engine's last operation is its latest.
     pub fn makespan(&self) -> u64 {
-        self.ops.iter().map(|op| op.end_cycle).max().unwrap_or(0)
+        self.engine_free.values().copied().max().unwrap_or(0)
     }
 
     /// Busy cycles per engine (sum of operation durations; engines are
     /// FIFO, so intervals on one engine never overlap).
-    pub fn engine_busy(&self) -> BTreeMap<Engine, u64> {
-        let mut busy = BTreeMap::new();
-        for op in &self.ops {
-            *busy.entry(op.engine).or_insert(0u64) += op.duration();
-        }
-        busy
-    }
-
-    /// Every scheduled operation, in issue order.
-    pub fn ops(&self) -> &[StreamOp] {
-        &self.ops
+    pub fn engine_busy(&self) -> &BTreeMap<Engine, u64> {
+        &self.engine_busy
     }
 
     /// Forget all streams, events and scheduled operations (configuration
@@ -294,7 +260,7 @@ impl StreamModel {
         self.stream_ready.clear();
         self.events.clear();
         self.engine_free.clear();
-        self.ops.clear();
+        self.engine_busy.clear();
     }
 }
 
@@ -317,10 +283,9 @@ mod tests {
     fn run_pipeline(m: &mut StreamModel, chunks: &[(u64, u64, u64)]) {
         for &(h2d, compute, d2h) in chunks {
             let s = m.create_stream();
-            m.schedule(s, Engine::CopyH2D, "h2d", h2d, 0).unwrap();
-            m.schedule(s, m.compute_engine(s), "compute", compute, 0)
-                .unwrap();
-            m.schedule(s, Engine::CopyD2H, "d2h", d2h, 0).unwrap();
+            m.schedule(s, Engine::CopyH2D, h2d, 0).unwrap();
+            m.schedule(s, m.compute_engine(s), compute, 0).unwrap();
+            m.schedule(s, Engine::CopyD2H, d2h, 0).unwrap();
         }
     }
 
@@ -336,11 +301,8 @@ mod tests {
         let mut m = StreamModel::new(4);
         let s = m.create_stream();
         let e = m.compute_engine(s);
-        m.schedule(s, e, "a", 10, 0).unwrap();
-        m.schedule(s, e, "b", 5, 0).unwrap();
-        let ops = m.ops();
-        assert_eq!((ops[0].start_cycle, ops[0].end_cycle), (0, 10));
-        assert_eq!((ops[1].start_cycle, ops[1].end_cycle), (10, 15));
+        assert_eq!(m.schedule(s, e, 10, 0).unwrap(), (0, 10));
+        assert_eq!(m.schedule(s, e, 5, 0).unwrap(), (10, 15));
         assert_eq!(m.makespan(), 15);
     }
 
@@ -349,14 +311,14 @@ mod tests {
         let mut m = StreamModel::new(1);
         let a = m.create_stream();
         let b = m.create_stream();
-        m.schedule(a, m.compute_engine(a), "ka", 10, 0).unwrap();
-        m.schedule(b, m.compute_engine(b), "kb", 10, 0).unwrap();
+        m.schedule(a, m.compute_engine(a), 10, 0).unwrap();
+        m.schedule(b, m.compute_engine(b), 10, 0).unwrap();
         assert_eq!(m.makespan(), 20, "one kernel dispatcher is FIFO");
         let mut m2 = StreamModel::new(2);
         let a = m2.create_stream();
         let b = m2.create_stream();
-        m2.schedule(a, m2.compute_engine(a), "ka", 10, 0).unwrap();
-        m2.schedule(b, m2.compute_engine(b), "kb", 10, 0).unwrap();
+        m2.schedule(a, m2.compute_engine(a), 10, 0).unwrap();
+        m2.schedule(b, m2.compute_engine(b), 10, 0).unwrap();
         assert_eq!(m2.makespan(), 10, "two engines overlap kernels");
     }
 
@@ -365,8 +327,8 @@ mod tests {
         let mut m = StreamModel::new(1);
         let a = m.create_stream();
         let b = m.create_stream();
-        m.schedule(a, m.compute_engine(a), "k", 100, 0).unwrap();
-        let (s, e) = m.schedule(b, Engine::CopyH2D, "up", 40, 0).unwrap();
+        m.schedule(a, m.compute_engine(a), 100, 0).unwrap();
+        let (s, e) = m.schedule(b, Engine::CopyH2D, 40, 0).unwrap();
         assert_eq!((s, e), (0, 40), "upload runs under the kernel");
         assert_eq!(m.makespan(), 100);
     }
@@ -376,12 +338,12 @@ mod tests {
         let mut m = StreamModel::new(2);
         let producer = m.create_stream();
         let consumer = m.create_stream();
-        m.schedule(producer, Engine::CopyH2D, "up", 50, 0).unwrap();
+        m.schedule(producer, Engine::CopyH2D, 50, 0).unwrap();
         let ev = m.record_event(producer).unwrap();
         // Without the wait the consumer's kernel (own engine) would start at 0.
         m.wait_event(consumer, ev).unwrap();
         let (start, _) = m
-            .schedule(consumer, m.compute_engine(consumer), "k", 10, 0)
+            .schedule(consumer, m.compute_engine(consumer), 10, 0)
             .unwrap();
         assert_eq!(start, 50, "kernel must wait for the producer's upload");
     }
@@ -390,7 +352,7 @@ mod tests {
     fn not_before_floors_the_start() {
         let mut m = StreamModel::new(1);
         let s = m.create_stream();
-        let (start, end) = m.schedule(s, Engine::CopyH2D, "up", 10, 1000).unwrap();
+        let (start, end) = m.schedule(s, Engine::CopyH2D, 10, 1000).unwrap();
         assert_eq!((start, end), (1000, 1010));
     }
 
@@ -400,11 +362,11 @@ mod tests {
         let s = m.create_stream();
         let bogus = StreamId(7);
         assert!(matches!(
-            m.schedule(bogus, Engine::CopyH2D, "x", 1, 0),
+            m.schedule(bogus, Engine::CopyH2D, 1, 0),
             Err(SimError::InvalidStream { .. })
         ));
         assert!(matches!(
-            m.schedule(s, Engine::Compute(3), "x", 1, 0),
+            m.schedule(s, Engine::Compute(3), 1, 0),
             Err(SimError::InvalidStream { .. })
         ));
         assert!(matches!(
@@ -452,12 +414,12 @@ mod tests {
     fn reset_clears_schedule() {
         let mut m = StreamModel::new(1);
         let s = m.create_stream();
-        m.schedule(s, Engine::CopyH2D, "x", 10, 0).unwrap();
+        m.schedule(s, Engine::CopyH2D, 10, 0).unwrap();
         m.reset();
         assert_eq!(m.makespan(), 0);
-        assert!(m.ops().is_empty());
+        assert!(m.engine_busy().is_empty());
         // Old handles are invalid after reset.
-        assert!(m.schedule(s, Engine::CopyH2D, "x", 1, 0).is_err());
+        assert!(m.schedule(s, Engine::CopyH2D, 1, 0).is_err());
     }
 
     #[test]

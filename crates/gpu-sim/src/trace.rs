@@ -6,14 +6,15 @@
 //! [`SimStats`] delta that operation charged, plus the operator provenance
 //! the executor pushed via [`crate::Device::push_scope`].
 //!
-//! Spans make the simulator's aggregate counters *attributable*: the paper
-//! argues through end-of-run totals (global-memory cycles of Fig. 18,
-//! allocation of Fig. 17, PCIe traffic of Fig. 21), and spans show which
-//! woven kernel each cycle and byte belongs to. They are also a standing
-//! correctness check: [`reconcile`] asserts that per-span deltas sum back to
-//! the aggregate — any cost the device charges outside a span, or charges
-//! twice, fails the invariant. Debug builds enforce it after every recorded
-//! span.
+//! The span log is the device's one record of activity. Spans make the
+//! simulator's aggregate counters *attributable*: the paper argues through
+//! end-of-run totals (global-memory cycles of Fig. 18, allocation of
+//! Fig. 17, PCIe traffic of Fig. 21), and spans show which woven kernel
+//! each cycle and byte belongs to ([`cycles_for_label`]). They are also a
+//! standing correctness check: [`reconcile`] asserts that per-span deltas
+//! sum back to the aggregate — any cost the device charges outside a span,
+//! or charges twice, fails the invariant. Debug builds enforce it after
+//! every recorded span.
 //!
 //! [`TraceSink`] exports a span list as Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) and as a per-operator summary table.
@@ -98,6 +99,45 @@ pub fn sum_deltas(spans: &[Span]) -> SimStats {
         sum.merge(&s.delta);
     }
     sum
+}
+
+/// Whether `label` matches `needle` under delimiter-aware matching: either
+/// the full label equals the needle, or the needle's `.`-separated segments
+/// appear as a contiguous run of the label's segments.
+///
+/// Substring matching is deliberately *not* used: `"join"` must not count
+/// `"n5.semijoin.compute"` kernels, which a `contains`-based filter silently
+/// did.
+///
+/// ```
+/// use kw_gpu_sim::label_matches;
+/// assert!(label_matches("n7.sort.pass3", "sort"));
+/// assert!(label_matches("n7.sort.pass3", "n7.sort"));
+/// assert!(!label_matches("n5.semijoin.compute", "join"));
+/// assert!(!label_matches("n7.sort.pass3", "sort.compute"));
+/// ```
+pub fn label_matches(label: &str, needle: &str) -> bool {
+    if label == needle {
+        return true;
+    }
+    let segs: Vec<&str> = label.split('.').collect();
+    let want: Vec<&str> = needle.split('.').filter(|s| !s.is_empty()).collect();
+    if want.is_empty() || want.len() > segs.len() {
+        return false;
+    }
+    segs.windows(want.len()).any(|w| w == want.as_slice())
+}
+
+/// Sum the GPU cycles of every kernel span whose label matches `needle`
+/// (see [`label_matches`] — exact segment matching, not substring). This
+/// is the per-operator cost breakdown behind the paper's Section 5.2
+/// ("SORT is 71% of TPC-H Q1").
+pub fn cycles_for_label(spans: &[Span], needle: &str) -> u64 {
+    spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Kernel && label_matches(&s.label, needle))
+        .map(|s| s.delta.gpu_cycles)
+        .sum()
 }
 
 /// Check that the per-span deltas of `spans` sum to `aggregate`.
@@ -936,6 +976,51 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"dur\":1}]} junk"
         )
         .is_err());
+    }
+
+    /// A kernel span charging `cycles`, for the label-matching tests.
+    fn kernel(label: &str, cycles: u64) -> Span {
+        span(
+            SpanKind::Kernel,
+            label,
+            "",
+            0,
+            cycles,
+            kernel_delta(cycles, 0),
+        )
+    }
+
+    #[test]
+    fn label_filtering() {
+        let spans = vec![
+            kernel("sort.partition", 10),
+            kernel("sort.compute", 20),
+            kernel("select.compute", 5),
+            // Only kernel spans count, whatever their label or delta.
+            span(SpanKind::Free, "sort", "", 35, 0, kernel_delta(7, 0)),
+        ];
+        assert_eq!(cycles_for_label(&spans, "sort"), 30);
+        assert_eq!(cycles_for_label(&spans, "select"), 5);
+    }
+
+    #[test]
+    fn matching_is_segment_exact_not_substring() {
+        let spans = vec![
+            kernel("n4.join.compute", 100),
+            kernel("n5.semijoin.compute", 10),
+            kernel("n6.antijoin.gather", 1),
+        ];
+        // "join" previously (substring matching) counted all three.
+        assert_eq!(cycles_for_label(&spans, "join"), 100);
+        assert_eq!(cycles_for_label(&spans, "semijoin"), 10);
+        // Dotted needles match contiguous segment runs, with or without the
+        // legacy surrounding dots.
+        assert_eq!(cycles_for_label(&spans, "n4.join"), 100);
+        assert_eq!(cycles_for_label(&spans, ".join."), 100);
+        assert_eq!(cycles_for_label(&spans, "join.gather"), 0);
+        // A needle longer than the label never matches.
+        assert!(!label_matches("sort", "n7.sort"));
+        assert!(label_matches("sort", "sort"));
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn execute_streaming(
         PartitionSpec::KeyRange { pivot, .. } => pivot,
     };
     let n_pivot = inputs.get(pivot_index).map_or(0, |r| r.len());
-    let grid = ((n_pivot as u64).div_ceil(u64::from(threads)) as u32).clamp(1, MAX_GRID_CTAS);
+    let grid = grid_for(n_pivot as u64, threads);
     let dims = LaunchDims::new(grid, threads);
 
     // ---- Partition stage -------------------------------------------------
@@ -531,6 +531,14 @@ fn cta_threads(op: &GpuOperator, device: &Device) -> u32 {
         .min(device.config().max_threads_per_cta)
 }
 
+/// CTAs covering `rows` tuples at `threads` (≥ 1) per CTA: at least one,
+/// at most CUDA's [`MAX_GRID_CTAS`]. The clamp happens before narrowing to
+/// `u32`, so a row count past `u32::MAX` CTAs cannot wrap to a tiny grid.
+fn grid_for(rows: u64, threads: u32) -> u32 {
+    rows.div_ceil(u64::from(threads))
+        .clamp(1, u64::from(MAX_GRID_CTAS)) as u32
+}
+
 /// Charge a multi-pass radix sort over `input` and return kernels launched.
 fn sort_cost(
     op: &GpuOperator,
@@ -541,7 +549,7 @@ fn sort_cost(
     let n = input.len() as u64;
     let bytes = input.byte_size() as u64;
     let threads = cta_threads(op, device);
-    let grid = (n.div_ceil(u64::from(threads)) as u32).clamp(1, MAX_GRID_CTAS);
+    let grid = grid_for(n, threads);
     let passes = SORT_PASSES_PER_ATTR * key_attrs;
     let res = KernelResources {
         registers_per_thread: 24,
@@ -583,7 +591,7 @@ fn execute_aggregate(
     // Phase 2: segmented reduction.
     let n = input.len() as u64;
     let threads = cta_threads(op, device);
-    let grid = (n.div_ceil(u64::from(threads)) as u32).clamp(1, MAX_GRID_CTAS);
+    let grid = grid_for(n, threads);
     let alu_per_tuple: u64 = aggs.iter().map(|a| a.alu_ops()).sum::<u64>().max(1);
     let q = KernelQuantities {
         global_bytes_read: input.byte_size() as u64,
@@ -657,6 +665,18 @@ mod tests {
             ],
             PartitionSpec::Even,
         )
+    }
+
+    #[test]
+    fn grid_for_clamps_and_never_returns_zero() {
+        assert_eq!(grid_for(0, 256), 1);
+        assert_eq!(grid_for(1, 256), 1);
+        assert_eq!(grid_for(257, 256), 2);
+        assert_eq!(grid_for(u64::from(MAX_GRID_CTAS), 1), MAX_GRID_CTAS);
+        assert_eq!(grid_for(u64::from(MAX_GRID_CTAS) + 1, 1), MAX_GRID_CTAS);
+        // 2^32 CTAs would truncate to 0 if narrowed before clamping.
+        assert_eq!(grid_for(1 << 32, 1), MAX_GRID_CTAS);
+        assert_eq!(grid_for(u64::MAX, 1), MAX_GRID_CTAS);
     }
 
     #[test]

@@ -194,23 +194,24 @@ fn semi_join_step_matches_oracle_and_respects_negation() {
 
 #[test]
 fn grid_clamps_at_cuda_limit() {
-    // With 32 threads/CTA, 4M tuples would want 131072 CTAs > 65535.
+    // One thread per CTA: 100k tuples would want 100k CTAs > 65535.
     let input = gen::micro_input(100_000, 3);
     let mut op = select_op(input.schema().clone(), Predicate::True);
     op.threads_per_cta = 1; // force the clamp with a small input
     let mut dev = device();
     let result = execute(&op, &[&input], &mut dev, OptLevel::O3).unwrap();
     assert_eq!(result.outputs[0], input);
-    let grids: Vec<u32> = dev
-        .timeline()
+    // The partition kernel reads one 16-byte pivot key per CTA, so its
+    // traffic shows the clamped grid.
+    let partition = dev
+        .spans()
         .iter()
-        .filter_map(|e| match e {
-            kw_gpu_sim::Event::Kernel { grid_ctas, .. } => Some(*grid_ctas),
-            _ => None,
-        })
-        .collect();
-    assert!(grids.iter().all(|&g| g <= MAX_GRID_CTAS));
-    assert!(grids.contains(&MAX_GRID_CTAS));
+        .find(|s| s.label == "select.partition")
+        .unwrap();
+    assert_eq!(
+        partition.delta.global_bytes_read,
+        u64::from(MAX_GRID_CTAS) * 16
+    );
 }
 
 #[test]

@@ -2,6 +2,8 @@
 //! data model: occupancy monotonicity, cost-model linearity, memory-tracker
 //! conservation, and the algebraic laws of the CPU reference operators.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use kw_gpu_sim::{
@@ -151,9 +153,9 @@ proptest! {
         let mut model = StreamModel::new(1);
         for &(h2d, gpu, d2h) in &durations {
             let s = model.create_stream();
-            model.schedule(s, Engine::CopyH2D, "h2d", h2d, 0).unwrap();
-            model.schedule(s, model.compute_engine(s), "gpu", gpu, 0).unwrap();
-            model.schedule(s, Engine::CopyD2H, "d2h", d2h, 0).unwrap();
+            model.schedule(s, Engine::CopyH2D, h2d, 0).unwrap();
+            model.schedule(s, model.compute_engine(s), gpu, 0).unwrap();
+            model.schedule(s, Engine::CopyD2H, d2h, 0).unwrap();
         }
         let oracle: Vec<(f64, f64, f64)> = durations
             .iter()
@@ -164,6 +166,40 @@ proptest! {
             kw_core::pipeline_makespan(&oracle),
             "stream schedule must reproduce the three-stage recurrence"
         );
+    }
+
+    /// The model's running totals agree with the intervals `schedule`
+    /// returns: `engine_busy()` is each engine's sum of interval lengths
+    /// and `makespan()` is the latest interval end, whatever the mix of
+    /// streams, engines, issue floors and cross-stream event waits.
+    #[test]
+    fn stream_totals_match_scheduled_intervals(
+        compute_engines in 1u32..4,
+        ops in proptest::collection::vec((0u8..6, 0u64..10_000, 0u64..20_000), 1..48),
+    ) {
+        let mut model = StreamModel::new(compute_engines);
+        let streams: Vec<_> = (0..4).map(|_| model.create_stream()).collect();
+        let mut busy: BTreeMap<Engine, u64> = BTreeMap::new();
+        let mut latest = 0u64;
+        for (i, &(pick, duration, not_before)) in ops.iter().enumerate() {
+            let s = streams[i % streams.len()];
+            if pick == 5 {
+                let ev = model.record_event(s).unwrap();
+                model.wait_event(streams[(i + 1) % streams.len()], ev).unwrap();
+            }
+            let engine = match pick {
+                0 => Engine::CopyH2D,
+                1 => Engine::CopyD2H,
+                _ => model.compute_engine(s),
+            };
+            let (start, end) = model.schedule(s, engine, duration, not_before).unwrap();
+            prop_assert_eq!(end - start, duration);
+            prop_assert!(start >= not_before);
+            *busy.entry(engine).or_insert(0) += end - start;
+            latest = latest.max(end);
+        }
+        prop_assert_eq!(model.engine_busy(), &busy);
+        prop_assert_eq!(model.makespan(), latest);
     }
 
     /// The stream scheduler's makespan is bounded on both sides: it never
@@ -183,7 +219,7 @@ proptest! {
                 1 => Engine::CopyD2H,
                 _ => model.compute_engine(s),
             };
-            model.schedule(s, engine, "op", duration, 0).unwrap();
+            model.schedule(s, engine, duration, 0).unwrap();
         }
         let serialized: u64 = ops.iter().map(|&(_, d)| d).sum();
         let busiest = model.engine_busy().values().copied().max().unwrap_or(0);
