@@ -39,53 +39,15 @@ for f in "$trace_dir"/q1.fused.trace.json "$trace_dir"/q1.baseline.trace.json; d
     [ -s "$f" ] || { echo "missing trace export: $f" >&2; exit 1; }
 done
 
-echo "== trace writer edge cases (examples/empty_trace_check.rs)"
-# Empty span lists must serialize to well-formed JSON (regression: trailing
-# comma) and a one-span trace must validate; exits non-zero on INVALID.
-cargo run -q -p kw-examples --example empty_trace_check
-
-echo "== scheduler benchmark JSON (paper_tables -- scheduler)"
-# Runs the multi-query batch experiment into a scratch dir, then re-parses
-# bench_results/BENCH_scheduler.json and checks its required keys; the
-# section itself asserts batched-fused < batched-unfused < serial-fused.
+echo "== campaign benchmarks (paper_tables -- scheduler ... arena)"
+# Regenerates the six BENCH_*.json files into a scratch dir for the
+# regression gate below. Each campaign asserts its own invariants while it
+# builds its rows (e.g. batched-fused < batched-unfused < serial-fused,
+# hits + misses == arrivals, one Alloc/Free span per arena run), so a
+# violation fails the section and paper_tables exits non-zero.
 bench_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$bench_dir"' EXIT
 cargo run -q --release -p kw-bench --bin paper_tables -- scheduler profile batch_resilience out_of_core service arena --csv "$bench_dir" > /dev/null
-cargo run -q -p kw-examples --example bench_json_check -- "$bench_dir/BENCH_scheduler.json"
-
-echo "== batch resilience gate (examples/batch_resilience.rs)"
-# Runs a seeded batch whose outcomes must cover the whole taxonomy
-# (Completed / Retried / Degraded / Failed) with survivors byte-identical
-# to the fault-free run, then schema-validates the campaign's
-# BENCH_batch_resilience.json; exits non-zero on any INVALID line.
-cargo run -q -p kw-examples --example batch_resilience -- \
-    "$bench_dir/BENCH_batch_resilience.json" > /dev/null
-
-echo "== out-of-core chunking gate (examples/out_of_core_check.rs)"
-# Schema-validates the chunk-strategy campaign's BENCH_out_of_core.json:
-# every row must be genuinely out of core (device < inputs), chunked under
-# a named strategy, with fusion_gain = unfused/fused; exits non-zero on
-# any INVALID line.
-cargo run -q -p kw-examples --example out_of_core_check -- \
-    "$bench_dir/BENCH_out_of_core.json" > /dev/null
-
-echo "== open-loop service gate (examples/service_check.rs)"
-# Schema-validates the service campaign's BENCH_service.json: percentile
-# monotonicity, completed+failed == arrivals, one cache lookup per arrival
-# (hits + misses == arrivals), cached variant hits while the disabled
-# baseline never does, p99_gain > 1, explicit nulls for all-failed runs;
-# exits non-zero on any INVALID line.
-cargo run -q -p kw-examples --example service_check -- \
-    "$bench_dir/BENCH_service.json" > /dev/null
-
-echo "== scratch arena gate (examples/arena_check.rs)"
-# Live-checks the arena contract on patterns (a)-(d), fused and unfused:
-# exactly one Alloc/Free span per plan, high-water <= reservation, zero
-# spills, tracker peak bit-equal to the admission reservation; then
-# schema-validates the campaign's BENCH_arena.json row by row; exits
-# non-zero on any INVALID line.
-cargo run -q --release -p kw-examples --example arena_check -- \
-    "$bench_dir/BENCH_arena.json" > /dev/null
 
 echo "== observability schema validation (examples/profile.rs)"
 # Prints the bottleneck profile and Prometheus export for a staged run and
@@ -100,9 +62,12 @@ echo "== bench regression gate (bench_regression vs bench_results/baselines)"
 cargo run -q --release -p kw-bench --bin bench_regression -- \
     --baseline-dir bench_results/baselines --fresh-dir "$bench_dir"
 
-echo "== repo benchmark tests (benchmark/)"
-# benchmark/ is its own workspace, so `cargo test --workspace` above never
-# reaches its determinism, BENCHMARK.json-schema and oracle tests.
+echo "== repo benchmark fmt, clippy and tests (benchmark/)"
+# benchmark/ is its own workspace, so the workspace-wide fmt, clippy and
+# test runs above never reach its sources or its determinism,
+# BENCHMARK.json-schema and oracle tests.
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"

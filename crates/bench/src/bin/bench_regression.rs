@@ -6,6 +6,9 @@
 //!     --baseline-dir bench_results/baselines --fresh-dir bench_results
 //! ```
 //!
+//! `--tolerance <fraction>` sets the relative drift band (default 0.05);
+//! an unparseable, negative or non-finite value exits with status 2.
+//!
 //! Every `*.json` under the baseline directory must have a fresh
 //! counterpart. Documents are compared leaf-by-leaf with a direction
 //! inferred from the metric name:
@@ -47,7 +50,15 @@ fn main() {
     };
     let baseline_dir = get("--baseline-dir", "bench_results/baselines");
     let fresh_dir = get("--fresh-dir", "bench_results");
-    let tolerance: f64 = get("--tolerance", "").parse().unwrap_or(DEFAULT_TOLERANCE);
+    let tolerance = match args.iter().position(|a| a == "--tolerance") {
+        None => DEFAULT_TOLERANCE,
+        Some(i) => {
+            parse_tolerance(args.get(i + 1).map_or("", String::as_str)).unwrap_or_else(|e| {
+                eprintln!("bench_regression: {e}");
+                std::process::exit(2);
+            })
+        }
+    };
 
     let mut failures: Vec<String> = Vec::new();
     let mut compared = 0usize;
@@ -125,6 +136,18 @@ fn main() {
             eprintln!("  {f}");
         }
         std::process::exit(1);
+    }
+}
+
+/// Parse `--tolerance` as a relative fraction (`0.05` = 5%). NaN would make
+/// every comparison pass and a negative value would fail every leaf, so
+/// only finite, non-negative numbers are accepted.
+fn parse_tolerance(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!(
+            "--tolerance takes a finite, non-negative fraction such as 0.05, got {text:?}"
+        )),
     }
 }
 
@@ -286,6 +309,15 @@ mod tests {
             &mut failures,
         );
         failures
+    }
+
+    #[test]
+    fn tolerance_must_be_a_finite_non_negative_fraction() {
+        assert_eq!(parse_tolerance("0.05"), Ok(0.05));
+        assert_eq!(parse_tolerance("0"), Ok(0.0));
+        for bad in ["", "nan", "NaN", "inf", "-inf", "-0.01", "5%", "five"] {
+            assert!(parse_tolerance(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

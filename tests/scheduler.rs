@@ -288,6 +288,82 @@ fn scripted_batch_fault_retries_without_changing_answers() {
     kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
 }
 
+/// One seeded batch on a tiny device covers the whole outcome taxonomy: a
+/// scripted transient fault on the first wave's upload is retried, a whale
+/// too big for any wave degrades down the ladder, an unbound binding fails,
+/// and the remaining query completes clean. The batch never aborts
+/// wholesale: survivors match the fault-free run, the failed query keeps no
+/// outputs, no device memory leaks and the trace reconciles.
+#[test]
+fn one_batch_covers_the_whole_outcome_taxonomy() {
+    let small_a = gen::micro_input(20_000, 61);
+    let small_b = gen::micro_input(20_000, 62);
+    let whale_in = gen::micro_input(120_000, 63);
+    let plan_a = chain(&small_a, 2);
+    let plan_b = chain(&small_b, 3);
+    let whale_plan = chain(&whale_in, 2);
+    let (ba, bb, bw) = ([("t", &small_a)], [("t", &small_b)], [("t", &whale_in)]);
+    let unbound = [("wrong_name", &small_b)];
+    let queries = [
+        BatchQuery {
+            name: "struck",
+            plan: &plan_a,
+            bindings: &ba,
+        },
+        BatchQuery {
+            name: "steady",
+            plan: &plan_b,
+            bindings: &bb,
+        },
+        BatchQuery {
+            name: "whale",
+            plan: &whale_plan,
+            bindings: &bw,
+        },
+        BatchQuery {
+            name: "unbound",
+            plan: &plan_b,
+            bindings: &unbound,
+        },
+    ];
+
+    let mut clean_dev = Device::new(DeviceConfig::tiny());
+    let clean = execute_batch(&queries, &mut clean_dev, &WeaverConfig::default()).unwrap();
+
+    let mut dev = Device::new(DeviceConfig::tiny());
+    dev.inject_faults(FaultConfig::scripted(vec![ScriptedFault {
+        kind: FaultKind::Transfer,
+        attempt: 0,
+    }]));
+    let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+
+    let outcomes: Vec<&str> = batch.queries.iter().map(|q| q.outcome.name()).collect();
+    assert_eq!(outcomes, ["retried", "completed", "degraded", "failed"]);
+    for (f, c) in batch.queries.iter().zip(&clean.queries) {
+        if f.outcome.is_success() {
+            assert_eq!(f.outputs, c.outputs, "{}: survivor diverged", f.name);
+        } else {
+            assert!(
+                f.outputs.is_empty(),
+                "{}: failed query kept outputs",
+                f.name
+            );
+        }
+    }
+    assert!(
+        batch.serialized_seconds >= batch.makespan_seconds - 1e-15,
+        "serialized {} vs makespan {}",
+        batch.serialized_seconds,
+        batch.makespan_seconds
+    );
+    assert!(
+        batch.goodput_qps < batch.throughput_qps,
+        "the failed query must cost goodput"
+    );
+    assert_eq!(dev.memory().in_use(), 0);
+    kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
+}
+
 /// The ISSUE's acceptance bar: for at least two independent plans, the
 /// batch makespan is *strictly* smaller than the sum of solo makespans,
 /// per-query outputs match solo execution exactly, and the shared device's
