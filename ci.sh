@@ -49,11 +49,14 @@ bench_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$bench_dir"' EXIT
 cargo run -q --release -p kw-bench --bin paper_tables -- scheduler profile batch_resilience out_of_core service arena --csv "$bench_dir" > /dev/null
 
-echo "== observability schema validation (examples/profile.rs)"
-# Prints the bottleneck profile and Prometheus export for a staged run and
-# validates the metrics-registry JSON and profile JSON schemas plus the
-# batch latency percentiles; exits non-zero on any INVALID line.
-cargo run -q --release -p kw-examples --example profile > /dev/null
+echo "== observability export gate (examples/profile.rs)"
+# Prints the bottleneck profile and Prometheus export for a staged run (the
+# device's rendering of its records plus the plan report's series) and
+# validates the metrics JSON and profile JSON schemas plus the batch
+# latency percentiles; exits non-zero on any INVALID line. Its stdout must
+# match the committed golden byte for byte.
+cargo run -q --release -p kw-examples --example profile \
+    | diff -u bench_results/baselines/profile_example.txt -
 
 echo "== bench regression gate (bench_regression vs bench_results/baselines)"
 # Diffs the freshly generated BENCH_*.json against the committed baselines

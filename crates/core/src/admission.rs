@@ -172,9 +172,13 @@ fn node_bytes(
         .collect()
 }
 
-/// Reference counts of the executor's buffer liveness: each step counts a
-/// unique input once; every marked plan output holds one extra reference.
-fn buffer_refcounts(plan: &QueryPlan, compiled: &CompiledPlan) -> BTreeMap<NodeId, usize> {
+/// Reference counts of buffer liveness, one derivation shared by the
+/// executor and this predictor: each step counts a unique input once; every
+/// marked plan output holds one extra reference.
+pub(crate) fn buffer_refcounts(
+    plan: &QueryPlan,
+    compiled: &CompiledPlan,
+) -> BTreeMap<NodeId, usize> {
     let mut refcount: BTreeMap<NodeId, usize> = BTreeMap::new();
     for step in &compiled.steps {
         let mut seen = Vec::new();

@@ -46,7 +46,8 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use kw_gpu_sim::{
-    ArenaSlice, ArenaStats, BufferId, Device, Direction, EventId, ScratchArena, SimError, SimStats,
+    ArenaSlice, ArenaStats, BufferId, Device, Direction, EventId, MetricsRegistry, ScratchArena,
+    SimError, SimStats,
 };
 use kw_kernel_ir::execute as execute_op;
 use kw_relational::Relation;
@@ -163,6 +164,22 @@ impl PlanReport {
     pub fn overlapped_seconds(&self) -> f64 {
         self.pipelined_seconds
             .unwrap_or_else(|| self.gpu_seconds.max(self.pcie_seconds))
+    }
+
+    /// Render this run's layer series into `metrics`: one plan and
+    /// [`PlanReport::operator_count`] steps executed, plus the resilient
+    /// driver's runs, retries, faults survived and degradations when the
+    /// run went through the ladder. Compose with
+    /// [`Device::metrics`] to export a run.
+    pub fn publish(&self, metrics: &mut MetricsRegistry) {
+        metrics.inc("kw_plans_executed_total", 1);
+        metrics.inc("kw_steps_executed_total", self.operator_count as u64);
+        if let Some(res) = &self.resilience {
+            metrics.inc("kw_resilient_runs_total", 1);
+            metrics.inc("kw_retries_total", u64::from(res.retries));
+            metrics.inc("kw_faults_survived_total", u64::from(res.faults_survived));
+            metrics.inc("kw_degradations_total", res.degradations.len() as u64);
+        }
     }
 }
 
@@ -387,8 +404,7 @@ fn acquire_slot(
             if policy == ArenaPolicy::Strict {
                 return Err(e.into());
             }
-            let buf = device.alloc(bytes, label())?;
-            device.metrics_mut().inc("kw_arena_spills_total", 1);
+            let buf = device.alloc_spill(bytes, label())?;
             fp.spill_in_use += bytes;
             fp.note(arena);
             Ok(Slot::Spill(buf, bytes))
@@ -452,22 +468,9 @@ fn run_compiled(
     }
 
     // How many steps consume each node, plus one virtual consumer for plan
-    // outputs (kept on device until the final transfer in resident mode).
-    // MUST mirror `admission::buffer_refcounts`: the predictor replays this
-    // exact schedule to size the arena reservation.
-    let mut refcount: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for step in &compiled.steps {
-        let mut seen = Vec::new();
-        for &i in &step.inputs {
-            if !seen.contains(&i) {
-                seen.push(i);
-                *refcount.entry(i).or_insert(0) += 1;
-            }
-        }
-    }
-    for &o in plan.outputs() {
-        *refcount.entry(o).or_insert(0) += 1;
-    }
+    // outputs (kept on device until the final transfer in resident mode):
+    // the same counts the predictor replays to size the arena reservation.
+    let mut refcount = crate::admission::buffer_refcounts(plan, compiled);
 
     let mut fp = Footprint::new(base_in_use);
 
@@ -667,10 +670,6 @@ fn run_compiled(
         (device.total_seconds(), device.total_seconds(), None)
     };
 
-    device.metrics_mut().inc("kw_plans_executed_total", 1);
-    device
-        .metrics_mut()
-        .inc("kw_steps_executed_total", compiled.steps.len() as u64);
     let mut profile = crate::ProfileReport::from_spans(
         device.spans(),
         device.stats(),
@@ -692,7 +691,7 @@ fn run_compiled(
         operator_count: compiled.steps.len(),
         resilience: None,
         arena: None, // filled by the entry points once the arena settles
-        free_errors: device.metrics().counter("kw_free_errors_total"),
+        free_errors: device.free_errors(),
         first_free_error: device.first_free_error().map(String::from),
         spans: Vec::new(), // snapshot once by the public entry points
         profile,

@@ -23,8 +23,6 @@
 
 use std::collections::BTreeMap;
 
-use kw_gpu_sim::MetricsRegistry;
-
 use crate::{compile, CompiledPlan, QueryPlan, Result, WeaverConfig};
 
 /// Canonical shape key of `plan` under `config`: a deterministic encoding
@@ -166,18 +164,6 @@ impl PlanCache {
         }
         Ok((compiled, false))
     }
-
-    /// Publish the counters into `metrics` as monotone totals
-    /// (`kw_plan_cache_{hits,misses,evictions}_total`) plus a
-    /// `kw_plan_cache_entries` gauge. Counter registries are monotone, so
-    /// callers publish once per cache lifetime (the service driver does so
-    /// when its run completes).
-    pub fn publish(&self, metrics: &mut MetricsRegistry) {
-        metrics.inc("kw_plan_cache_hits_total", self.stats.hits);
-        metrics.inc("kw_plan_cache_misses_total", self.stats.misses);
-        metrics.inc("kw_plan_cache_evictions_total", self.stats.evictions);
-        metrics.set_gauge("kw_plan_cache_entries", self.entries.len() as f64);
-    }
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -286,19 +272,5 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().evictions, 0);
-    }
-
-    #[test]
-    fn publish_exports_counters() {
-        let cfg = WeaverConfig::default();
-        let plan = chain(2, 100);
-        let mut cache = PlanCache::new(2);
-        cache.get_or_compile(&plan, &cfg).unwrap();
-        cache.get_or_compile(&plan, &cfg).unwrap();
-        let mut m = MetricsRegistry::default();
-        cache.publish(&mut m);
-        assert_eq!(m.counter("kw_plan_cache_hits_total"), 1);
-        assert_eq!(m.counter("kw_plan_cache_misses_total"), 1);
-        assert_eq!(m.counter("kw_plan_cache_evictions_total"), 0);
     }
 }

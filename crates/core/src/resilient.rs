@@ -237,7 +237,7 @@ pub fn execute_compiled_resilient(
                         operator_count: compiled.steps.len(),
                         resilience: None,
                         arena: r.arena,
-                        free_errors: device.metrics().counter("kw_free_errors_total"),
+                        free_errors: device.free_errors(),
                         first_free_error: device.first_free_error().map(String::from),
                         spans: Vec::new(),
                     }
@@ -248,11 +248,6 @@ pub fn execute_compiled_resilient(
 
         match result {
             Ok(mut report) => {
-                let m = device.metrics_mut();
-                m.inc("kw_resilient_runs_total", 1);
-                m.inc("kw_retries_total", u64::from(retries));
-                m.inc("kw_faults_survived_total", u64::from(retries));
-                m.inc("kw_degradations_total", degradations.len() as u64);
                 report.resilience = Some(ResilienceReport {
                     admission,
                     admitted,

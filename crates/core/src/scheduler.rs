@@ -51,7 +51,9 @@
 
 use std::collections::BTreeMap;
 
-use kw_gpu_sim::{BufferId, Device, Direction, EventId, SpanKind, StreamId};
+use kw_gpu_sim::{
+    BufferId, Device, DeviceConfig, Direction, EventId, MetricsRegistry, SpanKind, StreamId,
+};
 use kw_relational::Relation;
 
 use crate::admission::{
@@ -180,8 +182,8 @@ pub struct BatchReport {
     pub waves: usize,
     /// Median per-query latency over successful queries: the exact
     /// nearest-rank order statistic of the observed latencies (0 when no
-    /// query succeeded). The log-bucketed latency histogram still feeds
-    /// the metrics registry (`kw_batch_query_latency_cycles`), but the
+    /// query succeeded). [`BatchReport::publish`] still renders the
+    /// log-bucketed `kw_batch_query_latency_cycles` histogram, but the
     /// report quotes real percentiles, not power-of-two bucket bounds.
     pub latency_p50_seconds: f64,
     /// Exact 95th-percentile per-query latency (nearest rank — always one
@@ -199,9 +201,11 @@ pub struct BatchReport {
     /// operator row per query scope annotated with the query's outcome
     /// (see [`crate::ProfileReport`]).
     pub profile: crate::ProfileReport,
-    /// Free errors the device swallowed on quarantine/unwind paths during
-    /// this batch (`kw_free_errors_total` at batch end). Non-zero means
-    /// some drain hit accounting corruption worth investigating.
+    /// Free errors the device swallowed on drain-on-error paths
+    /// (`kw_free_errors_total` at batch end). Like
+    /// [`PlanReport::free_errors`] this is a device-lifetime count, not
+    /// this batch's alone; non-zero means some drain hit accounting
+    /// corruption worth investigating.
     pub free_errors: u64,
     /// The first swallowed free error on the device, if any.
     pub first_free_error: Option<String>,
@@ -233,6 +237,27 @@ impl BatchReport {
 
     fn count(&self, pred: impl Fn(&QueryOutcome) -> bool) -> usize {
         self.queries.iter().filter(|q| pred(&q.outcome)).count()
+    }
+
+    /// Render this batch's layer series into `metrics`: the six
+    /// `kw_batch*_total` counters and the `kw_batch_query_latency_cycles`
+    /// histogram over successful queries, on `config`'s clock (the device
+    /// the batch ran on).
+    pub fn publish(&self, config: &DeviceConfig, metrics: &mut MetricsRegistry) {
+        let retries: u64 = self.queries.iter().map(|q| u64::from(q.retries)).sum();
+        metrics.inc("kw_batches_total", 1);
+        metrics.inc("kw_batch_queries_total", self.queries.len() as u64);
+        metrics.inc("kw_batch_waves_total", self.waves as u64);
+        metrics.inc("kw_batch_retries_total", retries);
+        metrics.inc(
+            "kw_batch_quarantines_total",
+            self.quarantined_count() as u64,
+        );
+        metrics.inc("kw_batch_degradations_total", self.degraded_count() as u64);
+        for q in self.queries.iter().filter(|q| q.outcome.is_success()) {
+            let cycles = config.seconds_to_cycles(q.latency_seconds);
+            metrics.observe("kw_batch_query_latency_cycles", cycles);
+        }
     }
 }
 
@@ -861,9 +886,6 @@ pub fn execute_batch_compiled_with_policy(
 
         if outcome.is_success() {
             latencies.push(device.config().cycles_to_seconds(latency_cycles));
-            device
-                .metrics_mut()
-                .observe("kw_batch_query_latency_cycles", latency_cycles);
         }
         reports.push(BatchQueryReport {
             name: q.name.to_string(),
@@ -886,22 +908,6 @@ pub fn execute_batch_compiled_with_policy(
     }
 
     let successes = reports.iter().filter(|r| r.outcome.is_success()).count();
-    let total_retries: u64 = reports.iter().map(|r| u64::from(r.retries)).sum();
-    let quarantines = (reports.len() - successes) as u64;
-    let degradations = reports
-        .iter()
-        .filter(|r| matches!(r.outcome, QueryOutcome::Degraded { .. }))
-        .count() as u64;
-    {
-        let m = device.metrics_mut();
-        m.inc("kw_batches_total", 1);
-        m.inc("kw_batch_queries_total", queries.len() as u64);
-        m.inc("kw_batch_waves_total", waves_issued as u64);
-        m.inc("kw_batch_retries_total", total_retries);
-        m.inc("kw_batch_quarantines_total", quarantines);
-        m.inc("kw_batch_degradations_total", degradations);
-    }
-
     let throughput_qps = if makespan_seconds > 0.0 {
         queries.len() as f64 / makespan_seconds
     } else {
@@ -949,10 +955,9 @@ pub fn execute_batch_compiled_with_policy(
     profile.annotate_outcomes(&outcome_labels);
 
     // Exact nearest-rank percentiles over the successful queries' observed
-    // latencies. The log-bucketed histogram still backs the metrics
-    // registry (`kw_batch_query_latency_cycles` above) for cheap streaming
-    // monitoring; the report quotes the true order statistics so a
-    // quoted p95 is always one of the actual latencies, not a
+    // latencies. The log-bucketed histogram `BatchReport::publish` renders
+    // serves cheap monitoring; the report quotes the true order statistics
+    // so a quoted p95 is always one of the actual latencies, not a
     // power-of-two bucket's upper bound.
     let latency = crate::service::percentiles(&mut latencies);
 
@@ -969,7 +974,7 @@ pub fn execute_batch_compiled_with_policy(
         engine_busy_seconds,
         engine_utilization,
         profile,
-        free_errors: device.metrics().counter("kw_free_errors_total"),
+        free_errors: device.free_errors(),
         first_free_error: device.first_free_error().map(String::from),
         admission,
     })
@@ -1232,7 +1237,9 @@ mod tests {
         assert_eq!(batch.quarantined_count(), 1);
         assert!(batch.goodput_qps < batch.throughput_qps);
         assert_eq!(dev.memory().in_use(), 0);
-        assert_eq!(dev.metrics().counter("kw_batch_quarantines_total"), 1);
+        let mut m = dev.metrics();
+        batch.publish(dev.config(), &mut m);
+        assert_eq!(m.counter("kw_batch_quarantines_total"), 1);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! A [`ScratchRun`] owns the fork and its one scratch arena: [`open`]
 //! forks and reserves, [`execute`] runs a compiled plan and returns typed
 //! per-step costs (no provenance parsing), and [`close`] folds the fork's
-//! peak, free errors and arena metrics into the parent exactly once —
-//! `close` consumes the run, so it cannot fold twice.
+//! peak, arena totals, spills and free errors into the parent exactly once
+//! — `close` consumes the run, so it cannot fold twice.
 //!
 //! [`open`]: ScratchRun::open
 //! [`execute`]: ScratchRun::execute
@@ -81,7 +81,7 @@ impl ScratchRun {
     }
 
     /// Release the arena and fold the fork into `parent`: its memory peak,
-    /// free-error count and first message, and its arena metrics. Returns
+    /// arena totals, spills, and free-error count and first message. Returns
     /// the arena's accounting, or `None` when its release itself failed
     /// (noted as a free error, which the fold carries to the parent).
     pub(crate) fn close(self, parent: &mut Device) -> Option<ArenaStats> {

@@ -24,8 +24,8 @@
 //!   lookup; a miss charges [`ServiceConfig::compile_seconds_per_step`] ×
 //!   steps of simulated host time to the service clock before the dispatch
 //!   (compilation delays the queue head exactly like real JIT would),
-//!   while a hit is free. Hit/miss/eviction counters land in the device's
-//!   metrics registry.
+//!   while a hit is free. Hit/miss/eviction counts land on the report,
+//!   which [`ServiceReport::publish`] renders as `kw_plan_cache_*` series.
 //! * **Report** — exact nearest-rank p50/p95/p99 over queueing, execution
 //!   and total (queueing + execution) latency of the successful queries,
 //!   achieved QPS over the service span, and an SLO verdict on total p99.
@@ -34,7 +34,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use kw_gpu_sim::Device;
+use kw_gpu_sim::{Device, DeviceConfig, MetricsRegistry};
 
 use crate::admission::admit;
 use crate::plan_cache::{plan_shape_key, shape_fingerprint, PlanCache};
@@ -163,12 +163,36 @@ pub struct ServiceReport {
     pub cache_evictions: u64,
     /// Plan-cache capacity the run used (0 = disabled).
     pub cache_capacity: usize,
+    /// Shapes held in the plan cache when the run ended.
+    pub cache_entries: usize,
     /// The SLO this run was checked against.
     pub slo_p99_seconds: f64,
     /// Whether total p99 met the SLO (false when nothing succeeded).
     pub slo_met: bool,
     /// Per-arrival reports in arrival order.
     pub queries: Vec<ServiceQueryReport>,
+}
+
+impl ServiceReport {
+    /// Render this run's layer series into `metrics`: the four
+    /// `kw_service_*_total` counters, the `kw_plan_cache_*` counters and
+    /// entries gauge, and the `kw_service_total_latency_cycles` histogram
+    /// over successful arrivals, on `config`'s clock (the device the
+    /// service ran on).
+    pub fn publish(&self, config: &DeviceConfig, metrics: &mut MetricsRegistry) {
+        metrics.inc("kw_service_arrivals_total", self.arrivals as u64);
+        metrics.inc("kw_service_dispatches_total", self.dispatches as u64);
+        metrics.inc("kw_service_completed_total", self.completed as u64);
+        metrics.inc("kw_service_failed_total", self.failed as u64);
+        metrics.inc("kw_plan_cache_hits_total", self.cache_hits);
+        metrics.inc("kw_plan_cache_misses_total", self.cache_misses);
+        metrics.inc("kw_plan_cache_evictions_total", self.cache_evictions);
+        metrics.set_gauge("kw_plan_cache_entries", self.cache_entries as f64);
+        for q in self.queries.iter().filter(|q| q.outcome.is_success()) {
+            let cycles = config.seconds_to_cycles(q.total_seconds);
+            metrics.observe("kw_service_total_latency_cycles", cycles);
+        }
+    }
 }
 
 /// Exact nearest-rank percentile over `sorted` (ascending); 0.0 when empty.
@@ -398,21 +422,6 @@ pub fn run_service(
     let stats = cache.stats();
     let slo_met = completed > 0 && total.p99_seconds <= service.slo_p99_seconds;
 
-    {
-        let m = device.metrics_mut();
-        m.inc("kw_service_arrivals_total", queries.len() as u64);
-        m.inc("kw_service_dispatches_total", dispatches as u64);
-        m.inc("kw_service_completed_total", completed as u64);
-        m.inc("kw_service_failed_total", failed as u64);
-    }
-    cache.publish(device.metrics_mut());
-    for q in &successes {
-        let cycles = device.config().seconds_to_cycles(q.total_seconds);
-        device
-            .metrics_mut()
-            .observe("kw_service_total_latency_cycles", cycles);
-    }
-
     Ok(ServiceReport {
         offered_qps: service.offered_qps,
         achieved_qps,
@@ -434,6 +443,7 @@ pub fn run_service(
         cache_misses: stats.misses,
         cache_evictions: stats.evictions,
         cache_capacity: service.cache_capacity,
+        cache_entries: cache.len(),
         slo_p99_seconds: service.slo_p99_seconds,
         slo_met,
         queries,
@@ -633,16 +643,16 @@ mod tests {
             ..service_cfg()
         };
         let report = run_service(&shapes, &mut dev, &WeaverConfig::default(), &cfg).unwrap();
-        assert_eq!(dev.metrics().counter("kw_service_arrivals_total"), 6);
-        assert_eq!(
-            dev.metrics().counter("kw_plan_cache_hits_total"),
-            report.cache_hits
-        );
-        assert_eq!(
-            dev.metrics().counter("kw_plan_cache_misses_total"),
-            report.cache_misses
-        );
-        assert!(dev.metrics().counter("kw_service_dispatches_total") >= 1);
+        let mut m = dev.metrics();
+        report.publish(dev.config(), &mut m);
+        assert_eq!(m.counter("kw_service_arrivals_total"), 6);
+        assert_eq!(m.counter("kw_plan_cache_hits_total"), report.cache_hits);
+        assert_eq!(m.counter("kw_plan_cache_misses_total"), report.cache_misses);
+        assert_eq!(m.counter("kw_plan_cache_evictions_total"), 0);
+        assert_eq!(m.gauge("kw_plan_cache_entries"), Some(1.0));
+        assert!(m.counter("kw_service_dispatches_total") >= 1);
+        let latency = m.histogram("kw_service_total_latency_cycles").unwrap();
+        assert_eq!(latency.count(), report.completed as u64);
     }
 
     #[test]

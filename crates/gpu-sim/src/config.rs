@@ -212,6 +212,31 @@ mod tests {
     }
 
     #[test]
+    fn cycles_survive_a_seconds_round_trip() {
+        // Reports carry latencies in seconds and the latency histograms are
+        // rendered back in cycles, so the round trip must be exact from one
+        // cycle up to about an hour of simulated time.
+        let presets = [
+            DeviceConfig::fermi_c2050(),
+            DeviceConfig::fused_apu(),
+            DeviceConfig::cpu_like(),
+            DeviceConfig::tiny(),
+        ];
+        for c in presets {
+            let mut cycles = 0u64;
+            while cycles < 1 << 42 {
+                for v in [cycles, cycles + 1, cycles + 7] {
+                    assert_eq!(c.seconds_to_cycles(c.cycles_to_seconds(v)), v);
+                }
+                cycles = cycles * 3 + 1;
+            }
+            for v in 0..100_000 {
+                assert_eq!(c.seconds_to_cycles(c.cycles_to_seconds(v)), v);
+            }
+        }
+    }
+
+    #[test]
     fn tiny_is_small() {
         assert!(
             DeviceConfig::tiny().global_mem_bytes < DeviceConfig::fermi_c2050().global_mem_bytes

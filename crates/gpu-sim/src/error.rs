@@ -49,7 +49,7 @@ pub enum SimError {
         requested: u64,
     },
     /// A stream or event handle that does not belong to this device's
-    /// stream model (stale after `reset_stats`, or from another device).
+    /// stream model (e.g. one created on another device).
     InvalidStream {
         /// Human-readable description of the bad handle.
         detail: String,

@@ -1,10 +1,10 @@
 //! Deterministic metrics: counters, gauges, and log-bucketed histograms.
 //!
-//! The registry is the operational face of the simulator. The
-//! [`Device`](crate::Device) publishes every span it records (kernel
-//! launches, PCIe transfers, faults, backoff) into one
-//! [`MetricsRegistry`], and the kw-core drivers layer their own series on
-//! top (plans executed, retries, degradations, batch latency). Every
+//! The registry is the operational face of the simulator, and a rendering,
+//! not a record: [`Device::metrics`](crate::Device::metrics) builds one
+//! from the device's span log, aggregate stats and memory tracker, and the
+//! kw-core reports publish their layer series on top of it (plans
+//! executed, retries, degradations, batch latency). Every
 //! value is derived from the simulated cycle clock or from byte counts —
 //! no wallclock ever enters the registry — so two identical seeded runs
 //! export byte-identical snapshots. That byte-stability is what lets CI
@@ -224,13 +224,6 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Drop every series (used by `Device::reset_stats`).
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-
     /// Prometheus text exposition of the whole registry.
     ///
     /// Counters first, then gauges, then histograms, each preceded by a
@@ -412,17 +405,5 @@ mod tests {
         assert_eq!(h.sum(), values.iter().sum::<u64>());
         let bucket_total: u64 = h.buckets().iter().map(|&(_, c)| c).sum();
         assert_eq!(bucket_total, h.count(), "bucket counts must sum to count");
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = MetricsRegistry::default();
-        m.inc("c", 1);
-        m.set_gauge("g", 1.0);
-        m.observe("h", 1);
-        assert!(!m.is_empty());
-        m.reset();
-        assert!(m.is_empty());
-        assert_eq!(m.counter("c"), 0);
     }
 }

@@ -253,15 +253,6 @@ impl StreamModel {
     pub fn engine_busy(&self) -> &BTreeMap<Engine, u64> {
         &self.engine_busy
     }
-
-    /// Forget all streams, events and scheduled operations (configuration
-    /// survives).
-    pub fn reset(&mut self) {
-        self.stream_ready.clear();
-        self.events.clear();
-        self.engine_free.clear();
-        self.engine_busy.clear();
-    }
 }
 
 #[cfg(test)]
@@ -408,18 +399,6 @@ mod tests {
         let busiest = m.engine_busy().values().copied().max().unwrap();
         assert!(m.makespan() <= serialized);
         assert!(m.makespan() >= busiest);
-    }
-
-    #[test]
-    fn reset_clears_schedule() {
-        let mut m = StreamModel::new(1);
-        let s = m.create_stream();
-        m.schedule(s, Engine::CopyH2D, 10, 0).unwrap();
-        m.reset();
-        assert_eq!(m.makespan(), 0);
-        assert!(m.engine_busy().is_empty());
-        // Old handles are invalid after reset.
-        assert!(m.schedule(s, Engine::CopyH2D, 1, 0).is_err());
     }
 
     #[test]

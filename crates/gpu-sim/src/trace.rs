@@ -13,8 +13,8 @@
 //! each cycle and byte belongs to ([`cycles_for_label`]). They are also a
 //! standing correctness check: [`reconcile`] asserts that per-span deltas
 //! sum back to the aggregate — any cost the device charges outside a span,
-//! or charges twice, fails the invariant. Debug builds enforce it after
-//! every recorded span.
+//! or charges twice, fails the invariant. A property test checks it on every
+//! execution path under fault injection.
 //!
 //! [`TraceSink`] exports a span list as Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) and as a per-operator summary table.
@@ -149,12 +149,7 @@ pub fn cycles_for_label(spans: &[Span], needle: &str) -> u64 {
 ///
 /// Returns a description of the first mismatching counter.
 pub fn reconcile(spans: &[Span], aggregate: &SimStats) -> Result<(), String> {
-    compare_stats(&sum_deltas(spans), aggregate)
-}
-
-/// The comparison behind [`reconcile`], for callers that already hold the
-/// summed deltas (the device's debug-build invariant keeps a running sum).
-pub(crate) fn compare_stats(sum: &SimStats, aggregate: &SimStats) -> Result<(), String> {
+    let sum = sum_deltas(spans);
     let ints = [
         (
             "kernel_launches",

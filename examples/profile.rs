@@ -4,7 +4,8 @@
 //! small multi-query batch, then:
 //!
 //! * prints the bottleneck-attribution profile (`ProfileReport::summary`),
-//! * prints the device metrics registry in Prometheus text format,
+//! * prints the run's metrics in Prometheus text format: the device's
+//!   rendering of its records plus the series the plan report publishes,
 //! * validates that the registry's JSON export and the profile's JSON
 //!   export parse and carry every key downstream tooling consumes.
 //!
@@ -19,7 +20,7 @@ use kw_gpu_sim::{parse_json, Device, DeviceConfig};
 use kw_relational::Relation;
 use kw_tpch::Pattern;
 
-/// Counters the device must publish on any kernel-running workload.
+/// Series a kernel-running workload must export.
 const REQUIRED_METRICS: [&str; 6] = [
     "kw_spans_total",
     "kw_kernel_launches_total",
@@ -62,11 +63,13 @@ fn main() {
     }
 
     println!("== Device metrics (Prometheus text format) ==");
-    print!("{}", dev.metrics().prometheus_text());
+    let mut metrics = dev.metrics();
+    report.publish(&mut metrics);
+    print!("{}", metrics.prometheus_text());
     println!();
 
     // --- Schema gates: both JSON exports parse and carry their keys. ---
-    let metrics_json = dev.metrics().to_json();
+    let metrics_json = metrics.to_json();
     match parse_json(&metrics_json) {
         Ok(doc) => {
             for section in ["counters", "gauges", "histograms"] {

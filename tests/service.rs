@@ -228,11 +228,10 @@ fn service_accounting_invariants_hold_on_mixed_shapes() {
     assert!(report.total.p99_seconds >= report.execution.p99_seconds);
     assert!(report.duration_seconds > 0.0);
     assert!(report.achieved_qps > 0.0);
-    assert_eq!(dev.metrics().counter("kw_service_arrivals_total"), 48);
-    assert_eq!(
-        dev.metrics().counter("kw_plan_cache_hits_total"),
-        report.cache_hits
-    );
+    let mut m = dev.metrics();
+    report.publish(dev.config(), &mut m);
+    assert_eq!(m.counter("kw_service_arrivals_total"), 48);
+    assert_eq!(m.counter("kw_plan_cache_hits_total"), report.cache_hits);
 }
 
 /// The tentpole's acceptance bar at unit scale: at a fixed offered load
