@@ -39,6 +39,12 @@ for f in "$trace_dir"/q1.fused.trace.json "$trace_dir"/q1.baseline.trace.json; d
     [ -s "$f" ] || { echo "missing trace export: $f" >&2; exit 1; }
 done
 
+echo "== host fusion smoke gate (examples/host_fusion.rs)"
+# Runs every Figure 14 pattern fused and unfused at 2^12-2^16 tuples and
+# exits non-zero if their outputs differ. Its stdout holds host wall times,
+# which vary between runs, so it is not diffed.
+cargo run -q --release -p kw-examples --example host_fusion > /dev/null
+
 echo "== campaign benchmarks (paper_tables -- scheduler ... arena)"
 # Regenerates the six BENCH_*.json files into a scratch dir for the
 # regression gate below. Each campaign asserts its own invariants while it

@@ -218,7 +218,15 @@ fn hash_partition_inputs<'a>(
 ) -> Result<Vec<Vec<(&'a str, Relation)>>> {
     let mut slots: Vec<Vec<(&str, Relation)>> = vec![Vec::new(); buckets];
     for (name, rel) in bindings {
-        let mut per_bucket: Vec<Vec<u64>> = vec![Vec::new(); buckets];
+        // Size every bucket before filling it. Buckets grown by doubling
+        // hold up to twice the input, and freeing that much at once lets
+        // the allocator hand the heap top back to the OS, so whether the
+        // next run page-faults it all in again depends on heap layout.
+        let mut sizes = vec![0usize; buckets];
+        for t in rel.iter() {
+            sizes[bucket_of(t[0], buckets)] += t.len();
+        }
+        let mut per_bucket: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for t in rel.iter() {
             per_bucket[bucket_of(t[0], buckets)].extend_from_slice(t);
         }

@@ -14,6 +14,33 @@
 //! Kernel-dependent operators (SORT, grouped AGGREGATE) execute as
 //! multi-pass global kernels instead.
 //!
+//! ## Host execution: borrowed slots, canonical order only where needed
+//!
+//! The compute stage runs the step list once per CTA. Slots are
+//! single-assignment, so steps read them by reference:
+//!
+//! * **Load** borrows the CTA's input range (checking that it is in
+//!   canonical order) instead of copying it;
+//! * the thread-dependent steps — Filter, Project, Compute, Compact and
+//!   Store — write plain word buffers, evaluating predicates and expressions
+//!   bound once per operator;
+//! * only the CTA-dependent steps — Join, SemiJoin, SetOp, Unique and
+//!   Product — see a canonical [`Relation`] and call the same
+//!   `kw_relational::ops` function a step-at-a-time interpreter would.
+//!
+//! Each slot carries a `sorted` flag. Load and every CTA-dependent step set
+//! it, Filter and Compact keep their source's, Project and Compute clear
+//! it. A sorted slot holds exactly the relation a step-at-a-time
+//! interpreter would hold; an unsorted one holds the same multiset, and
+//! `Relation::from_words` turns it into that relation, because canonical
+//! order is full-tuple order and rows that compare equal are bit-identical
+//! (Project restores canonical order first for the one exception, F32 words
+//! with high bits set). Canonical order is therefore restored in two places
+//! only: when a CTA-dependent step reads an unsorted slot, and in the gather,
+//! which sorts the concatenated CTA results once per output. Every
+//! [`KernelQuantities`] charge comes from counts (rows, lanes, tuple bytes),
+//! so none depends on how the host represents a slot.
+//!
 //! ## Divergence model
 //!
 //! Runtime slots carry a *lane count* alongside their tuples: the number of
@@ -22,12 +49,16 @@
 //! Figure 20 effect), while stream compaction re-densifies lanes at the
 //! price of shared-memory traffic and a prefix sum.
 
+use std::borrow::Cow;
+
 use kw_gpu_sim::{Device, KernelQuantities, KernelResources, LaunchDims};
-use kw_relational::{ops, Relation};
+use kw_relational::{
+    check_sorted, equal_rows_are_identical, ops, BoundExpr, BoundPredicate, Relation, Schema,
+};
 
 use crate::{
     estimate_resources, validate, GpuOperator, IrError, OperatorBody, OptLevel, PartitionSpec,
-    Result, SetOpKind, Space, Step,
+    Result, SetOpKind, SlotId, Space, Step,
 };
 
 /// Maximum CTAs per grid (CUDA's 65535 x-dimension limit).
@@ -99,11 +130,60 @@ pub fn execute(
     }
 }
 
-/// A runtime slot: real tuples plus the occupied lane count.
+/// The tuples a runtime slot holds for one CTA.
 #[derive(Debug, Clone)]
-struct RtSlot {
-    rel: Relation,
+enum Tuples<'a> {
+    /// A borrowed range of an operator input (Load).
+    View(&'a [u64]),
+    /// Rows written by a thread-dependent step.
+    Rows(Vec<u64>),
+    /// The relation a CTA-dependent step returned.
+    Rel(Relation),
+}
+
+impl Tuples<'_> {
+    fn words(&self) -> &[u64] {
+        match self {
+            Tuples::View(w) => w,
+            Tuples::Rows(w) => w,
+            Tuples::Rel(r) => r.words(),
+        }
+    }
+}
+
+/// A runtime slot: one CTA's tuples, whether they are in canonical order,
+/// and the occupied lane count.
+#[derive(Debug, Clone)]
+struct RtSlot<'a> {
+    tuples: Tuples<'a>,
+    /// The tuples are exactly the relation a step-at-a-time interpreter
+    /// would hold here. When clear they are the same multiset in another
+    /// order, and `Relation::from_words` restores that relation.
+    sorted: bool,
     lanes: u64,
+}
+
+/// What the compute stage knows about one slot before any CTA runs.
+struct SlotInfo<'s> {
+    schema: Option<&'s Schema>,
+    space: Space,
+    arity: usize,
+    tuple_bytes: u64,
+}
+
+/// Expressions or a predicate of one step, bound to its source schema.
+enum Bound {
+    None,
+    Pred(BoundPredicate),
+    Exprs(Vec<BoundExpr>),
+}
+
+/// Everything the compute stage shares across CTAs.
+struct Stage<'a, 's> {
+    inputs: &'s [&'a Relation],
+    ranges: &'s [Vec<(usize, usize)>],
+    info: Vec<SlotInfo<'s>>,
+    opt: OptLevel,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -148,24 +228,34 @@ fn execute_streaming(
     )?;
 
     // ---- Compute stage ---------------------------------------------------
-    let slot_count = op.slots().map(<[_]>::len).unwrap_or(0);
+    let decls = op.slots().unwrap_or(&[]);
+    let stage = Stage {
+        inputs,
+        ranges: &ranges,
+        info: decls
+            .iter()
+            .zip(&inferred.slots)
+            .map(|(decl, schema)| SlotInfo {
+                schema: schema.as_ref(),
+                space: decl.space,
+                arity: schema.as_ref().map_or(1, Schema::arity),
+                tuple_bytes: schema.as_ref().map_or(0, |s| s.tuple_bytes() as u64),
+            })
+            .collect(),
+        opt,
+    };
+    let bound = steps
+        .iter()
+        .map(|step| bind_step(step, inferred))
+        .collect::<Result<Vec<_>>>()?;
     let mut q = KernelQuantities::default();
     let mut out_words: Vec<Vec<u64>> = vec![Vec::new(); op.outputs];
-
+    let mut slots: Vec<Option<RtSlot>> = Vec::with_capacity(decls.len());
     for cta in 0..grid as usize {
-        let mut slots: Vec<Option<RtSlot>> = vec![None; slot_count];
-        for step in steps {
-            exec_step(
-                op,
-                step,
-                cta,
-                &ranges,
-                inputs,
-                &mut slots,
-                &mut q,
-                &mut out_words,
-                opt,
-            )?;
+        slots.clear();
+        slots.resize(decls.len(), None);
+        for (step, bound) in steps.iter().zip(&bound) {
+            stage.exec_step(step, bound, cta, &mut slots, &mut q, &mut out_words)?;
         }
     }
     device.launch(format!("{}.compute", op.label), dims, resources, &q)?;
@@ -174,7 +264,8 @@ fn execute_streaming(
     // The compute stage keeps each CTA's results on chip and records their
     // sizes; gather prefix-sums the size array and performs the (single)
     // dense global write — which the Store steps above already charged. The
-    // gather kernel itself only touches the per-CTA size array.
+    // gather kernel itself only touches the per-CTA size array. Sorting the
+    // concatenated CTA results restores canonical order.
     let mut outputs = Vec::with_capacity(op.outputs);
     let mut gq = KernelQuantities::default();
     for (i, words) in out_words.into_iter().enumerate() {
@@ -184,6 +275,15 @@ fn execute_streaming(
         gq.global_bytes_read += u64::from(grid) * 8;
         gq.global_bytes_written += u64::from(grid) * 8;
         gq.alu_ops += u64::from(grid); // prefix sum over CTA result sizes
+
+        // Store grew the buffer by doubling, and the output outlives this
+        // call: give it an exact-size copy. (Shrinking it in place with
+        // `shrink_to_fit` raised the benchmark's peak RSS instead.)
+        let words = if words.capacity() > words.len() {
+            words.as_slice().to_vec()
+        } else {
+            words
+        };
         outputs.push(Relation::from_words(schema, words)?);
     }
     device.launch(
@@ -200,6 +300,24 @@ fn execute_streaming(
         outputs,
         resources,
         kernels: 3,
+    })
+}
+
+/// Bind a Filter's predicate or a Compute's expressions to the step's
+/// source schema, once per operator rather than once per tuple.
+fn bind_step(step: &Step, inferred: &crate::InferredSchemas) -> Result<Bound> {
+    Ok(match step {
+        Step::Filter { src, pred, .. } => Bound::Pred(pred.bind(inferred.slot(*src)?)?),
+        Step::Compute { src, exprs, .. } => {
+            let schema = inferred.slot(*src)?;
+            Bound::Exprs(
+                exprs
+                    .iter()
+                    .map(|e| e.bind(schema))
+                    .collect::<kw_relational::Result<_>>()?,
+            )
+        }
+        _ => Bound::None,
     })
 }
 
@@ -270,234 +388,320 @@ fn compute_partitions(
     Ok(ranges)
 }
 
-fn sub_relation(rel: &Relation, range: (usize, usize)) -> Result<Relation> {
-    let arity = rel.schema().arity();
-    let words = rel.words()[range.0 * arity..range.1 * arity].to_vec();
-    Ok(Relation::from_sorted_words(rel.schema().clone(), words)?)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_step(
-    op: &GpuOperator,
-    step: &Step,
-    cta: usize,
-    ranges: &[Vec<(usize, usize)>],
-    inputs: &[&Relation],
-    slots: &mut [Option<RtSlot>],
-    q: &mut KernelQuantities,
-    out_words: &mut [Vec<u64>],
-    opt: OptLevel,
-) -> Result<()> {
-    let space = |id: crate::SlotId| op.slot_space(id);
-    let get = |slots: &[Option<RtSlot>], id: crate::SlotId| -> Result<RtSlot> {
-        slots[id.0]
-            .clone()
-            .ok_or_else(|| IrError::validation(format!("slot {id} empty at runtime")))
-    };
-
-    // -O0 local-memory spills: unoptimized code round-trips each step's
-    // working values through local memory (global DRAM).
-    if opt == OptLevel::O0 {
-        let processed: u64 = step
-            .sources()
-            .iter()
-            .filter_map(|s| slots[s.0].as_ref())
-            .map(|s| s.rel.len() as u64)
-            .sum();
-        q.global_bytes_read += processed * O0_SPILL_BYTES;
-        q.global_bytes_written += processed * O0_SPILL_BYTES;
+impl<'a> Stage<'a, '_> {
+    fn schema(&self, id: SlotId) -> Result<&Schema> {
+        self.info[id.0]
+            .schema
+            .ok_or_else(|| IrError::validation(format!("slot {id} has no inferred schema")))
     }
 
-    // Charge a read of `slot` from `sp`; lanes matter for O0 spills.
-    let charge_read = |q: &mut KernelQuantities, sp: Space, slot: &RtSlot| {
-        let dense = slot.rel.byte_size() as u64;
-        let sparse = slot.lanes * slot.rel.schema().tuple_bytes() as u64;
-        match sp {
+    fn rows(&self, id: SlotId, slot: &RtSlot) -> u64 {
+        (slot.tuples.words().len() / self.info[id.0].arity) as u64
+    }
+
+    /// Charge a read of slot `id`; lanes matter for O0 spills.
+    fn charge_read(&self, q: &mut KernelQuantities, id: SlotId, slot: &RtSlot) {
+        let info = &self.info[id.0];
+        match info.space {
             Space::Register => {
-                if opt == OptLevel::O0 {
-                    q.global_bytes_read += sparse; // local-memory spill
+                if self.opt == OptLevel::O0 {
+                    q.global_bytes_read += slot.lanes * info.tuple_bytes; // local-memory spill
                 }
             }
-            Space::Shared => q.shared_bytes_read += dense,
-            Space::Global => q.global_bytes_read += dense,
+            Space::Shared => q.shared_bytes_read += self.rows(id, slot) * info.tuple_bytes,
+            Space::Global => q.global_bytes_read += self.rows(id, slot) * info.tuple_bytes,
         }
-    };
-    let charge_write = |q: &mut KernelQuantities, sp: Space, rel: &Relation, lanes: u64| {
-        let dense = rel.byte_size() as u64;
-        let sparse = lanes * rel.schema().tuple_bytes() as u64;
-        match sp {
+    }
+
+    /// Charge writing `rows` dense tuples occupying `lanes` lanes to `id`.
+    fn charge_write(&self, q: &mut KernelQuantities, id: SlotId, rows: u64, lanes: u64) {
+        let info = &self.info[id.0];
+        let dense = rows * info.tuple_bytes;
+        match info.space {
             Space::Register => {
-                if opt == OptLevel::O0 {
-                    q.global_bytes_written += sparse.max(dense);
+                if self.opt == OptLevel::O0 {
+                    q.global_bytes_written += (lanes * info.tuple_bytes).max(dense);
                 }
             }
             Space::Shared => q.shared_bytes_written += dense,
             Space::Global => q.global_bytes_written += dense,
         }
-    };
+    }
 
-    match step {
-        Step::Load { input, dst } => {
-            let rel = sub_relation(inputs[*input], ranges[cta][*input])?;
-            q.global_bytes_read += rel.byte_size() as u64;
-            let lanes = rel.len() as u64;
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Filter { src, pred, dst } => {
-            let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
-            q.alu_ops += s.lanes * pred.alu_ops();
-            let rel = ops::select(&s.rel, pred)?;
-            // Register destinations keep sparse lanes (idle threads);
-            // CTA-visible destinations are written compacted by the filter.
-            let lanes = if space(*dst) == Space::Register {
-                s.lanes
-            } else {
-                rel.len() as u64
-            };
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Project {
-            src,
-            attrs,
-            key_arity,
-            dst,
-        } => {
-            let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
-            q.alu_ops += s.lanes * attrs.len() as u64;
-            let rel = ops::project(&s.rel, attrs, *key_arity)?;
-            let lanes = if space(*dst) == Space::Register {
-                s.lanes
-            } else {
-                rel.len() as u64
-            };
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Compute {
-            src,
-            exprs,
-            key_arity,
-            dst,
-        } => {
-            let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
-            let ops_per_tuple: u64 = exprs.iter().map(|e| e.alu_ops() + 1).sum();
-            q.alu_ops += s.lanes * ops_per_tuple;
-            let rel = ops::compute(&s.rel, exprs, *key_arity)?;
-            let lanes = if space(*dst) == Space::Register {
-                s.lanes
-            } else {
-                rel.len() as u64
-            };
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Join {
-            left,
-            right,
-            key_len,
-            dst,
-        } => {
-            let l = get(slots, *left)?;
-            let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
-            let rel = ops::join(&l.rel, &r.rel, *key_len)?;
-            q.alu_ops +=
-                (l.rel.len() + r.rel.len()) as u64 * *key_len as u64 + 2 * rel.len() as u64;
-            let lanes = rel.len() as u64;
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Product { left, right, dst } => {
-            let l = get(slots, *left)?;
-            let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
-            let rel = ops::product(&l.rel, &r.rel)?;
-            q.alu_ops += l.rel.len() as u64 + rel.len() as u64;
-            let lanes = rel.len() as u64;
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::SemiJoin {
-            left,
-            right,
-            key_len,
-            negated,
-            dst,
-        } => {
-            let l = get(slots, *left)?;
-            let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
-            let rel = if *negated {
-                ops::anti_join(&l.rel, &r.rel, *key_len)?
-            } else {
-                ops::semi_join(&l.rel, &r.rel, *key_len)?
-            };
-            // One binary search per left tuple over the right partition.
-            q.alu_ops += l.rel.len() as u64
-                * ((r.rel.len().max(2) as f64).log2().ceil() as u64)
-                * *key_len as u64;
-            let lanes = rel.len() as u64;
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::SetOp {
-            kind,
-            left,
-            right,
-            dst,
-        } => {
-            let l = get(slots, *left)?;
-            let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
-            let rel = match kind {
-                SetOpKind::Union => ops::union(&l.rel, &r.rel)?,
-                SetOpKind::Intersect => ops::intersect(&l.rel, &r.rel)?,
-                SetOpKind::Difference => ops::difference(&l.rel, &r.rel)?,
-            };
-            q.alu_ops += (l.rel.len() + r.rel.len()) as u64
-                * l.rel.schema().key_arity().max(1) as u64
-                + rel.len() as u64;
-            let lanes = rel.len() as u64;
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Unique { src, dst } => {
-            let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
-            let rel = ops::unique(&s.rel)?;
-            q.alu_ops += s.rel.len() as u64 * s.rel.schema().arity() as u64;
-            let lanes = rel.len() as u64;
-            charge_write(q, space(*dst), &rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel, lanes });
-        }
-        Step::Compact { src, dst } => {
-            let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
-            q.alu_ops += 2 * s.lanes; // prefix-sum scan over allocated lanes
-            let lanes = s.rel.len() as u64;
-            charge_write(q, space(*dst), &s.rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel: s.rel, lanes });
-        }
-        Step::Barrier => {
-            q.barriers += 1;
-        }
-        Step::Store { src, output } => {
-            let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
-            q.global_bytes_written += s.rel.byte_size() as u64;
-            out_words[*output].extend_from_slice(s.rel.words());
+    /// Write the rows a thread-dependent step produced from a source with
+    /// `src_lanes` lanes: register destinations keep the source's sparse
+    /// lanes (idle threads), CTA-visible ones are written compacted.
+    fn write_rows(
+        &self,
+        q: &mut KernelQuantities,
+        dst: SlotId,
+        tuples: Tuples<'a>,
+        sorted: bool,
+        src_lanes: u64,
+    ) -> RtSlot<'a> {
+        let rows = (tuples.words().len() / self.info[dst.0].arity) as u64;
+        let lanes = if self.info[dst.0].space == Space::Register {
+            src_lanes
+        } else {
+            rows
+        };
+        self.charge_write(q, dst, rows, lanes);
+        RtSlot {
+            tuples,
+            sorted,
+            lanes,
         }
     }
-    Ok(())
+
+    /// Write the relation a CTA-dependent step returned: dense lanes,
+    /// canonical order.
+    fn write_relation(&self, q: &mut KernelQuantities, dst: SlotId, rel: Relation) -> RtSlot<'a> {
+        debug_assert_eq!(
+            Some(rel.schema()),
+            self.info[dst.0].schema,
+            "inferred schema of {dst}"
+        );
+        let lanes = rel.len() as u64;
+        self.charge_write(q, dst, lanes, lanes);
+        RtSlot {
+            tuples: Tuples::Rel(rel),
+            sorted: true,
+            lanes,
+        }
+    }
+
+    /// The canonical relation slot `id` holds, for a CTA-dependent step.
+    fn relation<'r>(&self, id: SlotId, slot: &'r RtSlot) -> Result<Cow<'r, Relation>> {
+        if let Tuples::Rel(rel) = &slot.tuples {
+            return Ok(Cow::Borrowed(rel));
+        }
+        let (schema, words) = (self.schema(id)?.clone(), slot.tuples.words().to_vec());
+        Ok(Cow::Owned(if slot.sorted {
+            Relation::from_sorted_words(schema, words)?
+        } else {
+            Relation::from_words(schema, words)?
+        }))
+    }
+
+    fn exec_step(
+        &self,
+        step: &Step,
+        bound: &Bound,
+        cta: usize,
+        slots: &mut [Option<RtSlot<'a>>],
+        q: &mut KernelQuantities,
+        out_words: &mut [Vec<u64>],
+    ) -> Result<()> {
+        let get = |id: SlotId| -> Result<&RtSlot<'a>> {
+            slots[id.0]
+                .as_ref()
+                .ok_or_else(|| IrError::validation(format!("slot {id} empty at runtime")))
+        };
+
+        // -O0 local-memory spills: unoptimized code round-trips each step's
+        // working values through local memory (global DRAM).
+        if self.opt == OptLevel::O0 {
+            let processed: u64 = step
+                .sources()
+                .into_iter()
+                .filter_map(|id| slots[id.0].as_ref().map(|s| self.rows(id, s)))
+                .sum();
+            q.global_bytes_read += processed * O0_SPILL_BYTES;
+            q.global_bytes_written += processed * O0_SPILL_BYTES;
+        }
+
+        let (dst, written) = match (step, bound) {
+            (Step::Load { input, dst }, _) => {
+                let rel = self.inputs[*input];
+                let arity = rel.schema().arity();
+                let (start, end) = self.ranges[cta][*input];
+                let words = &rel.words()[start * arity..end * arity];
+                check_sorted(rel.schema(), words)?;
+                let rows = (end - start) as u64;
+                q.global_bytes_read += rows * rel.schema().tuple_bytes() as u64;
+                self.charge_write(q, *dst, rows, rows);
+                let slot = RtSlot {
+                    tuples: Tuples::View(words),
+                    sorted: true,
+                    lanes: rows,
+                };
+                (*dst, slot)
+            }
+            (Step::Filter { src, pred, dst }, Bound::Pred(bound)) => {
+                let s = get(*src)?;
+                self.charge_read(q, *src, s);
+                q.alu_ops += s.lanes * pred.alu_ops();
+                let arity = self.info[src.0].arity;
+                // At most every source row passes: one allocation, no regrowth.
+                let mut rows = Vec::with_capacity(s.tuples.words().len());
+                for t in s.tuples.words().chunks_exact(arity) {
+                    if bound.eval(t) {
+                        rows.extend_from_slice(t);
+                    }
+                }
+                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.sorted, s.lanes);
+                (*dst, slot)
+            }
+            (
+                Step::Project {
+                    src, attrs, dst, ..
+                },
+                _,
+            ) => {
+                let s = get(*src)?;
+                self.charge_read(q, *src, s);
+                q.alu_ops += s.lanes * attrs.len() as u64;
+                let schema = self.schema(*src)?;
+                let words = s.tuples.words();
+                // Projection can make rows that differed compare equal. If
+                // such rows can differ in bytes, which of them ends up first
+                // depends on the source's order, so restore the canonical
+                // one before projecting.
+                let canonical;
+                let words = if s.sorted || equal_rows_are_identical(schema, words) {
+                    words
+                } else {
+                    canonical = Relation::from_words(schema.clone(), words.to_vec())?;
+                    canonical.words()
+                };
+                let mut rows = Vec::with_capacity(words.len() / schema.arity() * attrs.len());
+                for t in words.chunks_exact(schema.arity()) {
+                    rows.extend(attrs.iter().map(|&a| t[a]));
+                }
+                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), false, s.lanes);
+                (*dst, slot)
+            }
+            (
+                Step::Compute {
+                    src, exprs, dst, ..
+                },
+                Bound::Exprs(bound),
+            ) => {
+                let s = get(*src)?;
+                self.charge_read(q, *src, s);
+                let ops_per_tuple: u64 = exprs.iter().map(|e| e.alu_ops() + 1).sum();
+                q.alu_ops += s.lanes * ops_per_tuple;
+                let arity = self.info[src.0].arity;
+                let words = s.tuples.words();
+                let mut rows = Vec::with_capacity(words.len() / arity * bound.len());
+                for t in words.chunks_exact(arity) {
+                    rows.extend(bound.iter().map(|e| e.eval(t).encode()));
+                }
+                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), false, s.lanes);
+                (*dst, slot)
+            }
+            (
+                Step::Join {
+                    left,
+                    right,
+                    key_len,
+                    dst,
+                },
+                _,
+            ) => {
+                let (l, r) = (get(*left)?, get(*right)?);
+                self.charge_read(q, *left, l);
+                self.charge_read(q, *right, r);
+                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
+                let rel = ops::join(&l, &r, *key_len)?;
+                q.alu_ops += (l.len() + r.len()) as u64 * *key_len as u64 + 2 * rel.len() as u64;
+                (*dst, self.write_relation(q, *dst, rel))
+            }
+            (Step::Product { left, right, dst }, _) => {
+                let (l, r) = (get(*left)?, get(*right)?);
+                self.charge_read(q, *left, l);
+                self.charge_read(q, *right, r);
+                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
+                let rel = ops::product(&l, &r)?;
+                q.alu_ops += l.len() as u64 + rel.len() as u64;
+                (*dst, self.write_relation(q, *dst, rel))
+            }
+            (
+                Step::SemiJoin {
+                    left,
+                    right,
+                    key_len,
+                    negated,
+                    dst,
+                },
+                _,
+            ) => {
+                let (l, r) = (get(*left)?, get(*right)?);
+                self.charge_read(q, *left, l);
+                self.charge_read(q, *right, r);
+                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
+                let rel = if *negated {
+                    ops::anti_join(&l, &r, *key_len)?
+                } else {
+                    ops::semi_join(&l, &r, *key_len)?
+                };
+                // One binary search per left tuple over the right partition.
+                q.alu_ops += l.len() as u64
+                    * ((r.len().max(2) as f64).log2().ceil() as u64)
+                    * *key_len as u64;
+                (*dst, self.write_relation(q, *dst, rel))
+            }
+            (
+                Step::SetOp {
+                    kind,
+                    left,
+                    right,
+                    dst,
+                },
+                _,
+            ) => {
+                let (l, r) = (get(*left)?, get(*right)?);
+                self.charge_read(q, *left, l);
+                self.charge_read(q, *right, r);
+                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
+                let rel = match kind {
+                    SetOpKind::Union => ops::union(&l, &r)?,
+                    SetOpKind::Intersect => ops::intersect(&l, &r)?,
+                    SetOpKind::Difference => ops::difference(&l, &r)?,
+                };
+                q.alu_ops += (l.len() + r.len()) as u64 * l.schema().key_arity().max(1) as u64
+                    + rel.len() as u64;
+                (*dst, self.write_relation(q, *dst, rel))
+            }
+            (Step::Unique { src, dst }, _) => {
+                let s = get(*src)?;
+                self.charge_read(q, *src, s);
+                let s = self.relation(*src, s)?;
+                let rel = ops::unique(&s)?;
+                q.alu_ops += s.len() as u64 * s.schema().arity() as u64;
+                (*dst, self.write_relation(q, *dst, rel))
+            }
+            (Step::Compact { src, dst }, _) => {
+                let s = get(*src)?;
+                self.charge_read(q, *src, s);
+                q.alu_ops += 2 * s.lanes; // prefix-sum scan over allocated lanes
+                let rows = self.rows(*src, s);
+                self.charge_write(q, *dst, rows, rows);
+                let slot = RtSlot {
+                    tuples: s.tuples.clone(),
+                    sorted: s.sorted,
+                    lanes: rows,
+                };
+                (*dst, slot)
+            }
+            (Step::Barrier, _) => {
+                q.barriers += 1;
+                return Ok(());
+            }
+            (Step::Store { src, output }, _) => {
+                let s = get(*src)?;
+                self.charge_read(q, *src, s);
+                q.global_bytes_written += self.rows(*src, s) * self.info[src.0].tuple_bytes;
+                out_words[*output].extend_from_slice(s.tuples.words());
+                return Ok(());
+            }
+            (Step::Filter { .. } | Step::Compute { .. }, _) => {
+                unreachable!("bind_step binds every Filter and Compute")
+            }
+        };
+        slots[dst.0] = Some(written);
+        Ok(())
+    }
 }
 
 // ---- Global (kernel-dependent) operators ---------------------------------

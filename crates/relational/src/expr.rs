@@ -86,22 +86,7 @@ impl Expr {
     /// attribute is used in arithmetic.
     pub fn result_type(&self, schema: &Schema) -> Result<AttrType> {
         match self {
-            Expr::Attr(i) => {
-                if *i >= schema.arity() {
-                    return Err(RelationalError::AttrOutOfBounds {
-                        attr: *i,
-                        arity: schema.arity(),
-                    });
-                }
-                let ty = schema.attr(*i);
-                if !ty.is_numeric() {
-                    return Err(RelationalError::TypeMismatch {
-                        expected: AttrType::U64,
-                        found: ty,
-                    });
-                }
-                Ok(ty)
-            }
+            Expr::Attr(i) => numeric_attr(schema, *i),
             Expr::Const(v) => {
                 let ty = v.attr_type();
                 if !ty.is_numeric() {
@@ -118,30 +103,31 @@ impl Expr {
         }
     }
 
+    /// Type-check the expression against `schema` once, for repeated
+    /// evaluation with [`BoundExpr::eval`].
+    ///
+    /// These are exactly the checks [`Expr::eval`] makes: attribute
+    /// references must be in bounds and numeric. (Literal types are checked
+    /// by [`Expr::result_type`], not here.)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationalError::AttrOutOfBounds`] for bad attribute
+    /// references and [`RelationalError::TypeMismatch`] when a boolean
+    /// attribute is used in arithmetic.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundExpr> {
+        Ok(BoundExpr {
+            node: Node::bind(self, schema)?,
+        })
+    }
+
     /// Evaluate against the raw words of one tuple.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Expr::result_type`].
+    /// Same conditions as [`Expr::bind`].
     pub fn eval(&self, schema: &Schema, tuple: &[u64]) -> Result<Value> {
-        match self {
-            Expr::Attr(i) => {
-                let ty = self.result_type(schema)?;
-                Ok(Value::decode(tuple[*i], ty))
-            }
-            Expr::Const(v) => Ok(*v),
-            Expr::Add(a, b) => binop(schema, tuple, a, b, |x, y| x.wrapping_add(y), |x, y| x + y),
-            Expr::Sub(a, b) => binop(schema, tuple, a, b, |x, y| x.wrapping_sub(y), |x, y| x - y),
-            Expr::Mul(a, b) => binop(schema, tuple, a, b, |x, y| x.wrapping_mul(y), |x, y| x * y),
-            Expr::Div(a, b) => binop(
-                schema,
-                tuple,
-                a,
-                b,
-                |x, y| x.checked_div(y).unwrap_or(0),
-                |x, y| x / y,
-            ),
-        }
+        Ok(self.bind(schema)?.eval(tuple))
     }
 
     /// Estimated ALU operations per evaluation (for the GPU cost model).
@@ -194,6 +180,24 @@ impl Expr {
     }
 }
 
+/// The type of attribute `i`, which arithmetic must be able to read.
+fn numeric_attr(schema: &Schema, i: usize) -> Result<AttrType> {
+    if i >= schema.arity() {
+        return Err(RelationalError::AttrOutOfBounds {
+            attr: i,
+            arity: schema.arity(),
+        });
+    }
+    let ty = schema.attr(i);
+    if !ty.is_numeric() {
+        return Err(RelationalError::TypeMismatch {
+            expected: AttrType::U64,
+            found: ty,
+        });
+    }
+    Ok(ty)
+}
+
 fn promote(a: AttrType, b: AttrType) -> AttrType {
     use AttrType::*;
     match (a, b) {
@@ -203,25 +207,121 @@ fn promote(a: AttrType, b: AttrType) -> AttrType {
     }
 }
 
-fn binop(
-    schema: &Schema,
-    tuple: &[u64],
-    a: &Expr,
-    b: &Expr,
-    int_op: fn(u64, u64) -> u64,
-    float_op: fn(f64, f64) -> f64,
-) -> Result<Value> {
-    let va = a.eval(schema, tuple)?;
-    let vb = b.eval(schema, tuple)?;
-    let ty = promote(va.attr_type(), vb.attr_type());
-    match ty {
-        AttrType::F32 => Ok(Value::F32(float_op(va.as_f64(), vb.as_f64()) as f32)),
-        AttrType::U64 => Ok(Value::U64(int_op(int_word(va), int_word(vb)))),
-        AttrType::U32 => Ok(Value::U32(int_op(int_word(va), int_word(vb)) as u32)),
-        AttrType::Bool => Err(RelationalError::TypeMismatch {
-            expected: AttrType::U64,
-            found: AttrType::Bool,
-        }),
+/// An [`Expr`] type-checked against one schema by [`Expr::bind`]: attribute
+/// types and every operator's result type are resolved, so evaluation does
+/// no checking.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundExpr {
+    node: Node,
+}
+
+impl BoundExpr {
+    /// Evaluate against the raw words of one tuple of the bound schema.
+    ///
+    /// Integer arithmetic wraps and integer division by zero yields zero;
+    /// an operation with an F32 operand is computed in `f64` and rounded to
+    /// `f32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tuple` is shorter than an attribute the expression reads.
+    pub fn eval(&self, tuple: &[u64]) -> Value {
+        self.node.eval(tuple)
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl BinOp {
+    fn int(self, x: u64, y: u64) -> u64 {
+        match self {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Div => x.checked_div(y).unwrap_or(0),
+        }
+    }
+
+    /// A NaN operand is the result, the left one if both are: IEEE 754
+    /// leaves that choice open and an optimizer may swap the operands of
+    /// `+` and `*`, so it is made here, the way x86 arithmetic makes it.
+    fn float(self, x: f64, y: f64) -> f64 {
+        if x.is_nan() {
+            return x;
+        }
+        if y.is_nan() {
+            return y;
+        }
+        match self {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+        }
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Node {
+    Attr(usize, AttrType),
+    Const(Value),
+    Bin {
+        op: BinOp,
+        /// `promote` of the operand types: never `Bool`.
+        ty: AttrType,
+        lhs: Box<Node>,
+        rhs: Box<Node>,
+    },
+}
+
+impl Node {
+    fn bind(e: &Expr, schema: &Schema) -> Result<Node> {
+        let (op, a, b) = match e {
+            Expr::Attr(i) => return Ok(Node::Attr(*i, numeric_attr(schema, *i)?)),
+            Expr::Const(v) => return Ok(Node::Const(*v)),
+            Expr::Add(a, b) => (BinOp::Add, a, b),
+            Expr::Sub(a, b) => (BinOp::Sub, a, b),
+            Expr::Mul(a, b) => (BinOp::Mul, a, b),
+            Expr::Div(a, b) => (BinOp::Div, a, b),
+        };
+        let lhs = Node::bind(a, schema)?;
+        let rhs = Node::bind(b, schema)?;
+        Ok(Node::Bin {
+            op,
+            ty: promote(lhs.ty(), rhs.ty()),
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        })
+    }
+
+    fn ty(&self) -> AttrType {
+        match self {
+            Node::Attr(_, ty) | Node::Bin { ty, .. } => *ty,
+            Node::Const(v) => v.attr_type(),
+        }
+    }
+
+    fn eval(&self, tuple: &[u64]) -> Value {
+        match self {
+            Node::Attr(i, ty) => Value::decode(tuple[*i], *ty),
+            Node::Const(v) => *v,
+            Node::Bin { op, ty, lhs, rhs } => {
+                let (a, b) = (lhs.eval(tuple), rhs.eval(tuple));
+                match ty {
+                    AttrType::F32 => Value::F32(op.float(a.as_f64(), b.as_f64()) as f32),
+                    AttrType::U64 => Value::U64(op.int(int_word(a), int_word(b))),
+                    AttrType::U32 | AttrType::Bool => {
+                        Value::U32(op.int(int_word(a), int_word(b)) as u32)
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -315,6 +415,36 @@ mod tests {
             other => panic!("unexpected fold result {other:?}"),
         }
         assert!(folded.alu_ops() < e.alu_ops());
+    }
+
+    #[test]
+    fn bound_expression_matches_eval_and_rejects_bad_attrs() {
+        let s = Schema::new(vec![AttrType::U32, AttrType::U64, AttrType::F32], 0);
+        let e = Expr::attr(0)
+            .mul(Expr::attr(1))
+            .sub(Expr::lit(3u32))
+            .div(Expr::attr(2));
+        let bound = e.bind(&s).unwrap();
+        let t = [7, u64::MAX, Value::F32(-0.5).encode()];
+        assert_eq!(bound.eval(&t), e.eval(&s, &t).unwrap());
+        assert!(Expr::attr(3).bind(&s).is_err());
+        let b = Schema::new(vec![AttrType::Bool], 0);
+        assert!(Expr::lit(1u32).add(Expr::attr(0)).bind(&b).is_err());
+    }
+
+    #[test]
+    fn nan_operands_propagate_left_first() {
+        let s = Schema::new(vec![AttrType::F32, AttrType::F32], 0);
+        let (neg, pos) = (0xffc0_0000u64, 0x7fc0_0001u64);
+        for e in [
+            Expr::attr(0).add(Expr::attr(1)),
+            Expr::attr(0).mul(Expr::attr(1)),
+            Expr::attr(0).sub(Expr::attr(1)),
+            Expr::attr(0).div(Expr::attr(1)),
+        ] {
+            assert_eq!(e.eval(&s, &[neg, pos]).unwrap().encode(), neg, "{e}");
+            assert_eq!(e.eval(&s, &[pos, neg]).unwrap().encode(), pos, "{e}");
+        }
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod gen;
 pub mod ops;
 
 pub use error::{RelationalError, Result};
-pub use expr::Expr;
-pub use predicate::{CmpOp, Predicate};
-pub use relation::{compare_keys, compare_tuples, Relation};
+pub use expr::{BoundExpr, Expr};
+pub use predicate::{BoundPredicate, CmpOp, Predicate};
+pub use relation::{
+    check_sorted, compare_keys, compare_tuples, equal_rows_are_identical, Relation,
+};
 pub use types::{compare_words, AttrType, Schema, Value};

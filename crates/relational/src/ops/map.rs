@@ -36,12 +36,14 @@ pub fn compute(input: &Relation, outputs: &[Expr], key_arity: usize) -> Result<R
         .iter()
         .map(|e| e.result_type(input.schema()))
         .collect::<Result<Vec<_>>>()?;
+    let bound = outputs
+        .iter()
+        .map(|e| e.bind(input.schema()))
+        .collect::<Result<Vec<_>>>()?;
     let schema = Schema::new(attrs, key_arity);
     let mut data = Vec::with_capacity(input.len() * outputs.len());
     for t in input.iter() {
-        for e in outputs {
-            data.push(e.eval(input.schema(), t)?.encode());
-        }
+        data.extend(bound.iter().map(|e| e.eval(t).encode()));
     }
     Relation::from_words(schema, data)
 }

@@ -20,10 +20,10 @@ use crate::{Predicate, Relation, Result};
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
 pub fn select(input: &Relation, pred: &Predicate) -> Result<Relation> {
-    pred.validate(input.schema())?;
+    let pred = pred.bind(input.schema())?;
     let mut out = Vec::new();
     for t in input.iter() {
-        if pred.eval(input.schema(), t)? {
+        if pred.eval(t) {
             out.extend_from_slice(t);
         }
     }

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::{compare_words, RelationalError, Result, Schema, Value};
+use crate::{compare_words, AttrType, RelationalError, Result, Schema, Value};
 
 /// A comparison operator between an attribute and a value or attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,79 +128,37 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Evaluate against the raw words of one tuple.
+    /// Type-check the predicate against `schema` once, for repeated
+    /// evaluation with [`BoundPredicate::eval`]. Every sub-predicate is
+    /// checked, including ones evaluation would short-circuit past.
     ///
     /// # Errors
     ///
     /// Returns [`RelationalError::AttrOutOfBounds`] for a bad attribute index
     /// or [`RelationalError::TypeMismatch`] when a constant's type differs
-    /// from the attribute type.
+    /// from the attribute type, or two compared attributes differ in type.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundPredicate> {
+        Ok(BoundPredicate {
+            node: Node::bind(self, schema)?,
+        })
+    }
+
+    /// Evaluate against the raw words of one tuple.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Predicate::bind`].
     pub fn eval(&self, schema: &Schema, tuple: &[u64]) -> Result<bool> {
-        match self {
-            Predicate::True => Ok(true),
-            Predicate::False => Ok(false),
-            Predicate::Cmp { attr, op, value } => {
-                let ty = attr_ty(schema, *attr)?;
-                if value.attr_type() != ty {
-                    return Err(RelationalError::TypeMismatch {
-                        expected: ty,
-                        found: value.attr_type(),
-                    });
-                }
-                Ok(op.eval(compare_words(tuple[*attr], value.encode(), ty)))
-            }
-            Predicate::CmpAttr { left, op, right } => {
-                let lt = attr_ty(schema, *left)?;
-                let rt = attr_ty(schema, *right)?;
-                if lt != rt {
-                    return Err(RelationalError::TypeMismatch {
-                        expected: lt,
-                        found: rt,
-                    });
-                }
-                Ok(op.eval(compare_words(tuple[*left], tuple[*right], lt)))
-            }
-            Predicate::And(a, b) => Ok(a.eval(schema, tuple)? && b.eval(schema, tuple)?),
-            Predicate::Or(a, b) => Ok(a.eval(schema, tuple)? || b.eval(schema, tuple)?),
-            Predicate::Not(a) => Ok(!a.eval(schema, tuple)?),
-        }
+        Ok(self.bind(schema)?.eval(tuple))
     }
 
     /// Validate the predicate against a schema without evaluating it.
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`Predicate::eval`].
+    /// Same conditions as [`Predicate::bind`].
     pub fn validate(&self, schema: &Schema) -> Result<()> {
-        match self {
-            Predicate::True | Predicate::False => Ok(()),
-            Predicate::Cmp { attr, value, .. } => {
-                let ty = attr_ty(schema, *attr)?;
-                if value.attr_type() != ty {
-                    return Err(RelationalError::TypeMismatch {
-                        expected: ty,
-                        found: value.attr_type(),
-                    });
-                }
-                Ok(())
-            }
-            Predicate::CmpAttr { left, right, .. } => {
-                let lt = attr_ty(schema, *left)?;
-                let rt = attr_ty(schema, *right)?;
-                if lt != rt {
-                    return Err(RelationalError::TypeMismatch {
-                        expected: lt,
-                        found: rt,
-                    });
-                }
-                Ok(())
-            }
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.validate(schema)?;
-                b.validate(schema)
-            }
-            Predicate::Not(a) => a.validate(schema),
-        }
+        self.bind(schema).map(drop)
     }
 
     /// Estimated ALU operations per evaluation (used by the GPU cost model).
@@ -274,7 +232,117 @@ impl fmt::Display for Predicate {
     }
 }
 
-fn attr_ty(schema: &Schema, attr: usize) -> Result<crate::AttrType> {
+/// A [`Predicate`] type-checked against one schema by [`Predicate::bind`]:
+/// attribute types and constant encodings are resolved, so evaluation does
+/// no checking.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundPredicate {
+    node: Node,
+}
+
+impl BoundPredicate {
+    /// Evaluate against the raw words of one tuple of the bound schema.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tuple` is shorter than an attribute the predicate reads.
+    pub fn eval(&self, tuple: &[u64]) -> bool {
+        self.node.eval(tuple)
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Node {
+    Const(bool),
+    Cmp {
+        attr: usize,
+        op: CmpOp,
+        ty: AttrType,
+        word: u64,
+    },
+    CmpAttr {
+        left: usize,
+        op: CmpOp,
+        right: usize,
+        ty: AttrType,
+    },
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+}
+
+impl Node {
+    fn bind(p: &Predicate, schema: &Schema) -> Result<Node> {
+        let both = |a: &Predicate, b: &Predicate| -> Result<(Box<Node>, Box<Node>)> {
+            Ok((
+                Box::new(Node::bind(a, schema)?),
+                Box::new(Node::bind(b, schema)?),
+            ))
+        };
+        Ok(match p {
+            Predicate::True => Node::Const(true),
+            Predicate::False => Node::Const(false),
+            Predicate::Cmp { attr, op, value } => {
+                let ty = attr_ty(schema, *attr)?;
+                if value.attr_type() != ty {
+                    return Err(RelationalError::TypeMismatch {
+                        expected: ty,
+                        found: value.attr_type(),
+                    });
+                }
+                Node::Cmp {
+                    attr: *attr,
+                    op: *op,
+                    ty,
+                    word: value.encode(),
+                }
+            }
+            Predicate::CmpAttr { left, op, right } => {
+                let lt = attr_ty(schema, *left)?;
+                let rt = attr_ty(schema, *right)?;
+                if lt != rt {
+                    return Err(RelationalError::TypeMismatch {
+                        expected: lt,
+                        found: rt,
+                    });
+                }
+                Node::CmpAttr {
+                    left: *left,
+                    op: *op,
+                    right: *right,
+                    ty: lt,
+                }
+            }
+            Predicate::And(a, b) => {
+                let (a, b) = both(a, b)?;
+                Node::And(a, b)
+            }
+            Predicate::Or(a, b) => {
+                let (a, b) = both(a, b)?;
+                Node::Or(a, b)
+            }
+            Predicate::Not(a) => Node::Not(Box::new(Node::bind(a, schema)?)),
+        })
+    }
+
+    fn eval(&self, tuple: &[u64]) -> bool {
+        match self {
+            Node::Const(b) => *b,
+            Node::Cmp { attr, op, ty, word } => op.eval(compare_words(tuple[*attr], *word, *ty)),
+            Node::CmpAttr {
+                left,
+                op,
+                right,
+                ty,
+            } => op.eval(compare_words(tuple[*left], tuple[*right], *ty)),
+            Node::And(a, b) => a.eval(tuple) && b.eval(tuple),
+            Node::Or(a, b) => a.eval(tuple) || b.eval(tuple),
+            Node::Not(a) => !a.eval(tuple),
+        }
+    }
+}
+
+fn attr_ty(schema: &Schema, attr: usize) -> Result<AttrType> {
     if attr >= schema.arity() {
         return Err(RelationalError::AttrOutOfBounds {
             attr,
@@ -287,7 +355,6 @@ fn attr_ty(schema: &Schema, attr: usize) -> Result<crate::AttrType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AttrType;
 
     fn schema() -> Schema {
         Schema::new(vec![AttrType::U32, AttrType::U32, AttrType::F32], 1)
@@ -351,6 +418,19 @@ mod tests {
             p.validate(&s),
             Err(RelationalError::AttrOutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn bind_checks_every_branch() {
+        let s = schema();
+        let p = Predicate::False.and(Predicate::cmp(7, CmpOp::Eq, Value::U32(0)));
+        assert!(matches!(
+            p.bind(&s),
+            Err(RelationalError::AttrOutOfBounds { .. })
+        ));
+        assert!(p.eval(&s, &[0, 0, 0]).is_err());
+        let ok = Predicate::cmp(2, CmpOp::Lt, Value::F32(0.0)).or(Predicate::True);
+        assert!(ok.bind(&s).unwrap().eval(&[0, 0, Value::F32(1.0).encode()]));
     }
 
     #[test]
