@@ -55,6 +55,18 @@ bench_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$bench_dir"' EXIT
 cargo run -q --release -p kw-bench --bin paper_tables -- scheduler profile batch_resilience out_of_core service arena --csv "$bench_dir" > /dev/null
 
+echo "== paper figure gate (paper_tables -- fig4 fig16 ... fig21 vs bench_results/)"
+# The Figure 4 and 16-21 series are simulated numbers, deterministic for
+# the committed configuration. Regenerate them and compare each CSV byte
+# for byte with its committed copy, so a change that moves any of the
+# paper's figures fails here.
+fig_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$bench_dir" "$fig_dir"' EXIT
+cargo run -q --release -p kw-bench --bin paper_tables -- fig4 fig16 fig17 fig18 fig19 fig20 fig21 --csv "$fig_dir" > /dev/null
+for fig in fig04 fig16 fig17 fig18 fig19 fig20 fig21; do
+    cmp "$fig_dir/$fig.csv" "bench_results/$fig.csv"
+done
+
 echo "== observability export gate (examples/profile.rs)"
 # Prints the bottleneck profile and Prometheus export for a staged run (the
 # device's rendering of its records plus the plan report's series) and

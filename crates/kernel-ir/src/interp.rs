@@ -22,8 +22,13 @@
 //! * **Load** borrows the CTA's input range (checking that it is in
 //!   canonical order) instead of copying it;
 //! * the thread-dependent steps — Filter, Project, Compute, Compact and
-//!   Store — write plain word buffers, evaluating predicates and expressions
-//!   bound once per operator;
+//!   Store — write plain word buffers. Filter and Compute bind their
+//!   predicate or expressions once per operator and evaluate them once per
+//!   CTA block ([`BoundPredicate::eval_block`], [`BoundExpr::eval_block`]):
+//!   each node runs over all of the CTA's rows before its parent, the way
+//!   the fused kernel runs each instruction across a CTA's threads. Filter
+//!   then copies the rows that pass; Compute interleaves its output columns
+//!   into rows;
 //! * only the CTA-dependent steps — Join, SemiJoin, SetOp, Unique and
 //!   Product — see a canonical [`Relation`] and call the same
 //!   `kw_relational::ops` function a step-at-a-time interpreter would.
@@ -532,10 +537,12 @@ impl<'a> Stage<'a, '_> {
                 self.charge_read(q, *src, s);
                 q.alu_ops += s.lanes * pred.alu_ops();
                 let arity = self.info[src.0].arity;
+                let words = s.tuples.words();
+                let pass = bound.eval_block(words, arity);
                 // At most every source row passes: one allocation, no regrowth.
-                let mut rows = Vec::with_capacity(s.tuples.words().len());
-                for t in s.tuples.words().chunks_exact(arity) {
-                    if bound.eval(t) {
+                let mut rows = Vec::with_capacity(words.len());
+                for (t, keep) in words.chunks_exact(arity).zip(pass) {
+                    if keep {
                         rows.extend_from_slice(t);
                     }
                 }
@@ -583,9 +590,12 @@ impl<'a> Stage<'a, '_> {
                 q.alu_ops += s.lanes * ops_per_tuple;
                 let arity = self.info[src.0].arity;
                 let words = s.tuples.words();
-                let mut rows = Vec::with_capacity(words.len() / arity * bound.len());
-                for t in words.chunks_exact(arity) {
-                    rows.extend(bound.iter().map(|e| e.eval(t).encode()));
+                let columns: Vec<Vec<u64>> =
+                    bound.iter().map(|e| e.eval_block(words, arity)).collect();
+                let n = words.len() / arity;
+                let mut rows = Vec::with_capacity(n * columns.len());
+                for r in 0..n {
+                    rows.extend(columns.iter().map(|c| c[r]));
                 }
                 let slot = self.write_rows(q, *dst, Tuples::Rows(rows), false, s.lanes);
                 (*dst, slot)

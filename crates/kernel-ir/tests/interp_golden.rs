@@ -796,14 +796,23 @@ struct Program {
     opt: OptLevel,
 }
 
+/// A stored word of type `ty`. U32, F32 and Bool words sometimes carry bits
+/// outside their type's image (high 32 bits, or a Bool other than 0/1), so
+/// Filter and Compute must read them exactly as the reference does.
 fn word_for(ty: AttrType, rng: &mut proptest::test_runner::TestRng) -> u64 {
     let pool = float_pool();
     let pick = |rng: &mut proptest::test_runner::TestRng, xs: &[u64]| xs[rng.usize_in(0, xs.len())];
     match ty {
-        AttrType::U32 => pick(rng, &[0, 1, 2, 3, 5, u64::from(u32::MAX)]),
+        AttrType::U32 => pick(
+            rng,
+            &[0, 1, 2, 3, 5, u64::from(u32::MAX), (1 << 32) | 2, u64::MAX],
+        ),
         AttrType::U64 => pick(rng, &[0, 1, 2, u64::MAX, u64::MAX / 2]),
-        AttrType::F32 => pick(rng, &pool),
-        AttrType::Bool => pick(rng, &[0, 1]),
+        AttrType::F32 => match rng.usize_in(0, 4) {
+            0 => pick(rng, &pool) | rng.next_u64() << 32,
+            _ => pick(rng, &pool),
+        },
+        AttrType::Bool => pick(rng, &[0, 1, 2, 1 << 33]),
     }
 }
 

@@ -4,6 +4,13 @@
 //! extension: addition, subtraction, multiplication and division over tuple
 //! attributes, e.g. TPC-H Q1's `price * (1 - discount) * (1 + tax)`
 //! (micro-benchmark pattern (e)).
+//!
+//! A [`BoundExpr`] evaluates two ways. [`BoundExpr::eval`] walks the tree
+//! once per tuple through [`Value`]; it is the reference semantics, and the
+//! CPU oracle [`crate::ops::compute`] uses it. [`BoundExpr::eval_block`]
+//! evaluates each node over a whole block of rows before its parent, the way
+//! one CTA of the fused kernel runs each instruction across its threads; the
+//! kernel-IR interpreter uses it. Both give the same word for every row.
 
 use std::fmt;
 
@@ -228,6 +235,21 @@ impl BoundExpr {
     pub fn eval(&self, tuple: &[u64]) -> Value {
         self.node.eval(tuple)
     }
+
+    /// Evaluate against every row of `block`, whole rows of `arity` words of
+    /// the bound schema, row-major. Returns one word per row, equal to
+    /// `self.eval(row).encode()`.
+    ///
+    /// Each node is evaluated over the whole block before its parent, with
+    /// its operator and operand types resolved once per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arity` is zero or smaller than an attribute the expression
+    /// reads.
+    pub fn eval_block(&self, block: &[u64], arity: usize) -> Vec<u64> {
+        self.node.eval_block(block, arity)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -332,6 +354,125 @@ fn int_word(v: Value) -> u64 {
         Value::F32(x) => x as u64,
         Value::Bool(x) => u64::from(x),
     }
+}
+
+// ---- Block evaluation --------------------------------------------------------
+//
+// A column holds one encoded word per row: `Value::encode` of what
+// `Node::eval` returns for that row. Under that encoding a U32, U64 or Bool
+// operand's word already is its `int_word` and, converted `as f64`, its
+// `Value::as_f64`; only an F32 operand is decoded from its low 32 bits.
+//
+// The arithmetic is stated again here rather than by calling `BinOp::int`
+// and `BinOp::float` per row: the operator is matched once per block, and
+// the per-tuple reference that tests compare against shares no code with
+// this path.
+
+const LOW32: u64 = 0xffff_ffff;
+
+impl Node {
+    fn eval_block(&self, block: &[u64], arity: usize) -> Vec<u64> {
+        let rows = block.chunks_exact(arity);
+        match self {
+            Node::Attr(i, ty) => {
+                let words = rows.map(|t| t[*i]);
+                match ty {
+                    AttrType::U64 => words.collect(),
+                    AttrType::U32 | AttrType::F32 => words.map(|w| w & LOW32).collect(),
+                    AttrType::Bool => words.map(|w| u64::from(w != 0)).collect(),
+                }
+            }
+            Node::Const(v) => vec![v.encode(); rows.len()],
+            Node::Bin { op, ty, lhs, rhs } => {
+                let a = lhs.eval_block(block, arity);
+                let b = rhs.eval_block(block, arity);
+                match (ty, lhs.ty() == AttrType::F32, rhs.ty() == AttrType::F32) {
+                    (AttrType::F32, true, true) => float_block(*op, &a, &b, f32_word, f32_word),
+                    (AttrType::F32, true, false) => float_block(*op, &a, &b, f32_word, int_f64),
+                    (AttrType::F32, false, true) => float_block(*op, &a, &b, int_f64, f32_word),
+                    (AttrType::F32, false, false) => float_block(*op, &a, &b, int_f64, int_f64),
+                    (AttrType::U64, ..) => int_block(*op, &a, &b, u64::MAX),
+                    // `promote` gives an integer node no F32 operand.
+                    (AttrType::U32 | AttrType::Bool, ..) => int_block(*op, &a, &b, LOW32),
+                }
+            }
+        }
+    }
+}
+
+/// An F32 column word as `f64`.
+fn f32_word(w: u64) -> f64 {
+    f64::from(f32::from_bits(w as u32))
+}
+
+/// A U32, U64 or Bool column word as `f64`.
+fn int_f64(w: u64) -> f64 {
+    w as f64
+}
+
+/// Apply `f` to the two operand columns row by row.
+fn zip_block(a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u64) -> Vec<u64> {
+    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+}
+
+/// An integer node over its operand columns: wrapping arithmetic, division
+/// by zero is zero, and the result keeps the bits in `mask`.
+fn int_block(op: BinOp, a: &[u64], b: &[u64], mask: u64) -> Vec<u64> {
+    match op {
+        BinOp::Add => zip_block(a, b, |x, y| x.wrapping_add(y) & mask),
+        BinOp::Sub => zip_block(a, b, |x, y| x.wrapping_sub(y) & mask),
+        BinOp::Mul => zip_block(a, b, |x, y| x.wrapping_mul(y) & mask),
+        BinOp::Div => zip_block(a, b, |x, y| x.checked_div(y).unwrap_or(0) & mask),
+    }
+}
+
+/// An F32 node over its operand columns, each widened to `f64` by `fa` or
+/// `fb`.
+fn float_block(
+    op: BinOp,
+    a: &[u64],
+    b: &[u64],
+    fa: impl Fn(u64) -> f64,
+    fb: impl Fn(u64) -> f64,
+) -> Vec<u64> {
+    match op {
+        BinOp::Add => float_zip(a, b, fa, fb, |x, y| x + y),
+        BinOp::Sub => float_zip(a, b, fa, fb, |x, y| x - y),
+        BinOp::Mul => float_zip(a, b, fa, fb, |x, y| x * y),
+        BinOp::Div => float_zip(a, b, fa, fb, |x, y| x / y),
+    }
+}
+
+/// `f` over widened operands under [`BinOp::float`]'s NaN rule (a NaN
+/// operand is the result, the left one if both are), rounded to `f32`.
+fn float_zip(
+    a: &[u64],
+    b: &[u64],
+    fa: impl Fn(u64) -> f64,
+    fb: impl Fn(u64) -> f64,
+    f: impl Fn(f64, f64) -> f64,
+) -> Vec<u64> {
+    zip_block(a, b, |x, y| {
+        let (x, y) = (fa(x), fb(y));
+        if x.is_nan() {
+            nan_f32_word(x)
+        } else if y.is_nan() {
+            nan_f32_word(y)
+        } else {
+            u64::from((f(x, y) as f32).to_bits())
+        }
+    })
+}
+
+/// The F32 word of a NaN rounded to `f32`: quiet, with its sign and the
+/// high bits of its payload, as IEEE 754 conversion keeps them.
+///
+/// Spelled out because the compiler may fold `(f64::from(v) as f32)` into
+/// `v`, which would hand a signalling NaN operand through unquieted, while
+/// [`Node::eval`], whose operands pass through [`Value`], quiets it.
+fn nan_f32_word(z: f64) -> u64 {
+    let b = z.to_bits();
+    (b >> 32 & 0x8000_0000) | 0x7fc0_0000 | (b >> 29 & 0x003f_ffff)
 }
 
 impl fmt::Display for Expr {

@@ -7,6 +7,9 @@
 //!
 //! * the data model ([`Schema`], [`Relation`], [`Value`], [`AttrType`]),
 //! * filter predicates ([`Predicate`]) and arithmetic expressions ([`Expr`]),
+//!   bound once to a schema and then evaluated per tuple (the reference the
+//!   operators in [`ops`] use) or over a block of rows at a time
+//!   ([`BoundPredicate::eval_block`], [`BoundExpr::eval_block`]),
 //! * CPU reference implementations of every RA operator in [`ops`] (the
 //!   correctness oracle for the GPU simulator), and
 //! * reproducible random workload generators in [`gen`].

@@ -4,9 +4,17 @@
 //! also report an ALU cost estimate, which the kernel-IR interpreter charges
 //! per evaluated tuple — this is how the paper's "larger optimization scope"
 //! effects (e.g. combining back-to-back filters) become measurable.
+//!
+//! A [`BoundPredicate`] evaluates two ways. [`BoundPredicate::eval`] walks
+//! the tree once per tuple; it is the reference semantics, and the CPU
+//! oracle [`crate::ops::select`] uses it. [`BoundPredicate::eval_block`]
+//! evaluates each node over a whole block of rows into one flag per row, the
+//! way one CTA of the fused kernel runs each comparison across its threads;
+//! the kernel-IR interpreter uses it. Both give the same flag for every row.
 
 use std::fmt;
 
+use crate::relation::f32_order_image;
 use crate::{compare_words, AttrType, RelationalError, Result, Schema, Value};
 
 /// A comparison operator between an attribute and a value or attribute.
@@ -249,6 +257,23 @@ impl BoundPredicate {
     pub fn eval(&self, tuple: &[u64]) -> bool {
         self.node.eval(tuple)
     }
+
+    /// Evaluate against every row of `block`, whole rows of `arity` words of
+    /// the bound schema, row-major. Returns one flag per row, equal to
+    /// `self.eval(row)`.
+    ///
+    /// Each node is evaluated over the whole block before its parent, with
+    /// its comparison and attribute type resolved once per block. Nothing
+    /// short-circuits: both sides of And and Or are evaluated for every row,
+    /// which gives the same flags because a bound predicate cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arity` is zero or smaller than an attribute the predicate
+    /// reads.
+    pub fn eval_block(&self, block: &[u64], arity: usize) -> Vec<bool> {
+        self.node.eval_block(block, arity)
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -339,6 +364,72 @@ impl Node {
             Node::Or(a, b) => a.eval(tuple) || b.eval(tuple),
             Node::Not(a) => !a.eval(tuple),
         }
+    }
+}
+
+// ---- Block evaluation --------------------------------------------------------
+//
+// A comparison compares each row's pair of words under `compare_words`'
+// order. For U32, U64 and Bool that is the order of the raw 64-bit words;
+// for F32 it is `total_cmp` on the low 32 bits, which is the integer order
+// of their `f32_order_image`.
+
+impl Node {
+    fn eval_block(&self, block: &[u64], arity: usize) -> Vec<bool> {
+        let rows = block.chunks_exact(arity);
+        match self {
+            Node::Const(b) => vec![*b; rows.len()],
+            Node::Cmp { attr, op, ty, word } => {
+                if *ty == AttrType::F32 {
+                    let w = f32_order_image(*word);
+                    cmp_block(*op, rows.map(|t| (f32_order_image(t[*attr]), w)))
+                } else {
+                    cmp_block(*op, rows.map(|t| (t[*attr], *word)))
+                }
+            }
+            Node::CmpAttr {
+                left,
+                op,
+                right,
+                ty,
+            } => {
+                if *ty == AttrType::F32 {
+                    let image = |t: &[u64]| (f32_order_image(t[*left]), f32_order_image(t[*right]));
+                    cmp_block(*op, rows.map(image))
+                } else {
+                    cmp_block(*op, rows.map(|t| (t[*left], t[*right])))
+                }
+            }
+            Node::And(a, b) => {
+                let mut flags = a.eval_block(block, arity);
+                let other = b.eval_block(block, arity);
+                flags.iter_mut().zip(other).for_each(|(x, y)| *x &= y);
+                flags
+            }
+            Node::Or(a, b) => {
+                let mut flags = a.eval_block(block, arity);
+                let other = b.eval_block(block, arity);
+                flags.iter_mut().zip(other).for_each(|(x, y)| *x |= y);
+                flags
+            }
+            Node::Not(a) => {
+                let mut flags = a.eval_block(block, arity);
+                flags.iter_mut().for_each(|x| *x = !*x);
+                flags
+            }
+        }
+    }
+}
+
+/// `op` over each row's pair of order keys.
+fn cmp_block(op: CmpOp, pairs: impl Iterator<Item = (u64, u64)>) -> Vec<bool> {
+    match op {
+        CmpOp::Eq => pairs.map(|(x, y)| x == y).collect(),
+        CmpOp::Ne => pairs.map(|(x, y)| x != y).collect(),
+        CmpOp::Lt => pairs.map(|(x, y)| x < y).collect(),
+        CmpOp::Le => pairs.map(|(x, y)| x <= y).collect(),
+        CmpOp::Gt => pairs.map(|(x, y)| x > y).collect(),
+        CmpOp::Ge => pairs.map(|(x, y)| x >= y).collect(),
     }
 }
 

@@ -377,8 +377,9 @@ fn map_words(data: &mut [u64], arity: usize, attrs: &[usize], f: fn(u64) -> u64)
 
 /// The F32 word's position in [`f32::total_cmp`] order, as an unsigned
 /// 32-bit integer (negative floats flip every bit, non-negative ones only
-/// the sign bit). The word's high 32 bits must be zero.
-fn f32_order_image(w: u64) -> u64 {
+/// the sign bit). Like [`compare_words`] it reads only the low 32 bits, so
+/// [`f32_from_order_image`] restores the word only if its high bits are zero.
+pub(crate) fn f32_order_image(w: u64) -> u64 {
     let b = w as u32;
     u64::from(if b >> 31 == 1 { !b } else { b | 0x8000_0000 })
 }

@@ -1,13 +1,16 @@
 //! Property tests over random *DAG-shaped* plans (branches, shared
 //! producers, multiple outputs): whatever Algorithm 1/2 and the weaver
-//! decide, results must equal the unfused baseline in both exec modes.
+//! decide, results must equal the CPU oracle (`kw_relational::ops` applied
+//! node by node) for the fused plan, the unfused baseline and staged mode.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use kw_core::{execute_plan, NodeId, QueryPlan, WeaverConfig};
+use kw_core::{execute_plan, NodeId, PlanNode, QueryPlan, WeaverConfig};
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_primitives::RaOp;
-use kw_relational::{gen, CmpOp, Expr, Predicate, Relation, Schema, Value};
+use kw_relational::{gen, ops, CmpOp, Expr, Predicate, Relation, Schema, Value};
 
 fn device() -> Device {
     Device::new(DeviceConfig::fermi_c2050())
@@ -115,6 +118,34 @@ fn grow_plan(steps: &[GrowStep]) -> (QueryPlan, Vec<NodeId>) {
     (plan, outputs)
 }
 
+/// Every node of `plan` evaluated on the CPU with the matching
+/// `kw_relational::ops` call, `t0` bound to `a` and `t1` to `b`. Node ids
+/// are in insertion order, so producers come first.
+fn oracle(plan: &QueryPlan, a: &Relation, b: &Relation) -> BTreeMap<NodeId, Relation> {
+    let mut out: BTreeMap<NodeId, Relation> = BTreeMap::new();
+    for id in plan.node_ids() {
+        let rel = match plan.node(id) {
+            PlanNode::Input { name, .. } => if name == "t0" { a } else { b }.clone(),
+            PlanNode::Operator { op, inputs } => {
+                let arg = |i: usize| &out[&inputs[i]];
+                match op {
+                    RaOp::Select { pred } => ops::select(arg(0), pred),
+                    RaOp::Map { exprs, key_arity } => ops::compute(arg(0), exprs, *key_arity),
+                    RaOp::Join { key_len } => ops::join(arg(0), arg(1), *key_len),
+                    RaOp::Project { attrs, key_arity } => ops::project(arg(0), attrs, *key_arity),
+                    RaOp::SemiJoin { key_len } => ops::semi_join(arg(0), arg(1), *key_len),
+                    RaOp::AntiJoin { key_len } => ops::anti_join(arg(0), arg(1), *key_len),
+                    RaOp::Union => ops::union(arg(0), arg(1)),
+                    other => unreachable!("grow_plan adds no {other:?}"),
+                }
+                .expect("oracle evaluation")
+            }
+        };
+        out.insert(id, rel);
+    }
+    out
+}
+
 fn inputs_for(seed: u64, n: usize) -> (Relation, Relation) {
     let schema = Schema::uniform_u32(4);
     let a = gen::random_relation(&schema, n, 256, &mut gen::rng(seed));
@@ -153,6 +184,13 @@ proptest! {
         let staged_run = execute_plan(&plan, &bindings, &mut d3, &staged)
             .expect("staged execution");
         prop_assert_eq!(&staged_run.outputs, &base.outputs);
+
+        // All three share the interpreter, so hold them to the CPU oracle
+        // too: an error they share would pass the comparisons above.
+        let expected = oracle(&plan, &a, &b);
+        for (id, rel) in &fused.outputs {
+            prop_assert_eq!(rel, &expected[id], "output {:?}", id);
+        }
 
         // Accounting sanity on every run.
         for report in [&fused, &base, &staged_run] {
