@@ -45,15 +45,22 @@ echo "== host fusion smoke gate (examples/host_fusion.rs)"
 # which vary between runs, so it is not diffed.
 cargo run -q --release -p kw-examples --example host_fusion > /dev/null
 
-echo "== campaign benchmarks (paper_tables -- scheduler ... arena)"
+echo "== campaign benchmarks and CSV gate (paper_tables -- scheduler ... robustness)"
 # Regenerates the six BENCH_*.json files into a scratch dir for the
 # regression gate below. Each campaign asserts its own invariants while it
 # builds its rows (e.g. batched-fused < batched-unfused < serial-fused,
 # hits + misses == arrivals, one Alloc/Free span per arena run), so a
-# violation fails the section and paper_tables exits non-zero.
+# violation fails the section and paper_tables exits non-zero. The
+# campaigns' CSVs are simulated numbers, deterministic for the committed
+# configuration, so each must match its committed copy byte for byte:
+# overlap is the one run of staged chunks, robustness drives the
+# degradation ladder under faults.
 bench_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$bench_dir"' EXIT
-cargo run -q --release -p kw-bench --bin paper_tables -- scheduler profile batch_resilience out_of_core service arena --csv "$bench_dir" > /dev/null
+cargo run -q --release -p kw-bench --bin paper_tables -- scheduler profile batch_resilience out_of_core service arena overlap robustness --csv "$bench_dir" > /dev/null
+for csv in arena batch_resilience out_of_core profile scheduler service overlap robustness_faults robustness_ladder; do
+    cmp "$bench_dir/$csv.csv" "bench_results/$csv.csv"
+done
 
 echo "== paper figure gate (paper_tables -- fig4 fig16 ... fig21 vs bench_results/)"
 # The Figure 4 and 16-21 series are simulated numbers, deterministic for

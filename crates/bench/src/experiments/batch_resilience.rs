@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use kw_core::{execute_batch_with_policy, BatchQuery, NodeId, RetryPolicy, WeaverConfig};
+use kw_core::{execute_batch, BatchQuery, NodeId, RetryPolicy, WeaverConfig};
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig};
 use kw_relational::Relation;
 use kw_tpch::Workload;
@@ -147,10 +147,12 @@ fn run_cell(
             ..FaultConfig::default()
         });
     }
-    let batch = execute_batch_with_policy(
+    let config = WeaverConfig::default();
+    let batch = execute_batch(
         &queries,
+        &super::compile_batch(&queries, &config),
         &mut device,
-        &WeaverConfig::default(),
+        &config,
         &campaign_policy(),
     )
     .expect("batches never abort wholesale");

@@ -28,7 +28,7 @@ pub mod table2;
 pub mod table3;
 pub mod trace;
 
-use kw_core::{ExecMode, PlanReport, WeaverConfig};
+use kw_core::{compile, BatchQuery, CompiledPlan, ExecMode, PlanReport, WeaverConfig};
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_tpch::Workload;
 
@@ -63,6 +63,18 @@ pub fn run_pair(workload: &Workload, config: &WeaverConfig) -> (PlanReport, Plan
         workload.name
     );
     (fused, base)
+}
+
+/// Compile every query of a batch under `config`, in batch order, for
+/// [`kw_core::execute_batch`].
+pub(crate) fn compile_batch(
+    queries: &[BatchQuery<'_>],
+    config: &WeaverConfig,
+) -> Vec<CompiledPlan> {
+    queries
+        .iter()
+        .map(|q| compile(q.plan, config).expect("campaign plans compile"))
+        .collect()
 }
 
 /// Resident-mode config (Figure 16 setup).

@@ -13,14 +13,16 @@
 //! * **(agg)** — a grouped aggregate (COUNT/SUM/MIN/MAX), run as
 //!   per-chunk partials merged under operator associativity.
 //!
-//! Each workload runs fused and unfused through [`execute_resilient`] on a
-//! device capped *below* both its input footprint and its staged peak, so
-//! the degradation ladder is forced onto the Chunked rung. Outputs are
+//! Each workload runs fused and unfused through
+//! [`execute_compiled_resilient`] on a device capped *below* both its input
+//! footprint and its staged peak, so the degradation ladder is forced onto
+//! the Chunked rung. Outputs are
 //! checked byte-identical against resident execution on an oversized
 //! device — out-of-core execution must never change an answer.
 
 use kw_core::{
-    admit, compile, execute_plan, execute_resilient, AdmittedMode, RetryPolicy, WeaverConfig,
+    admit, compile, execute_compiled_resilient, execute_plan, AdmittedMode, RetryPolicy,
+    WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_primitives::RaOp;
@@ -132,8 +134,10 @@ fn run_one(label: &str, w: &Workload) -> Row {
     };
     let run = |config: &WeaverConfig| {
         let mut dev = small();
-        let report = execute_resilient(
+        let compiled = compile(&w.plan, config).expect("campaign plans compile");
+        let report = execute_compiled_resilient(
             &w.plan,
+            &compiled,
             &bindings,
             &mut dev,
             config,
@@ -162,10 +166,7 @@ fn run_one(label: &str, w: &Workload) -> Row {
             res.final_mode
         );
     };
-    let strategy = res
-        .admission
-        .strategy
-        .expect("chunked runs carry a strategy");
+    let strategy = fused.strategy.expect("chunked runs carry a strategy");
 
     Row {
         pattern: label.to_string(),
@@ -292,7 +293,14 @@ mod tests {
             global_mem_bytes: capacity,
             ..DeviceConfig::fermi_c2050()
         });
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = execute_batch(
+            &queries,
+            &crate::experiments::compile_batch(&queries, &WeaverConfig::default()),
+            &mut dev,
+            &WeaverConfig::default(),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
 
         let whale_q = &batch.queries[1];
         assert!(

@@ -4,12 +4,12 @@
 //! mechanism rather than a side formula).
 //!
 //! For each elementwise pattern at a large staged input, the chunked
-//! executor runs fused and unfused; the [`kw_core::ChunkedReport`] carries
+//! executor runs fused and unfused; each [`kw_core::PlanReport`] carries
 //! both the serialized wallclock (no engine overlap) and the pipelined
-//! wallclock (stream/event graph makespan). Overlap saves wallclock on
-//! every plan, and fusion still wins under overlap. On transfer-bound
-//! patterns (D: many consumers of one staged input, little compute to
-//! fuse away) the composition exhibits the full ordering
+//! wallclock (`total_seconds`, the stream/event graph makespan). Overlap
+//! saves wallclock on every plan, and fusion still wins under overlap. On
+//! transfer-bound patterns (D: many consumers of one staged input, little
+//! compute to fuse away) the composition exhibits the full ordering
 //! **fused-chunked < unfused-chunked < fused-serialized** — there, overlap
 //! alone beats fusion alone, and composing both beats either.
 
@@ -74,12 +74,12 @@ pub fn run(patterns: &[Pattern], n: usize, chunks: usize) -> Vec<OverlapRow> {
                     // Staged per-chunk execution: the out-of-core setting
                     // where both fusion and double buffering matter.
                     mode: ExecMode::Staged,
+                    chunks: Some(chunks),
                     ..WeaverConfig::default()
                 };
                 let mut dev = super::device();
-                let report =
-                    kw_core::execute_chunked(&w.plan, &w.bindings(), &mut dev, &config, chunks)
-                        .expect("chunked run");
+                let report = kw_core::execute_plan(&w.plan, &w.bindings(), &mut dev, &config)
+                    .expect("chunked run");
                 // The reported pipelined wallclock is the device stream
                 // graph's makespan, and the streamed spans reconcile.
                 kw_gpu_sim::reconcile(dev.spans(), dev.stats()).expect("streamed trace reconciles");
@@ -96,9 +96,9 @@ pub fn run(patterns: &[Pattern], n: usize, chunks: usize) -> Vec<OverlapRow> {
                 n,
                 chunks,
                 fused_serialized: fused.serialized_seconds,
-                fused_pipelined: fused.pipelined_seconds,
+                fused_pipelined: fused.total_seconds,
                 base_serialized: base.serialized_seconds,
-                base_pipelined: base.pipelined_seconds,
+                base_pipelined: base.total_seconds,
             }
         })
         .collect()

@@ -148,17 +148,18 @@ pub fn overlap_study() -> (f64, f64) {
         let config = WeaverConfig {
             fusion,
             mode: ExecMode::Staged,
+            chunks: Some(8),
             ..WeaverConfig::default()
         };
         let mut dev = super::device();
-        kw_core::execute_chunked(&w.plan, &w.bindings(), &mut dev, &config, 8).expect("chunked run")
+        kw_core::execute_plan(&w.plan, &w.bindings(), &mut dev, &config).expect("chunked run")
     };
     let fused = run(true);
     let base = run(false);
     assert_eq!(fused.outputs, base.outputs);
     (
         base.serialized_seconds / fused.serialized_seconds,
-        base.pipelined_seconds / fused.pipelined_seconds,
+        base.total_seconds / fused.total_seconds,
     )
 }
 

@@ -20,7 +20,9 @@
 
 use std::fmt;
 
-use kw_core::{admit, compile, execute_resilient, AdmittedMode, RetryPolicy, WeaverConfig};
+use kw_core::{
+    admit, compile, execute_compiled_resilient, AdmittedMode, RetryPolicy, WeaverConfig,
+};
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig};
 use kw_relational::Relation;
 use kw_tpch::{Pattern, Workload};
@@ -132,13 +134,21 @@ fn run_resilient(
         fusion,
         ..WeaverConfig::default()
     };
-    execute_resilient(&w.plan, &w.bindings(), device, &config, &sweep_policy()).map_err(|e| {
-        SweepError::Execution {
-            workload: w.name.clone(),
-            fusion,
-            source: e,
-        }
-    })
+    let execution = |source| SweepError::Execution {
+        workload: w.name.clone(),
+        fusion,
+        source,
+    };
+    let compiled = compile(&w.plan, &config).map_err(execution)?;
+    execute_compiled_resilient(
+        &w.plan,
+        &compiled,
+        &w.bindings(),
+        device,
+        &config,
+        &sweep_policy(),
+    )
+    .map_err(execution)
 }
 
 /// The report's final ladder rung, or a typed error if the driver lost its

@@ -17,7 +17,7 @@
 //! panics at sizes too small for batching to pay (two queries of 16Ki
 //! tuples each lose to serial-fused when unfused).
 
-use kw_core::{execute_batch, BatchQuery, WeaverConfig};
+use kw_core::{execute_batch, BatchQuery, RetryPolicy, WeaverConfig};
 use kw_relational::Relation;
 use kw_tpch::{Pattern, Workload};
 
@@ -88,19 +88,26 @@ fn run_batch(n: usize, k: usize) -> Row {
         .collect();
 
     let cfg = WeaverConfig::default();
+    let policy = RetryPolicy::default();
+    let fused_plans = super::compile_batch(&queries, &cfg);
     let mut fused_dev = super::device();
-    let fused = execute_batch(&queries, &mut fused_dev, &cfg).expect("fused batch");
+    let fused =
+        execute_batch(&queries, &fused_plans, &mut fused_dev, &cfg, &policy).expect("fused batch");
     kw_gpu_sim::reconcile(fused_dev.spans(), fused_dev.stats()).expect("fused batch reconciles");
 
+    let base_cfg = cfg.baseline();
+    let base_plans = super::compile_batch(&queries, &base_cfg);
     let mut base_dev = super::device();
-    let base = execute_batch(&queries, &mut base_dev, &cfg.baseline()).expect("unfused batch");
+    let base = execute_batch(&queries, &base_plans, &mut base_dev, &base_cfg, &policy)
+        .expect("unfused batch");
 
     // Serial-fused: the same queries one at a time, each on a fresh device.
     // Batching must never change a query's answer along the way.
     let mut serial = 0.0;
-    for (q, r) in queries.iter().zip(&fused.queries) {
+    for ((q, c), r) in queries.iter().zip(&fused_plans).zip(&fused.queries) {
         let mut dev = super::device();
-        let solo = execute_batch(&[*q], &mut dev, &cfg).expect("solo run");
+        let solo = execute_batch(&[*q], std::slice::from_ref(c), &mut dev, &cfg, &policy)
+            .expect("solo run");
         serial += solo.makespan_seconds;
         assert_eq!(
             solo.queries[0].outputs, r.outputs,

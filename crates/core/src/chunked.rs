@@ -1,5 +1,6 @@
 //! Chunked, double-buffered execution — the related-work technique the
-//! paper cites as orthogonal to kernel fusion, made concrete.
+//! paper cites as orthogonal to kernel fusion, made concrete. A run takes
+//! this path when [`WeaverConfig::chunks`] is `Some`.
 //!
 //! A plan streams through a device smaller than its inputs by decomposing
 //! into chunks under a [`ChunkStrategy`] chosen by
@@ -20,6 +21,8 @@
 //! and chunk *i−1*'s download. Fusion composes with this: the fused kernel
 //! still runs per chunk, and still moves less data.
 
+use std::collections::BTreeMap;
+
 use kw_gpu_sim::{ArenaStats, Device, Direction};
 use kw_primitives::{consumer_class, DependenceClass};
 use kw_relational::{Relation, Schema};
@@ -27,57 +30,9 @@ use kw_relational::{Relation, Schema};
 use crate::chunk_strategy::{bucket_of, merge_partials, partial_aggregate_plan};
 use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
-    compile, select_chunk_strategy, ChunkStrategy, CompiledPlan, NodeId, QueryPlan, Result,
-    WeaverConfig, WeaverError,
+    compile, select_chunk_strategy, ChunkStrategy, CompiledPlan, NodeId, PlanReport, QueryPlan,
+    Result, WeaverConfig, WeaverError, MAX_CHUNKS,
 };
-
-/// Report of a chunked execution.
-#[derive(Debug)]
-pub struct ChunkedReport {
-    /// Relations of the marked plan outputs.
-    pub outputs: std::collections::BTreeMap<NodeId, Relation>,
-    /// Sum of per-chunk GPU seconds.
-    pub gpu_seconds: f64,
-    /// Sum of per-chunk *boundary* transfer seconds: the H2D uploads of
-    /// chunk inputs and D2H downloads of chunk outputs that the stream
-    /// scheduler can overlap with compute.
-    pub pcie_seconds: f64,
-    /// Sum of per-chunk *residual* transfer seconds: staged-intermediate
-    /// round trips inside a chunk, which serialize with the compute that
-    /// produces/consumes them. Kept separate from [`pcie_seconds`] so the
-    /// field means the same thing here as in resident/staged reports once
-    /// the two are added — roofline attribution must count both.
-    ///
-    /// [`pcie_seconds`]: ChunkedReport::pcie_seconds
-    pub residual_pcie_seconds: f64,
-    /// End-to-end seconds with transfers fully serialized.
-    pub serialized_seconds: f64,
-    /// End-to-end seconds under double buffering: chunk *i* computes while
-    /// *i+1* uploads and *i−1* downloads. Produced by the device-level
-    /// stream/event graph (each chunk's upload, compute and download are
-    /// issued on a per-chunk stream; the H2D/D2H copy engines and the
-    /// kernel engine overlap them), not by a side formula — see
-    /// [`pipeline_makespan`] for the closed-form oracle it must match on
-    /// pure three-stage pipelines.
-    pub pipelined_seconds: f64,
-    /// Number of chunks actually executed. Fully-empty chunk slots (every
-    /// input relation of the slot empty) are skipped — they launch no
-    /// kernels and emit no spans — so this equals the number of `chunk{i}`
-    /// stream groups in the trace, not the requested chunk count.
-    pub chunks: usize,
-    /// The decomposition the executor ran.
-    pub strategy: ChunkStrategy,
-    /// Largest footprint any single chunk actually reached on the shared
-    /// scratch device — the memory a real GPU would need for this schedule.
-    /// Also folded into the parent device's memory gauges via
-    /// [`Device::absorb_scratch`].
-    pub peak_device_bytes: u64,
-    /// Accounting for the run's single scratch arena: all chunks share one
-    /// reservation (the max of the per-chunk admission predictions), reset
-    /// between chunk iterations, so the whole out-of-core run costs one
-    /// alloc/free span pair. `None` only when zero chunks executed.
-    pub arena: Option<ArenaStats>,
-}
 
 /// Whether every operator of `plan` is thread-dependent (elementwise), the
 /// prerequisite for *row-sliced* streaming (other plans may still chunk
@@ -88,62 +43,34 @@ pub fn is_elementwise(plan: &QueryPlan) -> bool {
 }
 
 /// Execute `plan` over `bindings` in `chunks` chunks with simulated double
-/// buffering, under the strategy [`select_chunk_strategy`] picks.
+/// buffering, under the strategy [`select_chunk_strategy`] picks, each
+/// chunk in `config.mode`.
 ///
-/// # Errors
-///
-/// Returns [`WeaverError::Plan`] if no chunk strategy preserves the plan's
-/// answer (e.g. a full sort), and propagates compilation/execution errors.
-///
-/// # Examples
-///
-/// ```
-/// use kw_core::{execute_chunked, QueryPlan, WeaverConfig};
-/// use kw_gpu_sim::{Device, DeviceConfig};
-/// use kw_primitives::RaOp;
-/// use kw_relational::{gen, CmpOp, Predicate, Value};
-///
-/// let input = gen::micro_input(100_000, 3);
-/// let mut plan = QueryPlan::new();
-/// let t = plan.add_input("t", input.schema().clone());
-/// let s = plan.add_op(
-///     RaOp::Select { pred: Predicate::cmp(1, CmpOp::Lt, Value::U32(1 << 31)) },
-///     &[t],
-/// )?;
-/// plan.mark_output(s);
-///
-/// let mut device = Device::new(DeviceConfig::fermi_c2050());
-/// let report = execute_chunked(&plan, &[("t", &input)], &mut device,
-///                              &WeaverConfig::default(), 8)?;
-/// assert!(report.pipelined_seconds <= report.serialized_seconds);
-/// # Ok::<(), kw_core::WeaverError>(())
-/// ```
-pub fn execute_chunked(
-    plan: &QueryPlan,
-    bindings: &[(&str, &Relation)],
-    device: &mut Device,
-    config: &WeaverConfig,
-    chunks: usize,
-) -> Result<ChunkedReport> {
-    let compiled = compile(plan, config)?;
-    execute_chunked_compiled(plan, &compiled, bindings, device, config, chunks)
-}
-
-/// [`execute_chunked`] for an already-compiled plan (used by the resilient
-/// driver, which compiles once and may run the same plan at several ladder
-/// rungs).
-///
-/// # Errors
-///
-/// Same contract as [`execute_chunked`].
-pub fn execute_chunked_compiled(
+/// The report's `total_seconds` is the pipelined wallclock from this run's
+/// start (chunk *i* computes while *i+1* uploads and *i−1* downloads),
+/// read off the device-level stream/event graph: each chunk's upload,
+/// compute and download are issued on a per-chunk stream and the H2D/D2H
+/// copy engines and the kernel engine overlap them, so no side formula is
+/// involved — [`pipeline_makespan`] is the closed-form oracle it must
+/// match on pure three-stage pipelines. `pcie_seconds` counts boundary transfers plus
+/// the staged-intermediate round trips inside chunks; `fusion_sets` and
+/// `operator_count` describe `compiled`, even when a partial-aggregate run
+/// executes a rewritten plan.
+pub(crate) fn execute(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
     bindings: &[(&str, &Relation)],
     device: &mut Device,
     config: &WeaverConfig,
     chunks: usize,
-) -> Result<ChunkedReport> {
+) -> Result<PlanReport> {
+    // Partitioning allocates per chunk slot, so an unbounded count would
+    // exhaust host memory before any kernel runs.
+    if chunks > MAX_CHUNKS {
+        return Err(WeaverError::plan(format!(
+            "{chunks} chunks requested; at most {MAX_CHUNKS} are supported"
+        )));
+    }
     let Some(strategy) = select_chunk_strategy(plan) else {
         return Err(WeaverError::plan(
             "chunked streaming requires a partitionable plan: row-sliceable (elementwise), \
@@ -152,19 +79,21 @@ pub fn execute_chunked_compiled(
     };
     let chunks = chunks.max(1);
 
-    match strategy {
+    let (run, outputs) = match strategy {
         ChunkStrategy::RowSlice => {
             let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks))?;
-            let run = run_chunks(plan, compiled, &slots, device, config)?;
-            finish_concat(run, strategy)
+            let mut run = run_chunks(plan, compiled, &slots, device, config)?;
+            let outputs = concat_outputs(&mut run)?;
+            (run, outputs)
         }
         ChunkStrategy::HashPartition => {
             // No clamp: buckets are keyed by hash, not row index, and a
             // bucket count above the distinct-key count just leaves empty
             // slots that are skipped below.
             let slots = hash_partition_inputs(bindings, chunks)?;
-            let run = run_chunks(plan, compiled, &slots, device, config)?;
-            finish_concat(run, strategy)
+            let mut run = run_chunks(plan, compiled, &slots, device, config)?;
+            let outputs = concat_outputs(&mut run)?;
+            (run, outputs)
         }
         ChunkStrategy::PartialAggregate => {
             let spec = partial_aggregate_plan(plan)?;
@@ -173,10 +102,43 @@ pub fn execute_chunked_compiled(
             let mut run = run_chunks(&spec.plan, &partial_compiled, &slots, device, config)?;
             let partial_words = run.outputs.remove(&spec.node).unwrap_or_default();
             let merged = merge_partials(&spec, &partial_words)?;
-            let outputs = std::iter::once((spec.node, merged)).collect();
-            Ok(run.into_report(outputs, strategy))
+            (run, std::iter::once((spec.node, merged)).collect())
         }
-    }
+    };
+
+    // The span log cannot carry the residual round trips (they fold into
+    // compute spans, whose deltas must be compute-only), so the profile
+    // counts them separately.
+    let mut profile = crate::ProfileReport::from_spans_with_residual(
+        device.spans(),
+        device.stats(),
+        device.config(),
+        run.pipelined_seconds,
+        run.residual_pcie_seconds,
+    );
+    // run_chunks absorbed the fork's footprint into the parent tracker, so
+    // this is the true peak.
+    profile.peak_device_bytes = device.memory().peak();
+    Ok(PlanReport {
+        outputs,
+        gpu_seconds: run.gpu_seconds,
+        pcie_seconds: run.pcie_seconds + run.residual_pcie_seconds,
+        total_seconds: run.pipelined_seconds,
+        serialized_seconds: run.serialized_seconds,
+        pipelined_seconds: Some(run.pipelined_seconds),
+        stats: *device.stats(),
+        peak_device_bytes: run.peak_device_bytes,
+        fusion_sets: compiled.fusion_sets.clone(),
+        operator_count: compiled.steps.len(),
+        resilience: None,
+        arena: run.arena,
+        free_errors: device.free_errors(),
+        first_free_error: device.first_free_error().map(String::from),
+        spans: Vec::new(), // snapshot once by the public entry points
+        profile,
+        strategy: Some(strategy),
+        chunks: run.executed,
+    })
 }
 
 /// Satellite of the row-sliced strategies: never request more chunks than
@@ -245,10 +207,15 @@ fn hash_partition_inputs<'a>(
 /// Accumulated results of the per-chunk execution loop, before the
 /// strategy-specific output assembly.
 struct ChunkRun {
-    outputs: std::collections::BTreeMap<NodeId, Vec<u64>>,
-    schemas: std::collections::BTreeMap<NodeId, Schema>,
+    outputs: BTreeMap<NodeId, Vec<u64>>,
+    schemas: BTreeMap<NodeId, Schema>,
     gpu_seconds: f64,
+    /// Boundary transfer seconds: the H2D uploads of chunk inputs and D2H
+    /// downloads of chunk outputs that the stream scheduler can overlap
+    /// with compute.
     pcie_seconds: f64,
+    /// Residual transfer seconds: staged-intermediate round trips inside a
+    /// chunk, which serialize with the compute that produces/consumes them.
     residual_pcie_seconds: f64,
     serialized_seconds: f64,
     pipelined_seconds: f64,
@@ -257,39 +224,17 @@ struct ChunkRun {
     arena: Option<ArenaStats>,
 }
 
-impl ChunkRun {
-    fn into_report(
-        self,
-        outputs: std::collections::BTreeMap<NodeId, Relation>,
-        strategy: ChunkStrategy,
-    ) -> ChunkedReport {
-        ChunkedReport {
-            outputs,
-            gpu_seconds: self.gpu_seconds,
-            pcie_seconds: self.pcie_seconds,
-            residual_pcie_seconds: self.residual_pcie_seconds,
-            serialized_seconds: self.serialized_seconds,
-            pipelined_seconds: self.pipelined_seconds,
-            chunks: self.executed,
-            strategy,
-            peak_device_bytes: self.peak_device_bytes,
-            arena: self.arena,
-        }
-    }
-}
-
 /// Concatenate per-chunk output words into canonical relations (row slices
 /// concatenate in key order; hash buckets are disjoint, and `from_words`
 /// restores the canonical sort).
-fn finish_concat(mut run: ChunkRun, strategy: ChunkStrategy) -> Result<ChunkedReport> {
-    let outputs = std::mem::take(&mut run.outputs)
+fn concat_outputs(run: &mut ChunkRun) -> Result<BTreeMap<NodeId, Relation>> {
+    std::mem::take(&mut run.outputs)
         .into_iter()
         .map(|(node, words)| {
             let schema = run.schemas[&node].clone();
             Ok((node, Relation::from_words(schema, words)?))
         })
-        .collect::<Result<_>>()?;
-    Ok(run.into_report(outputs, strategy))
+        .collect()
 }
 
 /// Execute each chunk slot on a scratch device to get its isolated costs,
@@ -343,8 +288,8 @@ fn replay_chunks(
     scratch: &mut Option<ScratchRun>,
 ) -> Result<ChunkRun> {
     let base_cycles = device.sync_streams();
-    let mut outputs: std::collections::BTreeMap<NodeId, Vec<u64>> = Default::default();
-    let mut schemas: std::collections::BTreeMap<NodeId, Schema> = Default::default();
+    let mut outputs: BTreeMap<NodeId, Vec<u64>> = Default::default();
+    let mut schemas: BTreeMap<NodeId, Schema> = Default::default();
     // Prepopulate so skipped slots still leave every marked output present
     // (as an empty relation) in the assembled report.
     for &o in plan.outputs() {
@@ -467,8 +412,7 @@ fn replay_chunks(
 /// each stage processes chunks in order and a chunk's stage can start once
 /// the previous stage finished it and the stage finished the previous chunk.
 ///
-/// This closed-form recurrence is no longer what [`execute_chunked`]
-/// reports — overlap is simulated by the device's stream/event scheduler
+/// This closed-form recurrence is no longer what a chunked run reports — overlap is simulated by the device's stream/event scheduler
 /// (`kw_gpu_sim::StreamModel`) — but it is retained as the test oracle the
 /// stream model must match on pure three-stage pipelines with one compute
 /// engine (see the property tests in `tests/simulator_properties.rs`).
@@ -490,10 +434,18 @@ pub fn pipeline_makespan(chunks: &[(f64, f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute_plan;
     use kw_gpu_sim::DeviceConfig;
     use kw_primitives::RaOp;
     use kw_relational::ops::AggFn;
     use kw_relational::{gen, ops, CmpOp, Predicate, Value};
+
+    fn chunked(chunks: usize) -> WeaverConfig {
+        WeaverConfig {
+            chunks: Some(chunks),
+            ..WeaverConfig::default()
+        }
+    }
 
     fn elementwise_plan(schema: kw_relational::Schema) -> (QueryPlan, NodeId) {
         let mut plan = QueryPlan::new();
@@ -533,14 +485,7 @@ mod tests {
         let input = gen::micro_input(40_000, 21);
         let (plan, out) = elementwise_plan(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            7,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(7)).unwrap();
         let oracle = ops::project(
             &ops::select(
                 &input,
@@ -553,7 +498,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.outputs[&out], oracle);
         assert_eq!(report.chunks, 7);
-        assert_eq!(report.strategy, ChunkStrategy::RowSlice);
+        assert_eq!(report.strategy, Some(ChunkStrategy::RowSlice));
     }
 
     #[test]
@@ -561,20 +506,13 @@ mod tests {
         let input = gen::micro_input(200_000, 22);
         let (plan, _) = elementwise_plan(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            8,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(8)).unwrap();
         assert!(
-            report.pipelined_seconds < report.serialized_seconds * 0.95,
+            report.total_seconds < report.serialized_seconds * 0.95,
             "overlap should shave real time: {report:?}"
         );
         // The pipeline can never beat its longest stage.
-        assert!(report.pipelined_seconds >= report.gpu_seconds.max(0.0));
+        assert!(report.total_seconds >= report.gpu_seconds.max(0.0));
     }
 
     #[test]
@@ -582,14 +520,7 @@ mod tests {
         let input = gen::micro_input(100_000, 24);
         let (plan, _) = elementwise_plan(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            6,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(6)).unwrap();
 
         // The device actually scheduled streamed work: one upload, one
         // compute and one download per chunk (nothing here is selective
@@ -599,12 +530,12 @@ mod tests {
         // The reported wallclock IS the event graph's makespan on the
         // unified cycle clock (fresh device: base clock was 0).
         let makespan_secs = dev.config().cycles_to_seconds(dev.makespan());
-        assert!((report.pipelined_seconds - makespan_secs).abs() < 1e-15);
+        assert!((report.total_seconds - makespan_secs).abs() < 1e-15);
         assert_eq!(dev.clock_cycles(), dev.makespan(), "streams were drained");
         // Bounds: no better than the busiest engine, no worse than serial.
         let busiest = *dev.streams().engine_busy().values().max().unwrap();
-        assert!(report.pipelined_seconds >= dev.config().cycles_to_seconds(busiest) - 1e-15);
-        assert!(report.pipelined_seconds <= report.serialized_seconds);
+        assert!(report.total_seconds >= dev.config().cycles_to_seconds(busiest) - 1e-15);
+        assert!(report.total_seconds <= report.serialized_seconds);
 
         // The parent's stats now carry the chunks' kernel-side counters,
         // and the span log reconciles with them.
@@ -635,14 +566,7 @@ mod tests {
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
         let chunks = 8;
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            chunks,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(chunks)).unwrap();
         assert!(report.outputs.values().all(|r| r.is_empty()));
         // Regression: each empty chunk output used to be "downloaded" as a
         // zero-byte transfer costing the full per-transfer PCIe latency
@@ -660,14 +584,7 @@ mod tests {
         let input = gen::micro_input(5, 26);
         let (plan, _) = elementwise_plan(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            64,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(64)).unwrap();
         assert_eq!(report.chunks, 5, "64 requested chunks clamp to 5 rows");
         assert_eq!(
             dev.stats().h2d_transfers as usize,
@@ -679,14 +596,7 @@ mod tests {
         // marked output (empty).
         let empty = kw_relational::Relation::empty(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &empty)],
-            &mut dev,
-            &WeaverConfig::default(),
-            8,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &empty)], &mut dev, &chunked(8)).unwrap();
         assert_eq!(report.chunks, 0);
         assert_eq!(dev.stats().kernel_launches, 0, "no work for no rows");
         assert_eq!(report.outputs.len(), 1);
@@ -701,18 +611,30 @@ mod tests {
         let oracle = ops::join(&a, &b, 1).unwrap();
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("a", &a), ("b", &b)],
-            &mut dev,
-            &WeaverConfig::default(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(report.strategy, ChunkStrategy::HashPartition);
+        let report = execute_plan(&plan, &[("a", &a), ("b", &b)], &mut dev, &chunked(4)).unwrap();
+        assert_eq!(report.strategy, Some(ChunkStrategy::HashPartition));
         assert_eq!(report.outputs[&out], oracle, "bucket concat == resident");
         assert!(report.chunks >= 2 && report.chunks <= 4);
         kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
+    }
+
+    #[test]
+    fn chunk_counts_above_the_ceiling_are_typed_errors() {
+        // Hash partitioning allocates one bucket per chunk for every input,
+        // so an unchecked count exhausts host memory before any kernel runs.
+        let (a, b) = gen::join_inputs(64, 2, 0.5, 28);
+        let (plan, out) = join_plan(&a, &b);
+        let bindings: &[(&str, &kw_relational::Relation)] = &[("a", &a), ("b", &b)];
+        for chunks in [MAX_CHUNKS + 1, usize::MAX] {
+            let mut dev = Device::new(DeviceConfig::fermi_c2050());
+            let err = execute_plan(&plan, bindings, &mut dev, &chunked(chunks)).unwrap_err();
+            assert!(matches!(err, WeaverError::Plan { .. }), "{chunks}: {err}");
+            assert_eq!(dev.memory().in_use(), 0);
+            assert!(dev.spans().is_empty(), "{chunks}: rejected before any work");
+        }
+        let mut dev = Device::new(DeviceConfig::fermi_c2050());
+        let report = execute_plan(&plan, bindings, &mut dev, &chunked(MAX_CHUNKS)).unwrap();
+        assert_eq!(report.outputs[&out], ops::join(&a, &b, 1).unwrap());
     }
 
     #[test]
@@ -734,15 +656,8 @@ mod tests {
             ops::aggregate(&input, &[0], &[AggFn::Sum(1), AggFn::Count, AggFn::Avg(2)]).unwrap();
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            6,
-        )
-        .unwrap();
-        assert_eq!(report.strategy, ChunkStrategy::PartialAggregate);
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(6)).unwrap();
+        assert_eq!(report.strategy, Some(ChunkStrategy::PartialAggregate));
         assert_eq!(report.outputs[&a], oracle, "merged partials == resident");
         assert_eq!(report.chunks, 6);
         kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
@@ -757,14 +672,7 @@ mod tests {
         plan.mark_output(s);
         assert!(select_chunk_strategy(&plan).is_none());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let err = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            4,
-        )
-        .unwrap_err();
+        let err = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(4)).unwrap_err();
         assert!(err.to_string().contains("partitionable"));
     }
 

@@ -27,8 +27,14 @@ pub struct WeaverConfig {
     pub input_dependence: bool,
     /// Threads per CTA for every generated kernel.
     pub threads_per_cta: u32,
-    /// Execution mode (GPU-resident vs PCIe-staged).
+    /// Execution mode (GPU-resident vs PCIe-staged); for a chunked run,
+    /// the mode each chunk executes in.
     pub mode: ExecMode,
+    /// `Some(n)` streams the plan through the device in `n` double-buffered
+    /// chunks under the plan's [`crate::ChunkStrategy`] (`Some(0)` runs one
+    /// chunk; above [`crate::MAX_CHUNKS`] the run is rejected). `None` runs
+    /// the whole plan at once.
+    pub chunks: Option<usize>,
     /// What to do when a buffer exceeds the scratch-arena reservation
     /// (i.e. the admission estimates under-predicted the peak).
     pub arena: crate::ArenaPolicy,
@@ -43,6 +49,7 @@ impl Default for WeaverConfig {
             input_dependence: true,
             threads_per_cta: DEFAULT_THREADS_PER_CTA,
             mode: ExecMode::Resident,
+            chunks: None,
             arena: crate::ArenaPolicy::default(),
         }
     }

@@ -1,6 +1,7 @@
 //! Plan execution on the simulated device.
 //!
-//! Two modes reproduce the paper's two experimental setups:
+//! [`execute_compiled`] runs every single-query path; [`WeaverConfig`]
+//! picks the path. Two modes reproduce the paper's two experimental setups:
 //!
 //! * [`ExecMode::Resident`] — small inputs (Section 5.1.2): every base
 //!   relation is transferred to the GPU once, intermediates live in device
@@ -11,8 +12,12 @@
 //!   device→host, then frees everything. Fused operators transfer only
 //!   their external inputs and outputs — the PCIe saving of Figure 21.
 //!
+//! [`WeaverConfig::chunks`] set to `Some(n)` streams the plan in `n`
+//! double-buffered chunks instead, each chunk executed in
+//! [`WeaverConfig::mode`] (see the `chunked` module).
+//!
 //! Staged transfers are issued on dedicated H2D/D2H copy streams (the same
-//! double-buffering machinery `execute_chunked` uses), so a step's result
+//! double-buffering machinery chunked runs use), so a step's result
 //! download overlaps the next step's computation and stage-in uploads hide
 //! under earlier kernels. Data dependences are kept honest with events: a
 //! kernel synchronizes on its inputs' upload events before it is charged,
@@ -95,9 +100,15 @@ pub struct PlanReport {
     /// PCIe transfer time, seconds.
     pub pcie_seconds: f64,
     /// End-to-end time, seconds. For streamed executions (staged mode and
-    /// the resilient driver's chunked rung) this is the overlap-aware
-    /// wallclock from the stream/event graph; compare with
-    /// [`PlanReport::serialized_seconds`] for the no-overlap cost.
+    /// chunked runs) this is the overlap-aware wallclock from the
+    /// stream/event graph; compare with [`PlanReport::serialized_seconds`]
+    /// for the no-overlap cost.
+    ///
+    /// The origin depends on the path. Resident and staged runs read the
+    /// device's cumulative clock, so on a reused device the total includes
+    /// earlier work. A chunked run is measured from its own start, plus the
+    /// retry backoff the resilient driver charged when the run went through
+    /// the ladder. On a fresh device the origins coincide.
     pub total_seconds: f64,
     /// End-to-end seconds with every transfer serialized against compute —
     /// what the same schedule would cost without copy/compute overlap.
@@ -106,8 +117,8 @@ pub struct PlanReport {
     pub serialized_seconds: f64,
     /// Overlap-aware wallclock of this run from the device-level
     /// stream/event graph, `Some` only when the run was streamed (staged
-    /// mode, or the resilient driver's chunked rung). Excludes retry
-    /// backoff; `None` means nothing was overlapped.
+    /// mode, or a chunked run). Excludes retry backoff; `None` means
+    /// nothing was overlapped.
     pub pipelined_seconds: Option<f64>,
     /// Raw simulator counters.
     pub stats: SimStats,
@@ -147,6 +158,14 @@ pub struct PlanReport {
     /// peak bandwidths, busy fractions, launch share and a per-operator
     /// breakdown (see [`crate::ProfileReport`]).
     pub profile: crate::ProfileReport,
+    /// The decomposition a chunked run executed; `None` unless the run was
+    /// chunked.
+    pub strategy: Option<crate::ChunkStrategy>,
+    /// Chunks actually executed (0 unless the run was chunked). Chunk slots
+    /// whose every input is empty are skipped — they launch no kernels and
+    /// emit no spans — so this equals the number of `chunk{i}` stream
+    /// groups in the trace, not the requested chunk count.
+    pub chunks: usize,
 }
 
 impl PlanReport {
@@ -226,15 +245,52 @@ pub fn execute_plan(
 }
 
 /// Execute an already-compiled plan (lets callers inspect or reuse the
-/// compilation).
+/// compilation) on the path `config` selects: resident or staged
+/// ([`WeaverConfig::mode`]), or chunked ([`WeaverConfig::chunks`]).
 ///
-/// Sizes the scratch-arena reservation with the admission predictor's
-/// replay for [`WeaverConfig::mode`] — the same number [`crate::admit`]
-/// reports as `resident_peak` / `staged_peak`.
+/// Resident and staged runs size their scratch-arena reservation with the
+/// admission predictor's replay for [`WeaverConfig::mode`] — the same
+/// number [`crate::admit`] reports as `resident_peak` / `staged_peak`.
+/// A chunked run reserves one arena for all its chunks.
 ///
 /// # Errors
 ///
-/// Same conditions as [`execute_plan`].
+/// Same conditions as [`execute_plan`]. A chunked run also returns
+/// [`WeaverError::Plan`] when no chunk strategy preserves the plan's
+/// answer (e.g. a full sort) or the chunk count exceeds
+/// [`crate::MAX_CHUNKS`].
+///
+/// # Examples
+///
+/// One compilation serves every path; here the same plan runs whole and in
+/// eight double-buffered chunks.
+///
+/// ```
+/// use kw_core::{compile, execute_compiled, ChunkStrategy, QueryPlan, WeaverConfig};
+/// use kw_gpu_sim::{Device, DeviceConfig};
+/// use kw_primitives::RaOp;
+/// use kw_relational::{gen, CmpOp, Predicate, Value};
+///
+/// let input = gen::micro_input(100_000, 3);
+/// let mut plan = QueryPlan::new();
+/// let t = plan.add_input("t", input.schema().clone());
+/// let s = plan.add_op(
+///     RaOp::Select { pred: Predicate::cmp(1, CmpOp::Lt, Value::U32(1 << 31)) },
+///     &[t],
+/// )?;
+/// plan.mark_output(s);
+/// let compiled = compile(&plan, &WeaverConfig::default())?;
+///
+/// let whole = execute_compiled(&plan, &compiled, &[("t", &input)],
+///     &mut Device::new(DeviceConfig::fermi_c2050()), &WeaverConfig::default())?;
+/// let chunked_config = WeaverConfig { chunks: Some(8), ..WeaverConfig::default() };
+/// let chunked = execute_compiled(&plan, &compiled, &[("t", &input)],
+///     &mut Device::new(DeviceConfig::fermi_c2050()), &chunked_config)?;
+/// assert_eq!(chunked.outputs, whole.outputs);
+/// assert_eq!((chunked.strategy, chunked.chunks), (Some(ChunkStrategy::RowSlice), 8));
+/// assert!(chunked.total_seconds <= chunked.serialized_seconds);
+/// # Ok::<(), kw_core::WeaverError>(())
+/// ```
 pub fn execute_compiled(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
@@ -242,25 +298,26 @@ pub fn execute_compiled(
     device: &mut Device,
     config: &WeaverConfig,
 ) -> Result<PlanReport> {
-    let reservation = crate::admission::predict_reservation(plan, compiled, bindings, config.mode)?;
-    let mut report = execute_compiled_sized(plan, compiled, bindings, device, config, reservation)?;
+    let mut report = run(plan, compiled, bindings, device, config)?;
     // The one span snapshot, taken after the arena's Free span.
     report.spans = device.spans().to_vec();
     Ok(report)
 }
 
-/// [`execute_compiled`] with an explicit arena reservation — for callers
-/// (the resilient driver) that already hold the admission peak and must
-/// guarantee the reservation equals it bit-exactly. The report's `spans`
-/// stay empty: the caller snapshots the span log once, when its run ends.
-pub(crate) fn execute_compiled_sized(
+/// [`execute_compiled`] without the span snapshot: the report's `spans`
+/// stay empty. The resilient driver calls this once per attempt and
+/// snapshots the span log once, when its run ends.
+pub(crate) fn run(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
     bindings: &[(&str, &Relation)],
     device: &mut Device,
     config: &WeaverConfig,
-    reservation: u64,
 ) -> Result<PlanReport> {
+    if let Some(chunks) = config.chunks {
+        return crate::chunked::execute(plan, compiled, bindings, device, config, chunks);
+    }
+    let reservation = crate::admission::predict_reservation(plan, compiled, bindings, config.mode)?;
     let mut arena = device.create_arena(reservation, "plan.arena")?;
     let result = execute_compiled_in_arena(plan, compiled, bindings, device, config, &mut arena);
     match result {
@@ -284,7 +341,9 @@ pub(crate) fn execute_compiled_sized(
 /// report and one compute-only [`SimStats`] per compiled step. The chunked
 /// driver reserves one arena for a whole out-of-core run and calls this per
 /// chunk with a [`ScratchArena::reset`] in between, so the alloc/free span
-/// count stays O(1) for the entire run, not O(chunks).
+/// count stays O(1) for the entire run, not O(chunks). Always runs the
+/// whole plan in [`WeaverConfig::mode`]; [`WeaverConfig::chunks`] is not
+/// read here.
 ///
 /// The arena is NOT created, reset or released here: on error the run's
 /// spills are freed and the caller releases the arena.
@@ -695,6 +754,8 @@ fn run_compiled(
         first_free_error: device.first_free_error().map(String::from),
         spans: Vec::new(), // snapshot once by the public entry points
         profile,
+        strategy: None,
+        chunks: 0,
     };
     Ok((report, step_costs))
 }

@@ -14,7 +14,17 @@
 //!    intermediates in registers, CTA-dependent ones in shared memory behind
 //!    barriers — and the `kw-kernel-ir` optimizer cleans it up;
 //! 5. [`execute_plan`] runs the compiled plan on a simulated
-//!    [`kw_gpu_sim::Device`], GPU-resident or PCIe-staged.
+//!    [`kw_gpu_sim::Device`], GPU-resident, PCIe-staged or chunked.
+//!
+//! Five functions run plans; [`WeaverConfig`] selects the path inside each:
+//!
+//! | function | serves |
+//! |---|---|
+//! | [`execute_plan`] | compile, then [`execute_compiled`] |
+//! | [`execute_compiled`] | one query: resident or staged ([`WeaverConfig::mode`]), or chunked ([`WeaverConfig::chunks`]) |
+//! | [`execute_compiled_resilient`] | one query through admission, retry and the Resident → Staged → Chunked ladder |
+//! | [`execute_batch`] | independent queries sharing one device, each its own fault domain |
+//! | [`run_service`] | an open-loop arrival stream dispatched in batches, with a compiled-plan cache |
 //!
 //! # Examples
 //!
@@ -80,9 +90,7 @@ pub use candidates::{
     find_candidates, is_input_node, is_weavable, kernel_boundaries, FusionOptions,
 };
 pub use chunk_strategy::{select_chunk_strategy, ChunkStrategy};
-pub use chunked::{
-    execute_chunked, execute_chunked_compiled, is_elementwise, pipeline_makespan, ChunkedReport,
-};
+pub use chunked::{is_elementwise, pipeline_makespan};
 pub use compile::{compile, CompiledPlan, CompiledStep, WeaverConfig};
 pub use dot::plan_to_dot;
 pub use error::{LadderStop, Result, WeaverError};
@@ -91,13 +99,8 @@ pub use plan::{NodeId, PlanNode, QueryPlan};
 pub use plan_cache::{plan_shape_key, shape_fingerprint, PlanCache, PlanCacheStats};
 pub use profile::{Bottleneck, OperatorProfile, ProfileReport};
 pub use reschedule::{reschedule, Rescheduled};
-pub use resilient::{
-    execute_compiled_resilient, execute_resilient, Degradation, ResilienceReport, RetryPolicy,
-};
-pub use scheduler::{
-    execute_batch, execute_batch_compiled_with_policy, execute_batch_with_policy, BatchQuery,
-    BatchQueryReport, BatchReport, QueryOutcome,
-};
+pub use resilient::{execute_compiled_resilient, Degradation, ResilienceReport, RetryPolicy};
+pub use scheduler::{execute_batch, BatchQuery, BatchQueryReport, BatchReport, QueryOutcome};
 pub use selection::{select_fusions, ResourceBudget};
 pub use service::{
     run_service, ServiceConfig, ServicePercentiles, ServiceQueryReport, ServiceReport,

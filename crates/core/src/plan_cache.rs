@@ -10,9 +10,9 @@
 //!   outputs, and the fusion-relevant [`WeaverConfig`] fields (`fusion`,
 //!   `opt`, `budget`, `input_dependence`, `threads_per_cta`);
 //! * the key deliberately excludes bindings (the relations bound at
-//!   execution time) and the execution `mode`, neither of which
-//!   [`compile`] looks at — so the same compiled artifact serves staged
-//!   and resident replays of the shape alike;
+//!   execution time) and the execution `mode` and `chunks`, none of which
+//!   [`compile`] looks at — so the same compiled artifact serves resident,
+//!   staged and chunked replays of the shape alike;
 //! * the key is the canonical *encoding itself*, not a digest of it, so
 //!   two different shapes can never collide; a 64-bit FNV-1a
 //!   [`shape_fingerprint`] of the key is provided for compact display.
@@ -30,7 +30,8 @@ use crate::{compile, CompiledPlan, QueryPlan, Result, WeaverConfig};
 ///
 /// Two plans receive the same key iff their node lists, schemas and marked
 /// outputs are identical and they compile under the same fusion settings.
-/// Binding contents and [`WeaverConfig::mode`] never enter the key.
+/// Binding contents, [`WeaverConfig::mode`] and [`WeaverConfig::chunks`]
+/// never enter the key.
 pub fn plan_shape_key(plan: &QueryPlan, config: &WeaverConfig) -> String {
     // The derived Debug encoding of the plan is injective over its nodes,
     // schemas and outputs (distinct values render distinct strings), which
@@ -233,12 +234,17 @@ mod tests {
             plan_shape_key(&a, &cfg.baseline()),
             "fusion on/off must not share compiled plans"
         );
-        // Mode is execution-only: staged and resident share the artifact.
-        let staged = WeaverConfig {
+        // Mode and chunk count are execution-only: staged, chunked and
+        // resident runs share the artifact.
+        let staged_chunked = WeaverConfig {
             mode: crate::ExecMode::Staged,
+            chunks: Some(4),
             ..cfg
         };
-        assert_eq!(plan_shape_key(&a, &cfg), plan_shape_key(&a, &staged));
+        assert_eq!(
+            plan_shape_key(&a, &cfg),
+            plan_shape_key(&a, &staged_chunked)
+        );
     }
 
     #[test]

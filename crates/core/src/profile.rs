@@ -180,7 +180,7 @@ impl ProfileReport {
     /// [`ProfileReport::from_spans`] plus transfer seconds the span log
     /// cannot carry: a chunked run folds staged-intermediate round trips
     /// into its compute spans (a compute span's stat delta must be
-    /// compute-only), so the resilient driver passes those *residual* PCIe
+    /// compute-only), so the chunked executor passes those *residual* PCIe
     /// seconds here and the run-level link-busy figures and bottleneck
     /// verdict count them. Per-operator rows still attribute boundary
     /// transfers only — the residual is not attributable to a single frame.
@@ -196,10 +196,6 @@ impl ProfileReport {
         let other_cycles = stats
             .gpu_cycles
             .saturating_sub(stats.launch_cycles + stats.global_access_cycles);
-        let peak_global_gbs = config.global_bandwidth_gbs;
-        let peak_pcie_gbs = config.pcie_bandwidth_gbs;
-        let achieved_global_gbs = frac(stats.global_bytes() as f64, wall_seconds) / 1e9;
-        let achieved_pcie_gbs = frac(stats.pcie_bytes() as f64, wall_seconds) / 1e9;
 
         // Per-operator rows: group span deltas by the outermost provenance
         // frame, in first-seen order.
@@ -242,21 +238,21 @@ impl ProfileReport {
             })
             .collect();
 
-        ProfileReport {
-            wall_seconds,
+        let mut profile = ProfileReport {
+            wall_seconds: 0.0,
             gpu_busy_seconds,
             pcie_busy_seconds,
-            gpu_busy_fraction: frac(gpu_busy_seconds, wall_seconds),
-            pcie_busy_fraction: frac(pcie_busy_seconds, wall_seconds),
+            gpu_busy_fraction: 0.0,
+            pcie_busy_fraction: 0.0,
             launch_seconds: config.cycles_to_seconds(stats.launch_cycles),
             launch_share: frac(stats.launch_cycles as f64, stats.gpu_cycles as f64),
             memory_share: frac(stats.global_access_cycles as f64, stats.gpu_cycles as f64),
-            achieved_global_gbs,
-            peak_global_gbs,
-            global_bw_utilization: frac(achieved_global_gbs, peak_global_gbs),
-            achieved_pcie_gbs,
-            peak_pcie_gbs,
-            pcie_bw_utilization: frac(achieved_pcie_gbs, peak_pcie_gbs),
+            achieved_global_gbs: 0.0,
+            peak_global_gbs: config.global_bandwidth_gbs,
+            global_bw_utilization: 0.0,
+            achieved_pcie_gbs: 0.0,
+            peak_pcie_gbs: config.pcie_bandwidth_gbs,
+            pcie_bw_utilization: 0.0,
             bottleneck: classify(
                 gpu_busy_seconds,
                 pcie_busy_seconds,
@@ -266,7 +262,23 @@ impl ProfileReport {
             ),
             operators,
             peak_device_bytes: 0,
-        }
+        };
+        profile.set_wall_seconds(wall_seconds, stats);
+        profile
+    }
+
+    /// Re-normalize the wall-dependent figures (busy fractions, achieved
+    /// bandwidths and utilizations) against `wall_seconds`; `stats` must
+    /// be the aggregate the profile was built from. The resilient driver
+    /// uses this to add retry backoff to a chunked run's wall.
+    pub(crate) fn set_wall_seconds(&mut self, wall_seconds: f64, stats: &SimStats) {
+        self.wall_seconds = wall_seconds;
+        self.gpu_busy_fraction = frac(self.gpu_busy_seconds, wall_seconds);
+        self.pcie_busy_fraction = frac(self.pcie_busy_seconds, wall_seconds);
+        self.achieved_global_gbs = frac(stats.global_bytes() as f64, wall_seconds) / 1e9;
+        self.global_bw_utilization = frac(self.achieved_global_gbs, self.peak_global_gbs);
+        self.achieved_pcie_gbs = frac(stats.pcie_bytes() as f64, wall_seconds) / 1e9;
+        self.pcie_bw_utilization = frac(self.achieved_pcie_gbs, self.peak_pcie_gbs);
     }
 
     /// Fold per-query batch outcomes into the matching operator rows:

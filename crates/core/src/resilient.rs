@@ -1,7 +1,8 @@
 //! Resilient execution: admission control + bounded retry + a
 //! Resident → Staged → Chunked degradation ladder.
 //!
-//! [`execute_resilient`] wraps the plain executor with three policies:
+//! [`execute_compiled_resilient`] wraps the plain executor with three
+//! policies:
 //!
 //! 1. **Admission** ([`crate::admit`]) predicts peak device bytes per mode
 //!    and starts at the cheapest rung predicted to fit, instead of
@@ -16,7 +17,8 @@
 //!    hash-partitionable, or merge-aggregable) and only up to
 //!    [`crate::admission::MAX_CHUNKS`].
 //!
-//! Every completed run carries a [`ResilienceReport`] in
+//! Each attempt is one executor call under the [`WeaverConfig`] its rung
+//! maps to. Every completed run carries a [`ResilienceReport`] in
 //! [`PlanReport::resilience`] recording the admitted mode, the final mode,
 //! retries, faults survived, degradations taken and total backoff charged.
 
@@ -25,11 +27,11 @@ use kw_relational::Relation;
 
 use crate::admission::{admit, AdmissionReport, AdmittedMode, MAX_CHUNKS};
 use crate::chunk_strategy::select_chunk_strategy;
-use crate::chunked::execute_chunked_compiled;
 use crate::error::LadderStop;
-use crate::{compile, CompiledPlan, ExecMode, PlanReport, QueryPlan, Result, WeaverConfig};
+use crate::{CompiledPlan, ExecMode, PlanReport, QueryPlan, Result, WeaverConfig};
 
-/// Retry/degradation policy for [`execute_resilient`].
+/// Retry/degradation policy for [`execute_compiled_resilient`] and the
+/// batch scheduler's per-query fault domains.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Transient-fault retries allowed per ladder rung before the fault
@@ -48,6 +50,41 @@ impl Default for RetryPolicy {
             base_backoff_seconds: 1e-3,
             backoff_multiplier: 2.0,
         }
+    }
+}
+
+/// One fault domain's retry budget and history under a [`RetryPolicy`]:
+/// the budget resets per ladder rung (or per batch phase), while `retries`
+/// and `backoff_seconds` accumulate over the domain's life.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RetryBudget {
+    spent: u32,
+    pub(crate) retries: u32,
+    pub(crate) backoff_seconds: f64,
+}
+
+impl RetryBudget {
+    /// Restore the full budget (a new rung or phase).
+    pub(crate) fn reset(&mut self) {
+        self.spent = 0;
+    }
+
+    /// Absorb one transient fault: charge escalating backoff to the device
+    /// clock under a `retry{n}` frame (`n` counts every retry so far) inside
+    /// the caller's scope, and spend one unit of budget. Returns `false`,
+    /// charging nothing, when the budget is exhausted.
+    pub(crate) fn absorb(&mut self, device: &mut Device, policy: &RetryPolicy) -> bool {
+        if self.spent >= policy.max_retries {
+            return false;
+        }
+        let wait = policy.base_backoff_seconds * policy.backoff_multiplier.powi(self.spent as i32);
+        device.push_scope(format!("retry{}", self.retries + 1));
+        device.charge_backoff(wait);
+        device.pop_scope();
+        self.backoff_seconds += wait;
+        self.spent += 1;
+        self.retries += 1;
+        true
     }
 }
 
@@ -84,19 +121,37 @@ pub struct ResilienceReport {
     pub backoff_seconds: f64,
 }
 
-/// Compile `plan` and run it resiliently (admission, retry, degradation).
+/// The executor configuration of one ladder rung: `config` with the rung's
+/// mode and chunk count. Each chunk of a chunked rung runs resident on its
+/// scratch device; staging within a chunk would defeat the point of
+/// chunking.
+pub(crate) fn rung_config(rung: AdmittedMode, config: &WeaverConfig) -> WeaverConfig {
+    let (mode, chunks) = match rung {
+        AdmittedMode::Resident => (ExecMode::Resident, None),
+        AdmittedMode::Staged => (ExecMode::Staged, None),
+        AdmittedMode::Chunked { chunks } => (ExecMode::Resident, Some(chunks)),
+    };
+    WeaverConfig {
+        mode,
+        chunks,
+        ..*config
+    }
+}
+
+/// Run a compiled plan resiliently (admission, retry, degradation). The
+/// ladder picks each attempt's mode and chunk count, so
+/// [`WeaverConfig::mode`] and [`WeaverConfig::chunks`] are ignored.
 ///
 /// # Errors
 ///
-/// Propagates compile errors, admission rejections
-/// ([`crate::WeaverError::Admission`]), transient faults that exhaust the
-/// per-rung retry budget, capacity misses with no rung left below, and all
-/// fatal errors.
+/// Propagates admission rejections ([`crate::WeaverError::Admission`]),
+/// transient faults that exhaust the per-rung retry budget, capacity misses
+/// with no rung left below, and all fatal errors.
 ///
 /// # Examples
 ///
 /// ```
-/// use kw_core::{execute_resilient, QueryPlan, RetryPolicy, WeaverConfig};
+/// use kw_core::{compile, execute_compiled_resilient, QueryPlan, RetryPolicy, WeaverConfig};
 /// use kw_gpu_sim::{Device, DeviceConfig, FaultConfig};
 /// use kw_primitives::RaOp;
 /// use kw_relational::{gen, CmpOp, Predicate, Value};
@@ -109,33 +164,19 @@ pub struct ResilienceReport {
 ///     &[t],
 /// )?;
 /// plan.mark_output(s);
+/// let config = WeaverConfig::default();
+/// let compiled = compile(&plan, &config)?;
 ///
 /// let mut device = Device::new(DeviceConfig::fermi_c2050());
 /// device.inject_faults(FaultConfig::uniform(42, 0.05)); // 5% fault rate
-/// let report = execute_resilient(
-///     &plan, &[("t", &input)], &mut device,
-///     &WeaverConfig::default(), &RetryPolicy::default(),
+/// let report = execute_compiled_resilient(
+///     &plan, &compiled, &[("t", &input)], &mut device,
+///     &config, &RetryPolicy::default(),
 /// )?;
 /// let res = report.resilience.as_ref().unwrap();
 /// assert_eq!(res.attempts, res.retries + 1);
 /// # Ok::<(), kw_core::WeaverError>(())
 /// ```
-pub fn execute_resilient(
-    plan: &QueryPlan,
-    bindings: &[(&str, &Relation)],
-    device: &mut Device,
-    config: &WeaverConfig,
-    policy: &RetryPolicy,
-) -> Result<PlanReport> {
-    let compiled = compile(plan, config)?;
-    execute_compiled_resilient(plan, &compiled, bindings, device, config, policy)
-}
-
-/// [`execute_resilient`] for an already-compiled plan.
-///
-/// # Errors
-///
-/// Same contract as [`execute_resilient`], minus compilation.
 pub fn execute_compiled_resilient(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
@@ -153,10 +194,8 @@ pub fn execute_compiled_resilient(
 
     let mut mode = admitted;
     let mut attempts = 0u32;
-    let mut retries = 0u32;
-    let mut retries_this_rung = 0u32;
+    let mut budget = RetryBudget::default();
     let mut degradations: Vec<Degradation> = Vec::new();
-    let mut backoff_seconds = 0.0f64;
 
     loop {
         attempts += 1;
@@ -164,99 +203,38 @@ pub fn execute_compiled_resilient(
         // and the ladder rung that produced it, so a trace of a faulted run
         // shows which work was wasted and which attempt finally landed.
         device.push_scope(format!("attempt{attempts}:{mode}"));
-        let result = match mode {
-            AdmittedMode::Resident => {
-                // The admission report already replayed the executor's
-                // schedule; reserve exactly the peak it signed off on.
-                let mut cfg = *config;
-                cfg.mode = ExecMode::Resident;
-                crate::executor::execute_compiled_sized(
-                    plan,
-                    compiled,
-                    bindings,
-                    device,
-                    &cfg,
-                    admission.resident_peak,
-                )
-            }
-            AdmittedMode::Staged => {
-                let mut cfg = *config;
-                cfg.mode = ExecMode::Staged;
-                crate::executor::execute_compiled_sized(
-                    plan,
-                    compiled,
-                    bindings,
-                    device,
-                    &cfg,
-                    admission.staged_peak,
-                )
-            }
-            AdmittedMode::Chunked { chunks } => {
-                // Each chunk runs resident on its scratch device; staging
-                // within a chunk would defeat the point of chunking.
-                let mut cfg = *config;
-                cfg.mode = ExecMode::Resident;
-                execute_chunked_compiled(plan, compiled, bindings, device, &cfg, chunks).map(|r| {
-                    // Backoff is charged to BOTH wallclocks: the retry wait
-                    // elapses whether or not transfers overlap compute, so
-                    // leaving it out of either side would let
-                    // `serialized_seconds < total_seconds` silently invert
-                    // after a retried run. With both sides charged,
-                    // `serialized >= total` reduces to the chunked report's
-                    // structural `serialized >= pipelined` (pinned by
-                    // `retried_chunked_run_keeps_wallclocks_ordered`).
-                    PlanReport {
-                        // The chunked report splits boundary transfers from
-                        // the staged-intermediate residual; a plan-level
-                        // report's `pcie_seconds` means *all* transfer time
-                        // (as in resident/staged runs), so recombine, and
-                        // let the profiler count the residual the span log
-                        // cannot carry.
-                        profile: {
-                            let mut p = crate::ProfileReport::from_spans_with_residual(
-                                device.spans(),
-                                device.stats(),
-                                device.config(),
-                                r.pipelined_seconds + backoff_seconds,
-                                r.residual_pcie_seconds,
-                            );
-                            // run_chunks absorbed the fork's footprint into
-                            // the parent tracker, so this is the true peak.
-                            p.peak_device_bytes = device.memory().peak();
-                            p
-                        },
-                        outputs: r.outputs,
-                        gpu_seconds: r.gpu_seconds,
-                        pcie_seconds: r.pcie_seconds + r.residual_pcie_seconds,
-                        total_seconds: r.pipelined_seconds + backoff_seconds,
-                        serialized_seconds: r.serialized_seconds + backoff_seconds,
-                        pipelined_seconds: Some(r.pipelined_seconds),
-                        stats: *device.stats(),
-                        peak_device_bytes: r.peak_device_bytes,
-                        fusion_sets: compiled.fusion_sets.clone(),
-                        operator_count: compiled.steps.len(),
-                        resilience: None,
-                        arena: r.arena,
-                        free_errors: device.free_errors(),
-                        first_free_error: device.first_free_error().map(String::from),
-                        spans: Vec::new(),
-                    }
-                })
-            }
-        };
+        // Resident and staged rungs reserve the same predicted peak that
+        // admission reported as `resident_peak` / `staged_peak`.
+        let rung = rung_config(mode, config);
+        let result = crate::executor::run(plan, compiled, bindings, device, &rung);
         device.pop_scope();
 
         match result {
             Ok(mut report) => {
+                if rung.chunks.is_some() {
+                    // A chunked run's wallclocks are relative to its own
+                    // start, so they miss the backoff charged before it.
+                    // Backoff is charged to BOTH wallclocks: the retry wait
+                    // elapses whether or not transfers overlap compute, so
+                    // leaving it out of either side would let
+                    // `serialized_seconds < total_seconds` silently invert
+                    // after a retried run (pinned by
+                    // `retried_chunked_run_keeps_wallclocks_ordered`).
+                    report.total_seconds += budget.backoff_seconds;
+                    report.serialized_seconds += budget.backoff_seconds;
+                    report
+                        .profile
+                        .set_wall_seconds(report.total_seconds, &report.stats);
+                }
                 report.resilience = Some(ResilienceReport {
                     admission,
                     admitted,
                     final_mode: mode,
                     attempts,
-                    retries,
-                    faults_survived: retries,
+                    retries: budget.retries,
+                    faults_survived: budget.retries,
                     degradations,
-                    backoff_seconds,
+                    backoff_seconds: budget.backoff_seconds,
                 });
                 // The device's span log covers the whole resilient episode —
                 // failed attempts, backoff and the final successful run —
@@ -264,16 +242,7 @@ pub fn execute_compiled_resilient(
                 report.spans = device.spans().to_vec();
                 return Ok(report);
             }
-            Err(e) if e.is_transient() && retries_this_rung < policy.max_retries => {
-                let wait = policy.base_backoff_seconds
-                    * policy.backoff_multiplier.powi(retries_this_rung as i32);
-                device.push_scope(format!("retry{retries}", retries = retries + 1));
-                device.charge_backoff(wait);
-                device.pop_scope();
-                backoff_seconds += wait;
-                retries_this_rung += 1;
-                retries += 1;
-            }
+            Err(e) if e.is_transient() && budget.absorb(device, policy) => {}
             Err(e) if e.is_capacity() => match next_rung(mode, plan) {
                 Ok(next) => {
                     degradations.push(Degradation {
@@ -282,7 +251,7 @@ pub fn execute_compiled_resilient(
                         reason: e.to_string(),
                     });
                     mode = next;
-                    retries_this_rung = 0;
+                    budget.reset();
                 }
                 Err(stop) => return Err(crate::WeaverError::ladder_exhausted(stop, e.to_string())),
             },
@@ -340,6 +309,24 @@ mod tests {
         plan
     }
 
+    /// Compile `plan` and run it through the ladder with default settings.
+    fn run_resilient(
+        plan: &QueryPlan,
+        bindings: &[(&str, &Relation)],
+        dev: &mut Device,
+    ) -> Result<PlanReport> {
+        let config = WeaverConfig::default();
+        let compiled = crate::compile(plan, &config)?;
+        execute_compiled_resilient(
+            plan,
+            &compiled,
+            bindings,
+            dev,
+            &config,
+            &RetryPolicy::default(),
+        )
+    }
+
     fn oracle(input: &Relation) -> Relation {
         kw_relational::ops::select(
             input,
@@ -353,14 +340,7 @@ mod tests {
         let input = gen::micro_input(5_000, 31);
         let plan = select_plan(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_resilient(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let report = run_resilient(&plan, &[("t", &input)], &mut dev).unwrap();
         let res = report.resilience.as_ref().unwrap();
         assert_eq!(res.admitted, AdmittedMode::Resident);
         assert_eq!(res.final_mode, AdmittedMode::Resident);
@@ -378,14 +358,7 @@ mod tests {
             kind: FaultKind::Transfer,
             attempt: 0,
         }]));
-        let report = execute_resilient(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let report = run_resilient(&plan, &[("t", &input)], &mut dev).unwrap();
         assert_eq!(report.outputs.values().next().unwrap(), &oracle(&input));
         let res = report.resilience.as_ref().unwrap();
         assert_eq!((res.attempts, res.retries, res.faults_survived), (2, 1, 1));
@@ -403,14 +376,7 @@ mod tests {
             transfer_rate: 1.0, // every transfer faults, forever
             ..FaultConfig::default()
         });
-        let err = execute_resilient(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = run_resilient(&plan, &[("t", &input)], &mut dev).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert_eq!(dev.memory().in_use(), 0);
     }
@@ -420,14 +386,7 @@ mod tests {
         let input = gen::micro_input(50_000, 34);
         let plan = select_plan(input.schema().clone());
         let mut dev = Device::new(DeviceConfig::tiny());
-        let report = execute_resilient(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let report = run_resilient(&plan, &[("t", &input)], &mut dev).unwrap();
         assert_eq!(report.outputs.values().next().unwrap(), &oracle(&input));
         let res = report.resilience.as_ref().unwrap();
         assert!(
@@ -452,14 +411,7 @@ mod tests {
             kind: FaultKind::Transfer,
             attempt: 0,
         }]));
-        let report = execute_resilient(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let report = run_resilient(&plan, &[("t", &input)], &mut dev).unwrap();
         assert_eq!(report.outputs.values().next().unwrap(), &oracle(&input));
         let res = report.resilience.as_ref().unwrap();
         assert!(
@@ -533,14 +485,7 @@ mod tests {
         let s = plan.add_op(RaOp::Sort { attrs: vec![1] }, &[t]).unwrap();
         plan.mark_output(s);
         let mut dev = Device::new(DeviceConfig::tiny());
-        let err = execute_resilient(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = run_resilient(&plan, &[("t", &input)], &mut dev).unwrap_err();
         assert!(matches!(err, WeaverError::Admission { .. }), "{err}");
         assert!(err.to_string().contains("no chunk strategy"), "{err}");
     }
@@ -559,14 +504,7 @@ mod tests {
         let oracle = kw_relational::ops::join(&l, &r, 1).unwrap();
 
         let mut dev = Device::new(DeviceConfig::tiny());
-        let report = execute_resilient(
-            &plan,
-            &[("x", &l), ("y", &r)],
-            &mut dev,
-            &WeaverConfig::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let report = run_resilient(&plan, &[("x", &l), ("y", &r)], &mut dev).unwrap();
         assert_eq!(report.outputs[&j], oracle);
         let res = report.resilience.as_ref().unwrap();
         assert!(

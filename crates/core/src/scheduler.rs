@@ -32,12 +32,12 @@
 //!   device bytes, [`crate::plan_waves`] partitions the batch into
 //!   sequential waves that each fit (first-fit-decreasing over resident
 //!   peaks). Queries too large even for a solo wave run after the waves
-//!   via the [`crate::execute_resilient`] Resident → Staged → Chunked
-//!   ladder and report [`QueryOutcome::Degraded`].
+//!   via the [`crate::execute_compiled_resilient`] Resident → Staged →
+//!   Chunked ladder and report [`QueryOutcome::Degraded`].
 //!
 //! Per-query computation runs ahead of the replay on a scratch run — one
 //! fork of the shared device per attempt, the same fork-and-replay seam
-//! [`crate::execute_chunked`] uses: real relations in, real relations out,
+//! chunked runs use: real relations in, real relations out,
 //! one typed compute-only cost per compiled step, and the fork's peak and
 //! free errors folded back into the shared device. The shared device
 //! then sees each step as one `compute_on` span plus real streamed boundary
@@ -59,11 +59,10 @@ use kw_relational::Relation;
 use crate::admission::{
     plan_waves, AdmittedMode, BatchAdmissionQuery, BatchWavePlan, QueryAdmission,
 };
-use crate::resilient::RetryPolicy;
+use crate::resilient::{rung_config, RetryBudget, RetryPolicy};
 use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
-    compile, CompiledPlan, ExecMode, NodeId, PlanNode, PlanReport, QueryPlan, Result, WeaverConfig,
-    WeaverError,
+    CompiledPlan, NodeId, PlanNode, PlanReport, QueryPlan, Result, WeaverConfig, WeaverError,
 };
 
 /// One query of a batch: a plan, its input bindings, and a name for
@@ -261,45 +260,6 @@ impl BatchReport {
     }
 }
 
-/// Per-query retry accounting: one fault domain's budget and history.
-///
-/// The budget (`phase_used`) resets between the scratch phase and the
-/// streamed-issue phase — the same "budget per rung" semantics
-/// [`crate::execute_resilient`] applies per ladder rung — while `retries`
-/// and `backoff_seconds` accumulate for the query's report.
-#[derive(Default, Clone)]
-struct RetryCounters {
-    phase_used: u32,
-    retries: u32,
-    backoff_seconds: f64,
-}
-
-impl RetryCounters {
-    fn reset_phase(&mut self) {
-        self.phase_used = 0;
-    }
-
-    /// Absorb one transient fault: charge escalating backoff to the shared
-    /// clock (under a `retry{n}` frame inside the caller's query scope)
-    /// and spend one unit of budget. Returns `false` when the budget is
-    /// exhausted, in which case the fault propagates and quarantines the
-    /// query.
-    fn absorb(&mut self, device: &mut Device, policy: &RetryPolicy) -> bool {
-        if self.phase_used >= policy.max_retries {
-            return false;
-        }
-        let wait =
-            policy.base_backoff_seconds * policy.backoff_multiplier.powi(self.phase_used as i32);
-        device.push_scope(format!("retry{}", self.retries + 1));
-        device.charge_backoff(wait);
-        device.pop_scope();
-        self.backoff_seconds += wait;
-        self.phase_used += 1;
-        self.retries += 1;
-        true
-    }
-}
-
 /// A streamed transfer inside a query's fault domain: transient faults are
 /// absorbed by `counters` until its budget runs out.
 fn transfer_with_retry(
@@ -308,7 +268,7 @@ fn transfer_with_retry(
     direction: Direction,
     bytes: u64,
     policy: &RetryPolicy,
-    counters: &mut RetryCounters,
+    counters: &mut RetryBudget,
 ) -> Result<()> {
     loop {
         match device.transfer_on(stream, direction, bytes) {
@@ -326,7 +286,7 @@ fn alloc_with_retry(
     bytes: u64,
     label: &str,
     policy: &RetryPolicy,
-    counters: &mut RetryCounters,
+    counters: &mut RetryBudget,
 ) -> Result<BufferId> {
     loop {
         match device.alloc(bytes, label) {
@@ -338,32 +298,39 @@ fn alloc_with_retry(
 }
 
 /// Execute a batch of independent queries concurrently on one shared
-/// device, with [`RetryPolicy::default`] fault domains.
+/// device, each query its own fault domain under `policy`.
 ///
-/// Each query's relational work runs ahead on a scratch device fork (real
-/// data, per-step costs measured), then every step is scheduled on the
-/// shared device — one stream per step, `record_event`/`wait_event` edges
-/// for data dependences, boundary transfers on the H2D/D2H copy engines —
-/// and the stream graph's makespan becomes the batch wallclock. Outputs are
+/// `compiled[i]` must be `compile(queries[i].plan, config)` (or an equal
+/// plan/config pair), so a compiled-plan cache can hand the same
+/// [`CompiledPlan`] to every arrival of a repeated shape. Each query's
+/// relational work runs ahead on a scratch device fork (real data,
+/// per-step costs measured), then every step is scheduled on the shared
+/// device — one stream per step, `record_event`/`wait_event` edges for data
+/// dependences, boundary transfers on the H2D/D2H copy engines — and the
+/// stream graph's makespan becomes the batch wallclock. Outputs are
 /// byte-identical to solo execution by construction: stream interleaving
 /// decides *when* work runs, never what it computes.
 ///
-/// Faults and capacity misses never abort the batch: each query is its own
-/// fault domain and reports a [`QueryOutcome`]. A batch whose concurrent
-/// footprint exceeds free device bytes is partitioned into sequential
-/// admission waves; queries too large for a solo wave degrade down the
-/// Resident → Staged → Chunked ladder after the waves.
+/// Faults and capacity misses never abort the batch: each query reports a
+/// [`QueryOutcome`]. A batch whose concurrent footprint exceeds free device
+/// bytes is partitioned into sequential admission waves; queries too large
+/// for a solo wave degrade down the Resident → Staged → Chunked ladder
+/// after the waves. The scheduler picks every query's mode and chunk count,
+/// so [`WeaverConfig::mode`] and [`WeaverConfig::chunks`] are ignored.
 ///
 /// # Errors
 ///
-/// Returns compile errors (a malformed plan is a caller bug, not a fault
-/// domain). Everything from admission onward — binding errors, injected
-/// faults, capacity misses — is absorbed into per-query outcomes.
+/// Returns [`WeaverError::Plan`] when `queries` and `compiled` disagree in
+/// length (a caller bug, not a fault domain). Everything from admission
+/// onward — binding errors, injected faults, capacity misses — is absorbed
+/// into per-query outcomes.
 ///
 /// # Examples
 ///
 /// ```
-/// use kw_core::{execute_batch, BatchQuery, QueryOutcome, QueryPlan, WeaverConfig};
+/// use kw_core::{
+///     compile, execute_batch, BatchQuery, QueryOutcome, QueryPlan, RetryPolicy, WeaverConfig,
+/// };
 /// use kw_gpu_sim::{Device, DeviceConfig};
 /// use kw_primitives::RaOp;
 /// use kw_relational::{gen, CmpOp, Predicate, Value};
@@ -377,57 +344,23 @@ fn alloc_with_retry(
 /// )?;
 /// plan.mark_output(s);
 ///
+/// let config = WeaverConfig::default();
+/// let compiled = compile(&plan, &config)?;
 /// let bindings = [("t", &input)];
 /// let queries = [
 ///     BatchQuery { name: "q0", plan: &plan, bindings: &bindings },
 ///     BatchQuery { name: "q1", plan: &plan, bindings: &bindings },
 /// ];
 /// let mut device = Device::new(DeviceConfig::fermi_c2050());
-/// let batch = execute_batch(&queries, &mut device, &WeaverConfig::default())?;
+/// let batch = execute_batch(
+///     &queries, &[compiled.clone(), compiled], &mut device, &config, &RetryPolicy::default(),
+/// )?;
 /// assert_eq!(batch.queries.len(), 2);
 /// assert!(batch.queries.iter().all(|q| q.outcome == QueryOutcome::Completed));
 /// assert!(batch.makespan_seconds <= batch.serialized_seconds);
 /// # Ok::<(), kw_core::WeaverError>(())
 /// ```
 pub fn execute_batch(
-    queries: &[BatchQuery<'_>],
-    device: &mut Device,
-    config: &WeaverConfig,
-) -> Result<BatchReport> {
-    execute_batch_with_policy(queries, device, config, &RetryPolicy::default())
-}
-
-/// [`execute_batch`] with an explicit per-query [`RetryPolicy`].
-///
-/// # Errors
-///
-/// Same contract as [`execute_batch`]: only compile errors propagate.
-pub fn execute_batch_with_policy(
-    queries: &[BatchQuery<'_>],
-    device: &mut Device,
-    config: &WeaverConfig,
-    policy: &RetryPolicy,
-) -> Result<BatchReport> {
-    let compiled: Vec<CompiledPlan> = queries
-        .iter()
-        .map(|q| compile(q.plan, config))
-        .collect::<Result<_>>()?;
-    execute_batch_compiled_with_policy(queries, &compiled, device, config, policy)
-}
-
-/// [`execute_batch_with_policy`] over already-compiled plans: `compiled[i]`
-/// must be `compile(queries[i].plan, config)` (or an equal plan/config
-/// pair). This is the service-loop entry point — a compiled-plan cache can
-/// hand the same [`CompiledPlan`] to every arrival of a repeated shape
-/// instead of paying `compile()` per query, which is what
-/// [`execute_batch`] does internally.
-///
-/// # Errors
-///
-/// Returns [`WeaverError::Plan`] when `queries` and `compiled` disagree in
-/// length. Everything from admission onward is absorbed into per-query
-/// outcomes, exactly as for [`execute_batch`].
-pub fn execute_batch_compiled_with_policy(
     queries: &[BatchQuery<'_>],
     compiled: &[CompiledPlan],
     device: &mut Device,
@@ -483,7 +416,7 @@ pub fn execute_batch_compiled_with_policy(
             }
         }
     }
-    let mut counters: Vec<RetryCounters> = vec![RetryCounters::default(); queries.len()];
+    let mut counters: Vec<RetryBudget> = vec![RetryBudget::default(); queries.len()];
     let mut degraded: Vec<Option<AdmittedMode>> = vec![None; queries.len()];
     // The cycle each query's last operation finished at: its wave steps'
     // completion events, or the device makespan after its ladder run.
@@ -505,8 +438,7 @@ pub fn execute_batch_compiled_with_policy(
             QueryAdmission::Wave { report, .. } => report.resident_peak,
             _ => unreachable!("phase 1 only runs wave-admitted queries"),
         };
-        let mut cfg = *config;
-        cfg.mode = ExecMode::Resident;
+        let cfg = rung_config(AdmittedMode::Resident, config);
         loop {
             // One scratch run per attempt: every fork advances the parent's
             // fault stream, so a retry meets fresh derived faults.
@@ -568,7 +500,7 @@ pub fn execute_batch_compiled_with_policy(
         // allocated (past retries) quarantines only its query.
         let mut reservations: BTreeMap<usize, BufferId> = BTreeMap::new();
         for &qi in &members {
-            counters[qi].reset_phase();
+            counters[qi].reset();
             let peak = match &admission.per_query[qi] {
                 QueryAdmission::Wave { report, .. } => report.resident_peak,
                 _ => unreachable!("wave members are wave-admitted"),
@@ -983,13 +915,26 @@ pub fn execute_batch_compiled_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execute_plan;
+    use crate::{compile, execute_plan};
     use kw_gpu_sim::{DeviceConfig, FaultConfig, FaultKind, ScriptedFault};
     use kw_primitives::RaOp;
     use kw_relational::{gen, CmpOp, Predicate, Value};
 
     fn device() -> Device {
         Device::new(DeviceConfig::fermi_c2050())
+    }
+
+    /// Compile every query and run the batch under the default policy.
+    fn run_batch(
+        queries: &[BatchQuery<'_>],
+        dev: &mut Device,
+        config: &WeaverConfig,
+    ) -> Result<BatchReport> {
+        let compiled: Vec<CompiledPlan> = queries
+            .iter()
+            .map(|q| compile(q.plan, config))
+            .collect::<Result<_>>()?;
+        execute_batch(queries, &compiled, dev, config, &RetryPolicy::default())
     }
 
     fn sel(attr: usize, v: u32) -> RaOp {
@@ -1029,7 +974,7 @@ mod tests {
             },
         ];
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
 
         for (q, r) in queries.iter().zip(&batch.queries) {
             assert_eq!(r.outcome, QueryOutcome::Completed);
@@ -1063,13 +1008,13 @@ mod tests {
             },
         ];
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
 
         // Solo makespans on fresh devices.
         let mut solo_sum = 0.0;
         for q in &queries {
             let mut d = device();
-            let solo = execute_batch(&[*q], &mut d, &WeaverConfig::default()).unwrap();
+            let solo = run_batch(&[*q], &mut d, &WeaverConfig::default()).unwrap();
             solo_sum += solo.makespan_seconds;
         }
         assert!(
@@ -1110,7 +1055,7 @@ mod tests {
             },
         ];
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
         kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
         let provs: Vec<&str> = dev.spans().iter().map(|s| s.provenance.as_str()).collect();
         assert!(provs.iter().any(|p| p.starts_with("q0:alpha")), "{provs:?}");
@@ -1143,7 +1088,7 @@ mod tests {
             })
             .collect();
         let mut dev = Device::new(DeviceConfig::tiny());
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
         assert!(
             batch.waves >= 2,
             "expected multiple waves, got {}",
@@ -1185,7 +1130,7 @@ mod tests {
             },
         ];
         let mut dev = Device::new(DeviceConfig::tiny());
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
 
         let whale = &batch.queries[0];
         assert!(
@@ -1226,7 +1171,7 @@ mod tests {
             },
         ];
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
         assert_eq!(batch.queries[0].outcome, QueryOutcome::Completed);
         assert!(
             matches!(batch.queries[1].outcome, QueryOutcome::Failed { .. }),
@@ -1259,7 +1204,7 @@ mod tests {
             kind: FaultKind::Transfer,
             attempt: 0,
         }]));
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
         let q = &batch.queries[0];
         assert_eq!(q.outcome, QueryOutcome::Retried, "{:?}", q.outcome);
         assert!(q.retries >= 1);
@@ -1267,7 +1212,7 @@ mod tests {
         assert!(dev.stats().backoff_seconds > 0.0);
 
         let mut clean_dev = device();
-        let clean = execute_batch(&queries, &mut clean_dev, &WeaverConfig::default()).unwrap();
+        let clean = run_batch(&queries, &mut clean_dev, &WeaverConfig::default()).unwrap();
         assert_eq!(q.outputs, clean.queries[0].outputs);
         assert!(
             batch.serialized_seconds >= batch.makespan_seconds - 1e-15,
@@ -1300,9 +1245,9 @@ mod tests {
             max_retries: 0,
             ..RetryPolicy::default()
         };
-        let batch =
-            execute_batch_with_policy(&queries, &mut dev, &WeaverConfig::default(), &policy)
-                .unwrap();
+        let cfg = WeaverConfig::default();
+        let compiled = vec![compile(&plan, &cfg).unwrap()];
+        let batch = execute_batch(&queries, &compiled, &mut dev, &cfg, &policy).unwrap();
         let q = &batch.queries[0];
         assert!(matches!(q.outcome, QueryOutcome::Failed { .. }), "{q:?}");
         assert!(q.peak_device_bytes > 0);
@@ -1327,7 +1272,7 @@ mod tests {
             })
             .collect();
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
         assert_eq!(batch.quarantined_count(), 3);
         for p in [
             batch.latency_p50_seconds,
@@ -1361,16 +1306,10 @@ mod tests {
         let cfg = WeaverConfig::default();
         let compiled = vec![compile(&plan, &cfg).unwrap(), compile(&plan, &cfg).unwrap()];
         let mut d1 = device();
-        let pre = execute_batch_compiled_with_policy(
-            &queries,
-            &compiled,
-            &mut d1,
-            &cfg,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let pre =
+            execute_batch(&queries, &compiled, &mut d1, &cfg, &RetryPolicy::default()).unwrap();
         let mut d2 = device();
-        let auto = execute_batch(&queries, &mut d2, &cfg).unwrap();
+        let auto = run_batch(&queries, &mut d2, &cfg).unwrap();
         assert_eq!(pre.queries.len(), auto.queries.len());
         for (p, a) in pre.queries.iter().zip(&auto.queries) {
             assert_eq!(p.outputs, a.outputs);
@@ -1379,7 +1318,7 @@ mod tests {
         assert_eq!(pre.makespan_seconds, auto.makespan_seconds);
 
         // Length mismatch is a caller bug, reported as a plan error.
-        let err = execute_batch_compiled_with_policy(
+        let err = execute_batch(
             &queries,
             &compiled[..1],
             &mut device(),
@@ -1392,7 +1331,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_clean_no_op() {
         let mut dev = device();
-        let batch = execute_batch(&[], &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&[], &mut dev, &WeaverConfig::default()).unwrap();
         assert!(batch.queries.is_empty());
         assert_eq!(batch.makespan_seconds, 0.0);
         assert_eq!(batch.throughput_qps, 0.0);
@@ -1421,9 +1360,9 @@ mod tests {
             },
         ];
         let mut d1 = device();
-        let fused = execute_batch(&queries, &mut d1, &WeaverConfig::default()).unwrap();
+        let fused = run_batch(&queries, &mut d1, &WeaverConfig::default()).unwrap();
         let mut d2 = device();
-        let base = execute_batch(&queries, &mut d2, &WeaverConfig::default().baseline()).unwrap();
+        let base = run_batch(&queries, &mut d2, &WeaverConfig::default().baseline()).unwrap();
         assert!(
             fused.makespan_seconds < base.makespan_seconds,
             "{} vs {}",

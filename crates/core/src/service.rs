@@ -15,7 +15,7 @@
 //!   longest queue prefix whose summed [`admit`]-predicted resident peaks
 //!   fit the device's free bytes (capped at
 //!   [`ServiceConfig::max_dispatch`]), then hands it to
-//!   [`execute_batch_compiled_with_policy`] — waves, per-query fault
+//!   [`execute_batch`] — waves, per-query fault
 //!   domains and the degradation ladder all still apply inside a dispatch.
 //!   Per-query *queueing delay* (dispatch start − arrival) is recorded
 //!   separately from execution latency.
@@ -39,7 +39,7 @@ use kw_gpu_sim::{Device, DeviceConfig, MetricsRegistry};
 use crate::admission::admit;
 use crate::plan_cache::{plan_shape_key, shape_fingerprint, PlanCache};
 use crate::resilient::RetryPolicy;
-use crate::scheduler::{execute_batch_compiled_with_policy, BatchQuery, QueryOutcome};
+use crate::scheduler::{execute_batch, BatchQuery, QueryOutcome};
 use crate::{CompiledPlan, Result, WeaverConfig};
 
 /// Tuning of one [`run_service`] run.
@@ -350,7 +350,7 @@ pub fn run_service(
                     .clone()
             })
             .collect();
-        let report = execute_batch_compiled_with_policy(
+        let report = execute_batch(
             &batch_queries,
             &batch_compiled,
             device,

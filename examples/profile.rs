@@ -15,7 +15,7 @@
 //! cargo run -p kw-examples --example profile
 //! ```
 
-use kw_core::{execute_batch, BatchQuery, ExecMode, WeaverConfig};
+use kw_core::{compile, execute_batch, BatchQuery, ExecMode, RetryPolicy, WeaverConfig};
 use kw_gpu_sim::{parse_json, Device, DeviceConfig};
 use kw_relational::Relation;
 use kw_tpch::Pattern;
@@ -119,9 +119,20 @@ fn main() {
             bindings: b,
         })
         .collect();
+    let config = WeaverConfig::default();
+    let compiled: Vec<_> = workloads
+        .iter()
+        .map(|w| compile(&w.plan, &config).expect("plan compiles"))
+        .collect();
     let mut batch_dev = Device::new(DeviceConfig::fermi_c2050());
-    let batch =
-        execute_batch(&queries, &mut batch_dev, &WeaverConfig::default()).expect("batch executes");
+    let batch = execute_batch(
+        &queries,
+        &compiled,
+        &mut batch_dev,
+        &config,
+        &RetryPolicy::default(),
+    )
+    .expect("batch executes");
 
     println!("== Batch latency percentiles (4 queries) ==");
     println!(

@@ -8,7 +8,7 @@
 //! cargo run --release -p kw-examples --example resilience
 //! ```
 
-use kw_core::{execute_resilient, QueryPlan, RetryPolicy, WeaverConfig};
+use kw_core::{compile, execute_compiled_resilient, QueryPlan, RetryPolicy, WeaverConfig};
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig};
 use kw_primitives::RaOp;
 use kw_relational::{gen, CmpOp, Predicate, Value};
@@ -48,11 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base_backoff_seconds: 1e-4,
         backoff_multiplier: 1.05,
     };
-    let report = execute_resilient(
+    let config = WeaverConfig::default();
+    let compiled = compile(&plan, &config)?;
+    let report = execute_compiled_resilient(
         &plan,
+        &compiled,
         &[("t", &input)],
         &mut device,
-        &WeaverConfig::default(),
+        &config,
         &policy,
     )?;
 

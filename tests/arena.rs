@@ -6,8 +6,8 @@
 //! typed overflow path.
 
 use kw_core::{
-    admit, compile, execute_chunked, execute_compiled, execute_plan, execute_resilient,
-    ArenaPolicy, ChunkStrategy, ExecMode, QueryPlan, RetryPolicy, WeaverConfig,
+    admit, compile, execute_compiled, execute_compiled_resilient, execute_plan, ArenaPolicy,
+    ChunkStrategy, ExecMode, PlanReport, QueryPlan, RetryPolicy, WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig, SpanKind};
 use kw_primitives::RaOp;
@@ -18,6 +18,25 @@ use proptest::prelude::*;
 
 fn device() -> Device {
     Device::new(DeviceConfig::fermi_c2050())
+}
+
+fn in_chunks(chunks: usize) -> WeaverConfig {
+    WeaverConfig {
+        chunks: Some(chunks),
+        ..WeaverConfig::default()
+    }
+}
+
+/// Compile `plan` and run it through the resilient ladder.
+fn run_resilient(
+    plan: &QueryPlan,
+    bindings: &[(&str, &Relation)],
+    dev: &mut Device,
+    policy: &RetryPolicy,
+) -> kw_core::Result<PlanReport> {
+    let config = WeaverConfig::default();
+    let compiled = compile(plan, &config)?;
+    execute_compiled_resilient(plan, &compiled, bindings, dev, &config, policy)
 }
 
 fn span_counts(spans: &[kw_gpu_sim::Span]) -> (usize, usize) {
@@ -198,14 +217,7 @@ fn chunked_runs_share_one_arena_across_chunks() {
 
     for chunks in [2usize, 4, 8] {
         let mut dev = device();
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            chunks,
-        )
-        .unwrap();
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &in_chunks(chunks)).unwrap();
         assert_eq!(report.chunks, chunks);
         assert_eq!(
             span_counts(dev.spans()),
@@ -248,15 +260,8 @@ fn chunk_strategies_are_byte_identical_to_resident() {
     let resident =
         execute_plan(&plan, &[("t", &input)], &mut d1, &WeaverConfig::default()).unwrap();
     let mut d2 = device();
-    let chunked = execute_chunked(
-        &plan,
-        &[("t", &input)],
-        &mut d2,
-        &WeaverConfig::default(),
-        6,
-    )
-    .unwrap();
-    assert_eq!(chunked.strategy, ChunkStrategy::RowSlice);
+    let chunked = execute_plan(&plan, &[("t", &input)], &mut d2, &in_chunks(6)).unwrap();
+    assert_eq!(chunked.strategy, Some(ChunkStrategy::RowSlice));
     assert_eq!(chunked.outputs, resident.outputs);
 
     // Hash partition (join).
@@ -275,15 +280,8 @@ fn chunk_strategies_are_byte_identical_to_resident() {
     )
     .unwrap();
     let mut d4 = device();
-    let chunked = execute_chunked(
-        &jp,
-        &[("a", &a), ("b", &b)],
-        &mut d4,
-        &WeaverConfig::default(),
-        4,
-    )
-    .unwrap();
-    assert_eq!(chunked.strategy, ChunkStrategy::HashPartition);
+    let chunked = execute_plan(&jp, &[("a", &a), ("b", &b)], &mut d4, &in_chunks(4)).unwrap();
+    assert_eq!(chunked.strategy, Some(ChunkStrategy::HashPartition));
     assert_eq!(chunked.outputs, resident.outputs);
 
     // Partial aggregate.
@@ -291,9 +289,8 @@ fn chunk_strategies_are_byte_identical_to_resident() {
     let mut d5 = device();
     let resident = execute_plan(&ap, &[("t", &input2)], &mut d5, &WeaverConfig::default()).unwrap();
     let mut d6 = device();
-    let chunked =
-        execute_chunked(&ap, &[("t", &input2)], &mut d6, &WeaverConfig::default(), 5).unwrap();
-    assert_eq!(chunked.strategy, ChunkStrategy::PartialAggregate);
+    let chunked = execute_plan(&ap, &[("t", &input2)], &mut d6, &in_chunks(5)).unwrap();
+    assert_eq!(chunked.strategy, Some(ChunkStrategy::PartialAggregate));
     assert_eq!(chunked.outputs, resident.outputs);
 }
 
@@ -305,14 +302,7 @@ fn faulted_runs_stay_byte_identical() {
     let w = Pattern::B.build(6_000, 51);
     let bindings = w.bindings();
     let mut clean_dev = device();
-    let clean = execute_resilient(
-        &w.plan,
-        &bindings,
-        &mut clean_dev,
-        &WeaverConfig::default(),
-        &RetryPolicy::default(),
-    )
-    .unwrap();
+    let clean = run_resilient(&w.plan, &bindings, &mut clean_dev, &RetryPolicy::default()).unwrap();
 
     for seed in [1u64, 2, 3] {
         let mut dev = device();
@@ -322,11 +312,10 @@ fn faulted_runs_stay_byte_identical() {
             launch_rate: 0.05,
             ..FaultConfig::default()
         });
-        let report = execute_resilient(
+        let report = run_resilient(
             &w.plan,
             &bindings,
             &mut dev,
-            &WeaverConfig::default(),
             &RetryPolicy {
                 max_retries: 64,
                 ..RetryPolicy::default()
@@ -416,7 +405,8 @@ proptest! {
         let mut d1 = device();
         let resident = execute_plan(&plan, &[("t", &input)], &mut d1, &config).unwrap();
         let mut d2 = device();
-        let chunked = execute_chunked(&plan, &[("t", &input)], &mut d2, &config, chunks).unwrap();
+        let chunked_config = WeaverConfig { chunks: Some(chunks), ..config };
+        let chunked = execute_plan(&plan, &[("t", &input)], &mut d2, &chunked_config).unwrap();
 
         prop_assert_eq!(&chunked.outputs, &resident.outputs);
         prop_assert_eq!(span_counts(&resident.spans), (1, 1));

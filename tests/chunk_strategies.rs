@@ -4,7 +4,7 @@
 //! strategy's double-buffered makespan must beat (or tie) full
 //! serialization.
 
-use kw_core::{execute_chunked, ChunkStrategy, QueryPlan, WeaverConfig};
+use kw_core::{execute_plan, ChunkStrategy, QueryPlan, WeaverConfig};
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_primitives::RaOp;
 use kw_relational::ops::AggFn;
@@ -28,6 +28,13 @@ fn skewed_relation(n: usize, keys: u32, seed: u64) -> Relation {
         .map(|_| vec![Value::U32(mix(&mut s) % keys), Value::U32(mix(&mut s))])
         .collect();
     Relation::from_rows(schema, &rows).unwrap()
+}
+
+fn chunked(chunks: usize) -> WeaverConfig {
+    WeaverConfig {
+        chunks: Some(chunks),
+        ..WeaverConfig::default()
+    }
 }
 
 fn join_plan(schema: Schema) -> QueryPlan {
@@ -59,23 +66,17 @@ proptest! {
         let oracle = ops::join(&left, &right, 1).unwrap();
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("l", &left), ("r", &right)],
-            &mut dev,
-            &WeaverConfig::default(),
-            chunks,
-        )
+        let report = execute_plan(&plan, &[("l", &left), ("r", &right)], &mut dev, &chunked(chunks))
         .unwrap();
 
-        prop_assert_eq!(report.strategy, ChunkStrategy::HashPartition);
+        prop_assert_eq!(report.strategy, Some(ChunkStrategy::HashPartition));
         let out = report.outputs.values().next().unwrap();
         prop_assert_eq!(out.words(), oracle.words(), "join bytes diverged");
         prop_assert_eq!(out.schema(), oracle.schema());
         prop_assert!(
-            report.pipelined_seconds <= report.serialized_seconds + 1e-12,
-            "pipelined {} > serialized {}",
-            report.pipelined_seconds,
+            report.total_seconds <= report.serialized_seconds + 1e-12,
+            "total {} > serialized {}",
+            report.total_seconds,
             report.serialized_seconds
         );
         prop_assert_eq!(dev.memory().in_use(), 0, "chunked join leaked");
@@ -128,23 +129,17 @@ proptest! {
         plan.mark_output(a);
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            chunks,
-        )
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(chunks))
         .unwrap();
 
-        prop_assert_eq!(report.strategy, ChunkStrategy::PartialAggregate);
+        prop_assert_eq!(report.strategy, Some(ChunkStrategy::PartialAggregate));
         let out = report.outputs.values().next().unwrap();
         prop_assert_eq!(out.words(), oracle.words(), "aggregate bytes diverged");
         prop_assert_eq!(out.schema(), oracle.schema());
         prop_assert!(
-            report.pipelined_seconds <= report.serialized_seconds + 1e-12,
-            "pipelined {} > serialized {}",
-            report.pipelined_seconds,
+            report.total_seconds <= report.serialized_seconds + 1e-12,
+            "total {} > serialized {}",
+            report.total_seconds,
             report.serialized_seconds
         );
         prop_assert_eq!(dev.memory().in_use(), 0, "chunked aggregate leaked");
@@ -177,21 +172,15 @@ proptest! {
         .unwrap();
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            chunks,
-        )
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &chunked(chunks))
         .unwrap();
 
-        prop_assert_eq!(report.strategy, ChunkStrategy::RowSlice);
+        prop_assert_eq!(report.strategy, Some(ChunkStrategy::RowSlice));
         prop_assert_eq!(report.outputs[&sel].words(), oracle.words());
         prop_assert!(
-            report.pipelined_seconds <= report.serialized_seconds + 1e-12,
-            "pipelined {} > serialized {}",
-            report.pipelined_seconds,
+            report.total_seconds <= report.serialized_seconds + 1e-12,
+            "total {} > serialized {}",
+            report.total_seconds,
             report.serialized_seconds
         );
         prop_assert_eq!(dev.memory().in_use(), 0, "chunked select leaked");
@@ -209,16 +198,10 @@ fn all_keys_collide_lands_in_one_bucket_and_still_matches() {
     let oracle = ops::join(&left, &right, 1).unwrap();
 
     let mut dev = Device::new(DeviceConfig::fermi_c2050());
-    let report = execute_chunked(
-        &plan,
-        &[("l", &left), ("r", &right)],
-        &mut dev,
-        &WeaverConfig::default(),
-        8,
-    )
-    .unwrap();
+    let report =
+        execute_plan(&plan, &[("l", &left), ("r", &right)], &mut dev, &chunked(8)).unwrap();
 
-    assert_eq!(report.strategy, ChunkStrategy::HashPartition);
+    assert_eq!(report.strategy, Some(ChunkStrategy::HashPartition));
     // Every row shares one key word, so 7 of the 8 bucket pairs are empty
     // and skipped: exactly one chunk executes.
     assert_eq!(report.chunks, 1);

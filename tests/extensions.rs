@@ -3,8 +3,7 @@
 //! device targets — all through the public API only.
 
 use kw_core::{
-    compile, execute_chunked, execute_plan, is_elementwise, plan_to_dot, reschedule, QueryPlan,
-    WeaverConfig,
+    compile, execute_plan, is_elementwise, plan_to_dot, reschedule, QueryPlan, WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_primitives::RaOp;
@@ -57,16 +56,13 @@ fn chunked_execution_scales_with_chunk_count() {
     let mut prev_outputs = None;
     for chunks in [1usize, 3, 16] {
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
-        let report = execute_chunked(
-            &plan,
-            &[("t", &input)],
-            &mut dev,
-            &WeaverConfig::default(),
-            chunks,
-        )
-        .unwrap();
+        let config = WeaverConfig {
+            chunks: Some(chunks),
+            ..WeaverConfig::default()
+        };
+        let report = execute_plan(&plan, &[("t", &input)], &mut dev, &config).unwrap();
         assert_eq!(report.chunks, chunks);
-        assert!(report.pipelined_seconds <= report.serialized_seconds + 1e-12);
+        assert!(report.total_seconds <= report.serialized_seconds + 1e-12);
         if let Some(prev) = &prev_outputs {
             assert_eq!(&report.outputs, prev, "chunk count must not change results");
         }

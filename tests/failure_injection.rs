@@ -6,13 +6,26 @@
 //! Resident → Staged → Chunked.
 
 use kw_core::{
-    execute_batch, execute_plan, execute_resilient, AdmittedMode, BatchQuery, LadderStop,
-    QueryOutcome, QueryPlan, ResourceBudget, RetryPolicy, WeaverConfig, WeaverError,
+    compile, execute_batch, execute_compiled_resilient, execute_plan, AdmittedMode, BatchQuery,
+    LadderStop, PlanReport, QueryOutcome, QueryPlan, ResourceBudget, RetryPolicy, WeaverConfig,
+    WeaverError,
 };
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig, FaultKind, ScriptedFault, SimError};
 use kw_primitives::RaOp;
 use kw_relational::{gen, CmpOp, Predicate, Relation, Schema, Value};
 use proptest::prelude::*;
+
+/// Compile `plan` and run it through the resilient ladder.
+fn run_resilient(
+    plan: &QueryPlan,
+    bindings: &[(&str, &Relation)],
+    dev: &mut Device,
+    config: &WeaverConfig,
+    policy: &RetryPolicy,
+) -> kw_core::Result<PlanReport> {
+    let compiled = compile(plan, config)?;
+    execute_compiled_resilient(plan, &compiled, bindings, dev, config, policy)
+}
 
 fn select_plan(schema: Schema) -> QueryPlan {
     let mut plan = QueryPlan::new();
@@ -192,7 +205,7 @@ fn too_large_for_resident_degrades_and_matches_oracle() {
         .expect("oracle run");
 
     let mut dev = Device::new(DeviceConfig::tiny());
-    let report = execute_resilient(
+    let report = run_resilient(
         &plan,
         &[("t", &input)],
         &mut dev,
@@ -224,7 +237,7 @@ fn faulty_degraded_run_completes_with_identical_outputs() {
     let plan = select_plan(input.schema().clone());
 
     let mut clean_dev = Device::new(DeviceConfig::tiny());
-    let clean = execute_resilient(
+    let clean = run_resilient(
         &plan,
         &[("t", &input)],
         &mut clean_dev,
@@ -245,7 +258,7 @@ fn faulty_degraded_run_completes_with_identical_outputs() {
         base_backoff_seconds: 1e-4,
         backoff_multiplier: 1.05,
     };
-    let report = execute_resilient(
+    let report = run_resilient(
         &plan,
         &[("t", &input)],
         &mut dev,
@@ -277,7 +290,7 @@ fn scripted_fault_costs_exactly_one_retry() {
         attempt: 0,
     }]));
     let policy = RetryPolicy::default();
-    let report = execute_resilient(
+    let report = run_resilient(
         &plan,
         &[("t", &input)],
         &mut dev,
@@ -322,7 +335,7 @@ fn exploding_join_exhausts_ladder_with_typed_reason() {
     // one key means one bucket no matter how many chunks the ladder tries.
     let (plan, input) = exploding_join(1024, 1);
     let mut dev = Device::new(DeviceConfig::tiny());
-    let err = execute_resilient(
+    let err = run_resilient(
         &plan,
         &[("t", &input)],
         &mut dev,
@@ -355,7 +368,7 @@ fn oversized_sort_exhausts_ladder_with_no_chunk_strategy() {
     let s = plan.add_op(RaOp::Sort { attrs: vec![0] }, &[t]).unwrap();
     plan.mark_output(s);
     let mut dev = Device::new(DeviceConfig::tiny());
-    let err = execute_resilient(
+    let err = run_resilient(
         &plan,
         &[("t", &input)],
         &mut dev,
@@ -392,7 +405,7 @@ fn exploding_join_completes_via_hash_partitioned_chunks() {
     let oracle = kw_relational::ops::join(&input, &input, 1).unwrap();
 
     let mut dev = Device::new(DeviceConfig::tiny());
-    let report = execute_resilient(
+    let report = run_resilient(
         &plan,
         &[("t", &input)],
         &mut dev,
@@ -433,8 +446,20 @@ fn exploding_join_in_batch_quarantines_only_itself() {
             bindings: &bo,
         },
     ];
+    let config = WeaverConfig::default();
+    let compiled = [
+        compile(&join_plan, &config).unwrap(),
+        compile(&ok_plan, &config).unwrap(),
+    ];
     let mut dev = Device::new(DeviceConfig::tiny());
-    let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+    let batch = execute_batch(
+        &queries,
+        &compiled,
+        &mut dev,
+        &config,
+        &RetryPolicy::default(),
+    )
+    .unwrap();
 
     let boom = &batch.queries[0];
     match &boom.outcome {
@@ -511,7 +536,7 @@ proptest! {
                 ..DeviceConfig::fermi_c2050()
             });
             dev.inject_faults(faults.clone());
-            let result = execute_resilient(
+            let result = run_resilient(
                 &plan,
                 &[("t", &input)],
                 &mut dev,

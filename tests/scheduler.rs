@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use kw_core::{
-    execute_batch, execute_batch_with_policy, execute_plan, BatchQuery, QueryPlan, RetryPolicy,
+    compile, execute_batch, execute_plan, BatchQuery, BatchReport, QueryPlan, RetryPolicy,
     WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig, FaultKind, ScriptedFault};
@@ -15,6 +15,20 @@ use kw_relational::{gen, CmpOp, Predicate, Relation, Value};
 
 fn device() -> Device {
     Device::new(DeviceConfig::fermi_c2050())
+}
+
+/// Compile every query and run the batch under `policy`.
+fn run_batch(
+    queries: &[BatchQuery<'_>],
+    dev: &mut Device,
+    policy: &RetryPolicy,
+) -> kw_core::Result<BatchReport> {
+    let config = WeaverConfig::default();
+    let compiled = queries
+        .iter()
+        .map(|q| compile(q.plan, &config))
+        .collect::<kw_core::Result<Vec<_>>>()?;
+    execute_batch(queries, &compiled, dev, &config, policy)
 }
 
 /// A SELECT chain of `depth` steps over a 4-attribute u32 input. Chains
@@ -62,12 +76,12 @@ proptest! {
             .collect();
 
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &RetryPolicy::default()).unwrap();
 
         let mut solo_sum = 0.0;
         for q in &queries {
             let mut d = device();
-            solo_sum += execute_batch(&[*q], &mut d, &WeaverConfig::default())
+            solo_sum += run_batch(&[*q], &mut d, &RetryPolicy::default())
                 .unwrap()
                 .makespan_seconds;
         }
@@ -107,7 +121,7 @@ proptest! {
             .collect();
 
         let mut dev = device();
-        let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+        let batch = run_batch(&queries, &mut dev, &RetryPolicy::default()).unwrap();
 
         // Byte-identical to solo execution.
         for (q, r) in queries.iter().zip(&batch.queries) {
@@ -118,7 +132,7 @@ proptest! {
 
         // Deterministic: an identical batch reproduces the exact schedule.
         let mut dev2 = device();
-        let again = execute_batch(&queries, &mut dev2, &WeaverConfig::default()).unwrap();
+        let again = run_batch(&queries, &mut dev2, &RetryPolicy::default()).unwrap();
         prop_assert_eq!(batch.makespan_seconds.to_bits(), again.makespan_seconds.to_bits());
         for (a, b) in batch.queries.iter().zip(&again.queries) {
             prop_assert_eq!(&a.outputs, &b.outputs);
@@ -137,7 +151,7 @@ proptest! {
         // Reversing the batch reorders streams but not answers.
         let reversed: Vec<BatchQuery<'_>> = queries.iter().rev().copied().collect();
         let mut dev3 = device();
-        let rev = execute_batch(&reversed, &mut dev3, &WeaverConfig::default()).unwrap();
+        let rev = run_batch(&reversed, &mut dev3, &RetryPolicy::default()).unwrap();
         for (r, fwd) in rev.queries.iter().zip(batch.queries.iter().rev()) {
             prop_assert_eq!(&r.outputs, &fwd.outputs);
         }
@@ -168,7 +182,7 @@ proptest! {
             .collect();
 
         let mut clean_dev = device();
-        let clean = execute_batch(&queries, &mut clean_dev, &WeaverConfig::default()).unwrap();
+        let clean = run_batch(&queries, &mut clean_dev, &RetryPolicy::default()).unwrap();
 
         let faults = FaultConfig {
             seed: fault_seed,
@@ -185,7 +199,7 @@ proptest! {
             let mut dev = device();
             dev.inject_faults(faults.clone());
             let batch =
-                execute_batch_with_policy(&queries, &mut dev, &WeaverConfig::default(), &policy)
+                run_batch(&queries, &mut dev, &policy)
                     .unwrap();
             let leaked = dev.memory().in_use();
             let reconciled = kw_gpu_sim::reconcile(dev.spans(), dev.stats());
@@ -257,7 +271,7 @@ fn scripted_batch_fault_retries_without_changing_answers() {
     ];
 
     let mut clean_dev = device();
-    let clean = execute_batch(&queries, &mut clean_dev, &WeaverConfig::default()).unwrap();
+    let clean = run_batch(&queries, &mut clean_dev, &RetryPolicy::default()).unwrap();
 
     let mut dev = device();
     dev.inject_faults(FaultConfig::scripted(vec![ScriptedFault {
@@ -265,8 +279,7 @@ fn scripted_batch_fault_retries_without_changing_answers() {
         attempt: 0,
     }]));
     let policy = RetryPolicy::default();
-    let batch =
-        execute_batch_with_policy(&queries, &mut dev, &WeaverConfig::default(), &policy).unwrap();
+    let batch = run_batch(&queries, &mut dev, &policy).unwrap();
 
     let struck: Vec<_> = batch.queries.iter().filter(|q| q.retries > 0).collect();
     assert_eq!(struck.len(), 1, "exactly one query absorbs the fault");
@@ -328,14 +341,14 @@ fn one_batch_covers_the_whole_outcome_taxonomy() {
     ];
 
     let mut clean_dev = Device::new(DeviceConfig::tiny());
-    let clean = execute_batch(&queries, &mut clean_dev, &WeaverConfig::default()).unwrap();
+    let clean = run_batch(&queries, &mut clean_dev, &RetryPolicy::default()).unwrap();
 
     let mut dev = Device::new(DeviceConfig::tiny());
     dev.inject_faults(FaultConfig::scripted(vec![ScriptedFault {
         kind: FaultKind::Transfer,
         attempt: 0,
     }]));
-    let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+    let batch = run_batch(&queries, &mut dev, &RetryPolicy::default()).unwrap();
 
     let outcomes: Vec<&str> = batch.queries.iter().map(|q| q.outcome.name()).collect();
     assert_eq!(outcomes, ["retried", "completed", "degraded", "failed"]);
@@ -396,13 +409,13 @@ fn concurrent_batch_strictly_beats_serial_with_identical_outputs() {
     ];
 
     let mut dev = device();
-    let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+    let batch = run_batch(&queries, &mut dev, &RetryPolicy::default()).unwrap();
     kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
 
     let mut solo_sum = 0.0;
     for q in &queries {
         let mut d = device();
-        let solo = execute_batch(&[*q], &mut d, &WeaverConfig::default()).unwrap();
+        let solo = run_batch(&[*q], &mut d, &RetryPolicy::default()).unwrap();
         solo_sum += solo.makespan_seconds;
 
         let mut pd = device();
@@ -452,7 +465,7 @@ fn batch_report_percentiles_and_engine_utilization_are_consistent() {
     ];
 
     let mut dev = device();
-    let batch = execute_batch(&queries, &mut dev, &WeaverConfig::default()).unwrap();
+    let batch = run_batch(&queries, &mut dev, &RetryPolicy::default()).unwrap();
 
     // Percentiles are monotone, positive, and *exact*: each one is a real
     // observed latency (nearest rank), and with fewer than 100 queries the

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use kw_core::{
-    execute_batch, execute_batch_compiled_with_policy, plan_shape_key, run_service, BatchQuery,
-    PlanCache, QueryPlan, RetryPolicy, ServiceConfig, WeaverConfig,
+    compile, execute_batch, plan_shape_key, run_service, BatchQuery, PlanCache, QueryPlan,
+    RetryPolicy, ServiceConfig, WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_primitives::RaOp;
@@ -39,8 +39,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Executing a shape with a cache-served compiled plan is byte-identical
-    /// to compiling it fresh inside the batch executor — for any shape,
-    /// binding contents, and repeat count.
+    /// to compiling it fresh for every query — for any shape, binding
+    /// contents, and repeat count.
     #[test]
     fn cached_compile_execution_is_byte_identical(
         n in 64usize..3_000,
@@ -57,9 +57,17 @@ proptest! {
             .collect();
         let config = WeaverConfig::default();
 
-        // Fresh path: the batch executor compiles internally.
+        // Fresh path: one compilation per query.
+        let fresh_compiled: Vec<_> = (0..repeats).map(|_| compile(&plan, &config).unwrap()).collect();
         let mut fresh_dev = device();
-        let fresh = execute_batch(&queries, &mut fresh_dev, &config).unwrap();
+        let fresh = execute_batch(
+            &queries,
+            &fresh_compiled,
+            &mut fresh_dev,
+            &config,
+            &RetryPolicy::default(),
+        )
+        .unwrap();
 
         // Cached path: every compiled plan comes from the cache; after the
         // first miss each lookup is a hit serving the same artifact.
@@ -70,7 +78,7 @@ proptest! {
         prop_assert_eq!(cache.stats().misses, 1);
         prop_assert_eq!(cache.stats().hits, repeats as u64 - 1);
         let mut cached_dev = device();
-        let cached = execute_batch_compiled_with_policy(
+        let cached = execute_batch(
             &queries,
             &compiled,
             &mut cached_dev,

@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 
 use kw_core::{
-    compile, execute_batch, execute_chunked, execute_resilient, run_service, select_chunk_strategy,
-    BatchQuery, ChunkStrategy, ExecMode, QueryPlan, RetryPolicy, ServiceConfig, WeaverConfig,
+    compile, execute_batch, execute_compiled_resilient, execute_plan, run_service,
+    select_chunk_strategy, BatchQuery, ChunkStrategy, ExecMode, QueryPlan, RetryPolicy,
+    ServiceConfig, WeaverConfig,
 };
 use kw_gpu_sim::{
     chrome_trace_json, reconcile, validate_chrome_json, Device, DeviceConfig, FaultConfig, SpanKind,
@@ -74,8 +75,16 @@ fn traces_reconcile_under_fault_injection() {
         };
         let mut dev = Device::new(DeviceConfig::fermi_c2050());
         dev.inject_faults(FaultConfig::uniform(0xC2050, 0.10));
-        let report = execute_resilient(&w.plan, &w.bindings(), &mut dev, &config, &policy)
-            .expect("resilient q1 under faults");
+        let compiled = compile(&w.plan, &config).unwrap();
+        let report = execute_compiled_resilient(
+            &w.plan,
+            &compiled,
+            &w.bindings(),
+            &mut dev,
+            &config,
+            &policy,
+        )
+        .expect("resilient q1 under faults");
         // The span log covers the whole resilient episode: failed attempts,
         // fault markers, backoff, and the attempt that landed. Its deltas
         // must still sum exactly to the device's aggregate counters.
@@ -324,7 +333,7 @@ proptest! {
         ] {
             prop_assert_eq!(select_chunk_strategy(plan), Some(strategy));
             let mut dev = faulted(fermi());
-            let _ = execute_chunked(plan, &bindings, &mut dev, &default, 4);
+            let _ = execute_plan(plan, &bindings, &mut dev, &WeaverConfig { chunks: Some(4), ..default });
             assert_accounting(&dev, &format!("chunked {strategy:?}"));
         }
 
@@ -336,7 +345,8 @@ proptest! {
         };
         let mut dev = faulted(capped);
         let policy = RetryPolicy::default();
-        let _ = execute_resilient(&w.plan, &bindings, &mut dev, &default, &policy);
+        let compiled = compile(&w.plan, &default).unwrap();
+        let _ = execute_compiled_resilient(&w.plan, &compiled, &bindings, &mut dev, &default, &policy);
         assert_accounting(&dev, "resilient on a capped device");
 
         // Three wave queries sized so only one fits at a time, plus a whale
@@ -352,17 +362,14 @@ proptest! {
             .map(|b| BatchQuery { name: "small", plan: &small_plan, bindings: b })
             .collect();
         queries.push(BatchQuery { name: "whale", plan: &small_plan, bindings: &whale_bindings });
-        let small_peak = kw_core::admit(
-            &small_plan,
-            &compile(&small_plan, &default).unwrap(),
-            &small_bindings[0],
-            u64::MAX,
-        )
-        .unwrap()
-        .resident_peak;
+        let small_compiled = compile(&small_plan, &default).unwrap();
+        let small_peak = kw_core::admit(&small_plan, &small_compiled, &small_bindings[0], u64::MAX)
+            .unwrap()
+            .resident_peak;
         let one_wave = DeviceConfig { global_mem_bytes: small_peak * 3 / 2, ..fermi() };
         let mut dev = faulted(one_wave);
-        let batch = execute_batch(&queries, &mut dev, &default).unwrap();
+        let compiled = vec![small_compiled; queries.len()];
+        let batch = execute_batch(&queries, &compiled, &mut dev, &default, &policy).unwrap();
         prop_assert!(batch.waves >= 2 || batch.quarantined_count() > 0, "waves {}", batch.waves);
         assert_accounting(&dev, "batch with waves and a ladder tail");
 

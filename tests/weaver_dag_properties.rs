@@ -1,14 +1,20 @@
 //! Property tests over random *DAG-shaped* plans (branches, shared
 //! producers, multiple outputs): whatever Algorithm 1/2 and the weaver
 //! decide, results must equal the CPU oracle (`kw_relational::ops` applied
-//! node by node) for the fused plan, the unfused baseline and staged mode.
+//! node by node) on every execution path — fused and unfused, resident,
+//! staged and chunked, under both arena policies, through the resilient
+//! ladder and in a batch.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use kw_core::{execute_plan, NodeId, PlanNode, QueryPlan, WeaverConfig};
-use kw_gpu_sim::{Device, DeviceConfig};
+use kw_core::{
+    compile, execute_batch, execute_compiled_resilient, execute_plan, select_chunk_strategy,
+    ArenaPolicy, BatchQuery, ExecMode, NodeId, PlanNode, QueryPlan, RetryPolicy, WeaverConfig,
+    WeaverError,
+};
+use kw_gpu_sim::{reconcile, Device, DeviceConfig};
 use kw_primitives::RaOp;
 use kw_relational::{gen, ops, CmpOp, Expr, Predicate, Relation, Schema, Value};
 
@@ -118,9 +124,10 @@ fn grow_plan(steps: &[GrowStep]) -> (QueryPlan, Vec<NodeId>) {
     (plan, outputs)
 }
 
-/// Every node of `plan` evaluated on the CPU with the matching
-/// `kw_relational::ops` call, `t0` bound to `a` and `t1` to `b`. Node ids
-/// are in insertion order, so producers come first.
+/// The marked outputs of `plan`, and nothing else, after evaluating every
+/// node on the CPU with the matching `kw_relational::ops` call, `t0` bound
+/// to `a` and `t1` to `b`. Node ids are in insertion order, so producers
+/// come first.
 fn oracle(plan: &QueryPlan, a: &Relation, b: &Relation) -> BTreeMap<NodeId, Relation> {
     let mut out: BTreeMap<NodeId, Relation> = BTreeMap::new();
     for id in plan.node_ids() {
@@ -143,7 +150,10 @@ fn oracle(plan: &QueryPlan, a: &Relation, b: &Relation) -> BTreeMap<NodeId, Rela
         };
         out.insert(id, rel);
     }
-    out
+    plan.outputs()
+        .iter()
+        .map(|o| (*o, out[o].clone()))
+        .collect()
 }
 
 fn inputs_for(seed: u64, n: usize) -> (Relation, Relation) {
@@ -151,6 +161,32 @@ fn inputs_for(seed: u64, n: usize) -> (Relation, Relation) {
     let a = gen::random_relation(&schema, n, 256, &mut gen::rng(seed));
     let b = gen::random_relation(&schema, n, 256, &mut gen::rng(seed ^ 0xABCD));
     (a, b)
+}
+
+/// Every single-query path of `plan` as a config: fused and unfused, each
+/// resident and staged, each whole and in 1, 2, 3 and 7 chunks (chunked
+/// only when the plan has a chunk strategy), under `arena`.
+fn path_configs(plan: &QueryPlan, arena: ArenaPolicy) -> Vec<WeaverConfig> {
+    let chunk_counts: &[Option<usize>] = if select_chunk_strategy(plan).is_some() {
+        &[None, Some(1), Some(2), Some(3), Some(7)]
+    } else {
+        &[None]
+    };
+    let mut configs = Vec::new();
+    for fusion in [true, false] {
+        for mode in [ExecMode::Resident, ExecMode::Staged] {
+            for &chunks in chunk_counts {
+                configs.push(WeaverConfig {
+                    fusion,
+                    mode,
+                    chunks,
+                    arena,
+                    ..WeaverConfig::default()
+                });
+            }
+        }
+    }
+    configs
 }
 
 proptest! {
@@ -166,38 +202,68 @@ proptest! {
         prop_assume!(plan.validate().is_ok());
         let (a, b) = inputs_for(seed, n);
         let bindings = [("t0", &a), ("t1", &b)];
-
-        let mut d1 = device();
-        let fused = execute_plan(&plan, &bindings, &mut d1, &WeaverConfig::default())
-            .expect("fused execution");
-        let mut d2 = device();
-        let base = execute_plan(&plan, &bindings, &mut d2, &WeaverConfig::default().baseline())
-            .expect("baseline execution");
-        prop_assert_eq!(&fused.outputs, &base.outputs);
-
-        // Staged mode agrees too.
-        let staged = WeaverConfig {
-            mode: kw_core::ExecMode::Staged,
-            ..WeaverConfig::default()
-        };
-        let mut d3 = device();
-        let staged_run = execute_plan(&plan, &bindings, &mut d3, &staged)
-            .expect("staged execution");
-        prop_assert_eq!(&staged_run.outputs, &base.outputs);
-
-        // All three share the interpreter, so hold them to the CPU oracle
-        // too: an error they share would pass the comparisons above.
+        // Every path shares the interpreter, so hold each to the CPU oracle:
+        // an error they share would pass a comparison between paths.
         let expected = oracle(&plan, &a, &b);
-        for (id, rel) in &fused.outputs {
-            prop_assert_eq!(rel, &expected[id], "output {:?}", id);
+
+        for arena in [ArenaPolicy::Spill, ArenaPolicy::Strict] {
+            for config in path_configs(&plan, arena) {
+                let mut dev = device();
+                match execute_plan(&plan, &bindings, &mut dev, &config) {
+                    Ok(report) => {
+                        prop_assert_eq!(&report.outputs, &expected, "{:?}", config);
+                        prop_assert!(report.gpu_seconds > 0.0, "{:?}", config);
+                        prop_assert!(report.stats.kernel_launches > 0, "{:?}", config);
+                        if config.chunks.is_some() {
+                            prop_assert!(report.strategy.is_some(), "{:?}", config);
+                            let reconciled = reconcile(dev.spans(), dev.stats());
+                            prop_assert!(reconciled.is_ok(), "{:?}: {:?}", config, reconciled);
+                        }
+                    }
+                    // A Strict arena may refuse a footprint the estimate
+                    // under-shot; nothing else may fail.
+                    Err(e) => prop_assert!(
+                        arena == ArenaPolicy::Strict && e.is_capacity(),
+                        "{:?}: {}", config, e
+                    ),
+                }
+                prop_assert_eq!(dev.memory().in_use(), 0, "{:?}: all buffers freed", config);
+            }
         }
 
-        // Accounting sanity on every run.
-        for report in [&fused, &base, &staged_run] {
-            prop_assert!(report.gpu_seconds > 0.0);
-            prop_assert!(report.stats.kernel_launches > 0);
+        // The ladder on a device half the size of the inputs: the oracle's
+        // answer, or a typed error — admission when no rung is predicted to
+        // fit, ladder exhaustion when a bucket of duplicate join keys still
+        // overflows at the chunk ceiling.
+        let config = WeaverConfig::default();
+        let compiled = compile(&plan, &config).expect("random DAGs compile");
+        let input_bytes = (a.byte_size() + b.byte_size()) as u64;
+        let mut dev = Device::new(DeviceConfig {
+            global_mem_bytes: (input_bytes / 2).max(4096),
+            ..DeviceConfig::fermi_c2050()
+        });
+        let policy = RetryPolicy::default();
+        match execute_compiled_resilient(&plan, &compiled, &bindings, &mut dev, &config, &policy) {
+            Ok(report) => prop_assert_eq!(&report.outputs, &expected, "ladder"),
+            Err(e) => prop_assert!(matches!(e, WeaverError::Admission { .. } | WeaverError::LadderExhausted { .. }), "ladder: {}", e),
         }
-        prop_assert!(d1.memory().in_use() == 0, "all buffers freed");
-        prop_assert!(d3.memory().in_use() == 0, "all staged buffers freed");
+        prop_assert_eq!(dev.memory().in_use(), 0, "ladder freed everything");
+
+        // A two-query batch, the second query with its inputs swapped.
+        let swapped = [("t0", &b), ("t1", &a)];
+        let queries = [
+            BatchQuery { name: "ab", plan: &plan, bindings: &bindings },
+            BatchQuery { name: "ba", plan: &plan, bindings: &swapped },
+        ];
+        let mut dev = device();
+        let compiled = [compiled.clone(), compiled];
+        let batch = execute_batch(&queries, &compiled, &mut dev, &config, &policy)
+            .expect("batches never abort wholesale");
+        let swapped_expected = oracle(&plan, &b, &a);
+        for (q, want) in batch.queries.iter().zip([&expected, &swapped_expected]) {
+            prop_assert!(q.outcome.is_success(), "{}: {}", q.name, q.outcome);
+            prop_assert_eq!(&q.outputs, want, "{}", q.name);
+        }
+        prop_assert_eq!(dev.memory().in_use(), 0, "batch freed everything");
     }
 }
