@@ -30,8 +30,10 @@ cargo test --workspace -q
 
 echo "== trace schema validation (examples/trace.rs)"
 # Runs TPC-H Q1 fused + unfused, reconciles per-span deltas against the
-# aggregate SimStats and validates the exported Chrome trace JSON; the
-# example exits non-zero on any schema or reconciliation failure.
+# aggregate SimStats and validates the exported Chrome trace JSON, then
+# runs fused Q1 again on the same device: the second report's spans must
+# reconcile with its stats and repeat the first run's. The example exits
+# non-zero on any schema, reconciliation or rerun mismatch.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 cargo run -q -p kw-examples --example trace -- "$trace_dir" > /dev/null

@@ -28,6 +28,7 @@ use kw_primitives::{consumer_class, DependenceClass};
 use kw_relational::{Relation, Schema};
 
 use crate::chunk_strategy::{bucket_of, merge_partials, partial_aggregate_plan};
+use crate::executor::RunWindow;
 use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
     compile, select_chunk_strategy, ChunkStrategy, CompiledPlan, NodeId, PlanReport, QueryPlan,
@@ -53,9 +54,9 @@ pub fn is_elementwise(plan: &QueryPlan) -> bool {
 /// copy engines and the kernel engine overlap them, so no side formula is
 /// involved — [`pipeline_makespan`] is the closed-form oracle it must
 /// match on pure three-stage pipelines. `pcie_seconds` counts boundary transfers plus
-/// the staged-intermediate round trips inside chunks; `fusion_sets` and
-/// `operator_count` describe `compiled`, even when a partial-aggregate run
-/// executes a rewritten plan.
+/// the staged-intermediate round trips inside chunks; `stats` and the
+/// profile fold `window`; `fusion_sets` and `operator_count` describe
+/// `compiled`, even when a partial-aggregate run executes a rewritten plan.
 pub(crate) fn execute(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
@@ -63,6 +64,7 @@ pub(crate) fn execute(
     device: &mut Device,
     config: &WeaverConfig,
     chunks: usize,
+    window: &RunWindow,
 ) -> Result<PlanReport> {
     // Partitioning allocates per chunk slot, so an unbounded count would
     // exhaust host memory before any kernel runs.
@@ -108,25 +110,18 @@ pub(crate) fn execute(
 
     // The span log cannot carry the residual round trips (they fold into
     // compute spans, whose deltas must be compute-only), so the profile
-    // counts them separately.
-    let mut profile = crate::ProfileReport::from_spans_with_residual(
-        device.spans(),
-        device.stats(),
-        device.config(),
-        run.pipelined_seconds,
-        run.residual_pcie_seconds,
-    );
-    // run_chunks absorbed the fork's footprint into the parent tracker, so
-    // this is the true peak.
-    profile.peak_device_bytes = device.memory().peak();
+    // counts them separately. `run_chunks` absorbed the fork's footprint,
+    // so the profile's peak is the true one.
+    let profile = window.profile(device, run.pipelined_seconds, run.residual_pcie_seconds);
+    let stats = window.stats(device);
     Ok(PlanReport {
         outputs,
-        gpu_seconds: run.gpu_seconds,
+        gpu_seconds: device.config().cycles_to_seconds(stats.gpu_cycles),
         pcie_seconds: run.pcie_seconds + run.residual_pcie_seconds,
         total_seconds: run.pipelined_seconds,
         serialized_seconds: run.serialized_seconds,
         pipelined_seconds: Some(run.pipelined_seconds),
-        stats: *device.stats(),
+        stats,
         peak_device_bytes: run.peak_device_bytes,
         fusion_sets: compiled.fusion_sets.clone(),
         operator_count: compiled.steps.len(),
@@ -209,7 +204,6 @@ fn hash_partition_inputs<'a>(
 struct ChunkRun {
     outputs: BTreeMap<NodeId, Vec<u64>>,
     schemas: BTreeMap<NodeId, Schema>,
-    gpu_seconds: f64,
     /// Boundary transfer seconds: the H2D uploads of chunk inputs and D2H
     /// downloads of chunk outputs that the stream scheduler can overlap
     /// with compute.
@@ -300,7 +294,6 @@ fn replay_chunks(
     let mut executed = 0usize;
     let mut peak_device_bytes = 0u64;
     let mut serialized_cycles = 0u64;
-    let mut total_gpu_cycles = 0u64;
     let mut pcie_seconds = 0.0f64;
     let mut residual_pcie_seconds = 0.0f64;
     for (chunk_idx, chunk) in slots.iter().enumerate() {
@@ -313,7 +306,8 @@ fn replay_chunks(
         // One reset per chunk iteration, whether the chunk landed or not.
         let result = run.execute(plan, compiled, &refs, config);
         run.reset_arena();
-        let ScratchExecution { report, delta, .. } = result?;
+        let ScratchExecution { report, .. } = result?;
+        let delta = report.stats;
         peak_device_bytes = peak_device_bytes.max(report.peak_device_bytes);
 
         let in_bytes: u64 = chunk.iter().map(|(_, r)| r.byte_size() as u64).sum();
@@ -330,7 +324,6 @@ fn replay_chunks(
         let mid_cycles = delta
             .gpu_cycles
             .saturating_add(device.config().seconds_to_cycles(residual));
-        total_gpu_cycles += delta.gpu_cycles;
         // The compute span carries only the chunk's kernel-side counters:
         // the boundary transfers are mirrored below as real streamed
         // transfers (fault-injectable like any transfer).
@@ -388,16 +381,14 @@ fn replay_chunks(
     // the unified cycle clock. Serialized is the same scheduled work with
     // no engine overlap (the sum of every operation's duration), so
     // `pipelined <= serialized` holds structurally, and since all compute
-    // runs on one engine `pipelined >= gpu_seconds` does too.
+    // runs on one engine `pipelined` covers the chunks' GPU time too.
     let end_cycles = device.sync_streams();
     let pipelined = device.config().cycles_to_seconds(end_cycles - base_cycles);
     let serialized = device.config().cycles_to_seconds(serialized_cycles);
-    let gpu_seconds = device.config().cycles_to_seconds(total_gpu_cycles);
 
     Ok(ChunkRun {
         outputs,
         schemas,
-        gpu_seconds,
         pcie_seconds,
         residual_pcie_seconds,
         serialized_seconds: serialized,

@@ -52,13 +52,14 @@ use std::collections::BTreeMap;
 
 use kw_gpu_sim::{
     ArenaSlice, ArenaStats, BufferId, Device, Direction, EventId, MetricsRegistry, ScratchArena,
-    SimError, SimStats,
+    SimError, SimStats, Span,
 };
 use kw_kernel_ir::execute as execute_op;
 use kw_relational::Relation;
 
 use crate::{
-    compile, CompiledPlan, NodeId, PlanNode, QueryPlan, Result, WeaverConfig, WeaverError,
+    compile, CompiledPlan, NodeId, PlanNode, ProfileReport, QueryPlan, Result, WeaverConfig,
+    WeaverError,
 };
 
 /// Where intermediate results live between operators.
@@ -91,36 +92,41 @@ pub enum ArenaPolicy {
 }
 
 /// The result of executing a plan.
+///
+/// A report covers its own *window* of the device's record, opened when the
+/// call starts: one [`execute_compiled`] run, or the whole episode of
+/// [`crate::execute_compiled_resilient`] (failed attempts, faults, backoff
+/// and the attempt that landed). On a fresh device the window is the whole
+/// record. [`PlanReport::free_errors`], [`PlanReport::first_free_error`] and
+/// the profile's `peak_device_bytes` stay device-lifetime.
 #[derive(Debug)]
 pub struct PlanReport {
     /// Relations of the marked plan outputs.
     pub outputs: BTreeMap<NodeId, Relation>,
-    /// GPU computation time, seconds.
+    /// GPU computation seconds in the window.
     pub gpu_seconds: f64,
-    /// PCIe transfer time, seconds.
+    /// PCIe transfer seconds in the window. A chunked run sums its own
+    /// chunks' transfers instead: the attempt that landed, rounded per
+    /// chunk.
     pub pcie_seconds: f64,
-    /// End-to-end time, seconds. For streamed executions (staged mode and
-    /// chunked runs) this is the overlap-aware wallclock from the
-    /// stream/event graph; compare with [`PlanReport::serialized_seconds`]
-    /// for the no-overlap cost.
-    ///
-    /// The origin depends on the path. Resident and staged runs read the
-    /// device's cumulative clock, so on a reused device the total includes
-    /// earlier work. A chunked run is measured from its own start, plus the
-    /// retry backoff the resilient driver charged when the run went through
-    /// the ladder. On a fresh device the origins coincide.
+    /// End-to-end seconds. Resident: GPU + PCIe + backoff seconds of the
+    /// window. Staged: the stream clock from the window's start to the
+    /// run's end, overlap included. Chunked: the landed attempt's
+    /// [`PlanReport::pipelined_seconds`] plus the ladder's retry backoff,
+    /// the one total that is not a fold of the window. Compare with
+    /// [`PlanReport::serialized_seconds`] for the no-overlap cost.
     pub total_seconds: f64,
-    /// End-to-end seconds with every transfer serialized against compute —
-    /// what the same schedule would cost without copy/compute overlap.
-    /// Equals [`PlanReport::total_seconds`] for non-streamed (Resident)
-    /// executions, where nothing overlaps.
+    /// End-to-end seconds with every transfer serialized against compute:
+    /// GPU + PCIe + backoff seconds of the window (equal to
+    /// [`PlanReport::total_seconds`] when resident). A chunked run sums its
+    /// own chunks' stages plus the ladder's backoff instead.
     pub serialized_seconds: f64,
-    /// Overlap-aware wallclock of this run from the device-level
-    /// stream/event graph, `Some` only when the run was streamed (staged
-    /// mode, or a chunked run). Excludes retry backoff; `None` means
-    /// nothing was overlapped.
+    /// Overlap-aware wallclock of the attempt that landed, from the
+    /// device-level stream/event graph, `Some` only when the run was
+    /// streamed (staged mode, or a chunked run). Excludes retry backoff;
+    /// `None` means nothing was overlapped.
     pub pipelined_seconds: Option<f64>,
-    /// Raw simulator counters.
+    /// What the device charged in the window.
     pub stats: SimStats,
     /// Peak bytes of live relation data this run actually held at once
     /// (Figure 17): arena sub-allocations plus spills plus whatever was
@@ -141,22 +147,21 @@ pub struct PlanReport {
     /// chunk iteration in out-of-core runs).
     pub arena: Option<ArenaStats>,
     /// Count of free errors the device swallowed on drain-on-error paths
-    /// (`kw_free_errors_total`). Like [`PlanReport::stats`] this is a
-    /// device-lifetime counter; non-zero means some unwind hit accounting
-    /// corruption worth investigating.
+    /// (`kw_free_errors_total`) over its lifetime, not the window's;
+    /// non-zero means some unwind hit accounting corruption worth
+    /// investigating.
     pub free_errors: u64,
     /// The first swallowed free error on the device, if any.
     pub first_free_error: Option<String>,
     /// Structured execution trace: one span per kernel launch, PCIe
     /// transfer, allocation and fault, with operator provenance and a
-    /// per-span [`SimStats`] delta. A snapshot of the device's span log at
-    /// report time, so like [`PlanReport::stats`] it is cumulative over the
-    /// device's life; for a fresh device the two reconcile exactly (see
-    /// [`kw_gpu_sim::reconcile`]).
-    pub spans: Vec<kw_gpu_sim::Span>,
+    /// per-span [`SimStats`] delta. The device's spans in the window, which
+    /// reconcile with [`PlanReport::stats`] (see [`kw_gpu_sim::reconcile`]);
+    /// ids and cycles are device-global, so they join the device's log.
+    pub spans: Vec<Span>,
     /// Roofline-style bottleneck attribution for this run: achieved vs.
     /// peak bandwidths, busy fractions, launch share and a per-operator
-    /// breakdown (see [`crate::ProfileReport`]).
+    /// breakdown (see [`crate::ProfileReport`]), folded over the window.
     pub profile: crate::ProfileReport,
     /// The decomposition a chunked run executed; `None` unless the run was
     /// chunked.
@@ -204,8 +209,8 @@ impl PlanReport {
 
 /// Compile and execute `plan` over the named input `bindings` on `device`.
 ///
-/// Use a fresh [`Device`] per run when comparing configurations: statistics
-/// and the allocation high-water mark accumulate on the device.
+/// The report covers this run alone (see [`PlanReport`]), but the device's
+/// memory high-water mark accumulates: compare peaks on fresh devices.
 ///
 /// # Errors
 ///
@@ -298,28 +303,88 @@ pub fn execute_compiled(
     device: &mut Device,
     config: &WeaverConfig,
 ) -> Result<PlanReport> {
-    let mut report = run(plan, compiled, bindings, device, config)?;
+    let window = RunWindow::open(device);
+    let mut report = run(plan, compiled, bindings, device, config, &window)?;
     // The one span snapshot, taken after the arena's Free span.
-    report.spans = device.spans().to_vec();
+    report.spans = window.spans(device).to_vec();
     Ok(report)
 }
 
-/// [`execute_compiled`] without the span snapshot: the report's `spans`
-/// stay empty. The resilient driver calls this once per attempt and
-/// snapshots the span log once, when its run ends.
+/// Where a run starts in its device's record: the span index, a
+/// [`SimStats`] snapshot and the stream clock. A report folds its window,
+/// from the opening to the device's present, so it describes its own run
+/// on a reused device and the whole record on a fresh one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunWindow {
+    first_span: usize,
+    stats: SimStats,
+    start_cycle: u64,
+}
+
+impl RunWindow {
+    /// Settle in-flight streamed work and open a window at the present.
+    pub(crate) fn open(device: &mut Device) -> RunWindow {
+        let start_cycle = device.sync_streams();
+        let (first_span, stats) = (device.spans().len(), *device.stats());
+        RunWindow {
+            first_span,
+            stats,
+            start_cycle,
+        }
+    }
+
+    /// The spans recorded since the window opened.
+    pub(crate) fn spans<'d>(&self, device: &'d Device) -> &'d [Span] {
+        &device.spans()[self.first_span..]
+    }
+
+    /// What the device charged since the window opened.
+    pub(crate) fn stats(&self, device: &Device) -> SimStats {
+        device.stats().diff(&self.stats)
+    }
+
+    /// Stream-clock cycles from the window's opening to `end_cycle`.
+    pub(crate) fn elapsed(&self, end_cycle: u64) -> u64 {
+        end_cycle - self.start_cycle
+    }
+
+    /// The window's profile against `wall` seconds, counting `residual_pcie`
+    /// transfer seconds its spans cannot carry (see
+    /// [`ProfileReport::from_spans_with_residual`]), with the device's
+    /// lifetime memory peak.
+    pub(crate) fn profile(&self, device: &Device, wall: f64, residual_pcie: f64) -> ProfileReport {
+        let stats = self.stats(device);
+        let mut profile = ProfileReport::from_spans_with_residual(
+            self.spans(device),
+            &stats,
+            device.config(),
+            wall,
+            residual_pcie,
+        );
+        profile.peak_device_bytes = device.memory().peak();
+        profile
+    }
+}
+
+/// [`execute_compiled`] over the caller's `window`, without the span
+/// snapshot: the report's `spans` stay empty. The resilient driver opens
+/// one window for its episode, passes it to every attempt and snapshots
+/// the spans once, when its run lands.
 pub(crate) fn run(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
     bindings: &[(&str, &Relation)],
     device: &mut Device,
     config: &WeaverConfig,
+    window: &RunWindow,
 ) -> Result<PlanReport> {
     if let Some(chunks) = config.chunks {
-        return crate::chunked::execute(plan, compiled, bindings, device, config, chunks);
+        return crate::chunked::execute(plan, compiled, bindings, device, config, chunks, window);
     }
     let reservation = crate::admission::predict_reservation(plan, compiled, bindings, config.mode)?;
     let mut arena = device.create_arena(reservation, "plan.arena")?;
-    let result = execute_compiled_in_arena(plan, compiled, bindings, device, config, &mut arena);
+    let result =
+        execute_compiled_in_arena(plan, compiled, bindings, device, config, &mut arena, window);
     match result {
         Ok((mut report, _)) => {
             report.arena = Some(device.release_arena(arena)?);
@@ -343,7 +408,7 @@ pub(crate) fn run(
 /// chunk with a [`ScratchArena::reset`] in between, so the alloc/free span
 /// count stays O(1) for the entire run, not O(chunks). Always runs the
 /// whole plan in [`WeaverConfig::mode`]; [`WeaverConfig::chunks`] is not
-/// read here.
+/// read here. The report folds `window`; its `spans` stay empty.
 ///
 /// The arena is NOT created, reset or released here: on error the run's
 /// spills are freed and the caller releases the arena.
@@ -354,6 +419,7 @@ pub(crate) fn execute_compiled_in_arena(
     device: &mut Device,
     config: &WeaverConfig,
     arena: &mut ScratchArena,
+    window: &RunWindow,
 ) -> Result<(PlanReport, Vec<SimStats>)> {
     // Bytes already resident before this run (a batch wave's other working
     // sets) are part of the true footprint but not of this arena, whose
@@ -370,6 +436,7 @@ pub(crate) fn execute_compiled_in_arena(
         arena,
         &mut live,
         base_in_use,
+        window,
     );
     if result.is_err() {
         // Cleanup guard: any early error return would otherwise leak the
@@ -499,6 +566,7 @@ fn run_compiled(
     arena: &mut ScratchArena,
     live: &mut LiveBuffers,
     base_in_use: u64,
+    window: &RunWindow,
 ) -> Result<(PlanReport, Vec<SimStats>)> {
     // Each step's kernel-side cost, for callers that replay the run.
     // Allocated before the relation buffers below: a small live block
@@ -714,37 +782,39 @@ fn run_compiled(
         })
         .collect::<Result<_>>()?;
 
-    // Settle the clock and read the wallclock. For a streamed (staged) run
+    // Settle the clock and fold the window. For a streamed (staged) run
     // the overlap-aware total comes from the event graph's makespan on the
     // unified cycle clock; the serialized cost is the sum of every charge,
     // exactly what the pre-stream staged executor reported. The `max` guard
     // absorbs sub-cycle rounding (each streamed transfer's duration rounds
     // to whole cycles) so `serialized >= total` can never invert.
+    // `pipelined` counts from this attempt's start, which under the ladder
+    // is later than the window's.
     let end_cycles = device.sync_streams();
+    let stats = window.stats(device);
+    let gpu_seconds = device.config().cycles_to_seconds(stats.gpu_cycles);
+    // `Device::total_seconds`'s formula, over the window.
+    let serial = gpu_seconds + stats.pcie_seconds + stats.backoff_seconds;
     let (total_seconds, serialized_seconds, pipelined_seconds) = if staged {
-        let total = device.config().cycles_to_seconds(end_cycles);
+        let total = device
+            .config()
+            .cycles_to_seconds(window.elapsed(end_cycles));
         let pipelined = device.config().cycles_to_seconds(end_cycles - start_cycles);
-        (total, device.total_seconds().max(total), Some(pipelined))
+        (total, serial.max(total), Some(pipelined))
     } else {
-        (device.total_seconds(), device.total_seconds(), None)
+        (serial, serial, None)
     };
 
-    let mut profile = crate::ProfileReport::from_spans(
-        device.spans(),
-        device.stats(),
-        device.config(),
-        total_seconds,
-    );
-    profile.peak_device_bytes = device.memory().peak();
+    let profile = window.profile(device, total_seconds, 0.0);
 
     let report = PlanReport {
         outputs,
-        gpu_seconds: device.gpu_seconds(),
-        pcie_seconds: device.pcie_secs(),
+        gpu_seconds,
+        pcie_seconds: stats.pcie_seconds,
         total_seconds,
         serialized_seconds,
         pipelined_seconds,
-        stats: *device.stats(),
+        stats,
         peak_device_bytes: fp.actual_peak,
         fusion_sets: compiled.fusion_sets.clone(),
         operator_count: compiled.steps.len(),

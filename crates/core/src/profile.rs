@@ -85,7 +85,8 @@ pub struct OperatorProfile {
 /// bandwidths, busy fractions, launch share, and a [`Bottleneck`] verdict,
 /// plus the same breakdown per operator/query.
 ///
-/// Attached to every `PlanReport` and `BatchReport`.
+/// Attached to every `PlanReport` and `BatchReport`, folded over the
+/// report's window of the device's record: its spans and stats delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// The wall time the figures are normalized against (the run's
@@ -122,12 +123,12 @@ pub struct ProfileReport {
     /// Per-operator (plan) or per-query (batch) breakdown, in first-seen
     /// span order.
     pub operators: Vec<OperatorProfile>,
-    /// True device-memory high-water mark of the profiled run, bytes —
-    /// including footprint reached on forked scratch devices (chunked
-    /// execution folds it back via
-    /// [`kw_gpu_sim::Device::absorb_scratch`]). Zero when the caller
-    /// had no memory tracker in scope (e.g. profiles built from bare span
-    /// logs).
+    /// The device's memory high-water mark when the report was built,
+    /// bytes — a device-lifetime figure, not the window's — including
+    /// footprint reached on forked scratch devices (chunked execution folds
+    /// it back via [`kw_gpu_sim::Device::absorb_scratch`]). Zero when the
+    /// caller had no memory tracker in scope (e.g. profiles built from bare
+    /// span logs).
     pub peak_device_bytes: u64,
 }
 

@@ -21,6 +21,9 @@
 //! maps to. Every completed run carries a [`ResilienceReport`] in
 //! [`PlanReport::resilience`] recording the admitted mode, the final mode,
 //! retries, faults survived, degradations taken and total backoff charged.
+//! The report's window is the whole episode: its spans, stats and profile
+//! show the failed attempts, fault markers and backoff next to the attempt
+//! that landed.
 
 use kw_gpu_sim::Device;
 use kw_relational::Relation;
@@ -28,6 +31,7 @@ use kw_relational::Relation;
 use crate::admission::{admit, AdmissionReport, AdmittedMode, MAX_CHUNKS};
 use crate::chunk_strategy::select_chunk_strategy;
 use crate::error::LadderStop;
+use crate::executor::RunWindow;
 use crate::{CompiledPlan, ExecMode, PlanReport, QueryPlan, Result, WeaverConfig};
 
 /// Retry/degradation policy for [`execute_compiled_resilient`] and the
@@ -185,6 +189,9 @@ pub fn execute_compiled_resilient(
     config: &WeaverConfig,
     policy: &RetryPolicy,
 ) -> Result<PlanReport> {
+    // One window for the whole episode: every attempt's report folds it,
+    // so the one that lands covers failed attempts and backoff too.
+    let window = RunWindow::open(device);
     let free = device
         .memory()
         .capacity()
@@ -206,17 +213,19 @@ pub fn execute_compiled_resilient(
         // Resident and staged rungs reserve the same predicted peak that
         // admission reported as `resident_peak` / `staged_peak`.
         let rung = rung_config(mode, config);
-        let result = crate::executor::run(plan, compiled, bindings, device, &rung);
+        let result = crate::executor::run(plan, compiled, bindings, device, &rung, &window);
         device.pop_scope();
 
         match result {
             Ok(mut report) => {
                 if rung.chunks.is_some() {
                     // A chunked run's wallclocks are relative to its own
-                    // start, so they miss the backoff charged before it.
-                    // Backoff is charged to BOTH wallclocks: the retry wait
-                    // elapses whether or not transfers overlap compute, so
-                    // leaving it out of either side would let
+                    // start, so they miss the backoff charged before it —
+                    // the one total that is not a fold of the window, kept
+                    // because the robustness and out-of-core campaigns pin
+                    // it. Backoff is charged to BOTH wallclocks: the retry
+                    // wait elapses whether or not transfers overlap
+                    // compute, so leaving it out of either side would let
                     // `serialized_seconds < total_seconds` silently invert
                     // after a retried run (pinned by
                     // `retried_chunked_run_keeps_wallclocks_ordered`).
@@ -236,10 +245,7 @@ pub fn execute_compiled_resilient(
                     degradations,
                     backoff_seconds: budget.backoff_seconds,
                 });
-                // The device's span log covers the whole resilient episode —
-                // failed attempts, backoff and the final successful run —
-                // which is the history a trace should show.
-                report.spans = device.spans().to_vec();
+                report.spans = window.spans(device).to_vec();
                 return Ok(report);
             }
             Err(e) if e.is_transient() && budget.absorb(device, policy) => {}

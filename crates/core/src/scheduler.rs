@@ -59,6 +59,7 @@ use kw_relational::Relation;
 use crate::admission::{
     plan_waves, AdmittedMode, BatchAdmissionQuery, BatchWavePlan, QueryAdmission,
 };
+use crate::executor::RunWindow;
 use crate::resilient::{rung_config, RetryBudget, RetryPolicy};
 use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
@@ -147,9 +148,12 @@ pub struct BatchQueryReport {
     /// Seconds from batch start until this query's last scheduled
     /// operation finished on the shared device (0 when quarantined).
     pub latency_seconds: f64,
-    /// GPU computation seconds charged by this query's kernels.
+    /// GPU computation seconds charged by this query's kernels: the sum of
+    /// its wave steps' costs, or its ladder run's window (failed attempts
+    /// included) when it rode the ladder tail.
     pub gpu_seconds: f64,
-    /// PCIe seconds of this query's boundary transfers.
+    /// PCIe seconds of this query's boundary transfers in the batch
+    /// window, or of its ladder run's window.
     pub pcie_seconds: f64,
     /// Number of (possibly fused) operators scheduled.
     pub operator_count: usize,
@@ -161,6 +165,13 @@ pub struct BatchQueryReport {
 }
 
 /// What a batched execution did on the shared device.
+///
+/// Like [`PlanReport`], a batch report folds its own window of the device's
+/// record, opened when [`execute_batch`] starts: its makespan, serialized
+/// seconds, engine busy times and profile cover this batch alone, however
+/// old the device is. [`BatchReport::free_errors`],
+/// [`BatchReport::first_free_error`] and the profile's
+/// [`crate::ProfileReport::peak_device_bytes`] stay device-lifetime.
 #[derive(Debug)]
 pub struct BatchReport {
     /// Per-query results, in batch order.
@@ -198,7 +209,8 @@ pub struct BatchReport {
     pub engine_utilization: BTreeMap<String, f64>,
     /// Roofline-style bottleneck attribution for the batch, with one
     /// operator row per query scope annotated with the query's outcome
-    /// (see [`crate::ProfileReport`]).
+    /// (see [`crate::ProfileReport`]). It folds the window's spans and
+    /// stats against `makespan_seconds`, which is its `wall_seconds`.
     pub profile: crate::ProfileReport,
     /// Free errors the device swallowed on drain-on-error paths
     /// (`kw_free_errors_total` at batch end). Like
@@ -206,7 +218,8 @@ pub struct BatchReport {
     /// this batch's alone; non-zero means some drain hit accounting
     /// corruption worth investigating.
     pub free_errors: u64,
-    /// The first swallowed free error on the device, if any.
+    /// The first swallowed free error on the device over its lifetime, if
+    /// any.
     pub first_free_error: Option<String>,
     /// The elastic admission verdict: wave packing, ladder routing,
     /// per-query rejections.
@@ -378,8 +391,7 @@ pub fn execute_batch(
     // The batch window opens before phase 1: scratch runs charge nothing
     // to the shared clock except retry backoff, which belongs inside the
     // window (the wait delays the streamed work that follows).
-    let batch_start = device.sync_streams();
-    let spans_before = device.spans().len();
+    let window = RunWindow::open(device);
 
     // Elastic admission: pack wave-sized queries first-fit-decreasing,
     // route oversized ones to the ladder tail, reject per query.
@@ -418,9 +430,10 @@ pub fn execute_batch(
     }
     let mut counters: Vec<RetryBudget> = vec![RetryBudget::default(); queries.len()];
     let mut degraded: Vec<Option<AdmittedMode>> = vec![None; queries.len()];
-    // The cycle each query's last operation finished at: its wave steps'
-    // completion events, or the device makespan after its ladder run.
-    let mut finish_cycle: Vec<u64> = vec![batch_start; queries.len()];
+    // Cycles from the window's start until each query's last operation
+    // finished: its wave steps' completion events, or the device makespan
+    // after its ladder run.
+    let mut finish_cycles: Vec<u64> = vec![0; queries.len()];
 
     // Phase 1: run every wave query on a scratch run (derived fault
     // streams keep injected faults striking inside query execution) to
@@ -589,7 +602,7 @@ pub fn execute_batch(
                 let ScratchExecution { report, steps, .. } =
                     scratch[qi].as_ref().expect("alive queries ran ahead");
                 let budget = &mut counters[qi];
-                let finish = &mut finish_cycle[qi];
+                let finish = &mut finish_cycles[qi];
 
                 // Every span this step emits carries the query's identity,
                 // so a batch trace shows which query each overlapped op
@@ -676,7 +689,7 @@ pub fn execute_batch(
                     }
                     let done = device.record_event(stream)?;
                     state.step_done[slot] = Some(done);
-                    *finish = (*finish).max(device.streams().event_cycle(done)?);
+                    *finish = (*finish).max(window.elapsed(device.streams().event_cycle(done)?));
                     Ok(())
                 })(device);
                 device.pop_scope();
@@ -710,14 +723,11 @@ pub fn execute_batch(
     // Ladder tail: queries too large for a solo wave (or whose scratch run
     // hit a capacity miss) run one at a time through the resilient
     // Resident → Staged → Chunked driver on the now-empty shared device.
-    let mut ladder_done: Vec<Option<(PlanReport, u64, f64)>> =
-        (0..queries.len()).map(|_| None).collect();
+    let mut ladder_done: Vec<Option<PlanReport>> = (0..queries.len()).map(|_| None).collect();
     for (qi, q) in queries.iter().enumerate() {
         if !on_ladder[qi] || failed[qi].is_some() {
             continue;
         }
-        let gpu_before = device.stats().gpu_cycles;
-        let pcie_before = device.stats().pcie_seconds;
         device.push_scope(format!("q{qi}:{}", q.name));
         let result = crate::execute_compiled_resilient(
             q.plan,
@@ -739,10 +749,8 @@ pub fn execute_batch(
                 if res.final_mode != AdmittedMode::Resident {
                     degraded[qi] = Some(res.final_mode);
                 }
-                let gpu_cycles = device.stats().gpu_cycles - gpu_before;
-                let pcie = device.stats().pcie_seconds - pcie_before;
-                finish_cycle[qi] = finish_cycle[qi].max(device.makespan());
-                ladder_done[qi] = Some((report, gpu_cycles, pcie));
+                finish_cycles[qi] = finish_cycles[qi].max(window.elapsed(device.makespan()));
+                ladder_done[qi] = Some(report);
             }
             Err(e) => {
                 // The executor's cleanup guards already freed the attempt's
@@ -760,11 +768,11 @@ pub fn execute_batch(
     // per engine from the spans that occupied one (the device-lifetime
     // `engine_busy()` would include any pre-batch streamed work).
     let end_cycles = device.sync_streams();
-    let makespan_cycles = end_cycles - batch_start;
+    let makespan_cycles = window.elapsed(end_cycles);
     let makespan_seconds = device.config().cycles_to_seconds(makespan_cycles);
     let mut serialized_cycles = 0u64;
     let mut engine_busy_cycles: BTreeMap<String, u64> = BTreeMap::new();
-    for s in &device.spans()[spans_before..] {
+    for s in window.spans(device) {
         serialized_cycles += s.cycles();
         if let Some(engine) = s.engine {
             *engine_busy_cycles.entry(engine.name()).or_insert(0) += s.cycles();
@@ -785,33 +793,34 @@ pub fn execute_batch(
             QueryOutcome::Completed
         };
 
-        let (outputs, gpu_cycles, pcie_seconds, peak) = if let Some(run) = &scratch[qi] {
+        let (outputs, gpu_cycles, pcie_seconds, peak) = if let Some(run) = scratch[qi].take() {
             if outcome.is_success() {
                 let gpu: u64 = run.steps.iter().map(|s| s.gpu_cycles).sum();
                 // This query's streamed transfer spans, by scope frame.
                 let frame = format!("q{qi}:{}", q.name);
-                let pcie: f64 = device.spans()[spans_before..]
+                let pcie: f64 = window
+                    .spans(device)
                     .iter()
                     .filter(|s| s.kind == SpanKind::Transfer)
                     .filter(|s| s.provenance.split('/').next() == Some(frame.as_str()))
                     .map(|s| s.delta.pcie_seconds)
                     .sum();
-                (run.report.outputs.clone(), gpu, pcie, run.fork_peak)
+                (run.report.outputs, gpu, pcie, run.fork_peak)
             } else {
                 (BTreeMap::new(), 0, 0.0, run.fork_peak)
             }
-        } else if let Some((report, gpu_cycles, pcie)) = &ladder_done[qi] {
+        } else if let Some(report) = ladder_done[qi].take() {
             (
-                report.outputs.clone(),
-                *gpu_cycles,
-                *pcie,
+                report.outputs,
+                report.stats.gpu_cycles,
+                report.stats.pcie_seconds,
                 report.peak_device_bytes,
             )
         } else {
             (BTreeMap::new(), 0, 0.0, 0)
         };
         let latency_cycles = if outcome.is_success() {
-            finish_cycle[qi] - batch_start
+            finish_cycles[qi]
         } else {
             0
         };
@@ -867,13 +876,7 @@ pub fn execute_batch(
         })
         .collect();
 
-    let mut profile = crate::ProfileReport::from_spans(
-        device.spans(),
-        device.stats(),
-        device.config(),
-        device.config().cycles_to_seconds(end_cycles),
-    );
-    profile.peak_device_bytes = device.memory().peak();
+    let mut profile = window.profile(device, makespan_seconds, 0.0);
     let outcome_labels: Vec<(String, String)> = queries
         .iter()
         .enumerate()

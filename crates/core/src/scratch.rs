@@ -17,6 +17,7 @@
 use kw_gpu_sim::{ArenaStats, Device, ScratchArena, SimStats};
 use kw_relational::Relation;
 
+use crate::executor::RunWindow;
 use crate::{CompiledPlan, PlanReport, QueryPlan, Result, WeaverConfig};
 
 /// A scratch fork of a parent device plus the arena every execution on it
@@ -28,12 +29,11 @@ pub(crate) struct ScratchRun {
 
 /// What one [`ScratchRun::execute`] measured.
 pub(crate) struct ScratchExecution {
-    /// The fork's report (real output relations).
+    /// The fork's report: real output relations, and in `stats` everything
+    /// the execution charged to the fork.
     pub report: PlanReport,
-    /// Everything the execution charged to the fork.
-    pub delta: SimStats,
     /// One compute-only cost per compiled step, in step order; they sum to
-    /// `delta.compute_only()`.
+    /// `report.stats.compute_only()`.
     pub steps: Vec<SimStats>,
     /// The fork's memory high-water mark after this execution.
     pub fork_peak: u64,
@@ -57,7 +57,7 @@ impl ScratchRun {
         bindings: &[(&str, &Relation)],
         config: &WeaverConfig,
     ) -> Result<ScratchExecution> {
-        let before = *self.fork.stats();
+        let window = RunWindow::open(&mut self.fork);
         let (report, steps) = crate::executor::execute_compiled_in_arena(
             plan,
             compiled,
@@ -65,10 +65,10 @@ impl ScratchRun {
             &mut self.fork,
             config,
             &mut self.arena,
+            &window,
         )?;
         Ok(ScratchExecution {
             report,
-            delta: self.fork.stats().diff(&before),
             steps,
             fork_peak: self.fork.memory().peak(),
         })
@@ -149,10 +149,10 @@ mod tests {
         for step in &exec.steps {
             sum.merge(step);
         }
-        assert_eq!(sum, exec.delta.compute_only());
+        assert_eq!(sum, exec.report.stats.compute_only());
         assert!(
-            exec.delta.pcie_seconds > 0.0,
-            "the delta also carries transfers"
+            exec.report.stats.pcie_seconds > 0.0,
+            "the report's stats also carry transfers"
         );
     }
 }

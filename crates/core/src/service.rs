@@ -262,6 +262,12 @@ pub fn run_service(
         arrival_at.push(t);
     }
 
+    // One display fingerprint per shape: formatting a shape key walks the
+    // whole plan, so it is not redone per arrival.
+    let fingerprints: Vec<u64> = shapes
+        .iter()
+        .map(|shape| shape_fingerprint(&plan_shape_key(shape.plan, config)))
+        .collect();
     let mut cache = PlanCache::new(service.cache_capacity);
     // Compiled plan + (hit, compile seconds charged) per arrival, filled
     // lazily the first time the admission loop considers the arrival —
@@ -375,7 +381,7 @@ pub fn run_service(
             }
             per_query[ai] = Some(ServiceQueryReport {
                 name: shape.name.to_string(),
-                shape_fingerprint: shape_fingerprint(&plan_shape_key(shape.plan, config)),
+                shape_fingerprint: fingerprints[ai % shapes.len()],
                 outcome: qr.outcome.clone(),
                 arrival_seconds: arrival_at[ai],
                 queueing_seconds: queueing,
