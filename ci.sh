@@ -47,34 +47,37 @@ echo "== host fusion smoke gate (examples/host_fusion.rs)"
 # which vary between runs, so it is not diffed.
 cargo run -q --release -p kw-examples --example host_fusion > /dev/null
 
-echo "== campaign benchmarks and CSV gate (paper_tables -- scheduler ... robustness)"
-# Regenerates the six BENCH_*.json files into a scratch dir for the
-# regression gate below. Each campaign asserts its own invariants while it
-# builds its rows (e.g. batched-fused < batched-unfused < serial-fused,
-# hits + misses == arrivals, one Alloc/Free span per arena run), so a
-# violation fails the section and paper_tables exits non-zero. The
-# campaigns' CSVs are simulated numbers, deterministic for the committed
-# configuration, so each must match its committed copy byte for byte:
-# overlap is the one run of staged chunks, robustness drives the
-# degradation ladder under faults.
-bench_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$bench_dir"' EXIT
-cargo run -q --release -p kw-bench --bin paper_tables -- scheduler profile batch_resilience out_of_core service arena overlap robustness --csv "$bench_dir" > /dev/null
-for csv in arena batch_resilience out_of_core profile scheduler service overlap robustness_faults robustness_ladder; do
-    cmp "$bench_dir/$csv.csv" "bench_results/$csv.csv"
+echo "== paper tables gate (paper_tables -- <every section with a table> vs bench_results/)"
+# Every section with a table writes it as <name>.csv and BENCH_<name>.json.
+# The numbers are simulated, deterministic for the committed configuration,
+# so every committed CSV must match its fresh copy byte for byte, and every
+# fresh file must have a committed counterpart: a CSV in bench_results/, a
+# BENCH document in bench_results/baselines/. The campaigns assert their own
+# invariants while they build their rows (e.g. batched-fused <
+# batched-unfused < serial-fused, hits + misses == arrivals, one Alloc/Free
+# span per arena run), so a violation fails the section and paper_tables
+# exits non-zero. bench_regression then diffs each BENCH document against
+# its baseline by the directions the baseline declares per column (fused
+# costs may not rise, speedups may not fall, labels and counts must match).
+tables_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$tables_dir"' EXIT
+cargo run -q --release -p kw-bench --bin paper_tables -- \
+    fig4 fig16 fig17 fig18 fig19 fig20 fig21 table3 queries overlap scheduler \
+    service profile robustness batch_resilience out_of_core arena \
+    --csv "$tables_dir" > /dev/null
+for committed in bench_results/*.csv; do
+    cmp "$committed" "$tables_dir/$(basename "$committed")"
 done
-
-echo "== paper figure gate (paper_tables -- fig4 fig16 ... fig21 vs bench_results/)"
-# The Figure 4 and 16-21 series are simulated numbers, deterministic for
-# the committed configuration. Regenerate them and compare each CSV byte
-# for byte with its committed copy, so a change that moves any of the
-# paper's figures fails here.
-fig_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$bench_dir" "$fig_dir"' EXIT
-cargo run -q --release -p kw-bench --bin paper_tables -- fig4 fig16 fig17 fig18 fig19 fig20 fig21 --csv "$fig_dir" > /dev/null
-for fig in fig04 fig16 fig17 fig18 fig19 fig20 fig21; do
-    cmp "$fig_dir/$fig.csv" "bench_results/$fig.csv"
+for fresh in "$tables_dir"/*.csv "$tables_dir"/BENCH_*.json; do
+    name="$(basename "$fresh")"
+    case "$name" in
+        BENCH_*) committed="bench_results/baselines/$name" ;;
+        *) committed="bench_results/$name" ;;
+    esac
+    [ -e "$committed" ] || { echo "$name has no committed counterpart $committed" >&2; exit 1; }
 done
+cargo run -q --release -p kw-bench --bin bench_regression -- \
+    --baseline-dir bench_results/baselines --fresh-dir "$tables_dir"
 
 echo "== observability export gate (examples/profile.rs)"
 # Prints the bottleneck profile and Prometheus export for a staged run (the
@@ -84,13 +87,6 @@ echo "== observability export gate (examples/profile.rs)"
 # match the committed golden byte for byte.
 cargo run -q --release -p kw-examples --example profile \
     | diff -u bench_results/baselines/profile_example.txt -
-
-echo "== bench regression gate (bench_regression vs bench_results/baselines)"
-# Diffs the freshly generated BENCH_*.json against the committed baselines
-# with per-metric direction-aware tolerances (times may not rise, speedups
-# and utilizations may not fall, classifications must match exactly).
-cargo run -q --release -p kw-bench --bin bench_regression -- \
-    --baseline-dir bench_results/baselines --fresh-dir "$bench_dir"
 
 echo "== repo benchmark fmt, clippy and tests (benchmark/)"
 # benchmark/ is its own workspace, so the workspace-wide fmt, clippy and

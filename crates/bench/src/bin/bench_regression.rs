@@ -10,29 +10,21 @@
 //! an unparseable, negative or non-finite value exits with status 2.
 //!
 //! Every `*.json` under the baseline directory must have a fresh
-//! counterpart. Documents are compared leaf-by-leaf with a direction
-//! inferred from the metric name:
-//!
-//! * keys ending in `_seconds` are lower-is-better — a fresh value more
-//!   than `tolerance` above the baseline is a regression;
-//! * throughputs and gains (`throughput_qps`, `achieved_qps`,
-//!   `saturation_offered_qps`, `speedup_vs_serial`, `fusion_gain`,
-//!   `p99_gain`) and keys under `engine_utilization` are higher-is-better;
-//! * structural integers (`queries`, `tuples_per_query`, `arrivals`,
-//!   `completed`, cache counters, seeds) and every string (bottleneck
-//!   classifications!) must match exactly;
-//! * failure counts (`quarantined`, `failed`, `cache_evictions`) and
-//!   arena churn (`*_alloc_spans`, `*_free_spans`, `spills`) are
-//!   lower-is-better; arena byte envelopes and sub-allocation counts are
-//!   exact;
-//! * all other numbers are two-sided: any relative drift beyond
-//!   `tolerance` fails, in either direction.
+//! counterpart. Each is a BENCH document written from a
+//! [`kw_bench::table::Table`]: `experiment`, `params`, `directions` and
+//! `rows`. A row value may drift as the baseline's `directions` declare
+//! for its column (see [`Direction`]); `tolerance` is the relative band
+//! of `lower`, `higher` and `two_sided`. Every other leaf, the
+//! `directions` included, must match exactly, and so must every string,
+//! bool and null. A baseline without `directions`, or a row key it
+//! declares no direction for, is a failure.
 //!
 //! Extra keys in the fresh document are allowed (new metrics don't break
 //! old baselines); keys missing from the fresh document are failures.
 
 use std::path::Path;
 
+use kw_bench::table::Direction;
 use kw_gpu_sim::{parse_json, JsonValue};
 
 /// Default relative tolerance for numeric drift.
@@ -81,41 +73,24 @@ fn main() {
     }
 
     for name in &names {
-        let base_path = Path::new(&baseline_dir).join(name);
-        let fresh_path = Path::new(&fresh_dir).join(name);
-        let base_text = match std::fs::read_to_string(&base_path) {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!("{name}: cannot read baseline: {e}"));
-                continue;
-            }
+        let load = |dir: &str, what: &str| -> Result<JsonValue, String> {
+            let path = Path::new(dir).join(name);
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("{name}: cannot read {what} {}: {e}", path.display()))?;
+            parse_json(&text).map_err(|e| format!("{name}: {what} does not parse: {e}"))
         };
-        let fresh_text = match std::fs::read_to_string(&fresh_path) {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!(
-                    "{name}: missing fresh result {}: {e}",
-                    fresh_path.display()
-                ));
-                continue;
-            }
-        };
-        let base = match parse_json(&base_text) {
-            Ok(v) => v,
-            Err(e) => {
-                failures.push(format!("{name}: baseline does not parse: {e}"));
-                continue;
-            }
-        };
-        let fresh = match parse_json(&fresh_text) {
-            Ok(v) => v,
-            Err(e) => {
-                failures.push(format!("{name}: fresh result does not parse: {e}"));
+        let (base, fresh) = match (
+            load(&baseline_dir, "baseline"),
+            load(&fresh_dir, "fresh result"),
+        ) {
+            (Ok(base), Ok(fresh)) => (base, fresh),
+            (Err(e), _) | (_, Err(e)) => {
+                failures.push(e);
                 continue;
             }
         };
         let before = failures.len();
-        let leaves = compare(name, &base, &fresh, tolerance, &mut failures);
+        let leaves = compare_doc(name, &base, &fresh, tolerance, &mut failures);
         compared += leaves;
         println!(
             "  {name}: {leaves} leaves compared, {} failures",
@@ -151,85 +126,82 @@ fn parse_tolerance(text: &str) -> Result<f64, String> {
     }
 }
 
-/// How a numeric metric is allowed to drift.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Direction {
-    /// Fails only when fresh is worse = larger (times).
-    LowerIsBetter,
-    /// Fails only when fresh is worse = smaller (throughputs, speedups).
-    HigherIsBetter,
-    /// Structural value: must match exactly.
-    Exact,
-    /// Any drift beyond tolerance fails.
-    TwoSided,
+/// Compare one fresh BENCH document against its baseline: `rows` by the
+/// directions the baseline declares, everything else exactly. Returns the
+/// number of leaf values checked and appends any regressions to
+/// `failures`.
+fn compare_doc(
+    name: &str,
+    base: &JsonValue,
+    fresh: &JsonValue,
+    tol: f64,
+    failures: &mut Vec<String>,
+) -> usize {
+    let Some(declared) = base.get("directions").and_then(JsonValue::entries) else {
+        failures.push(format!("{name}: baseline declares no directions"));
+        return 0;
+    };
+    let mut n = 0;
+    for (key, bv) in base.entries().unwrap_or_default() {
+        let path = format!("{name}.{key}");
+        match (key.as_str(), bv.as_array(), fresh.get(key)) {
+            (_, _, None) => failures.push(format!("{path}: missing from fresh result")),
+            ("rows", Some(rows), Some(fv)) => {
+                n += compare_rows(&path, rows, fv, declared, tol, failures)
+            }
+            (_, _, Some(fv)) => n += compare(&path, bv, fv, Direction::Exact, tol, failures),
+        }
+    }
+    n
 }
 
-/// Classify a leaf by its path (`rows[0].latency_p95_seconds`, ...).
-fn direction(path: &str) -> Direction {
-    let leaf = path.rsplit('.').next().unwrap_or(path);
-    let leaf = leaf.split('[').next().unwrap_or(leaf);
-    if leaf.ends_with("_seconds") {
-        return Direction::LowerIsBetter;
+/// Compare a fresh `rows` array against the baseline's, each row key by
+/// its `declared` direction; an undeclared key is a failure.
+fn compare_rows(
+    path: &str,
+    base: &[JsonValue],
+    fresh: &JsonValue,
+    declared: &[(String, JsonValue)],
+    tol: f64,
+    failures: &mut Vec<String>,
+) -> usize {
+    let fresh = fresh.as_array().unwrap_or_default();
+    if base.len() != fresh.len() {
+        failures.push(format!("{path}: {} rows -> {}", base.len(), fresh.len()));
+        return 0;
     }
-    if leaf == "throughput_qps"
-        || leaf == "goodput_qps"
-        || leaf == "achieved_qps"
-        || leaf == "saturation_offered_qps"
-        || leaf == "speedup_vs_serial"
-        || leaf == "fusion_gain"
-        || leaf == "p99_gain"
-        || path.contains("engine_utilization")
-    {
-        return Direction::HigherIsBetter;
+    let mut n = 0;
+    for (i, (brow, frow)) in base.iter().zip(fresh).enumerate() {
+        let path = format!("{path}[{i}]");
+        let Some(cells) = brow.entries() else {
+            n += compare(&path, brow, frow, Direction::Exact, tol, failures);
+            continue;
+        };
+        for (col, bcell) in cells {
+            let path = format!("{path}.{col}");
+            let direction = declared
+                .iter()
+                .find(|(k, _)| k == col)
+                .and_then(|(_, d)| d.as_str())
+                .and_then(Direction::parse);
+            match (direction, frow.get(col)) {
+                (None, _) => failures.push(format!("{path}: no declared direction")),
+                (_, None) => failures.push(format!("{path}: missing from fresh result")),
+                (Some(d), Some(fcell)) => n += compare(&path, bcell, fcell, d, tol, failures),
+            }
+        }
     }
-    if leaf == "quarantined" || leaf == "failed" || leaf == "cache_evictions" {
-        return Direction::LowerIsBetter;
-    }
-    // Scratch-arena churn: alloc/free span counts and reservation spills
-    // are the churn the arena exists to remove — they may shrink but never
-    // grow past the committed O(1) baseline.
-    if leaf.ends_with("_alloc_spans") || leaf.ends_with("_free_spans") || leaf == "spills" {
-        return Direction::LowerIsBetter;
-    }
-    // The device alloc/free round trips the arena absorbed may not shrink.
-    if leaf == "saved_alloc_pairs" {
-        return Direction::HigherIsBetter;
-    }
-    if leaf == "queries"
-        || leaf == "tuples_per_query"
-        || leaf == "tuples_per_input"
-        || leaf == "waves"
-        || leaf == "input_bytes"
-        || leaf == "device_bytes"
-        || leaf == "arrivals"
-        || leaf == "shapes"
-        || leaf == "completed"
-        || leaf == "dispatches"
-        || leaf == "cache_hits"
-        || leaf == "cache_misses"
-        || leaf == "seed"
-        || leaf == "fused_sub_allocs"
-        || leaf == "unfused_sub_allocs"
-        || leaf == "reservation_bytes"
-        || leaf == "high_water_bytes"
-    {
-        return Direction::Exact;
-    }
-    // Out-of-core chunk counts: a coarser decomposition (fewer chunks) is
-    // fine, needing *more* chunks than the baseline for the same workload
-    // means per-chunk footprints grew.
-    if leaf == "chunks" {
-        return Direction::LowerIsBetter;
-    }
-    Direction::TwoSided
+    n
 }
 
-/// Compare `fresh` against `base` recursively; returns the number of leaf
-/// values checked and appends any regressions to `failures`.
+/// Compare `fresh` against `base` recursively, numbers by `direction`;
+/// returns the number of leaf values checked and appends any regressions
+/// to `failures`.
 fn compare(
     path: &str,
     base: &JsonValue,
     fresh: &JsonValue,
+    direction: Direction,
     tol: f64,
     failures: &mut Vec<String>,
 ) -> usize {
@@ -238,7 +210,9 @@ fn compare(
             let mut n = 0;
             for (key, bv) in base_entries {
                 match fresh.get(key) {
-                    Some(fv) => n += compare(&format!("{path}.{key}"), bv, fv, tol, failures),
+                    Some(fv) => {
+                        n += compare(&format!("{path}.{key}"), bv, fv, direction, tol, failures)
+                    }
                     None => failures.push(format!("{path}.{key}: missing from fresh result")),
                 }
             }
@@ -256,21 +230,21 @@ fn compare(
             bs.iter()
                 .zip(fs)
                 .enumerate()
-                .map(|(i, (b, f))| compare(&format!("{path}[{i}]"), b, f, tol, failures))
+                .map(|(i, (b, f))| compare(&format!("{path}[{i}]"), b, f, direction, tol, failures))
                 .sum()
         }
         (JsonValue::Number(b), JsonValue::Number(f)) => {
             let slack = tol * b.abs() + EPS;
-            let bad = match direction(path) {
-                Direction::LowerIsBetter => *f > b + slack,
-                Direction::HigherIsBetter => *f < b - slack,
+            let bad = match direction {
+                Direction::Lower => *f > b + slack,
+                Direction::Higher => *f < b - slack,
                 Direction::Exact => f != b,
                 Direction::TwoSided => (f - b).abs() > slack,
             };
             if bad {
                 failures.push(format!(
-                    "{path}: {b} -> {f} ({:?}, tolerance {tol})",
-                    direction(path)
+                    "{path}: {b} -> {f} ({}, tolerance {tol})",
+                    direction.name()
                 ));
             }
             1
@@ -301,7 +275,7 @@ mod tests {
 
     fn diff(base: &str, fresh: &str) -> Vec<String> {
         let mut failures = Vec::new();
-        compare(
+        compare_doc(
             "doc",
             &parse_json(base).unwrap(),
             &parse_json(fresh).unwrap(),
@@ -309,6 +283,48 @@ mod tests {
             &mut failures,
         );
         failures
+    }
+
+    /// A one-row document whose column `x` declares `direction`.
+    fn doc(direction: &str, x: &str) -> String {
+        format!(
+            "{{\"experiment\": \"t\", \"params\": {{\"n\": 8}}, \
+             \"directions\": {{\"x\": \"{direction}\"}}, \"rows\": [{{\"x\": {x}}}]}}"
+        )
+    }
+
+    /// Failures when column `x`, declared `direction`, moves `base -> fresh`.
+    fn drift(direction: &str, base: &str, fresh: &str) -> usize {
+        diff(&doc(direction, base), &doc(direction, fresh)).len()
+    }
+
+    /// The committed `BENCH_<experiment>.json` baseline.
+    fn baseline(experiment: &str) -> JsonValue {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../bench_results/baselines")
+            .join(format!("BENCH_{experiment}.json"));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        parse_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// The gate on the committed `experiment` baseline, which must pass
+    /// against itself: the returned function counts the failures when a
+    /// column, declared as that baseline declares it, moves `base -> fresh`.
+    fn gate(experiment: &str) -> impl Fn(&str, &str, &str) -> usize {
+        let base = baseline(experiment);
+        let mut failures = Vec::new();
+        compare_doc(experiment, &base, &base, 0.05, &mut failures);
+        assert!(failures.is_empty(), "{failures:?}");
+        let experiment = experiment.to_string();
+        move |column, from, to| {
+            let direction = base
+                .get("directions")
+                .and_then(|d| d.get(column))
+                .and_then(JsonValue::as_str)
+                .unwrap_or_else(|| panic!("{experiment} declares no direction for {column}"));
+            drift(direction, from, to)
+        }
     }
 
     #[test]
@@ -322,170 +338,150 @@ mod tests {
 
     #[test]
     fn seconds_regress_only_upward() {
-        assert!(diff("{\"a_seconds\": 1.0}", "{\"a_seconds\": 1.04}").is_empty());
-        assert!(diff("{\"a_seconds\": 1.0}", "{\"a_seconds\": 0.5}").is_empty());
-        assert_eq!(
-            diff("{\"a_seconds\": 1.0}", "{\"a_seconds\": 1.2}").len(),
-            1
-        );
+        // `lower` fails only upward, past the tolerance.
+        assert_eq!(drift("lower", "1.0", "1.04"), 0);
+        assert_eq!(drift("lower", "1.0", "0.5"), 0);
+        assert_eq!(drift("lower", "1.0", "1.2"), 1);
+        // The declaration decides, not the name: a `_seconds` column
+        // declared `higher` fails only downward.
+        let named = |x: &str| doc("higher", x).replace("\"x\"", "\"a_seconds\"");
+        assert!(diff(&named("1.0"), &named("2.0")).is_empty());
+        assert_eq!(diff(&named("1.0"), &named("0.5")).len(), 1);
     }
 
     #[test]
     fn throughput_regresses_only_downward() {
-        assert!(diff("{\"throughput_qps\": 100}", "{\"throughput_qps\": 300}").is_empty());
-        assert_eq!(
-            diff("{\"throughput_qps\": 100}", "{\"throughput_qps\": 90}").len(),
-            1
-        );
+        // `higher` fails only downward, past the tolerance.
+        assert_eq!(drift("higher", "100", "300"), 0);
+        assert_eq!(drift("higher", "100", "96"), 0);
+        assert_eq!(drift("higher", "100", "90"), 1);
     }
 
     #[test]
-    fn engine_utilization_is_higher_is_better() {
-        let base = "{\"rows\": [{\"engine_utilization\": {\"compute0\": 0.8}}]}";
-        let worse = "{\"rows\": [{\"engine_utilization\": {\"compute0\": 0.5}}]}";
-        assert!(diff(base, base).is_empty());
-        assert_eq!(diff(base, worse).len(), 1);
+    fn two_sided_drift_fails_both_ways() {
+        assert_eq!(drift("two_sided", "0.5", "0.51"), 0);
+        assert_eq!(drift("two_sided", "0.5", "0.6"), 1);
+        assert_eq!(drift("two_sided", "0.5", "0.4"), 1);
     }
 
     #[test]
     fn strings_and_structure_must_match_exactly() {
-        assert_eq!(
-            diff(
-                "{\"bottleneck\": \"transfer\"}",
-                "{\"bottleneck\": \"launch\"}"
-            )
-            .len(),
-            1
-        );
-        assert_eq!(diff("{\"queries\": 4}", "{\"queries\": 5}").len(), 1);
-        assert_eq!(diff("{\"rows\": [1, 2]}", "{\"rows\": [1]}").len(), 1);
-        // A missing key fails; an extra fresh key is fine.
-        assert_eq!(diff("{\"a\": 1}", "{\"b\": 1}").len(), 1);
-        assert!(diff("{\"a\": 1}", "{\"a\": 1, \"b\": 2}").is_empty());
+        assert_eq!(drift("exact", "4", "5"), 1);
+        assert_eq!(drift("exact", "4", "4"), 0);
+        // Strings, bools and nulls match exactly whatever the declaration.
+        assert_eq!(drift("higher", "\"transfer\"", "\"launch\""), 1);
+        assert_eq!(drift("lower", "true", "false"), 1);
+        assert_eq!(drift("lower", "null", "null"), 0);
+        assert_eq!(drift("lower", "null", "0.5"), 1);
+        // A row more or less fails, and so does a missing column; an extra
+        // fresh key is fine.
+        let two_rows = doc("exact", "1").replace("[{\"x\": 1}]", "[{\"x\": 1}, {\"x\": 1}]");
+        assert_eq!(diff(&doc("exact", "1"), &two_rows).len(), 1);
+        let renamed = doc("exact", "1").replace("{\"x\": 1}", "{\"y\": 1}");
+        assert_eq!(diff(&doc("exact", "1"), &renamed).len(), 1);
+        let extra = doc("exact", "1").replace("{\"x\": 1}", "{\"x\": 1, \"y\": 2}");
+        assert!(diff(&doc("exact", "1"), &extra).is_empty());
+    }
+
+    #[test]
+    fn engine_utilization_is_higher_is_better() {
+        let base = baseline("scheduler");
+        let declared = base.get("directions").and_then(JsonValue::entries);
+        let engines: Vec<&str> = declared
+            .unwrap_or_default()
+            .iter()
+            .map(|(column, _)| column.as_str())
+            .filter(|column| column.ends_with("_utilization"))
+            .collect();
+        assert!(!engines.is_empty(), "scheduler declares no engine columns");
+        let gate = gate("scheduler");
+        for engine in engines {
+            assert_eq!(gate(engine, "0.8", "0.8"), 0, "{engine}");
+            assert_eq!(gate(engine, "0.8", "0.9"), 0, "{engine}");
+            assert_eq!(gate(engine, "0.8", "0.5"), 1, "{engine}");
+        }
     }
 
     #[test]
     fn resilience_metrics_have_typed_directions() {
+        let gate = gate("batch_resilience");
         // Goodput may not fall...
-        assert!(diff("{\"goodput_qps\": 100}", "{\"goodput_qps\": 120}").is_empty());
-        assert_eq!(
-            diff("{\"goodput_qps\": 100}", "{\"goodput_qps\": 90}").len(),
-            1
-        );
+        assert_eq!(gate("goodput_qps", "100", "120"), 0);
+        assert_eq!(gate("goodput_qps", "100", "90"), 1);
         // ...quarantines may not rise...
-        assert!(diff("{\"quarantined\": 2}", "{\"quarantined\": 0}").is_empty());
-        assert_eq!(
-            diff("{\"quarantined\": 0}", "{\"quarantined\": 1}").len(),
-            1
-        );
+        assert_eq!(gate("quarantined", "2", "0"), 0);
+        assert_eq!(gate("quarantined", "0", "1"), 1);
         // ...and the wave structure is exact.
-        assert_eq!(diff("{\"waves\": 2}", "{\"waves\": 3}").len(), 1);
-        assert!(diff("{\"waves\": 2}", "{\"waves\": 2}").is_empty());
+        assert_eq!(gate("waves", "2", "3"), 1);
+        assert_eq!(gate("waves", "2", "2"), 0);
     }
 
     #[test]
     fn out_of_core_metrics_have_typed_directions() {
+        let gate = gate("out_of_core");
         // Strategy strings are structural...
-        assert_eq!(
-            diff(
-                "{\"strategy\": \"hash-partition\"}",
-                "{\"strategy\": \"row-slice\"}"
-            )
-            .len(),
-            1
-        );
+        assert_eq!(gate("strategy", "\"hash-partition\"", "\"row-slice\""), 1);
         // ...byte footprints are exact...
-        assert_eq!(
-            diff("{\"input_bytes\": 1024}", "{\"input_bytes\": 1025}").len(),
-            1
-        );
-        assert_eq!(
-            diff("{\"device_bytes\": 512}", "{\"device_bytes\": 256}").len(),
-            1
-        );
+        assert_eq!(gate("input_bytes", "1024", "1025"), 1);
+        assert_eq!(gate("device_bytes", "512", "256"), 1);
         // ...and chunk counts may shrink but not grow.
-        assert!(diff("{\"chunks\": 8}", "{\"chunks\": 4}").is_empty());
-        assert_eq!(diff("{\"chunks\": 8}", "{\"chunks\": 16}").len(), 1);
+        assert_eq!(gate("chunks", "8", "4"), 0);
+        assert_eq!(gate("chunks", "8", "16"), 1);
     }
 
     #[test]
     fn service_metrics_have_typed_directions() {
-        // Achieved QPS and the saturation knee may not fall...
-        assert!(diff("{\"achieved_qps\": 100}", "{\"achieved_qps\": 150}").is_empty());
-        assert_eq!(
-            diff("{\"achieved_qps\": 100}", "{\"achieved_qps\": 90}").len(),
-            1
-        );
-        assert!(diff(
-            "{\"saturation_offered_qps\": 500}",
-            "{\"saturation_offered_qps\": 700}"
-        )
-        .is_empty());
-        assert_eq!(
-            diff(
-                "{\"saturation_offered_qps\": 500}",
-                "{\"saturation_offered_qps\": 400}"
-            )
-            .len(),
-            1
-        );
-        // ...the cache's p99 gain may not shrink...
-        assert!(diff("{\"p99_gain\": 2.0}", "{\"p99_gain\": 3.0}").is_empty());
-        assert_eq!(diff("{\"p99_gain\": 2.0}", "{\"p99_gain\": 1.5}").len(), 1);
-        // ...arrival accounting and cache counters are structural...
-        for key in [
-            "arrivals",
-            "completed",
-            "dispatches",
-            "cache_hits",
-            "cache_misses",
-            "seed",
-        ] {
-            assert_eq!(
-                diff(&format!("{{\"{key}\": 96}}"), &format!("{{\"{key}\": 95}}")).len(),
-                1,
-                "{key} must be exact"
+        // Arrival accounting is a run parameter, and parameters are exact.
+        let base = baseline("service");
+        for key in ["arrivals", "seed"] {
+            assert!(
+                base.get("params").and_then(|p| p.get(key)).is_some(),
+                "service params lack {key}"
             );
         }
-        // ...failures and evictions may shrink but not grow...
-        assert!(diff("{\"failed\": 2}", "{\"failed\": 0}").is_empty());
-        assert_eq!(diff("{\"failed\": 0}", "{\"failed\": 1}").len(), 1);
-        assert!(diff("{\"cache_evictions\": 4}", "{\"cache_evictions\": 1}").is_empty());
-        assert_eq!(
-            diff("{\"cache_evictions\": 1}", "{\"cache_evictions\": 4}").len(),
-            1
-        );
-        // ...SLO verdicts are booleans and must match, and an all-failed
-        // run's explicit null percentile stays null.
-        assert_eq!(diff("{\"slo_met\": true}", "{\"slo_met\": false}").len(), 1);
-        assert!(diff(
-            "{\"total_p99_seconds\": null}",
-            "{\"total_p99_seconds\": null}"
-        )
-        .is_empty());
+        let gate = gate("service");
+        // Achieved QPS and the saturation knee may not fall...
+        for prefix in ["cached", "uncached"] {
+            let column = format!("{prefix}_achieved_qps");
+            assert_eq!(gate(&column, "100", "150"), 0, "{column}");
+            assert_eq!(gate(&column, "100", "90"), 1, "{column}");
+        }
+        assert_eq!(gate("saturation_offered_qps", "500", "700"), 0);
+        assert_eq!(gate("saturation_offered_qps", "500", "400"), 1);
+        // ...the cache's p99 gain may not shrink...
+        assert_eq!(gate("p99_gain", "2.0", "3.0"), 0);
+        assert_eq!(gate("p99_gain", "2.0", "1.5"), 1);
+        for prefix in ["cached", "uncached"] {
+            let column = |field: &str| format!("{prefix}_{field}");
+            // ...completions, dispatches and cache counters are structural...
+            for field in ["completed", "dispatches", "cache_hits", "cache_misses"] {
+                assert_eq!(gate(&column(field), "96", "95"), 1, "{field} must be exact");
+            }
+            // ...failures and evictions may shrink but not grow...
+            assert_eq!(gate(&column("failed"), "2", "0"), 0);
+            assert_eq!(gate(&column("failed"), "0", "1"), 1);
+            assert_eq!(gate(&column("cache_evictions"), "4", "1"), 0);
+            assert_eq!(gate(&column("cache_evictions"), "1", "4"), 1);
+            // ...SLO verdicts are booleans and must match, and an
+            // all-failed run's explicit null percentile stays null.
+            assert_eq!(gate(&column("slo_met"), "true", "false"), 1);
+            assert_eq!(gate(&column("total_p99_seconds"), "null", "null"), 0);
+        }
     }
 
     #[test]
     fn arena_metrics_have_typed_directions() {
+        let gate = gate("arena");
         // Span counts may shrink but never grow past the O(1) baseline...
-        assert!(diff("{\"fused_alloc_spans\": 1}", "{\"fused_alloc_spans\": 1}").is_empty());
-        assert_eq!(
-            diff("{\"fused_alloc_spans\": 1}", "{\"fused_alloc_spans\": 7}").len(),
-            1
-        );
-        assert_eq!(
-            diff("{\"unfused_free_spans\": 1}", "{\"unfused_free_spans\": 2}").len(),
-            1
-        );
+        assert_eq!(gate("fused_alloc_spans", "1", "1"), 0);
+        assert_eq!(gate("fused_alloc_spans", "1", "7"), 1);
+        assert_eq!(gate("unfused_free_spans", "1", "2"), 1);
         // ...spills may not appear...
-        assert!(diff("{\"spills\": 1}", "{\"spills\": 0}").is_empty());
-        assert_eq!(diff("{\"spills\": 0}", "{\"spills\": 1}").len(), 1);
+        assert_eq!(gate("spills", "1", "0"), 0);
+        assert_eq!(gate("spills", "0", "1"), 1);
         // ...absorbed churn may not shrink...
-        assert!(diff("{\"saved_alloc_pairs\": 5}", "{\"saved_alloc_pairs\": 6}").is_empty());
-        assert_eq!(
-            diff("{\"saved_alloc_pairs\": 5}", "{\"saved_alloc_pairs\": 4}").len(),
-            1
-        );
+        assert_eq!(gate("saved_alloc_pairs", "5", "6"), 0);
+        assert_eq!(gate("saved_alloc_pairs", "5", "4"), 1);
         // ...and the byte envelopes and sub-allocation counts are exact.
         for key in [
             "fused_sub_allocs",
@@ -493,24 +489,32 @@ mod tests {
             "reservation_bytes",
             "high_water_bytes",
         ] {
-            assert_eq!(
-                diff(&format!("{{\"{key}\": 96}}"), &format!("{{\"{key}\": 95}}")).len(),
-                1,
-                "{key} must be exact"
-            );
+            assert_eq!(gate(key, "96", "95"), 1, "{key} must be exact");
         }
     }
 
     #[test]
-    fn two_sided_drift_fails_both_ways() {
-        assert!(diff("{\"launch_share\": 0.5}", "{\"launch_share\": 0.51}").is_empty());
-        assert_eq!(
-            diff("{\"launch_share\": 0.5}", "{\"launch_share\": 0.6}").len(),
-            1
+    fn params_and_declarations_must_match_exactly() {
+        let base = doc("lower", "1.0");
+        let drifted = base.replace("{\"n\": 8}", "{\"n\": 9}");
+        assert_eq!(diff(&base, &drifted).len(), 1);
+        let redeclared = base.replace("{\"x\": \"lower\"}", "{\"x\": \"two_sided\"}");
+        assert_eq!(diff(&base, &redeclared).len(), 1);
+    }
+
+    #[test]
+    fn undeclared_columns_and_baselines_without_directions_fail() {
+        let base = doc("lower", "1.0").replace("{\"x\": 1.0}", "{\"x\": 1.0, \"y\": 2}");
+        let failures = diff(&base, &base);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("rows[0].y: no declared direction"),
+            "{failures:?}"
         );
-        assert_eq!(
-            diff("{\"launch_share\": 0.5}", "{\"launch_share\": 0.4}").len(),
-            1
-        );
+        // An unknown direction name declares nothing.
+        assert_eq!(drift("sideways", "1.0", "1.0"), 1);
+        let bare = "{\"experiment\": \"t\", \"rows\": [{\"x\": 1.0}]}";
+        let failures = diff(bare, bare);
+        assert_eq!(failures, ["doc: baseline declares no directions"]);
     }
 }

@@ -3,6 +3,9 @@
 //! Each section runs behind a panic guard: a failing experiment prints a
 //! diagnostic and the remaining sections still render, but the process exits
 //! non-zero so CI notices. An argument that names no section is an error.
+//! Every section with a [`Table`] also writes it to the output directory
+//! (`--csv <dir>`, default `bench_results`) as `<name>.csv` and
+//! `BENCH_<name>.json`.
 //!
 //! ```bash
 //! cargo run --release -p kw-bench --bin paper_tables            # everything
@@ -10,40 +13,28 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use kw_bench::experiments::{
     ablations, arena, batch_resilience, capacity, density, fig04, fig16, fig17, fig18, fig19,
     fig20, fig21, out_of_core, overlap, platforms, profile, queries, robustness, scheduler,
     service, table2, table3, trace,
 };
+use kw_bench::table::Table;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--csv <dir>` additionally writes each figure's series as CSV.
-    let csv_dir: Option<std::path::PathBuf> = args.iter().position(|a| a == "--csv").map(|i| {
-        let dir = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "bench_results".into());
-        args.drain(i..(i + 2).min(args.len()));
-        dir.into()
-    });
-    if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-    }
+    // `--csv <dir>` names the directory the tables are written to.
+    let out_dir = take_flag(&mut args, "--csv", "bench_results");
+    let out_dir = out_dir.unwrap_or_else(|| "bench_results".into());
+    std::fs::create_dir_all(&out_dir).expect("create output dir");
     // `--trace-dir <dir>` exports the trace section's span logs as
     // Perfetto-loadable Chrome trace JSON plus per-operator summaries.
-    let trace_dir: Option<std::path::PathBuf> =
-        args.iter().position(|a| a == "--trace-dir").map(|i| {
-            let dir = args.get(i + 1).cloned().unwrap_or_else(|| "traces".into());
-            args.drain(i..(i + 2).min(args.len()));
-            dir.into()
-        });
+    let trace_dir = take_flag(&mut args, "--trace-dir", "traces");
     // Every name is checked before anything runs, so a typo fails instead
     // of silently running nothing.
     let mut known: Vec<&str> = Vec::new();
-    sections(csv_dir.as_deref(), trace_dir.as_deref(), &mut |names, _| {
+    sections(&out_dir, trace_dir.as_deref(), &mut |names, _| {
         known.extend(names)
     });
     let unknown: Vec<&str> = args
@@ -76,7 +67,7 @@ fn main() {
             failed.push(names[0]);
         }
     };
-    sections(csv_dir.as_deref(), trace_dir.as_deref(), &mut run);
+    sections(&out_dir, trace_dir.as_deref(), &mut run);
 
     if !failed.is_empty() {
         eprintln!("failed sections: {}", failed.join(", "));
@@ -84,25 +75,24 @@ fn main() {
     }
 }
 
+/// Remove `flag` and the value after it from `args`: `None` without the
+/// flag, `default` when it ends the arguments.
+fn take_flag(args: &mut Vec<String>, flag: &str, default: &str) -> Option<PathBuf> {
+    let i = args.iter().position(|a| a == flag)?;
+    let value = args.drain(i..(i + 2).min(args.len())).nth(1);
+    Some(value.unwrap_or_else(|| default.into()).into())
+}
+
 /// A section's names; the first is the one reported on failure.
 type SectionNames = &'static [&'static str];
 
 /// Hand every section to `run` in output order, with its names and its
-/// body. `csv_dir` receives the CSV series and redirects the
-/// `BENCH_*.json` files, which are written on every run.
+/// body. Each table goes to `out_dir`.
 fn sections(
-    csv_dir: Option<&Path>,
+    out_dir: &Path,
     trace_dir: Option<&Path>,
     run: &mut dyn FnMut(SectionNames, &dyn Fn()),
 ) {
-    let csv = |name: &str, header: &str, rows: &[String]| {
-        if let Some(dir) = csv_dir {
-            let body = format!("{header}\n{}\n", rows.join("\n"));
-            std::fs::write(dir.join(name), body).expect("write csv");
-        }
-    };
-    let bench_dir = csv_dir.unwrap_or(Path::new("bench_results"));
-
     run(&["table2"], &|| {
         section("Table 2 / Figure 1: experimental infrastructure (simulated)");
         print!("{}", table2::render());
@@ -120,14 +110,7 @@ fn sections(
                 r.n, r.fused2_speedup, r.fused3_speedup
             );
         }
-        csv(
-            "fig04.csv",
-            "tuples,fused2_speedup,fused3_speedup",
-            &rows
-                .iter()
-                .map(|r| format!("{},{},{}", r.n, r.fused2_speedup, r.fused3_speedup))
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig04::table(&rows));
         println!();
     });
 
@@ -189,14 +172,7 @@ fn sections(
             );
         }
         println!("  average: {:.2}x\n", fig16::average(&rows));
-        csv(
-            "fig16.csv",
-            "pattern,speedup",
-            &rows
-                .iter()
-                .map(|r| format!("{},{}", r.pattern.label(), r.speedup))
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig16::table(&rows));
     });
 
     run(&["fig17"], &|| {
@@ -216,21 +192,7 @@ fn sections(
             );
         }
         println!("  (paper: fused smaller everywhere except (d))\n");
-        csv(
-            "fig17.csv",
-            "pattern,baseline_bytes,fused_bytes",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{}",
-                        r.pattern.label(),
-                        r.baseline_bytes,
-                        r.fused_bytes
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig17::table(&rows));
     });
 
     run(&["fig18"], &|| {
@@ -249,21 +211,7 @@ fn sections(
             "  average reduction: {:.0}%\n",
             fig18::average_reduction(&rows) * 100.0
         );
-        csv(
-            "fig18.csv",
-            "pattern,baseline_cycles,fused_cycles",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{}",
-                        r.pattern.label(),
-                        r.baseline_cycles,
-                        r.fused_cycles
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig18::table(&rows));
     });
 
     run(&["fig19"], &|| {
@@ -279,21 +227,7 @@ fn sections(
             );
         }
         println!("  (paper: optimization helps fused kernels more, every pattern)\n");
-        csv(
-            "fig19.csv",
-            "pattern,unfused_o3_speedup,fused_o3_speedup",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{}",
-                        r.pattern.label(),
-                        r.unfused_o3_speedup,
-                        r.fused_o3_speedup
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig19::table(&rows));
     });
 
     run(&["fig20"], &|| {
@@ -307,14 +241,7 @@ fn sections(
                 r.speedup
             );
         }
-        csv(
-            "fig20.csv",
-            "selectivity,speedup",
-            &rows
-                .iter()
-                .map(|r| format!("{},{}", r.selectivity, r.speedup))
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig20::table(&rows));
         println!();
     });
 
@@ -344,22 +271,7 @@ fn sections(
             "  producer-consumer only: PCIe {pc_pcie:.2}x  overall {pc_overall:.2}x  \
              (paper: 2.35x / 2.22x)\n"
         );
-        csv(
-            "fig21.csv",
-            "pattern,gpu_speedup,pcie_speedup,overall_speedup",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{}",
-                        r.pattern.label(),
-                        r.gpu_speedup,
-                        r.pcie_speedup,
-                        r.overall_speedup
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &fig21::table(&rows));
     });
 
     run(&["table3"], &|| {
@@ -368,17 +280,12 @@ fn sections(
             "{:<14}  {:>6}  {:>10}  {:>9}",
             "kernel", "regs", "shared B", "occupancy"
         );
-        for r in table3::individual_operators() {
-            println!(
-                "{:<14}  {:>6}  {:>10}  {:>8.0}%",
-                r.name,
-                r.registers,
-                r.shared_bytes,
-                r.occupancy * 100.0
-            );
-        }
-        println!("  --");
-        for r in table3::fused_patterns() {
+        let operators = table3::individual_operators();
+        let fused = table3::fused_patterns();
+        for (i, r) in operators.iter().chain(&fused).enumerate() {
+            if i == operators.len() {
+                println!("  --");
+            }
             println!(
                 "{:<14}  {:>6}  {:>10}  {:>8.0}%",
                 r.name,
@@ -388,11 +295,14 @@ fn sections(
             );
         }
         println!();
+        emit(out_dir, &table3::table(&[operators, fused].concat()));
     });
 
     run(&["q1", "q21", "queries"], &|| {
         section("Section 5.2: TPC-H queries (Q1 and Q21 from the paper; Q3, Q6 extra)");
-        for row in queries::suite(8.0) {
+        let scale = 8.0;
+        let rows = queries::suite(scale);
+        for row in &rows {
             println!("  {}:", row.name);
             println!(
                 "    operators {} -> {}   kernels {} -> {}",
@@ -409,6 +319,7 @@ fn sections(
             );
         }
         println!("  (paper: Q1 1.25x overall, SORT ~71%, 3.18x excl. SORT; Q21 1.22x)\n");
+        emit(out_dir, &queries::table(scale, &rows));
     });
 
     run(&["platforms"], &|| {
@@ -457,14 +368,15 @@ fn sections(
             "{:>5}  {:>11}  {:>11}  {:>11}  {:>11}  {:>9}",
             "pat", "fused ser", "fused pipe", "base ser", "base pipe", "composed"
         );
+        let (n, chunks) = (1 << 20, 8);
         let rows = overlap::run(
             &[
                 kw_tpch::Pattern::A,
                 kw_tpch::Pattern::D,
                 kw_tpch::Pattern::E,
             ],
-            1 << 20,
-            8,
+            n,
+            chunks,
         );
         for r in &rows {
             println!(
@@ -479,23 +391,7 @@ fn sections(
         }
         println!("  (pipelined wallclock is the device stream graph's makespan;");
         println!("   on transfer-bound (d), fused-chunked < unfused-chunked < fused-serialized)");
-        csv(
-            "overlap.csv",
-            "pattern,fused_serialized,fused_pipelined,base_serialized,base_pipelined",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{}",
-                        r.pattern.label(),
-                        r.fused_serialized,
-                        r.fused_pipelined,
-                        r.base_serialized,
-                        r.base_pipelined
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &overlap::table(n, chunks, &rows));
         println!();
     });
 
@@ -542,28 +438,7 @@ fn sections(
             );
         }
         println!("  (fault-free campaign: retries and backoff are quoted, and zero)");
-        write_bench(
-            bench_dir,
-            "BENCH_scheduler.json",
-            &scheduler::to_json(n, &rows),
-        );
-        csv(
-            "scheduler.csv",
-            "queries,batched_fused,batched_unfused,serial_fused,throughput_qps",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{}",
-                        r.queries,
-                        r.batched_fused,
-                        r.batched_unfused,
-                        r.serial_fused,
-                        r.throughput_qps
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &scheduler::table(n, &rows));
         println!();
     });
 
@@ -609,35 +484,7 @@ fn sections(
             println!();
         }
         println!("  (cached p99 strictly beats uncached at every load on every device)");
-        write_bench(
-            bench_dir,
-            "BENCH_service.json",
-            &service::to_json(n, arrivals, &sweeps),
-        );
-        csv(
-            "service.csv",
-            "device,offered_qps,load_factor,cached_p99_seconds,uncached_p99_seconds,\
-             p99_gain,cached_achieved_qps,uncached_achieved_qps,cached_slo_met",
-            &sweeps
-                .iter()
-                .flat_map(|s| {
-                    s.rows.iter().map(|r| {
-                        format!(
-                            "{},{},{},{},{},{},{},{},{}",
-                            s.device,
-                            r.offered_qps,
-                            r.load_factor,
-                            r.cached.total_p99_seconds,
-                            r.uncached.total_p99_seconds,
-                            r.p99_gain(),
-                            r.cached.achieved_qps,
-                            r.uncached.achieved_qps,
-                            r.cached.slo_met
-                        )
-                    })
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &service::table(n, arrivals, &sweeps));
         println!();
     });
 
@@ -673,26 +520,7 @@ fn sections(
         }
         println!("  (the 8 GB/s PCIe link pins every Fermi row transfer-bound;");
         println!("   removing it — the paper's fused APU — exposes the next roofline)");
-        write_bench(bench_dir, "BENCH_profile.json", &profile::to_json(n, &rows));
-        csv(
-            "profile.csv",
-            "pattern,platform,mode,bottleneck,gpu_busy_fraction,pcie_busy_fraction,launch_share",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{}",
-                        r.pattern,
-                        r.platform,
-                        r.mode,
-                        r.bottleneck,
-                        r.gpu_busy_fraction,
-                        r.pcie_busy_fraction,
-                        r.launch_share
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &profile::table(n, &rows));
         println!();
     });
 
@@ -780,15 +608,8 @@ fn sections(
             "    {:>12}  {:<13}  {:<13}  {:>9}  {:>9}",
             "capacity B", "fused mode", "base mode", "fused ms", "base ms"
         );
-        let rows = match robustness::run_ladder(1 << 15) {
-            Ok(rows) => rows,
-            Err(e) => {
-                // A typed sweep error skips the table with a warning instead
-                // of panicking mid-sweep (the old unwrap behaviour).
-                eprintln!("  !! ladder sweep skipped: {e}");
-                Vec::new()
-            }
-        };
+        let n = 1 << 15;
+        let rows = robustness::run_ladder(n).unwrap_or_else(|e| panic!("ladder sweep failed: {e}"));
         for r in &rows {
             println!(
                 "    {:>12}  {:<13}  {:<13}  {:>9.4}  {:>9.4}",
@@ -799,23 +620,7 @@ fn sections(
                 r.baseline_seconds * 1e3
             );
         }
-        csv(
-            "robustness_ladder.csv",
-            "capacity,fused_mode,baseline_mode,fused_seconds,baseline_seconds",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{}",
-                        r.capacity,
-                        r.fused_mode,
-                        r.baseline_mode,
-                        r.fused_seconds,
-                        r.baseline_seconds
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &robustness::ladder_table(n, &rows));
         println!("  (fusion's smaller footprint stays Resident at capacities that");
         println!("   already pushed the baseline down the ladder)");
         println!("  Transient-fault sweep, pattern (a), 16Ki tuples, full device:");
@@ -823,13 +628,9 @@ fn sections(
             "    {:>6}  {:>8}  {:>8}  {:>10}  {:>10}",
             "rate", "f.retry", "b.retry", "fused ms", "base ms"
         );
-        let rows = match robustness::run_faults(1 << 14, &robustness::FAULT_RATES) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("  !! fault sweep skipped: {e}");
-                Vec::new()
-            }
-        };
+        let n = 1 << 14;
+        let rows = robustness::run_faults(n, &robustness::FAULT_RATES)
+            .unwrap_or_else(|e| panic!("fault sweep failed: {e}"));
         for r in &rows {
             println!(
                 "    {:>5.0}%  {:>8}  {:>8}  {:>10.4}  {:>10.4}",
@@ -840,26 +641,7 @@ fn sections(
                 r.baseline_seconds * 1e3
             );
         }
-        csv(
-            "robustness_faults.csv",
-            "rate,fused_retries,baseline_retries,fused_gpu_seconds,baseline_gpu_seconds,\
-             fused_seconds,baseline_seconds",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{}",
-                        r.rate,
-                        r.fused_retries,
-                        r.baseline_retries,
-                        r.fused_gpu_seconds,
-                        r.baseline_gpu_seconds,
-                        r.fused_seconds,
-                        r.baseline_seconds
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &robustness::faults_table(n, &rows));
         println!("  (every row produced identical outputs; retries and backoff are");
         println!("   reported by the resilient driver, never silently absorbed)");
         println!();
@@ -910,36 +692,7 @@ fn sections(
         }
         println!("  (admission waves absorb the oversubscription, the whale degrades");
         println!("   down the ladder, and faults cost retries/backoff — not the batch)");
-        write_bench(
-            bench_dir,
-            "BENCH_batch_resilience.json",
-            &batch_resilience::to_json(n, &rows),
-        );
-        csv(
-            "batch_resilience.csv",
-            "fault_rate,queries,waves,completed,retried,degraded,quarantined,\
-             retries_total,backoff_seconds,goodput_qps,makespan_seconds,latency_p99_seconds",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{},{},{},{},{},{}",
-                        r.fault_rate,
-                        r.queries,
-                        r.waves,
-                        r.completed,
-                        r.retried,
-                        r.degraded,
-                        r.quarantined,
-                        r.retries_total,
-                        r.backoff_seconds,
-                        r.goodput_qps,
-                        r.makespan_seconds,
-                        r.latency_p99_seconds
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &batch_resilience::table(n, &rows));
         println!();
     });
 
@@ -971,32 +724,7 @@ fn sections(
         }
         println!("  (joins hash-partition, aggregates merge partials, selects row-slice —");
         println!("   no pattern quarantines for being larger than the device)");
-        write_bench(
-            bench_dir,
-            "BENCH_out_of_core.json",
-            &out_of_core::to_json(n, &rows),
-        );
-        csv(
-            "out_of_core.csv",
-            "pattern,strategy,input_bytes,device_bytes,chunks,\
-             fused_seconds,unfused_seconds,fusion_gain",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{},{}",
-                        r.pattern,
-                        r.strategy,
-                        r.input_bytes,
-                        r.device_bytes,
-                        r.chunks,
-                        r.fused_seconds,
-                        r.unfused_seconds,
-                        r.fusion_gain
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &out_of_core::table(n, &rows));
         println!();
     });
 
@@ -1038,43 +766,25 @@ fn sections(
         }
         println!("  (sub-allocations are served span-free from the reservation;");
         println!("   each used to be a tracked device alloc/free round trip)");
-        write_bench(bench_dir, "BENCH_arena.json", &arena::to_json(n, &rows));
-        csv(
-            "arena.csv",
-            "pattern,fused_alloc_spans,unfused_alloc_spans,fused_sub_allocs,\
-             unfused_sub_allocs,reservation_bytes,high_water_bytes,spills,\
-             fused_seconds,unfused_seconds",
-            &rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{},{},{},{},{},{},{},{},{},{}",
-                        r.pattern,
-                        r.fused_alloc_spans,
-                        r.unfused_alloc_spans,
-                        r.fused_sub_allocs,
-                        r.unfused_sub_allocs,
-                        r.reservation_bytes,
-                        r.high_water_bytes,
-                        r.spills,
-                        r.fused_seconds,
-                        r.unfused_seconds
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        emit(out_dir, &arena::table(n, &rows));
         println!();
     });
 }
 
-/// Validate one campaign's machine-readable results and write them to
-/// `dir/file`.
-fn write_bench(dir: &Path, file: &str, json: &str) {
-    kw_gpu_sim::validate_json(json).unwrap_or_else(|e| panic!("{file} must parse: {e}"));
-    std::fs::create_dir_all(dir).expect("create bench_results dir");
-    let path = dir.join(file);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("  wrote {}", path.display());
+/// Write `table` to `dir` as `<name>.csv` and `BENCH_<name>.json`, after
+/// checking that it has rows and that the JSON parses.
+fn emit(dir: &Path, table: &Table) {
+    let name = table.name();
+    assert!(table.rows() > 0, "{name}: refusing to write an empty table");
+    let json = table.json();
+    kw_gpu_sim::validate_json(&json).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
+    for (file, body) in [
+        (format!("{name}.csv"), table.csv()),
+        (format!("BENCH_{name}.json"), json),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    }
 }
 
 fn section(title: &str) {

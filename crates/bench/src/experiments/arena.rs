@@ -20,6 +20,9 @@
 use kw_gpu_sim::SpanKind;
 use kw_tpch::Pattern;
 
+use crate::table::Direction::{Exact, Higher, Lower};
+use crate::table::Table;
+
 /// One pattern of the arena churn table.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -142,47 +145,31 @@ pub fn run(n: usize) -> Vec<Row> {
     rows
 }
 
-/// Render `rows` as the machine-readable `BENCH_arena.json` document the
-/// regression gate diffs against its committed baseline (hand-rolled: the
-/// workspace carries no JSON serializer dependency).
-pub fn to_json(n: usize, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"arena\",\n");
-    out.push_str(&format!("  \"tuples_per_input\": {n},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \
-             \"fused_alloc_spans\": {}, \"fused_free_spans\": {}, \
-             \"unfused_alloc_spans\": {}, \"unfused_free_spans\": {}, \
-             \"fused_sub_allocs\": {}, \"unfused_sub_allocs\": {}, \
-             \"saved_alloc_pairs\": {}, \
-             \"reservation_bytes\": {}, \"high_water_bytes\": {}, \
-             \"spills\": {}, \
-             \"fused_seconds\": {}, \"unfused_seconds\": {}}}{}\n",
-            r.pattern,
-            r.fused_alloc_spans,
-            r.fused_free_spans,
-            r.unfused_alloc_spans,
-            r.unfused_free_spans,
-            r.fused_sub_allocs,
-            r.unfused_sub_allocs,
-            r.saved_alloc_pairs(),
-            r.reservation_bytes,
-            r.high_water_bytes,
-            r.spills,
-            r.fused_seconds,
-            r.unfused_seconds,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The campaign at `n` tuples per input as the `arena` table.
+pub fn table(n: usize, rows: &[Row]) -> Table {
+    Table::new("arena")
+        .param("tuples_per_input", n)
+        .column(rows, "pattern", Exact, |r| r.pattern.as_str())
+        .column(rows, "fused_alloc_spans", Lower, |r| r.fused_alloc_spans)
+        .column(rows, "fused_free_spans", Lower, |r| r.fused_free_spans)
+        .column(rows, "unfused_alloc_spans", Lower, |r| {
+            r.unfused_alloc_spans
+        })
+        .column(rows, "unfused_free_spans", Lower, |r| r.unfused_free_spans)
+        .column(rows, "fused_sub_allocs", Exact, |r| r.fused_sub_allocs)
+        .column(rows, "unfused_sub_allocs", Exact, |r| r.unfused_sub_allocs)
+        .column(rows, "saved_alloc_pairs", Higher, Row::saved_alloc_pairs)
+        .column(rows, "reservation_bytes", Exact, |r| r.reservation_bytes)
+        .column(rows, "high_water_bytes", Exact, |r| r.high_water_bytes)
+        .column(rows, "spills", Lower, |r| r.spills)
+        .column(rows, "fused_seconds", Lower, |r| r.fused_seconds)
+        .column(rows, "unfused_seconds", Lower, |r| r.unfused_seconds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::declared;
 
     #[test]
     fn alloc_spans_are_constant_and_spill_free() {
@@ -194,16 +181,39 @@ mod tests {
     fn json_export_is_well_formed() {
         let rows = run(1 << 10);
         assert_eq!(rows.len(), patterns().len());
-        let json = to_json(1 << 10, &rows);
-        kw_gpu_sim::validate_json(&json).expect("arena JSON parses");
+        let t = table(1 << 10, &rows);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("arena JSON parses");
+        let json_rows = doc.get("rows").and_then(|r| r.as_array()).expect("rows");
+        assert_eq!(json_rows.len(), rows.len());
         for key in [
-            "\"fused_alloc_spans\"",
-            "\"unfused_sub_allocs\"",
-            "\"saved_alloc_pairs\"",
-            "\"reservation_bytes\"",
-            "\"spills\"",
+            "fused_alloc_spans",
+            "unfused_sub_allocs",
+            "saved_alloc_pairs",
+            "reservation_bytes",
+            "spills",
         ] {
-            assert!(json.contains(key), "missing {key}");
+            assert!(json_rows[0].get(key).is_some(), "missing {key}");
+        }
+        // Span counts and spills may shrink but never grow past the O(1)
+        // baseline, absorbed churn may not shrink, and the byte envelopes
+        // and sub-allocation counts are exact.
+        for spans in [
+            "fused_alloc_spans",
+            "fused_free_spans",
+            "unfused_alloc_spans",
+            "unfused_free_spans",
+            "spills",
+        ] {
+            assert_eq!(declared(&t, spans), Some(Lower), "{spans}");
+        }
+        assert_eq!(declared(&t, "saved_alloc_pairs"), Some(Higher));
+        for exact in [
+            "fused_sub_allocs",
+            "unfused_sub_allocs",
+            "reservation_bytes",
+            "high_water_bytes",
+        ] {
+            assert_eq!(declared(&t, exact), Some(Exact), "{exact}");
         }
     }
 }

@@ -30,6 +30,8 @@ use kw_tpch::Workload;
 
 use super::scheduler::MIX;
 use super::SEED;
+use crate::table::Direction::{Exact, Higher, Lower, TwoSided};
+use crate::table::Table;
 
 /// One (fault rate × batch size) cell of the campaign.
 #[derive(Debug, Clone)]
@@ -227,44 +229,31 @@ pub fn run(n: usize, rates: &[f64], sizes: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// Render `rows` as the machine-readable `BENCH_batch_resilience.json`
-/// document the CI gate parses (hand-rolled: the workspace carries no JSON
-/// serializer dependency).
-pub fn to_json(n: usize, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"batch_resilience\",\n");
-    out.push_str(&format!("  \"tuples_per_query\": {n},\n"));
-    out.push_str(&format!("  \"whale_factor\": {WHALE_FACTOR},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault_rate\": {}, \"queries\": {}, \"waves\": {}, \
-             \"completed\": {}, \"retried\": {}, \"degraded\": {}, \
-             \"quarantined\": {}, \"retries_total\": {}, \
-             \"backoff_seconds\": {}, \"goodput_qps\": {}, \
-             \"makespan_seconds\": {}, \"latency_p99_seconds\": {}}}{}\n",
-            r.fault_rate,
-            r.queries,
-            r.waves,
-            r.completed,
-            r.retried,
-            r.degraded,
-            r.quarantined,
-            r.retries_total,
-            r.backoff_seconds,
-            r.goodput_qps,
-            r.makespan_seconds,
-            r.latency_p99_seconds,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The campaign at `n` tuples per query as the `batch_resilience` table.
+pub fn table(n: usize, rows: &[Row]) -> Table {
+    Table::new("batch_resilience")
+        .param("tuples_per_query", n)
+        .param("whale_factor", WHALE_FACTOR)
+        .column(rows, "fault_rate", Exact, |r| r.fault_rate)
+        .column(rows, "queries", Exact, |r| r.queries)
+        .column(rows, "waves", Exact, |r| r.waves)
+        .column(rows, "completed", Exact, |r| r.completed)
+        .column(rows, "retried", TwoSided, |r| r.retried)
+        .column(rows, "degraded", TwoSided, |r| r.degraded)
+        .column(rows, "quarantined", Lower, |r| r.quarantined)
+        .column(rows, "retries_total", TwoSided, |r| r.retries_total)
+        .column(rows, "backoff_seconds", Lower, |r| r.backoff_seconds)
+        .column(rows, "goodput_qps", Higher, |r| r.goodput_qps)
+        .column(rows, "makespan_seconds", Lower, |r| r.makespan_seconds)
+        .column(rows, "latency_p99_seconds", Lower, |r| {
+            r.latency_p99_seconds
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::declared;
 
     #[test]
     fn fault_free_batches_split_into_waves_and_degrade_the_whale() {
@@ -294,16 +283,26 @@ mod tests {
     #[test]
     fn json_export_is_well_formed() {
         let rows = run(1 << 12, &[0.0], &[4]);
-        let json = to_json(1 << 12, &rows);
-        kw_gpu_sim::validate_json(&json).expect("batch_resilience JSON parses");
+        let t = table(1 << 12, &rows);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("batch_resilience JSON parses");
+        let json_rows = doc.get("rows").and_then(|r| r.as_array()).expect("rows");
+        assert_eq!(json_rows.len(), rows.len());
         for key in [
-            "\"fault_rate\"",
-            "\"goodput_qps\"",
-            "\"quarantined\"",
-            "\"waves\"",
-            "\"latency_p99_seconds\"",
+            "fault_rate",
+            "goodput_qps",
+            "quarantined",
+            "waves",
+            "latency_p99_seconds",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(
+                json_rows[0].get(key).is_some(),
+                "missing {key} in {json_rows:?}"
+            );
         }
+        // Goodput may not fall, quarantines may not rise, and the wave
+        // structure is exact.
+        assert_eq!(declared(&t, "goodput_qps"), Some(Higher));
+        assert_eq!(declared(&t, "quarantined"), Some(Lower));
+        assert_eq!(declared(&t, "waves"), Some(Exact));
     }
 }

@@ -10,6 +10,8 @@ use kw_relational::{CmpOp, Predicate, Value};
 use kw_tpch::Workload;
 
 use super::{resident, run_pair, SEED};
+use crate::table::Direction::{Exact, Higher};
+use crate::table::Table;
 
 /// One row of the Figure 4 series.
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +64,14 @@ pub fn run(sizes: &[usize]) -> Vec<Fig04Row> {
             }
         })
         .collect()
+}
+
+/// The series as the `fig04` table.
+pub fn table(rows: &[Fig04Row]) -> Table {
+    Table::new("fig04")
+        .column(rows, "tuples", Exact, |r| r.n)
+        .column(rows, "fused2_speedup", Higher, |r| r.fused2_speedup)
+        .column(rows, "fused3_speedup", Higher, |r| r.fused3_speedup)
 }
 
 #[cfg(test)]

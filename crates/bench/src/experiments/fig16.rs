@@ -7,6 +7,8 @@
 use kw_tpch::Pattern;
 
 use super::{geomean, resident, run_pair, SWEEP};
+use crate::table::Direction::{Exact, Higher};
+use crate::table::Table;
 
 /// One pattern's Figure 16 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -41,6 +43,13 @@ pub fn run() -> Vec<Fig16Row> {
 /// Average speedup across patterns (the paper's 2.89× headline).
 pub fn average(rows: &[Fig16Row]) -> f64 {
     geomean(&rows.iter().map(|r| r.speedup).collect::<Vec<_>>())
+}
+
+/// The figure as the `fig16` table.
+pub fn table(rows: &[Fig16Row]) -> Table {
+    Table::new("fig16")
+        .column(rows, "pattern", Exact, |r| r.pattern.label())
+        .column(rows, "speedup", Higher, |r| r.speedup)
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 use kw_tpch::Pattern;
 
 use super::{resident, run_pair, DEFAULT_N, SEED};
+use crate::table::Direction::{Exact, Lower, TwoSided};
+use crate::table::Table;
 
 /// One pattern's Figure 17 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -40,6 +42,14 @@ pub fn run() -> Vec<Fig17Row> {
             }
         })
         .collect()
+}
+
+/// The figure as the `fig17` table.
+pub fn table(rows: &[Fig17Row]) -> Table {
+    Table::new("fig17")
+        .column(rows, "pattern", Exact, |r| r.pattern.label())
+        .column(rows, "baseline_bytes", TwoSided, |r| r.baseline_bytes)
+        .column(rows, "fused_bytes", Lower, |r| r.fused_bytes)
 }
 
 #[cfg(test)]

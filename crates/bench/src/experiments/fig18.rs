@@ -7,6 +7,8 @@
 use kw_tpch::Pattern;
 
 use super::{geomean, resident, run_pair, DEFAULT_N, SEED};
+use crate::table::Direction::{Exact, Lower, TwoSided};
+use crate::table::Table;
 
 /// One pattern's Figure 18 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -50,6 +52,14 @@ pub fn average_reduction(rows: &[Fig18Row]) -> f64 {
             .map(|r| r.fused_cycles as f64 / r.baseline_cycles as f64)
             .collect::<Vec<_>>(),
     )
+}
+
+/// The figure as the `fig18` table.
+pub fn table(rows: &[Fig18Row]) -> Table {
+    Table::new("fig18")
+        .column(rows, "pattern", Exact, |r| r.pattern.label())
+        .column(rows, "baseline_cycles", TwoSided, |r| r.baseline_cycles)
+        .column(rows, "fused_cycles", Lower, |r| r.fused_cycles)
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@ use kw_kernel_ir::OptLevel;
 use kw_tpch::Pattern;
 
 use super::{device, DEFAULT_N, SEED};
+use crate::table::Direction::{Exact, Higher};
+use crate::table::Table;
 
 /// One pattern's Figure 19 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +47,14 @@ pub fn run() -> Vec<Fig19Row> {
                 / gpu_seconds(pattern, true, OptLevel::O3),
         })
         .collect()
+}
+
+/// The figure as the `fig19` table.
+pub fn table(rows: &[Fig19Row]) -> Table {
+    Table::new("fig19")
+        .column(rows, "pattern", Exact, |r| r.pattern.label())
+        .column(rows, "unfused_o3_speedup", Higher, |r| r.unfused_o3_speedup)
+        .column(rows, "fused_o3_speedup", Higher, |r| r.fused_o3_speedup)
 }
 
 #[cfg(test)]

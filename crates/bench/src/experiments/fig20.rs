@@ -10,6 +10,8 @@ use kw_relational::{gen, CmpOp, Predicate};
 use kw_tpch::Workload;
 
 use super::{resident, run_pair, DEFAULT_N, SEED};
+use crate::table::Direction::{Exact, Higher};
+use crate::table::Table;
 
 /// One selectivity point of the Figure 20 sweep.
 #[derive(Debug, Clone, Copy)]
@@ -69,6 +71,13 @@ pub fn run(selectivities: &[f64]) -> Vec<Fig20Row> {
 
 /// The paper's sweep points.
 pub const PAPER_SWEEP: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
+
+/// The series as the `fig20` table.
+pub fn table(rows: &[Fig20Row]) -> Table {
+    Table::new("fig20")
+        .column(rows, "selectivity", Exact, |r| r.selectivity)
+        .column(rows, "speedup", Higher, |r| r.speedup)
+}
 
 #[cfg(test)]
 mod tests {

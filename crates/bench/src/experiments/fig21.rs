@@ -9,6 +9,8 @@
 use kw_tpch::Pattern;
 
 use super::{geomean, run_pair, staged, DEFAULT_N, SEED};
+use crate::table::Direction::{Exact, Higher};
+use crate::table::Table;
 
 /// One pattern's Figure 21 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +61,15 @@ pub fn producer_consumer_averages(rows: &[Fig21Row]) -> (f64, f64) {
         geomean(&pc.iter().map(|r| r.pcie_speedup).collect::<Vec<_>>()),
         geomean(&pc.iter().map(|r| r.overall_speedup).collect::<Vec<_>>()),
     )
+}
+
+/// The figure as the `fig21` table.
+pub fn table(rows: &[Fig21Row]) -> Table {
+    Table::new("fig21")
+        .column(rows, "pattern", Exact, |r| r.pattern.label())
+        .column(rows, "gpu_speedup", Higher, |r| r.gpu_speedup)
+        .column(rows, "pcie_speedup", Higher, |r| r.pcie_speedup)
+        .column(rows, "overall_speedup", Higher, |r| r.overall_speedup)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Each experiment returns structured rows so the `paper_tables` binary,
-//! the Criterion benches and the integration tests share one
-//! implementation. `EXPERIMENTS.md` records the paper-vs-measured numbers.
+//! Each experiment returns structured rows, which the `paper_tables`
+//! binary prints and writes as a [`crate::table::Table`] and the unit
+//! tests check. `EXPERIMENTS.md` records the paper-vs-measured numbers.
 
 pub mod ablations;
 pub mod arena;

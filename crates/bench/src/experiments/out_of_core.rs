@@ -31,6 +31,8 @@ use kw_relational::{Relation, Schema};
 use kw_tpch::{Pattern, Workload};
 
 use super::SEED;
+use crate::table::Direction::{Exact, Higher, Lower};
+use crate::table::Table;
 
 /// One (workload × strategy) row of the campaign.
 #[derive(Debug, Clone)]
@@ -188,38 +190,24 @@ pub fn run(n: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Render `rows` as the machine-readable `BENCH_out_of_core.json` document
-/// the CI gate parses (hand-rolled: the workspace carries no JSON
-/// serializer dependency).
-pub fn to_json(n: usize, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"out_of_core\",\n");
-    out.push_str(&format!("  \"tuples_per_input\": {n},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \"strategy\": \"{}\", \
-             \"input_bytes\": {}, \"device_bytes\": {}, \"chunks\": {}, \
-             \"fused_seconds\": {}, \"unfused_seconds\": {}, \
-             \"fusion_gain\": {}}}{}\n",
-            r.pattern,
-            r.strategy,
-            r.input_bytes,
-            r.device_bytes,
-            r.chunks,
-            r.fused_seconds,
-            r.unfused_seconds,
-            r.fusion_gain,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The campaign at `n` tuples per input as the `out_of_core` table.
+pub fn table(n: usize, rows: &[Row]) -> Table {
+    Table::new("out_of_core")
+        .param("tuples_per_input", n)
+        .column(rows, "pattern", Exact, |r| r.pattern.as_str())
+        .column(rows, "strategy", Exact, |r| r.strategy.as_str())
+        .column(rows, "input_bytes", Exact, |r| r.input_bytes)
+        .column(rows, "device_bytes", Exact, |r| r.device_bytes)
+        .column(rows, "chunks", Lower, |r| r.chunks)
+        .column(rows, "fused_seconds", Lower, |r| r.fused_seconds)
+        .column(rows, "unfused_seconds", Lower, |r| r.unfused_seconds)
+        .column(rows, "fusion_gain", Higher, |r| r.fusion_gain)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::declared;
     use kw_core::{execute_batch, BatchQuery, QueryOutcome};
 
     #[test]
@@ -324,19 +312,28 @@ mod tests {
     #[test]
     fn json_export_is_well_formed() {
         let rows = run(1 << 12);
-        let json = to_json(1 << 12, &rows);
-        kw_gpu_sim::validate_json(&json).expect("out_of_core JSON parses");
+        let t = table(1 << 12, &rows);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("out_of_core JSON parses");
+        let json_rows = doc.get("rows").and_then(|r| r.as_array()).expect("rows");
+        assert_eq!(json_rows.len(), rows.len());
         for key in [
-            "\"pattern\"",
-            "\"strategy\"",
-            "\"input_bytes\"",
-            "\"device_bytes\"",
-            "\"chunks\"",
-            "\"fused_seconds\"",
-            "\"unfused_seconds\"",
-            "\"fusion_gain\"",
+            "pattern",
+            "strategy",
+            "input_bytes",
+            "device_bytes",
+            "chunks",
+            "fused_seconds",
+            "unfused_seconds",
+            "fusion_gain",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(json_rows[0].get(key).is_some(), "missing {key}");
         }
+        // Strategies and byte footprints are structural, and the chunk
+        // count may shrink but not grow: more chunks for the same workload
+        // means per-chunk footprints grew.
+        for column in ["strategy", "input_bytes", "device_bytes"] {
+            assert_eq!(declared(&t, column), Some(Exact), "{column}");
+        }
+        assert_eq!(declared(&t, "chunks"), Some(Lower));
     }
 }

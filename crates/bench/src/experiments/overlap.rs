@@ -17,6 +17,8 @@ use kw_core::{ExecMode, WeaverConfig};
 use kw_tpch::Pattern;
 
 use super::SEED;
+use crate::table::Direction::{Exact, Lower, TwoSided};
+use crate::table::Table;
 
 /// Serialized and pipelined wallclock for one pattern, fused and unfused.
 #[derive(Debug, Clone)]
@@ -102,6 +104,18 @@ pub fn run(patterns: &[Pattern], n: usize, chunks: usize) -> Vec<OverlapRow> {
             }
         })
         .collect()
+}
+
+/// The study at `n` tuples per input in `chunks` chunks as the `overlap` table.
+pub fn table(n: usize, chunks: usize, rows: &[OverlapRow]) -> Table {
+    Table::new("overlap")
+        .param("tuples_per_input", n)
+        .param("chunks", chunks)
+        .column(rows, "pattern", Exact, |r| r.pattern.label())
+        .column(rows, "fused_serialized", Lower, |r| r.fused_serialized)
+        .column(rows, "fused_pipelined", Lower, |r| r.fused_pipelined)
+        .column(rows, "base_serialized", TwoSided, |r| r.base_serialized)
+        .column(rows, "base_pipelined", TwoSided, |r| r.base_pipelined)
 }
 
 #[cfg(test)]

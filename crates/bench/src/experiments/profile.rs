@@ -15,6 +15,9 @@ use kw_core::ExecMode;
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_tpch::Pattern;
 
+use crate::table::Direction::{Exact, TwoSided};
+use crate::table::Table;
+
 /// One pattern/platform/mode cell of the profile table.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -81,35 +84,25 @@ pub fn run(n: usize) -> Vec<Row> {
     rows
 }
 
-/// Render `rows` as the machine-readable `BENCH_profile.json` document the
-/// regression gate diffs against its committed baseline (hand-rolled: the
-/// workspace carries no JSON serializer dependency).
-pub fn to_json(n: usize, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"profile\",\n");
-    out.push_str(&format!("  \"tuples_per_query\": {n},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \"platform\": \"{}\", \"mode\": \"{}\", \
-             \"bottleneck\": \"{}\", \
-             \"gpu_busy_fraction\": {}, \"pcie_busy_fraction\": {}, \
-             \"launch_share\": {}, \"global_bw_utilization\": {}, \
-             \"pcie_bw_utilization\": {}}}{}\n",
-            r.pattern,
-            r.platform,
-            r.mode,
-            r.bottleneck,
-            r.gpu_busy_fraction,
-            r.pcie_busy_fraction,
-            r.launch_share,
-            r.global_bw_utilization,
-            r.pcie_bw_utilization,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The profile at `n` tuples per query as the `profile` table.
+pub fn table(n: usize, rows: &[Row]) -> Table {
+    Table::new("profile")
+        .param("tuples_per_query", n)
+        .column(rows, "pattern", Exact, |r| r.pattern.as_str())
+        .column(rows, "platform", Exact, |r| r.platform.as_str())
+        .column(rows, "mode", Exact, |r| r.mode.as_str())
+        .column(rows, "bottleneck", Exact, |r| r.bottleneck.as_str())
+        .column(rows, "gpu_busy_fraction", TwoSided, |r| r.gpu_busy_fraction)
+        .column(rows, "pcie_busy_fraction", TwoSided, |r| {
+            r.pcie_busy_fraction
+        })
+        .column(rows, "launch_share", TwoSided, |r| r.launch_share)
+        .column(rows, "global_bw_utilization", TwoSided, |r| {
+            r.global_bw_utilization
+        })
+        .column(rows, "pcie_bw_utilization", TwoSided, |r| {
+            r.pcie_bw_utilization
+        })
 }
 
 #[cfg(test)]
@@ -135,14 +128,12 @@ mod tests {
     fn json_export_is_well_formed() {
         let rows = run(1 << 12);
         assert_eq!(rows.len(), 3 * Pattern::all().len());
-        let json = to_json(1 << 12, &rows);
-        kw_gpu_sim::validate_json(&json).expect("profile JSON parses");
-        for key in [
-            "\"bottleneck\"",
-            "\"gpu_busy_fraction\"",
-            "\"launch_share\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+        let t = table(1 << 12, &rows);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("profile JSON parses");
+        let json_rows = doc.get("rows").and_then(|r| r.as_array()).expect("rows");
+        assert_eq!(json_rows.len(), rows.len());
+        for key in ["bottleneck", "gpu_busy_fraction", "launch_share"] {
+            assert!(json_rows[0].get(key).is_some(), "missing {key}");
         }
     }
 }

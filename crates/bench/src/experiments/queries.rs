@@ -9,6 +9,8 @@ use kw_gpu_sim::cycles_for_label;
 use kw_tpch::Workload;
 
 use super::{device, resident, SEED};
+use crate::table::Direction::{Exact, Higher, TwoSided};
+use crate::table::Table;
 
 /// Measurements for one query.
 #[derive(Debug, Clone)]
@@ -82,6 +84,22 @@ pub fn suite(scale: f64) -> Vec<QueryRow> {
         run_query(&kw_tpch::q6(scale, SEED)),
         run_query(&kw_tpch::q21(scale, SEED)),
     ]
+}
+
+/// The suite at `scale` as the `queries` table.
+pub fn table(scale: f64, rows: &[QueryRow]) -> Table {
+    Table::new("queries")
+        .param("scale", scale)
+        .column(rows, "name", Exact, |r| r.name.as_str())
+        .column(rows, "baseline_operators", Exact, |r| r.baseline_operators)
+        .column(rows, "fused_operators", Exact, |r| r.fused_operators)
+        .column(rows, "baseline_kernels", Exact, |r| r.baseline_kernels)
+        .column(rows, "fused_kernels", Exact, |r| r.fused_kernels)
+        .column(rows, "overall_speedup", Higher, |r| r.overall_speedup)
+        .column(rows, "sort_fraction", TwoSided, |r| r.sort_fraction)
+        .column(rows, "speedup_excluding_sort", Higher, |r| {
+            r.speedup_excluding_sort
+        })
 }
 
 #[cfg(test)]

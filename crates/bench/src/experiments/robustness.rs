@@ -28,6 +28,8 @@ use kw_relational::Relation;
 use kw_tpch::{Pattern, Workload};
 
 use super::SEED;
+use crate::table::Direction::{Exact, Lower, TwoSided};
+use crate::table::Table;
 
 /// Why a robustness sweep could not produce a row.
 #[derive(Debug)]
@@ -285,6 +287,34 @@ pub fn run_faults(n: usize, rates: &[f64]) -> Result<Vec<FaultRow>, SweepError> 
         });
     }
     Ok(rows)
+}
+
+/// The ladder sweep at `n` tuples as the `robustness_ladder` table.
+pub fn ladder_table(n: usize, rows: &[LadderRow]) -> Table {
+    Table::new("robustness_ladder")
+        .param("tuples_per_input", n)
+        .column(rows, "capacity", Exact, |r| r.capacity)
+        .column(rows, "fused_mode", Exact, |r| r.fused_mode.to_string())
+        .column(rows, "baseline_mode", Exact, |r| {
+            r.baseline_mode.to_string()
+        })
+        .column(rows, "fused_seconds", Lower, |r| r.fused_seconds)
+        .column(rows, "baseline_seconds", TwoSided, |r| r.baseline_seconds)
+}
+
+/// The fault sweep at `n` tuples as the `robustness_faults` table.
+pub fn faults_table(n: usize, rows: &[FaultRow]) -> Table {
+    Table::new("robustness_faults")
+        .param("tuples_per_input", n)
+        .column(rows, "rate", Exact, |r| r.rate)
+        .column(rows, "fused_retries", Lower, |r| r.fused_retries)
+        .column(rows, "baseline_retries", TwoSided, |r| r.baseline_retries)
+        .column(rows, "fused_gpu_seconds", Lower, |r| r.fused_gpu_seconds)
+        .column(rows, "baseline_gpu_seconds", TwoSided, |r| {
+            r.baseline_gpu_seconds
+        })
+        .column(rows, "fused_seconds", Lower, |r| r.fused_seconds)
+        .column(rows, "baseline_seconds", TwoSided, |r| r.baseline_seconds)
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@ use kw_core::{execute_batch, BatchQuery, RetryPolicy, WeaverConfig};
 use kw_relational::Relation;
 use kw_tpch::{Pattern, Workload};
 
+use crate::table::Direction::{Exact, Higher, Lower, TwoSided};
+use crate::table::Table;
+
 /// One batch size of the scheduler experiment.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -149,51 +152,40 @@ fn run_batch(n: usize, k: usize) -> Row {
     }
 }
 
-/// Render `rows` as the machine-readable `BENCH_scheduler.json` document
-/// the CI gate parses (hand-rolled: the workspace carries no JSON
-/// serializer dependency).
-pub fn to_json(n: usize, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"scheduler\",\n");
-    out.push_str(&format!("  \"tuples_per_query\": {n},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let engines = r
-            .engine_utilization
-            .iter()
-            .map(|(name, u)| format!("\"{name}\": {u}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"queries\": {}, \"batched_fused_seconds\": {}, \
-             \"batched_unfused_seconds\": {}, \"serial_fused_seconds\": {}, \
-             \"throughput_qps\": {}, \"speedup_vs_serial\": {}, \
-             \"fusion_gain\": {}, \"latency_p50_seconds\": {}, \
-             \"latency_p95_seconds\": {}, \"latency_p99_seconds\": {}, \
-             \"retries_total\": {}, \"backoff_seconds\": {}, \
-             \"engine_utilization\": {{{engines}}}}}{}\n",
-            r.queries,
-            r.batched_fused,
-            r.batched_unfused,
-            r.serial_fused,
-            r.throughput_qps,
-            r.speedup_vs_serial(),
-            r.fusion_gain(),
-            r.latency_p50,
-            r.latency_p95,
-            r.latency_p99,
-            r.retries_total,
-            r.backoff_seconds,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+/// The campaign at `n` tuples per query as the `scheduler` table, with one
+/// `<engine>_utilization` column per engine of the first row.
+pub fn table(n: usize, rows: &[Row]) -> Table {
+    let mut t = Table::new("scheduler")
+        .param("tuples_per_query", n)
+        .column(rows, "queries", Exact, |r| r.queries)
+        .column(rows, "batched_fused_seconds", Lower, |r| r.batched_fused)
+        .column(rows, "batched_unfused_seconds", Lower, |r| {
+            r.batched_unfused
+        })
+        .column(rows, "serial_fused_seconds", Lower, |r| r.serial_fused)
+        .column(rows, "throughput_qps", Higher, |r| r.throughput_qps)
+        .column(rows, "speedup_vs_serial", Higher, Row::speedup_vs_serial)
+        .column(rows, "fusion_gain", Higher, Row::fusion_gain)
+        .column(rows, "latency_p50_seconds", Lower, |r| r.latency_p50)
+        .column(rows, "latency_p95_seconds", Lower, |r| r.latency_p95)
+        .column(rows, "latency_p99_seconds", Lower, |r| r.latency_p99)
+        .column(rows, "retries_total", TwoSided, |r| r.retries_total)
+        .column(rows, "backoff_seconds", Lower, |r| r.backoff_seconds);
+    for (engine, _) in rows.first().map_or(&[][..], |r| &r.engine_utilization) {
+        t = t.column(rows, &format!("{engine}_utilization"), Higher, |r| {
+            r.engine_utilization
+                .iter()
+                .find(|(e, _)| e == engine)
+                .map(|&(_, u)| u)
+        });
     }
-    out.push_str("  ]\n}\n");
-    out
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::declared;
 
     #[test]
     fn batching_orders_the_three_regimes() {
@@ -207,14 +199,23 @@ mod tests {
     fn json_export_is_well_formed() {
         // `run` asserts the ordering, which two 16Ki-tuple queries miss.
         let rows = run(1 << 16, &[2]);
-        let json = to_json(1 << 16, &rows);
-        kw_gpu_sim::validate_json(&json).expect("scheduler JSON parses");
+        let t = table(1 << 16, &rows);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("scheduler JSON parses");
+        let json_rows = doc.get("rows").and_then(|r| r.as_array()).expect("rows");
+        assert_eq!(json_rows.len(), rows.len());
         for key in [
-            "\"batched_fused_seconds\"",
-            "\"throughput_qps\"",
-            "\"speedup_vs_serial\"",
+            "batched_fused_seconds",
+            "throughput_qps",
+            "speedup_vs_serial",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(json_rows[0].get(key).is_some(), "missing {key}");
+        }
+        // Every engine's utilization is a column, and it may not fall.
+        assert!(!rows[0].engine_utilization.is_empty());
+        for (engine, u) in &rows[0].engine_utilization {
+            let column = format!("{engine}_utilization");
+            assert_eq!(json_rows[0].get(&column).and_then(|v| v.as_f64()), Some(*u));
+            assert_eq!(declared(&t, &column), Some(Higher), "{column}");
         }
     }
 }

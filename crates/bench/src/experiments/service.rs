@@ -28,6 +28,8 @@ use kw_relational::Relation;
 use kw_tpch::Workload;
 
 use super::scheduler::MIX;
+use crate::table::Direction::{Exact, Higher, Lower, TwoSided};
+use crate::table::Table;
 
 /// Arrivals per service run of the full campaign.
 pub const ARRIVALS: usize = 96;
@@ -260,91 +262,79 @@ fn sweep_device(
     }
 }
 
-/// A number or an explicit `null` when the run had no successes (a
-/// percentile over zero queries is meaningless, and the gate must see
-/// that, not a fake zero).
-fn num_or_null(v: f64, completed: usize) -> String {
-    if completed == 0 {
-        "null".to_string()
-    } else {
-        format!("{v}")
-    }
+/// The campaign as a table, one row per (device, offered load): the
+/// device's calibration, the load, the cache's p99 gain, then every field
+/// of the cached and uncached runs, prefixed `cached_` and `uncached_`.
+pub fn table(n: usize, arrivals: usize, sweeps: &[DeviceSweep]) -> Table {
+    let rows: Vec<(&DeviceSweep, &LoadRow)> = sweeps
+        .iter()
+        .flat_map(|s| s.rows.iter().map(move |r| (s, r)))
+        .collect();
+    let t = Table::new("service")
+        .param("tuples_per_query", n)
+        .param("arrivals", arrivals)
+        .param("shapes", MIX.len())
+        .param("seed", super::SEED)
+        .column(&rows, "device", Exact, |(s, _)| s.device)
+        .column(&rows, "slo_p99_seconds", Lower, |(s, _)| s.slo_p99_seconds)
+        .column(&rows, "base_qps", TwoSided, |(s, _)| s.base_qps)
+        .column(&rows, "saturation_offered_qps", Higher, |(s, _)| {
+            s.saturation_offered_qps
+        })
+        .column(&rows, "offered_qps", TwoSided, |(_, r)| r.offered_qps)
+        .column(&rows, "load_factor", Exact, |(_, r)| r.load_factor)
+        .column(&rows, "p99_gain", Higher, |(_, r)| {
+            (r.cached.completed > 0 && r.uncached.completed > 0).then(|| r.p99_gain())
+        });
+    let cached: Vec<&VariantRow> = rows.iter().map(|(_, r)| &r.cached).collect();
+    let uncached: Vec<&VariantRow> = rows.iter().map(|(_, r)| &r.uncached).collect();
+    let t = variant_columns(t, &cached, "cached");
+    variant_columns(t, &uncached, "uncached")
 }
 
-fn variant_json(v: &VariantRow) -> String {
-    format!(
-        "{{\"achieved_qps\": {}, \"completed\": {}, \"failed\": {}, \
-         \"dispatches\": {}, \"max_queue_depth\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"cache_evictions\": {}, \
-         \"compile_seconds_total\": {}, \"busy_seconds\": {}, \
-         \"duration_seconds\": {}, \"queueing_p99_seconds\": {}, \
-         \"execution_p99_seconds\": {}, \"total_p50_seconds\": {}, \
-         \"total_p95_seconds\": {}, \"total_p99_seconds\": {}, \"slo_met\": {}}}",
-        v.achieved_qps,
-        v.completed,
-        v.failed,
-        v.dispatches,
-        v.max_queue_depth,
-        v.cache_hits,
-        v.cache_misses,
-        v.cache_evictions,
-        v.compile_seconds_total,
-        v.busy_seconds,
-        v.duration_seconds,
-        num_or_null(v.queueing_p99_seconds, v.completed),
-        num_or_null(v.execution_p99_seconds, v.completed),
-        num_or_null(v.total_p50_seconds, v.completed),
-        num_or_null(v.total_p95_seconds, v.completed),
-        num_or_null(v.total_p99_seconds, v.completed),
-        v.slo_met
-    )
-}
-
-/// Render the campaign as the machine-readable `BENCH_service.json`
-/// document the CI gate parses (hand-rolled: the workspace carries no JSON
-/// serializer dependency).
-pub fn to_json(n: usize, arrivals: usize, sweeps: &[DeviceSweep]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"service\",\n");
-    out.push_str(&format!("  \"tuples_per_query\": {n},\n"));
-    out.push_str(&format!("  \"arrivals\": {arrivals},\n"));
-    out.push_str(&format!("  \"shapes\": {},\n", MIX.len()));
-    out.push_str(&format!("  \"seed\": {},\n", super::SEED));
-    out.push_str("  \"configs\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"device\": \"{}\", \"slo_p99_seconds\": {}, \"base_qps\": {}, \
-             \"saturation_offered_qps\": {},\n     \"rows\": [\n",
-            s.device, s.slo_p99_seconds, s.base_qps, s.saturation_offered_qps
-        ));
-        for (j, r) in s.rows.iter().enumerate() {
-            let p99_gain = if r.cached.completed == 0 || r.uncached.completed == 0 {
-                "null".to_string()
-            } else {
-                format!("{}", r.p99_gain())
-            };
-            out.push_str(&format!(
-                "      {{\"offered_qps\": {}, \"load_factor\": {}, \"p99_gain\": {p99_gain}, \
-                 \"cached\": {}, \"uncached\": {}}}{}\n",
-                r.offered_qps,
-                r.load_factor,
-                variant_json(&r.cached),
-                variant_json(&r.uncached),
-                if j + 1 < s.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 < sweeps.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Add one variant's columns, one per field of `rows`. A percentile over
+/// zero successes is `null`: meaningless, and the gate must see that
+/// rather than a fake zero.
+fn variant_columns(t: Table, rows: &[&VariantRow], prefix: &str) -> Table {
+    let name = |field: &str| format!("{prefix}_{field}");
+    type Percentile = fn(&VariantRow) -> f64;
+    let percentiles: [(&str, Percentile); 5] = [
+        ("queueing_p99_seconds", |v| v.queueing_p99_seconds),
+        ("execution_p99_seconds", |v| v.execution_p99_seconds),
+        ("total_p50_seconds", |v| v.total_p50_seconds),
+        ("total_p95_seconds", |v| v.total_p95_seconds),
+        ("total_p99_seconds", |v| v.total_p99_seconds),
+    ];
+    let t = t
+        .column(rows, &name("achieved_qps"), Higher, |v| v.achieved_qps)
+        .column(rows, &name("completed"), Exact, |v| v.completed)
+        .column(rows, &name("failed"), Lower, |v| v.failed)
+        .column(rows, &name("dispatches"), Exact, |v| v.dispatches)
+        .column(rows, &name("max_queue_depth"), TwoSided, |v| {
+            v.max_queue_depth
+        })
+        .column(rows, &name("cache_hits"), Exact, |v| v.cache_hits)
+        .column(rows, &name("cache_misses"), Exact, |v| v.cache_misses)
+        .column(rows, &name("cache_evictions"), Lower, |v| v.cache_evictions)
+        .column(rows, &name("compile_seconds_total"), TwoSided, |v| {
+            v.compile_seconds_total
+        })
+        .column(rows, &name("busy_seconds"), Lower, |v| v.busy_seconds)
+        .column(rows, &name("duration_seconds"), Lower, |v| {
+            v.duration_seconds
+        });
+    let t = percentiles.into_iter().fold(t, |t, (field, seconds)| {
+        t.column(rows, &name(field), Lower, |v| {
+            (v.completed > 0).then(|| seconds(v))
+        })
+    });
+    t.column(rows, &name("slo_met"), Exact, |v| v.slo_met)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::declared;
 
     #[test]
     fn cached_run_beats_uncached_at_every_load() {
@@ -387,26 +377,49 @@ mod tests {
             1 << 12,
             16,
         )];
-        let json = to_json(1 << 12, 16, &sweeps);
-        kw_gpu_sim::validate_json(&json).expect("service JSON parses");
-        let doc = kw_gpu_sim::parse_json(&json).expect("service JSON parses into values");
-        let configs = doc.get("configs").unwrap().as_array().unwrap();
-        assert_eq!(configs.len(), 1);
-        let rows = configs[0].get("rows").unwrap().as_array().unwrap();
+        let t = table(1 << 12, 16, &sweeps);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("service JSON parses into values");
+        let params = doc.get("params").expect("params");
+        for key in ["tuples_per_query", "arrivals", "shapes", "seed"] {
+            assert!(params.get(key).is_some(), "missing param {key}");
+        }
+        let rows = doc.get("rows").unwrap().as_array().unwrap();
         assert_eq!(rows.len(), LOAD_FACTORS.len());
-        for key in ["offered_qps", "p99_gain", "cached", "uncached"] {
+        for key in [
+            "device",
+            "offered_qps",
+            "p99_gain",
+            "cached_total_p99_seconds",
+            "uncached_total_p99_seconds",
+        ] {
             assert!(rows[0].get(key).is_some(), "missing {key}");
         }
-        assert!(rows[0]
-            .get("cached")
-            .unwrap()
-            .get("total_p99_seconds")
-            .is_some());
+        // Achieved QPS, the saturation knee and the cache's p99 gain may
+        // not fall; arrival accounting and cache counters are structural;
+        // failures and evictions may shrink but not grow; SLO verdicts
+        // must match.
+        for prefix in ["cached", "uncached"] {
+            let direction = |field: &str| declared(&t, &format!("{prefix}_{field}"));
+            assert_eq!(direction("achieved_qps"), Some(Higher));
+            for field in [
+                "completed",
+                "dispatches",
+                "cache_hits",
+                "cache_misses",
+                "slo_met",
+            ] {
+                assert_eq!(direction(field), Some(Exact), "{prefix}_{field}");
+            }
+            assert_eq!(direction("failed"), Some(Lower));
+            assert_eq!(direction("cache_evictions"), Some(Lower));
+        }
+        assert_eq!(declared(&t, "saturation_offered_qps"), Some(Higher));
+        assert_eq!(declared(&t, "p99_gain"), Some(Higher));
     }
 
     #[test]
     fn all_failed_variant_exports_null_percentiles() {
-        let v = VariantRow {
+        let failed = VariantRow {
             achieved_qps: 0.0,
             completed: 0,
             failed: 4,
@@ -425,13 +438,42 @@ mod tests {
             total_p99_seconds: 0.0,
             slo_met: false,
         };
-        let json = variant_json(&v);
-        let doc = kw_gpu_sim::parse_json(&json).expect("variant JSON parses");
+        let served = VariantRow {
+            completed: 4,
+            failed: 0,
+            total_p99_seconds: 0.002,
+            ..failed.clone()
+        };
+        let sweep = DeviceSweep {
+            device: "fermi_c2050",
+            slo_p99_seconds: 0.001,
+            base_qps: 100.0,
+            saturation_offered_qps: 0.0,
+            rows: vec![LoadRow {
+                offered_qps: 10.0,
+                load_factor: 0.1,
+                cached: failed,
+                uncached: served,
+            }],
+        };
+        let t = table(1 << 12, 4, &[sweep]);
+        let doc = kw_gpu_sim::parse_json(&t.json()).expect("service JSON parses");
+        let row = &doc.get("rows").unwrap().as_array().unwrap()[0];
+        for key in [
+            "cached_total_p99_seconds",
+            "cached_queueing_p99_seconds",
+            "p99_gain",
+        ] {
+            assert_eq!(
+                row.get(key),
+                Some(&kw_gpu_sim::JsonValue::Null),
+                "{key}: all-failed runs must export explicit nulls, not fake zeros"
+            );
+        }
+        assert_eq!(row.get("cached_failed").unwrap().as_f64(), Some(4.0));
         assert_eq!(
-            doc.get("total_p99_seconds"),
-            Some(&kw_gpu_sim::JsonValue::Null),
-            "all-failed runs must export explicit nulls, not fake zeros"
+            row.get("uncached_total_p99_seconds").unwrap().as_f64(),
+            Some(0.002)
         );
-        assert_eq!(doc.get("failed").unwrap().as_f64(), Some(4.0));
     }
 }

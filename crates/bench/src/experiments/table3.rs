@@ -15,6 +15,8 @@ use kw_relational::{CmpOp, Expr, Predicate, Schema, Value};
 use kw_tpch::Pattern;
 
 use super::SEED;
+use crate::table::Direction::Exact;
+use crate::table::Table;
 
 /// One Table 3 row.
 #[derive(Debug, Clone)]
@@ -109,6 +111,15 @@ pub fn fused_patterns() -> Vec<Table3Row> {
             row(format!("fused {}", pattern.label()), res)
         })
         .collect()
+}
+
+/// Table 3 as the `table3` table.
+pub fn table(rows: &[Table3Row]) -> Table {
+    Table::new("table3")
+        .column(rows, "name", Exact, |r| r.name.as_str())
+        .column(rows, "registers", Exact, |r| r.registers)
+        .column(rows, "shared_bytes", Exact, |r| r.shared_bytes)
+        .column(rows, "occupancy", Exact, |r| r.occupancy)
 }
 
 #[cfg(test)]

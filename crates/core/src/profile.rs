@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use kw_gpu_sim::{DeviceConfig, SimStats, Span};
+use kw_gpu_sim::{escape_json, DeviceConfig, SimStats, Span};
 
 /// Which resource bounds a run (or one operator's slice of it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,22 +439,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-/// Minimal JSON string escape for provenance-derived operator names.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

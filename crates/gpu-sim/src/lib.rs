@@ -57,6 +57,7 @@ pub use pcie::{pcie_seconds, Direction};
 pub use stats::SimStats;
 pub use stream::{Engine, EventId, StreamId, StreamModel};
 pub use trace::{
-    chrome_trace_json, cycles_for_label, label_matches, operator_summary, reconcile, sum_deltas,
-    summary_table, validate_chrome_json, validate_json, OperatorSummary, Span, SpanKind, TraceSink,
+    chrome_trace_json, cycles_for_label, escape_json, label_matches, operator_summary, reconcile,
+    sum_deltas, summary_table, validate_chrome_json, validate_json, OperatorSummary, Span,
+    SpanKind, TraceSink,
 };

@@ -331,7 +331,7 @@ pub fn summary_table(rows: &[OperatorSummary]) -> String {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
