@@ -47,12 +47,15 @@ echo "== host fusion smoke gate (examples/host_fusion.rs)"
 # which vary between runs, so it is not diffed.
 cargo run -q --release -p kw-examples --example host_fusion > /dev/null
 
-echo "== paper tables gate (paper_tables -- <every section with a table> vs bench_results/)"
-# Every section with a table writes it as <name>.csv and BENCH_<name>.json.
-# The numbers are simulated, deterministic for the committed configuration,
-# so every committed CSV must match its fresh copy byte for byte, and every
-# fresh file must have a committed counterpart: a CSV in bench_results/, a
-# BENCH document in bench_results/baselines/. The campaigns assert their own
+echo "== paper tables gate (paper_tables, every section, vs paper_tables_output.txt and bench_results/)"
+# One run of every section. Its numbers are simulated, deterministic for the
+# committed configuration, so its stdout must match paper_tables_output.txt
+# byte for byte; that gates the sections without a table (table2, fig15,
+# density, capacity, platforms, ablations, trace) too. Every section with a
+# table writes it as <name>.csv and BENCH_<name>.json: every committed CSV
+# must match its fresh copy byte for byte, and every fresh file must have a
+# committed counterpart: a CSV in bench_results/, a BENCH document in
+# bench_results/baselines/. The campaigns assert their own
 # invariants while they build their rows (e.g. batched-fused <
 # batched-unfused < serial-fused, hits + misses == arrivals, one Alloc/Free
 # span per arena run), so a violation fails the section and paper_tables
@@ -61,10 +64,8 @@ echo "== paper tables gate (paper_tables -- <every section with a table> vs benc
 # costs may not rise, speedups may not fall, labels and counts must match).
 tables_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$tables_dir"' EXIT
-cargo run -q --release -p kw-bench --bin paper_tables -- \
-    fig4 fig16 fig17 fig18 fig19 fig20 fig21 table3 queries overlap scheduler \
-    service profile robustness batch_resilience out_of_core arena \
-    --csv "$tables_dir" > /dev/null
+cargo run -q --release -p kw-bench --bin paper_tables -- --csv "$tables_dir" \
+    | diff -u paper_tables_output.txt -
 for committed in bench_results/*.csv; do
     cmp "$committed" "$tables_dir/$(basename "$committed")"
 done

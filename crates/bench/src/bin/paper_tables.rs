@@ -609,7 +609,7 @@ fn sections(
             "capacity B", "fused mode", "base mode", "fused ms", "base ms"
         );
         let n = 1 << 15;
-        let rows = robustness::run_ladder(n).unwrap_or_else(|e| panic!("ladder sweep failed: {e}"));
+        let rows = robustness::run_ladder(n);
         for r in &rows {
             println!(
                 "    {:>12}  {:<13}  {:<13}  {:>9.4}  {:>9.4}",
@@ -629,8 +629,7 @@ fn sections(
             "rate", "f.retry", "b.retry", "fused ms", "base ms"
         );
         let n = 1 << 14;
-        let rows = robustness::run_faults(n, &robustness::FAULT_RATES)
-            .unwrap_or_else(|e| panic!("fault sweep failed: {e}"));
+        let rows = robustness::run_faults(n, &robustness::FAULT_RATES);
         for r in &rows {
             println!(
                 "    {:>5.0}%  {:>8}  {:>8}  {:>10.4}  {:>10.4}",
@@ -777,7 +776,7 @@ fn emit(dir: &Path, table: &Table) {
     let name = table.name();
     assert!(table.rows() > 0, "{name}: refusing to write an empty table");
     let json = table.json();
-    kw_gpu_sim::validate_json(&json).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
+    kw_gpu_sim::parse_json(&json).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
     for (file, body) in [
         (format!("{name}.csv"), table.csv()),
         (format!("BENCH_{name}.json"), json),

@@ -13,15 +13,14 @@
 //!   transfers per attempt, so it exposes a smaller fault cross-section and
 //!   re-executes less work to finish.
 //!
-//! Sweeps return `Result<Vec<Row>, SweepError>` rather than panicking: a
-//! rung that fails resiliently (or a driver that loses its
-//! [`kw_core::ResilienceReport`]) reports *which* workload/configuration
-//! failed and lets the caller decide whether to skip the table or abort.
-
-use std::fmt;
+//! Like the campaigns, both sweeps assert their invariants while they build
+//! their rows: a run that fails even with the sweep's retry budget, or that
+//! comes back without its [`ResilienceReport`], panics naming the workload
+//! and the fusion flag, so a partial sweep is never mistaken for a full one.
 
 use kw_core::{
-    admit, compile, execute_compiled_resilient, AdmittedMode, RetryPolicy, WeaverConfig,
+    admit, compile, execute_compiled_resilient, AdmittedMode, PlanReport, ResilienceReport,
+    RetryPolicy, WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig};
 use kw_relational::Relation;
@@ -30,58 +29,6 @@ use kw_tpch::{Pattern, Workload};
 use super::SEED;
 use crate::table::Direction::{Exact, Lower, TwoSided};
 use crate::table::Table;
-
-/// Why a robustness sweep could not produce a row.
-#[derive(Debug)]
-pub enum SweepError {
-    /// A resilient execution failed even with the sweep's generous retry
-    /// budget.
-    Execution {
-        /// Workload that failed.
-        workload: String,
-        /// Whether fusion was enabled for the failing run.
-        fusion: bool,
-        /// The underlying executor error.
-        source: kw_core::WeaverError,
-    },
-    /// The resilient driver returned a report without its
-    /// [`kw_core::ResilienceReport`] — a driver bug, previously a mid-sweep
-    /// panic via `unwrap()`.
-    MissingResilience {
-        /// Workload whose report was incomplete.
-        workload: String,
-        /// Whether fusion was enabled for the incomplete run.
-        fusion: bool,
-    },
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SweepError::Execution {
-                workload,
-                fusion,
-                source,
-            } => write!(
-                f,
-                "{workload} (fusion={fusion}) failed resiliently: {source}"
-            ),
-            SweepError::MissingResilience { workload, fusion } => write!(
-                f,
-                "{workload} (fusion={fusion}) returned no resilience report"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SweepError::Execution { source, .. } => Some(source),
-            SweepError::MissingResilience { .. } => None,
-        }
-    }
-}
 
 /// One device size in the degradation-ladder sweep.
 #[derive(Debug, Clone)]
@@ -127,47 +74,39 @@ fn sweep_policy() -> RetryPolicy {
     }
 }
 
+/// Run `w` through the resilient driver and return its report with the
+/// resilience report taken out of it.
+///
+/// # Panics
+///
+/// When the run fails even with [`sweep_policy`]'s budget, or its report
+/// carries no resilience report.
 fn run_resilient(
     w: &Workload,
     device: &mut Device,
     fusion: bool,
-) -> Result<kw_core::PlanReport, SweepError> {
+) -> (PlanReport, ResilienceReport) {
     let config = WeaverConfig {
         fusion,
         ..WeaverConfig::default()
     };
-    let execution = |source| SweepError::Execution {
-        workload: w.name.clone(),
-        fusion,
-        source,
-    };
-    let compiled = compile(&w.plan, &config).map_err(execution)?;
-    execute_compiled_resilient(
-        &w.plan,
-        &compiled,
-        &w.bindings(),
-        device,
-        &config,
-        &sweep_policy(),
-    )
-    .map_err(execution)
-}
-
-/// The report's final ladder rung, or a typed error if the driver lost its
-/// resilience report (never a panic mid-sweep).
-fn final_mode(
-    report: &kw_core::PlanReport,
-    w: &Workload,
-    fusion: bool,
-) -> Result<AdmittedMode, SweepError> {
-    report
-        .resilience
-        .as_ref()
-        .map(|r| r.final_mode)
-        .ok_or_else(|| SweepError::MissingResilience {
-            workload: w.name.clone(),
-            fusion,
+    let mut report = compile(&w.plan, &config)
+        .and_then(|compiled| {
+            execute_compiled_resilient(
+                &w.plan,
+                &compiled,
+                &w.bindings(),
+                device,
+                &config,
+                &sweep_policy(),
+            )
         })
+        .unwrap_or_else(|e| panic!("{} (fusion={fusion}) failed resiliently: {e}", w.name));
+    let resilience = report
+        .resilience
+        .take()
+        .unwrap_or_else(|| panic!("{} (fusion={fusion}) returned no resilience report", w.name));
+    (report, resilience)
 }
 
 /// Predicted resident peaks `(fused, baseline)` for `w`, used to position
@@ -184,12 +123,11 @@ pub fn resident_peaks(w: &Workload) -> (u64, u64) {
 /// Degradation-ladder sweep: pattern (a) with `n` tuples, on devices sized
 /// around the fused/baseline resident thresholds.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`SweepError`] when a rung fails to execute resiliently or a
-/// report comes back without resilience info; rows already computed are
-/// discarded so a partial sweep is never mistaken for a full one.
-pub fn run_ladder(n: usize) -> Result<Vec<LadderRow>, SweepError> {
+/// When a rung fails to execute resiliently, changes the answer or leaks
+/// device memory.
+pub fn run_ladder(n: usize) -> Vec<LadderRow> {
     let w = Pattern::A.build(n, SEED);
     let (fused_peak, base_peak) = resident_peaks(&w);
     let capacities = [
@@ -207,9 +145,9 @@ pub fn run_ladder(n: usize) -> Result<Vec<LadderRow>, SweepError> {
             ..DeviceConfig::fermi_c2050()
         };
         let mut fused_dev = Device::new(cfg.clone());
-        let fused = run_resilient(&w, &mut fused_dev, true)?;
+        let (fused, fused_res) = run_resilient(&w, &mut fused_dev, true);
         let mut base_dev = Device::new(cfg);
-        let base = run_resilient(&w, &mut base_dev, false)?;
+        let (base, base_res) = run_resilient(&w, &mut base_dev, false);
 
         assert_eq!(
             fused.outputs, base.outputs,
@@ -222,13 +160,13 @@ pub fn run_ladder(n: usize) -> Result<Vec<LadderRow>, SweepError> {
 
         rows.push(LadderRow {
             capacity,
-            fused_mode: final_mode(&fused, &w, true)?,
-            baseline_mode: final_mode(&base, &w, false)?,
+            fused_mode: fused_res.final_mode,
+            baseline_mode: base_res.final_mode,
             fused_seconds: fused.total_seconds,
             baseline_seconds: base.total_seconds,
         });
     }
-    Ok(rows)
+    rows
 }
 
 /// Default fault rates for [`run_faults`]. A single attempt of pattern (a)
@@ -239,10 +177,10 @@ pub const FAULT_RATES: [f64; 4] = [0.0, 0.05, 0.10, 0.25];
 /// Fault-rate sweep: pattern (a) with `n` tuples on a full-size device,
 /// transient faults injected on transfers and launches at each `rate`.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Same contract as [`run_ladder`].
-pub fn run_faults(n: usize, rates: &[f64]) -> Result<Vec<FaultRow>, SweepError> {
+/// As [`run_ladder`].
+pub fn run_faults(n: usize, rates: &[f64]) -> Vec<FaultRow> {
     let w = Pattern::A.build(n, SEED);
     let mut oracle: Option<std::collections::BTreeMap<kw_core::NodeId, Relation>> = None;
 
@@ -256,10 +194,10 @@ pub fn run_faults(n: usize, rates: &[f64]) -> Result<Vec<FaultRow>, SweepError> 
         };
         let mut fused_dev = Device::new(DeviceConfig::fermi_c2050());
         fused_dev.inject_faults(faults.clone());
-        let fused = run_resilient(&w, &mut fused_dev, true)?;
+        let (fused, fused_res) = run_resilient(&w, &mut fused_dev, true);
         let mut base_dev = Device::new(DeviceConfig::fermi_c2050());
         base_dev.inject_faults(faults);
-        let base = run_resilient(&w, &mut base_dev, false)?;
+        let (base, base_res) = run_resilient(&w, &mut base_dev, false);
 
         assert_eq!(fused.outputs, base.outputs, "faults changed the answer");
         let o = oracle.get_or_insert_with(|| fused.outputs.clone());
@@ -267,26 +205,17 @@ pub fn run_faults(n: usize, rates: &[f64]) -> Result<Vec<FaultRow>, SweepError> 
         assert_eq!(fused_dev.memory().in_use(), 0, "fused run leaked");
         assert_eq!(base_dev.memory().in_use(), 0, "baseline run leaked");
 
-        let (fr, br) = match (fused.resilience.as_ref(), base.resilience.as_ref()) {
-            (Some(f), Some(b)) => (f, b),
-            (missing_fused, _) => {
-                return Err(SweepError::MissingResilience {
-                    workload: w.name.clone(),
-                    fusion: missing_fused.is_none(),
-                })
-            }
-        };
         rows.push(FaultRow {
             rate,
-            fused_retries: fr.retries,
-            baseline_retries: br.retries,
+            fused_retries: fused_res.retries,
+            baseline_retries: base_res.retries,
             fused_gpu_seconds: fused.gpu_seconds,
             baseline_gpu_seconds: base.gpu_seconds,
             fused_seconds: fused.total_seconds,
             baseline_seconds: base.total_seconds,
         });
     }
-    Ok(rows)
+    rows
 }
 
 /// The ladder sweep at `n` tuples as the `robustness_ladder` table.
@@ -323,7 +252,7 @@ mod tests {
 
     #[test]
     fn fused_plans_stay_resident_longer() {
-        let rows = run_ladder(1 << 15).unwrap();
+        let rows = run_ladder(1 << 15);
         assert_eq!(rows[0].fused_mode, AdmittedMode::Resident);
         assert_eq!(rows[0].baseline_mode, AdmittedMode::Resident);
         // The threshold capacity: fusion still fits, the baseline degraded.
@@ -339,7 +268,7 @@ mod tests {
 
     #[test]
     fn faults_are_survived_and_fused_exposes_less_cross_section() {
-        let rows = run_faults(1 << 14, &FAULT_RATES).unwrap();
+        let rows = run_faults(1 << 14, &FAULT_RATES);
         assert_eq!(rows[0].fused_retries + rows[0].baseline_retries, 0);
         let faulty_retries: u32 = rows[1..]
             .iter()

@@ -306,12 +306,13 @@ fn replay_chunks(
         // One reset per chunk iteration, whether the chunk landed or not.
         let result = run.execute(plan, compiled, &refs, config);
         run.reset_arena();
-        let ScratchExecution { report, .. } = result?;
-        let delta = report.stats;
-        peak_device_bytes = peak_device_bytes.max(report.peak_device_bytes);
+        let ScratchExecution {
+            exec, stats: delta, ..
+        } = result?;
+        peak_device_bytes = peak_device_bytes.max(exec.peak_device_bytes);
 
         let in_bytes: u64 = chunk.iter().map(|(_, r)| r.byte_size() as u64).sum();
-        let out_bytes: u64 = report.outputs.values().map(|r| r.byte_size() as u64).sum();
+        let out_bytes: u64 = exec.outputs.values().map(|r| r.byte_size() as u64).sum();
         let h2d = kw_gpu_sim::pcie_seconds(device.config(), in_bytes);
         let d2h = kw_gpu_sim::pcie_seconds(device.config(), out_bytes);
         // Transfers of *intermediates* (staged mode's round trips) serialize
@@ -368,7 +369,7 @@ fn replay_chunks(
             };
         serialized_cycles += chunk_serialized;
 
-        for (&node, rel) in &report.outputs {
+        for (&node, rel) in &exec.outputs {
             outputs
                 .entry(node)
                 .or_default()

@@ -383,10 +383,11 @@ pub(crate) fn run(
     }
     let reservation = crate::admission::predict_reservation(plan, compiled, bindings, config.mode)?;
     let mut arena = device.create_arena(reservation, "plan.arena")?;
-    let result =
-        execute_compiled_in_arena(plan, compiled, bindings, device, config, &mut arena, window);
-    match result {
-        Ok((mut report, _)) => {
+    match execute_compiled_in_arena(plan, compiled, bindings, device, config, &mut arena) {
+        Ok(exec) => {
+            // Folded before the arena's Free span, which a report's
+            // profile does not count.
+            let mut report = fold_report(exec, compiled, device, config.mode, window);
             report.arena = Some(device.release_arena(arena)?);
             Ok(report)
         }
@@ -402,13 +403,82 @@ pub(crate) fn run(
     }
 }
 
-/// Execute a compiled plan inside a caller-owned arena, returning the
-/// report and one compute-only [`SimStats`] per compiled step. The chunked
-/// driver reserves one arena for a whole out-of-core run and calls this per
-/// chunk with a [`ScratchArena::reset`] in between, so the alloc/free span
-/// count stays O(1) for the entire run, not O(chunks). Always runs the
-/// whole plan in [`WeaverConfig::mode`]; [`WeaverConfig::chunks`] is not
-/// read here. The report folds `window`; its `spans` stay empty.
+/// Settle the clock and fold `window` into the report of the resident or
+/// staged run that measured `exec`. For a streamed (staged) run the
+/// overlap-aware total comes from the event graph's makespan on the unified
+/// cycle clock; the serialized cost is the sum of every charge, exactly
+/// what the pre-stream staged executor reported. The `max` guard absorbs
+/// sub-cycle rounding (each streamed transfer's duration rounds to whole
+/// cycles) so `serialized >= total` can never invert. `pipelined` counts
+/// from this attempt's start, which under the ladder is later than the
+/// window's.
+fn fold_report(
+    exec: Execution,
+    compiled: &CompiledPlan,
+    device: &mut Device,
+    mode: ExecMode,
+    window: &RunWindow,
+) -> PlanReport {
+    let end_cycles = device.sync_streams();
+    let stats = window.stats(device);
+    let gpu_seconds = device.config().cycles_to_seconds(stats.gpu_cycles);
+    // `Device::total_seconds`'s formula, over the window.
+    let serial = gpu_seconds + stats.pcie_seconds + stats.backoff_seconds;
+    let (total_seconds, serialized_seconds, pipelined_seconds) = if mode == ExecMode::Staged {
+        let total = device
+            .config()
+            .cycles_to_seconds(window.elapsed(end_cycles));
+        let pipelined = device
+            .config()
+            .cycles_to_seconds(end_cycles - exec.start_cycle);
+        (total, serial.max(total), Some(pipelined))
+    } else {
+        (serial, serial, None)
+    };
+
+    let profile = window.profile(device, total_seconds, 0.0);
+
+    PlanReport {
+        outputs: exec.outputs,
+        gpu_seconds,
+        pcie_seconds: stats.pcie_seconds,
+        total_seconds,
+        serialized_seconds,
+        pipelined_seconds,
+        stats,
+        peak_device_bytes: exec.peak_device_bytes,
+        fusion_sets: compiled.fusion_sets.clone(),
+        operator_count: compiled.steps.len(),
+        resilience: None,
+        arena: None, // filled by `run` once the arena settles
+        free_errors: device.free_errors(),
+        first_free_error: device.first_free_error().map(String::from),
+        spans: Vec::new(), // snapshot once by the public entry points
+        profile,
+        strategy: None,
+        chunks: 0,
+    }
+}
+
+/// What one compiled-plan execution measured; no report is folded from it
+/// unless a caller sees one.
+pub(crate) struct Execution {
+    /// Relations of the marked plan outputs.
+    pub outputs: BTreeMap<NodeId, Relation>,
+    /// One compute-only cost per compiled step, in step order.
+    pub steps: Vec<SimStats>,
+    /// The run's true footprint peak (see [`PlanReport::peak_device_bytes`]).
+    pub peak_device_bytes: u64,
+    /// The stream-clock cycle the run started at.
+    pub start_cycle: u64,
+}
+
+/// Execute a compiled plan inside a caller-owned arena and return what it
+/// measured; no report is folded here. The chunked driver reserves one
+/// arena for a whole out-of-core run and calls this per chunk with a
+/// [`ScratchArena::reset`] in between, so the alloc/free span count stays
+/// O(1) for the entire run, not O(chunks). Always runs the whole plan in
+/// [`WeaverConfig::mode`]; [`WeaverConfig::chunks`] is not read here.
 ///
 /// The arena is NOT created, reset or released here: on error the run's
 /// spills are freed and the caller releases the arena.
@@ -419,8 +489,7 @@ pub(crate) fn execute_compiled_in_arena(
     device: &mut Device,
     config: &WeaverConfig,
     arena: &mut ScratchArena,
-    window: &RunWindow,
-) -> Result<(PlanReport, Vec<SimStats>)> {
+) -> Result<Execution> {
     // Bytes already resident before this run (a batch wave's other working
     // sets) are part of the true footprint but not of this arena, whose
     // backing reservation the tracker already counts.
@@ -436,7 +505,6 @@ pub(crate) fn execute_compiled_in_arena(
         arena,
         &mut live,
         base_in_use,
-        window,
     );
     if result.is_err() {
         // Cleanup guard: any early error return would otherwise leak the
@@ -566,8 +634,7 @@ fn run_compiled(
     arena: &mut ScratchArena,
     live: &mut LiveBuffers,
     base_in_use: u64,
-    window: &RunWindow,
-) -> Result<(PlanReport, Vec<SimStats>)> {
+) -> Result<Execution> {
     // Each step's kernel-side cost, for callers that replay the run.
     // Allocated before the relation buffers below: a small live block
     // placed above them on the heap keeps the allocator from returning
@@ -605,9 +672,9 @@ fn run_compiled(
     // stream scheduler — not a side formula — decides how much traffic
     // hides behind compute. Upload events gate the kernels that consume
     // them; download events gate re-staged uploads of the same bytes.
-    let staged = config.mode == ExecMode::Staged;
-    let start_cycles = device.sync_streams();
-    let copy_streams = staged.then(|| (device.create_stream(), device.create_stream()));
+    let start_cycle = device.sync_streams();
+    let copy_streams =
+        (config.mode == ExecMode::Staged).then(|| (device.create_stream(), device.create_stream()));
     let mut upload_done: BTreeMap<NodeId, EventId> = BTreeMap::new();
     let mut download_done: BTreeMap<NodeId, EventId> = BTreeMap::new();
 
@@ -782,52 +849,12 @@ fn run_compiled(
         })
         .collect::<Result<_>>()?;
 
-    // Settle the clock and fold the window. For a streamed (staged) run
-    // the overlap-aware total comes from the event graph's makespan on the
-    // unified cycle clock; the serialized cost is the sum of every charge,
-    // exactly what the pre-stream staged executor reported. The `max` guard
-    // absorbs sub-cycle rounding (each streamed transfer's duration rounds
-    // to whole cycles) so `serialized >= total` can never invert.
-    // `pipelined` counts from this attempt's start, which under the ladder
-    // is later than the window's.
-    let end_cycles = device.sync_streams();
-    let stats = window.stats(device);
-    let gpu_seconds = device.config().cycles_to_seconds(stats.gpu_cycles);
-    // `Device::total_seconds`'s formula, over the window.
-    let serial = gpu_seconds + stats.pcie_seconds + stats.backoff_seconds;
-    let (total_seconds, serialized_seconds, pipelined_seconds) = if staged {
-        let total = device
-            .config()
-            .cycles_to_seconds(window.elapsed(end_cycles));
-        let pipelined = device.config().cycles_to_seconds(end_cycles - start_cycles);
-        (total, serial.max(total), Some(pipelined))
-    } else {
-        (serial, serial, None)
-    };
-
-    let profile = window.profile(device, total_seconds, 0.0);
-
-    let report = PlanReport {
+    Ok(Execution {
         outputs,
-        gpu_seconds,
-        pcie_seconds: stats.pcie_seconds,
-        total_seconds,
-        serialized_seconds,
-        pipelined_seconds,
-        stats,
+        steps: step_costs,
         peak_device_bytes: fp.actual_peak,
-        fusion_sets: compiled.fusion_sets.clone(),
-        operator_count: compiled.steps.len(),
-        resilience: None,
-        arena: None, // filled by the entry points once the arena settles
-        free_errors: device.free_errors(),
-        first_free_error: device.first_free_error().map(String::from),
-        spans: Vec::new(), // snapshot once by the public entry points
-        profile,
-        strategy: None,
-        chunks: 0,
-    };
-    Ok((report, step_costs))
+        start_cycle,
+    })
 }
 
 #[cfg(test)]

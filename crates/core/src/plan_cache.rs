@@ -20,8 +20,11 @@
 //! Eviction is least-recently-used over a fixed entry capacity. A capacity
 //! of zero disables the cache entirely (every lookup misses and nothing is
 //! stored) — the cache-off baseline the service benchmark compares against.
+//! Entries are shared, not copied: a lookup hands out an `Rc` of the cached
+//! plan.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use crate::{compile, CompiledPlan, QueryPlan, Result, WeaverConfig};
 
@@ -65,7 +68,7 @@ pub struct PlanCacheStats {
 }
 
 struct Entry {
-    compiled: CompiledPlan,
+    compiled: Rc<CompiledPlan>,
     last_used: u64,
 }
 
@@ -120,8 +123,8 @@ impl PlanCache {
     }
 
     /// Look up `plan` under `config`, compiling on a miss. Returns the
-    /// compiled plan and whether the lookup hit (`true`) or compiled
-    /// (`false`).
+    /// compiled plan, shared with the cache, and whether the lookup hit
+    /// (`true`) or compiled (`false`).
     ///
     /// # Errors
     ///
@@ -130,16 +133,16 @@ impl PlanCache {
         &mut self,
         plan: &QueryPlan,
         config: &WeaverConfig,
-    ) -> Result<(CompiledPlan, bool)> {
+    ) -> Result<(Rc<CompiledPlan>, bool)> {
         let key = plan_shape_key(plan, config);
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.tick;
             self.stats.hits += 1;
-            return Ok((entry.compiled.clone(), true));
+            return Ok((Rc::clone(&entry.compiled), true));
         }
         self.stats.misses += 1;
-        let compiled = compile(plan, config)?;
+        let compiled = Rc::new(compile(plan, config)?);
         if self.capacity > 0 {
             while self.entries.len() >= self.capacity {
                 let lru = self
@@ -158,7 +161,7 @@ impl PlanCache {
             self.entries.insert(
                 key,
                 Entry {
-                    compiled: compiled.clone(),
+                    compiled: Rc::clone(&compiled),
                     last_used: self.tick,
                 },
             );

@@ -24,7 +24,7 @@
 
 use std::fmt;
 
-use kw_gpu_sim::{escape_json, DeviceConfig, SimStats, Span};
+use kw_gpu_sim::{escape_json, json_f64, DeviceConfig, SimStats, Span};
 
 /// Which resource bounds a run (or one operator's slice of it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,64 +299,24 @@ impl ProfileReport {
         use std::fmt::Write as _;
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"bottleneck\": \"{}\",", self.bottleneck);
-        let _ = writeln!(out, "  \"wall_seconds\": {},", json_f64(self.wall_seconds));
-        let _ = writeln!(
-            out,
-            "  \"gpu_busy_seconds\": {},",
-            json_f64(self.gpu_busy_seconds)
-        );
-        let _ = writeln!(
-            out,
-            "  \"pcie_busy_seconds\": {},",
-            json_f64(self.pcie_busy_seconds)
-        );
-        let _ = writeln!(
-            out,
-            "  \"gpu_busy_fraction\": {},",
-            json_f64(self.gpu_busy_fraction)
-        );
-        let _ = writeln!(
-            out,
-            "  \"pcie_busy_fraction\": {},",
-            json_f64(self.pcie_busy_fraction)
-        );
-        let _ = writeln!(
-            out,
-            "  \"launch_seconds\": {},",
-            json_f64(self.launch_seconds)
-        );
-        let _ = writeln!(out, "  \"launch_share\": {},", json_f64(self.launch_share));
-        let _ = writeln!(out, "  \"memory_share\": {},", json_f64(self.memory_share));
-        let _ = writeln!(
-            out,
-            "  \"achieved_global_gbs\": {},",
-            json_f64(self.achieved_global_gbs)
-        );
-        let _ = writeln!(
-            out,
-            "  \"peak_global_gbs\": {},",
-            json_f64(self.peak_global_gbs)
-        );
-        let _ = writeln!(
-            out,
-            "  \"global_bw_utilization\": {},",
-            json_f64(self.global_bw_utilization)
-        );
-        let _ = writeln!(
-            out,
-            "  \"achieved_pcie_gbs\": {},",
-            json_f64(self.achieved_pcie_gbs)
-        );
-        let _ = writeln!(
-            out,
-            "  \"peak_pcie_gbs\": {},",
-            json_f64(self.peak_pcie_gbs)
-        );
-        let _ = writeln!(
-            out,
-            "  \"pcie_bw_utilization\": {},",
-            json_f64(self.pcie_bw_utilization)
-        );
+        for (key, value) in [
+            ("wall_seconds", self.wall_seconds),
+            ("gpu_busy_seconds", self.gpu_busy_seconds),
+            ("pcie_busy_seconds", self.pcie_busy_seconds),
+            ("gpu_busy_fraction", self.gpu_busy_fraction),
+            ("pcie_busy_fraction", self.pcie_busy_fraction),
+            ("launch_seconds", self.launch_seconds),
+            ("launch_share", self.launch_share),
+            ("memory_share", self.memory_share),
+            ("achieved_global_gbs", self.achieved_global_gbs),
+            ("peak_global_gbs", self.peak_global_gbs),
+            ("global_bw_utilization", self.global_bw_utilization),
+            ("achieved_pcie_gbs", self.achieved_pcie_gbs),
+            ("peak_pcie_gbs", self.peak_pcie_gbs),
+            ("pcie_bw_utilization", self.pcie_bw_utilization),
+        ] {
+            let _ = writeln!(out, "  \"{key}\": {},", json_f64(value));
+        }
         let _ = writeln!(out, "  \"peak_device_bytes\": {},", self.peak_device_bytes);
         out.push_str("  \"operators\": [");
         for (i, op) in self.operators.iter().enumerate() {
@@ -432,19 +392,10 @@ impl ProfileReport {
     }
 }
 
-/// JSON-safe float: shortest-roundtrip `Display`, `0` for non-finite.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kw_gpu_sim::validate_json;
+    use kw_gpu_sim::parse_json;
 
     fn span(prov: &str, delta: SimStats) -> Span {
         Span {
@@ -501,7 +452,7 @@ mod tests {
         assert_eq!(p.operators[1].bottleneck, Bottleneck::Memory);
         assert!((p.gpu_busy_fraction - 1.0).abs() < 1e-9);
         assert_eq!(p.bottleneck, Bottleneck::Memory);
-        validate_json(&p.to_json()).expect("profile JSON parses");
+        parse_json(&p.to_json()).expect("profile JSON parses");
         assert!(p.to_json().contains("\"bottleneck\": \"memory\""));
         assert!(p.summary().contains("step1:join"));
     }
@@ -525,7 +476,7 @@ mod tests {
         assert_eq!(p.operators[0].outcome, None);
         assert_eq!(p.operators[1].outcome.as_deref(), Some("retried"));
         let json = p.to_json();
-        validate_json(&json).expect("annotated profile JSON parses");
+        parse_json(&json).expect("annotated profile JSON parses");
         assert!(json.contains("\"outcome\": \"retried\""));
         assert!(p.summary().contains("[retried]"));
     }
@@ -561,6 +512,6 @@ mod tests {
         assert_eq!(p.gpu_busy_fraction, 0.0);
         assert_eq!(p.global_bw_utilization, 0.0);
         assert!(p.operators.is_empty());
-        validate_json(&p.to_json()).expect("empty profile JSON parses");
+        parse_json(&p.to_json()).expect("empty profile JSON parses");
     }
 }

@@ -49,6 +49,7 @@
 //! concurrent footprint admission signed off on — and every error path
 //! frees those reservations before moving on.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use kw_gpu_sim::{
@@ -59,7 +60,7 @@ use kw_relational::Relation;
 use crate::admission::{
     plan_waves, AdmittedMode, BatchAdmissionQuery, BatchWavePlan, QueryAdmission,
 };
-use crate::executor::RunWindow;
+use crate::executor::{Execution, RunWindow};
 use crate::resilient::{rung_config, RetryBudget, RetryPolicy};
 use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
@@ -315,7 +316,8 @@ fn alloc_with_retry(
 ///
 /// `compiled[i]` must be `compile(queries[i].plan, config)` (or an equal
 /// plan/config pair), so a compiled-plan cache can hand the same
-/// [`CompiledPlan`] to every arrival of a repeated shape. Each query's
+/// [`CompiledPlan`] to every arrival of a repeated shape: owned, borrowed
+/// or shared (`Rc`), so the cache's plans are never copied. Each query's
 /// relational work runs ahead on a scratch device fork (real data,
 /// per-step costs measured), then every step is scheduled on the shared
 /// device — one stream per step, `record_event`/`wait_event` edges for data
@@ -375,11 +377,12 @@ fn alloc_with_retry(
 /// ```
 pub fn execute_batch(
     queries: &[BatchQuery<'_>],
-    compiled: &[CompiledPlan],
+    compiled: &[impl Borrow<CompiledPlan>],
     device: &mut Device,
     config: &WeaverConfig,
     policy: &RetryPolicy,
 ) -> Result<BatchReport> {
+    let compiled: Vec<&CompiledPlan> = compiled.iter().map(|c| c.borrow()).collect();
     if queries.len() != compiled.len() {
         return Err(WeaverError::plan(format!(
             "batch has {} queries but {} compiled plans",
@@ -401,8 +404,8 @@ pub fn execute_batch(
         .saturating_sub(device.memory().in_use());
     let admission_input: Vec<BatchAdmissionQuery<'_>> = queries
         .iter()
-        .zip(compiled)
-        .map(|(q, c)| (q.plan, c, q.bindings))
+        .zip(&compiled)
+        .map(|(q, &c)| (q.plan, c, q.bindings))
         .collect();
     let admission = plan_waves(&admission_input, free);
 
@@ -457,7 +460,7 @@ pub fn execute_batch(
             // fault stream, so a retry meets fresh derived faults.
             let attempt =
                 ScratchRun::open(device, reservation, "plan.arena").and_then(|mut run| {
-                    let result = run.execute(q.plan, &compiled[qi], q.bindings, &cfg);
+                    let result = run.execute(q.plan, compiled[qi], q.bindings, &cfg);
                     run.close(device);
                     result
                 });
@@ -570,7 +573,7 @@ pub fn execute_batch(
         let mut states: BTreeMap<usize, QState> = alive
             .iter()
             .map(|&qi| {
-                let c = &compiled[qi];
+                let c = compiled[qi];
                 let mut producer = BTreeMap::new();
                 for (i, step) in c.steps.iter().enumerate() {
                     for &o in &step.outputs {
@@ -599,8 +602,8 @@ pub fn execute_batch(
                 };
                 let stream = step_streams[qi][slot];
                 let state = states.get_mut(&qi).expect("alive queries have state");
-                let ScratchExecution { report, steps, .. } =
-                    scratch[qi].as_ref().expect("alive queries ran ahead");
+                let Execution { outputs, steps, .. } =
+                    &scratch[qi].as_ref().expect("alive queries ran ahead").exec;
                 let budget = &mut counters[qi];
                 let finish = &mut finish_cycles[qi];
 
@@ -675,7 +678,7 @@ pub fn execute_batch(
                         if !q.plan.outputs().contains(&node) {
                             continue;
                         }
-                        let bytes = report.outputs[&node].byte_size() as u64;
+                        let bytes = outputs[&node].byte_size() as u64;
                         if bytes > 0 {
                             transfer_with_retry(
                                 device,
@@ -731,7 +734,7 @@ pub fn execute_batch(
         device.push_scope(format!("q{qi}:{}", q.name));
         let result = crate::execute_compiled_resilient(
             q.plan,
-            &compiled[qi],
+            compiled[qi],
             q.bindings,
             device,
             config,
@@ -795,7 +798,7 @@ pub fn execute_batch(
 
         let (outputs, gpu_cycles, pcie_seconds, peak) = if let Some(run) = scratch[qi].take() {
             if outcome.is_success() {
-                let gpu: u64 = run.steps.iter().map(|s| s.gpu_cycles).sum();
+                let gpu: u64 = run.exec.steps.iter().map(|s| s.gpu_cycles).sum();
                 // This query's streamed transfer spans, by scope frame.
                 let frame = format!("q{qi}:{}", q.name);
                 let pcie: f64 = window
@@ -805,7 +808,7 @@ pub fn execute_batch(
                     .filter(|s| s.provenance.split('/').next() == Some(frame.as_str()))
                     .map(|s| s.delta.pcie_seconds)
                     .sum();
-                (run.report.outputs, gpu, pcie, run.fork_peak)
+                (run.exec.outputs, gpu, pcie, run.fork_peak)
             } else {
                 (BTreeMap::new(), 0, 0.0, run.fork_peak)
             }

@@ -5,10 +5,11 @@
 //! relations on a [`Device::fork_scratch`] device, then re-issue the
 //! measured cost on the parent's streams (`transfer_on` / `compute_on`).
 //! A [`ScratchRun`] owns the fork and its one scratch arena: [`open`]
-//! forks and reserves, [`execute`] runs a compiled plan and returns typed
-//! per-step costs (no provenance parsing), and [`close`] folds the fork's
-//! peak, arena totals, spills and free errors into the parent exactly once
-//! — `close` consumes the run, so it cannot fold twice.
+//! forks and reserves, [`execute`] runs a compiled plan and returns what
+//! its callers replay (outputs, the fork's charges and typed per-step
+//! costs; no provenance parsing, no folded report), and [`close`] folds
+//! the fork's peak, arena totals, spills and free errors into the parent
+//! exactly once — `close` consumes the run, so it cannot fold twice.
 //!
 //! [`open`]: ScratchRun::open
 //! [`execute`]: ScratchRun::execute
@@ -17,8 +18,8 @@
 use kw_gpu_sim::{ArenaStats, Device, ScratchArena, SimStats};
 use kw_relational::Relation;
 
-use crate::executor::RunWindow;
-use crate::{CompiledPlan, PlanReport, QueryPlan, Result, WeaverConfig};
+use crate::executor::{Execution, RunWindow};
+use crate::{CompiledPlan, QueryPlan, Result, WeaverConfig};
 
 /// A scratch fork of a parent device plus the arena every execution on it
 /// shares.
@@ -29,12 +30,11 @@ pub(crate) struct ScratchRun {
 
 /// What one [`ScratchRun::execute`] measured.
 pub(crate) struct ScratchExecution {
-    /// The fork's report: real output relations, and in `stats` everything
-    /// the execution charged to the fork.
-    pub report: PlanReport,
-    /// One compute-only cost per compiled step, in step order; they sum to
-    /// `report.stats.compute_only()`.
-    pub steps: Vec<SimStats>,
+    /// The outputs, the footprint peak and one compute-only cost per
+    /// compiled step; the step costs sum to `stats.compute_only()`.
+    pub exec: Execution,
+    /// Everything the execution charged to the fork.
+    pub stats: SimStats,
     /// The fork's memory high-water mark after this execution.
     pub fork_peak: u64,
 }
@@ -58,18 +58,17 @@ impl ScratchRun {
         config: &WeaverConfig,
     ) -> Result<ScratchExecution> {
         let window = RunWindow::open(&mut self.fork);
-        let (report, steps) = crate::executor::execute_compiled_in_arena(
+        let exec = crate::executor::execute_compiled_in_arena(
             plan,
             compiled,
             bindings,
             &mut self.fork,
             config,
             &mut self.arena,
-            &window,
         )?;
         Ok(ScratchExecution {
-            report,
-            steps,
+            exec,
+            stats: window.stats(&self.fork),
             fork_peak: self.fork.memory().peak(),
         })
     }
@@ -142,17 +141,17 @@ mod tests {
         let exec = run.execute(&plan, &compiled, bindings, &config).unwrap();
         run.close(&mut parent);
 
-        assert_eq!(exec.steps.len(), compiled.steps.len());
-        assert!(exec.steps.len() > 1);
-        assert!(exec.steps.iter().all(|s| s.kernel_launches > 0));
+        assert_eq!(exec.exec.steps.len(), compiled.steps.len());
+        assert!(exec.exec.steps.len() > 1);
+        assert!(exec.exec.steps.iter().all(|s| s.kernel_launches > 0));
         let mut sum = SimStats::default();
-        for step in &exec.steps {
+        for step in &exec.exec.steps {
             sum.merge(step);
         }
-        assert_eq!(sum, exec.report.stats.compute_only());
+        assert_eq!(sum, exec.stats.compute_only());
         assert!(
-            exec.report.stats.pcie_seconds > 0.0,
-            "the report's stats also carry transfers"
+            exec.stats.pcie_seconds > 0.0,
+            "the execution's stats also carry transfers"
         );
     }
 }

@@ -31,6 +31,8 @@
 //!   achieved QPS over the service span, and an SLO verdict on total p99.
 //!   With zero successes every percentile is an explicit finite `0.0`.
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -272,7 +274,7 @@ pub fn run_service(
     // Compiled plan + (hit, compile seconds charged) per arrival, filled
     // lazily the first time the admission loop considers the arrival —
     // exactly one cache lookup per arrival.
-    let mut prepared: Vec<Option<(CompiledPlan, bool, f64)>> =
+    let mut prepared: Vec<Option<(Rc<CompiledPlan>, bool, f64)>> =
         (0..service.arrivals).map(|_| None).collect();
     let mut per_query: Vec<Option<ServiceQueryReport>> =
         (0..service.arrivals).map(|_| None).collect();
@@ -346,15 +348,9 @@ pub fn run_service(
         let dispatch_start = now;
         let batch_queries: Vec<BatchQuery<'_>> =
             batch.iter().map(|&ai| shapes[ai % shapes.len()]).collect();
-        let batch_compiled: Vec<CompiledPlan> = batch
+        let batch_compiled: Vec<&CompiledPlan> = batch
             .iter()
-            .map(|&ai| {
-                prepared[ai]
-                    .as_ref()
-                    .expect("admitted ⇒ prepared")
-                    .0
-                    .clone()
-            })
+            .map(|&ai| &*prepared[ai].as_ref().expect("admitted ⇒ prepared").0)
             .collect();
         let report = execute_batch(
             &batch_queries,

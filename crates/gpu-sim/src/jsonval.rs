@@ -1,13 +1,17 @@
-//! A tiny JSON value parser for the bench-regression harness.
+//! The workspace's one JSON reader, and the two helpers its hand-rolled
+//! writers share.
 //!
-//! The trace layer already carries a validating parser
-//! ([`validate_json`](crate::validate_json)), but validation is all it
-//! does — it never materializes values. The regression gate needs to
-//! *compare* two `BENCH_*.json` documents metric-by-metric, so this
-//! module parses JSON into a [`JsonValue`] tree. It is deliberately
-//! minimal (the workspace carries no serde): numbers become `f64`,
-//! objects preserve key order as written, and errors carry a byte
-//! offset for debugging hand-rolled writers.
+//! The workspace carries no serde. Every exporter (Chrome traces, metrics
+//! and profile snapshots, `BENCH_*.json` tables) writes its JSON by hand
+//! with [`escape_json`] and [`json_f64`], and everything that reads JSON
+//! back — the Chrome-trace check
+//! ([`validate_chrome_json`](crate::validate_chrome_json)), the
+//! bench-regression gate, the table writer's own check, the exporters'
+//! tests — goes through [`parse_json`]. It is deliberately minimal:
+//! numbers become `f64`, objects preserve key order as written, and errors
+//! carry a byte offset for debugging hand-rolled writers.
+
+use std::fmt::Write as _;
 
 /// Maximum nesting depth [`parse_json`] accepts before reporting an
 /// error instead of recursing further. Our exporters nest a handful of
@@ -103,6 +107,37 @@ impl JsonValue {
             JsonValue::Object(entries) => Some(entries),
             _ => None,
         }
+    }
+}
+
+/// Escape a string for inclusion in a JSON string literal.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Format a float for JSON (and Prometheus text): Rust's shortest-roundtrip
+/// `Display` for finite values, `0` for non-finite ones, which JSON cannot
+/// represent. The workspace's exported floats are seconds, byte counts and
+/// fractions, so a non-finite value is already a bug upstream.
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
     }
 }
 

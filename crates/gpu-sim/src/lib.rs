@@ -49,7 +49,7 @@ pub use cost::{kernel_cost, KernelCost, KernelQuantities, KernelResources, Launc
 pub use device::Device;
 pub use error::{Result, SimError};
 pub use fault::{FaultConfig, FaultInjector, FaultKind, ScriptedFault};
-pub use jsonval::{parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
+pub use jsonval::{escape_json, json_f64, parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use memory::{BufferId, MemoryTracker};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
@@ -57,7 +57,6 @@ pub use pcie::{pcie_seconds, Direction};
 pub use stats::SimStats;
 pub use stream::{Engine, EventId, StreamId, StreamModel};
 pub use trace::{
-    chrome_trace_json, cycles_for_label, escape_json, label_matches, operator_summary, reconcile,
-    sum_deltas, summary_table, validate_chrome_json, validate_json, OperatorSummary, Span,
-    SpanKind, TraceSink,
+    chrome_trace_json, cycles_for_label, label_matches, operator_summary, reconcile, sum_deltas,
+    summary_table, validate_chrome_json, OperatorSummary, Span, SpanKind, TraceSink,
 };

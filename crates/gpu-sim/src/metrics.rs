@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::trace::escape_json;
+use crate::jsonval::{escape_json, json_f64};
 
 /// A fixed log2-bucketed histogram of `u64` observations (cycle counts,
 /// byte counts).
@@ -154,7 +154,7 @@ impl Histogram {
 /// assert_eq!(m.counter("kw_kernels_total"), 2);
 /// let text = m.prometheus_text();
 /// assert!(text.contains("kw_kernels_total 2"));
-/// kw_gpu_sim::validate_json(&m.to_json()).expect("exporter emits valid JSON");
+/// kw_gpu_sim::parse_json(&m.to_json()).expect("exporter emits valid JSON");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -239,7 +239,7 @@ impl MetricsRegistry {
         }
         for (name, v) in &self.gauges {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {}", fmt_f64(*v));
+            let _ = writeln!(out, "{name} {}", json_f64(*v));
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} histogram");
@@ -282,7 +282,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\n    \"{}\": {}", escape_json(name), fmt_f64(*v));
+            let _ = write!(out, "\n    \"{}\": {}", escape_json(name), json_f64(*v));
         }
         out.push_str("\n  },\n  \"histograms\": {");
         first = true;
@@ -317,18 +317,6 @@ impl MetricsRegistry {
         }
         out.push_str("\n  }\n}\n");
         out
-    }
-}
-
-/// JSON/Prometheus-safe float formatting: Rust's shortest-roundtrip
-/// `Display` for finite values, `0` for non-finite (which JSON cannot
-/// represent; gauges in this workspace are byte counts and fractions, so
-/// a non-finite value is already a bug upstream).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -390,7 +378,7 @@ mod tests {
         assert_eq!(m1.to_json(), m2.to_json());
         assert!(m1.prometheus_text().contains("# TYPE a counter"));
         assert!(m1.prometheus_text().contains("a_bucket{le=\"+Inf\"} 1"));
-        crate::validate_json(&m1.to_json()).expect("valid JSON");
+        crate::parse_json(&m1.to_json()).expect("valid JSON");
     }
 
     #[test]

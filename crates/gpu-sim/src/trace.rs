@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::jsonval::{escape_json, parse_json, JsonValue};
 use crate::{Engine, SimStats};
 
 /// What kind of device operation a [`Span`] records.
@@ -330,25 +331,6 @@ pub fn summary_table(rows: &[OperatorSummary]) -> String {
     out
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render `spans` as Chrome trace-event JSON, loadable in Perfetto and
 /// `chrome://tracing`.
 ///
@@ -459,267 +441,44 @@ pub fn chrome_trace_json(spans: &[Span], clock_ghz: f64) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON validation (the build environment is offline, so the schema
-// check in ci.sh cannot shell out to a JSON tool).
-// ---------------------------------------------------------------------------
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// `"X"`/`"i"` trace events seen inside the `traceEvents` array.
-    events: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("invalid JSON at byte {}: {msg}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' | b'f' => out.push(' '),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (already-valid input: the
-                    // caller handed us a &str).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    /// Parse any JSON value; `in_trace_events` marks object members of the
-    /// `traceEvents` array so they are schema-checked as trace events.
-    fn parse_value(&mut self, in_trace_events: bool) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.parse_object(in_trace_events),
-            b'[' => self.parse_array(false),
-            b'"' => self.parse_string().map(|_| ()),
-            b't' => self.parse_lit("true"),
-            b'f' => self.parse_lit("false"),
-            b'n' => self.parse_lit("null"),
-            _ => self.parse_number().map(|_| ()),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn parse_array(&mut self, trace_events: bool) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.parse_value(trace_events)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    /// Parse an object. When `trace_event` is set, require the trace-event
-    /// schema: a string `ph`, a string `name`, and for `"X"`/`"i"` phases a
-    /// numeric `ts`.
-    fn parse_object(&mut self, trace_event: bool) -> Result<(), String> {
-        self.expect(b'{')?;
-        let mut ph: Option<String> = None;
-        let mut has_name = false;
-        let mut has_ts = false;
-        let mut trace_events_seen = false;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                match key.as_str() {
-                    "traceEvents" if self.peek() == Some(b'[') => {
-                        trace_events_seen = true;
-                        self.parse_array(true)?;
-                    }
-                    "ph" if self.peek() == Some(b'"') => ph = Some(self.parse_string()?),
-                    "name" if self.peek() == Some(b'"') => {
-                        has_name = true;
-                        self.parse_string()?;
-                    }
-                    "ts" => {
-                        has_ts = self.peek() != Some(b'"');
-                        self.parse_value(false)?;
-                    }
-                    _ => self.parse_value(false)?,
-                }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                    }
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        if trace_event {
-            let ph = ph.ok_or_else(|| self.err("trace event missing \"ph\""))?;
-            if !has_name {
-                return Err(self.err("trace event missing \"name\""));
-            }
-            if matches!(ph.as_str(), "X" | "i") {
-                if !has_ts {
-                    return Err(self.err("trace event missing numeric \"ts\""));
-                }
-                self.events += 1;
-            }
-        }
-        let _ = trace_events_seen;
-        Ok(())
-    }
-}
-
-/// Validate that `text` is one well-formed JSON document (any value shape,
-/// no schema requirements beyond syntax). The bench harness uses this to
-/// gate its machine-readable result files in the offline CI environment.
-///
-/// # Errors
-///
-/// Returns a message locating the first syntax violation.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        events: 0,
-    };
-    p.parse_value(false)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after JSON document"));
-    }
-    Ok(())
-}
-
 /// Validate that `text` is well-formed Chrome trace-event JSON: a top-level
-/// object whose `traceEvents` array members each carry a `ph`, a `name`, and
-/// (for durable/instant phases) a numeric `ts`.
+/// object whose `traceEvents` array members are objects that each carry a
+/// string `ph` and a string `name` and, for complete (`"X"`) and instant
+/// (`"i"`) events, a numeric `ts`.
 ///
-/// Returns the number of non-metadata trace events.
+/// Returns the number of `"X"`/`"i"` events; metadata events (`"M"`) are
+/// checked but not counted.
 ///
 /// # Errors
 ///
-/// Returns a message locating the first syntax or schema violation.
+/// Returns the [`parse_json`] error of a malformed document (too deep a
+/// nesting included), the first schema violation, or "trace contains no
+/// events" when nothing is counted.
 pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        events: 0,
-    };
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
-        return Err(p.err("expected top-level object"));
+    let doc = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    if doc.entries().is_none() {
+        return Err("expected a top-level object".to_string());
     }
-    p.parse_object(false)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after JSON document"));
+    let events = doc.get("traceEvents").and_then(JsonValue::as_array);
+    let mut counted = 0;
+    for (i, event) in events.unwrap_or_default().iter().enumerate() {
+        let field = |key| event.get(key).and_then(JsonValue::as_str);
+        let (Some(ph), Some(_)) = (field("ph"), field("name")) else {
+            return Err(format!(
+                "trace event {i} is not an object with a string \"ph\" and \"name\""
+            ));
+        };
+        if matches!(ph, "X" | "i") {
+            if event.get("ts").and_then(JsonValue::as_f64).is_none() {
+                return Err(format!("trace event {i} missing numeric \"ts\""));
+            }
+            counted += 1;
+        }
     }
-    if p.events == 0 {
+    if counted == 0 {
         return Err("trace contains no events".to_string());
     }
-    Ok(p.events)
+    Ok(counted)
 }
 
 /// Writes traces captured from a [`crate::Device`] to a directory.
@@ -971,6 +730,45 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"dur\":1}]} junk"
         )
         .is_err());
+    }
+
+    /// One trace event whose `args` nest `depth` arrays deep.
+    fn deeply_nested_trace(depth: usize) -> String {
+        format!(
+            "{{\"traceEvents\":[{{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"args\":{}{}}}]}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn validator_errors_on_deep_nesting_instead_of_overflowing() {
+        // Runs on the test thread's default stack: a recursive validator
+        // without a depth bound overflows it and aborts the binary.
+        let err = validate_chrome_json(&deeply_nested_trace(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+        assert_eq!(validate_chrome_json(&deeply_nested_trace(8)), Ok(1));
+    }
+
+    #[test]
+    fn validator_rejects_a_ts_that_is_not_a_number() {
+        for ts in ["null", "true"] {
+            let json = format!("{{\"traceEvents\":[{{\"name\":\"x\",\"ph\":\"X\",\"ts\":{ts}}}]}}");
+            let err = validate_chrome_json(&json).unwrap_err();
+            assert!(err.contains("numeric \"ts\""), "ts {ts}: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_rejects_a_non_object_event_next_to_a_valid_one() {
+        let good = "{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"dur\":1}";
+        let alone = format!("{{\"traceEvents\":[{good}]}}");
+        assert_eq!(validate_chrome_json(&alone), Ok(1));
+        for bad in ["1", "\"x\"", "[]", "null"] {
+            let json = format!("{{\"traceEvents\":[{good},{bad}]}}");
+            let err = validate_chrome_json(&json).unwrap_err();
+            assert!(err.contains("trace event 1"), "member {bad}: {err}");
+        }
     }
 
     /// A kernel span charging `cycles`, for the label-matching tests.

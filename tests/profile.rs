@@ -4,7 +4,7 @@
 //! link is removed), plus sanity bounds on every derived figure.
 
 use kw_core::{Bottleneck, ExecMode, WeaverConfig};
-use kw_gpu_sim::{validate_json, Device, DeviceConfig};
+use kw_gpu_sim::{parse_json, Device, DeviceConfig};
 use kw_tpch::Pattern;
 
 fn run(
@@ -129,7 +129,7 @@ fn profile_figures_are_bounded_and_exportable() {
             assert!(p.gpu_busy_fraction <= 1.0 + 1e-9, "{pattern:?} {mode:?}");
             assert!(p.pcie_busy_fraction <= 1.0 + 1e-9, "{pattern:?} {mode:?}");
             assert!(!p.operators.is_empty());
-            validate_json(&p.to_json()).expect("profile JSON parses");
+            parse_json(&p.to_json()).expect("profile JSON parses");
         }
     }
 }
