@@ -83,7 +83,7 @@ pub(crate) fn execute(
 
     let (run, outputs) = match strategy {
         ChunkStrategy::RowSlice => {
-            let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks))?;
+            let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks));
             let mut run = run_chunks(plan, compiled, &slots, device, config)?;
             let outputs = concat_outputs(&mut run)?;
             (run, outputs)
@@ -92,7 +92,7 @@ pub(crate) fn execute(
             // No clamp: buckets are keyed by hash, not row index, and a
             // bucket count above the distinct-key count just leaves empty
             // slots that are skipped below.
-            let slots = hash_partition_inputs(bindings, chunks)?;
+            let slots = hash_partition_inputs(bindings, chunks);
             let mut run = run_chunks(plan, compiled, &slots, device, config)?;
             let outputs = concat_outputs(&mut run)?;
             (run, outputs)
@@ -100,7 +100,7 @@ pub(crate) fn execute(
         ChunkStrategy::PartialAggregate => {
             let spec = partial_aggregate_plan(plan)?;
             let partial_compiled = compile(&spec.plan, config)?;
-            let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks))?;
+            let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks));
             let mut run = run_chunks(&spec.plan, &partial_compiled, &slots, device, config)?;
             let partial_words = run.outputs.remove(&spec.node).unwrap_or_default();
             let merged = merge_partials(&spec, &partial_words)?;
@@ -149,21 +149,16 @@ fn effective_chunks(bindings: &[(&str, &Relation)], requested: usize) -> usize {
 fn row_slice_inputs<'a>(
     bindings: &[(&'a str, &Relation)],
     chunks: usize,
-) -> Result<Vec<Vec<(&'a str, Relation)>>> {
+) -> Vec<Vec<(&'a str, Relation)>> {
     let mut slots: Vec<Vec<(&str, Relation)>> = vec![Vec::new(); chunks];
     for (name, rel) in bindings {
-        let arity = rel.schema().arity();
         for (c, slot) in slots.iter_mut().enumerate() {
             let lo = c * rel.len() / chunks;
             let hi = (c + 1) * rel.len() / chunks;
-            let words = rel.words()[lo * arity..hi * arity].to_vec();
-            slot.push((
-                name,
-                Relation::from_sorted_words(rel.schema().clone(), words)?,
-            ));
+            slot.push((name, rel.view().slice(lo, hi).to_relation()));
         }
     }
-    Ok(slots)
+    slots
 }
 
 /// Co-partition every bound input into `buckets` hash buckets on the
@@ -172,31 +167,20 @@ fn row_slice_inputs<'a>(
 fn hash_partition_inputs<'a>(
     bindings: &[(&'a str, &Relation)],
     buckets: usize,
-) -> Result<Vec<Vec<(&'a str, Relation)>>> {
+) -> Vec<Vec<(&'a str, Relation)>> {
     let mut slots: Vec<Vec<(&str, Relation)>> = vec![Vec::new(); buckets];
     for (name, rel) in bindings {
-        // Size every bucket before filling it. Buckets grown by doubling
-        // hold up to twice the input, and freeing that much at once lets
-        // the allocator hand the heap top back to the OS, so whether the
-        // next run page-faults it all in again depends on heap layout.
-        let mut sizes = vec![0usize; buckets];
-        for t in rel.iter() {
-            sizes[bucket_of(t[0], buckets)] += t.len();
-        }
-        let mut per_bucket: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for t in rel.iter() {
-            per_bucket[bucket_of(t[0], buckets)].extend_from_slice(t);
-        }
-        for (slot, words) in slots.iter_mut().zip(per_bucket) {
-            // A bucket is a subsequence of an already-canonical relation,
-            // so it is still sorted.
-            slot.push((
-                name,
-                Relation::from_sorted_words(rel.schema().clone(), words)?,
-            ));
+        // `split` sizes every bucket before filling it. Buckets grown by
+        // doubling hold up to twice the input, and freeing that much at
+        // once lets the allocator hand the heap top back to the OS, so
+        // whether the next run page-faults it all in again depends on heap
+        // layout.
+        let parts = rel.view().split(buckets, |t| bucket_of(t[0], buckets));
+        for (slot, part) in slots.iter_mut().zip(parts) {
+            slot.push((name, part));
         }
     }
-    Ok(slots)
+    slots
 }
 
 /// Accumulated results of the per-chunk execution loop, before the

@@ -215,7 +215,9 @@ impl PlanReport {
 /// # Errors
 ///
 /// Returns [`WeaverError`] for compilation failures, missing or mis-typed
-/// bindings, and device errors.
+/// bindings, and device errors, among them a device configuration that
+/// fails [`kw_gpu_sim::DeviceConfig::validate`] (checked before the first
+/// device operation).
 ///
 /// # Examples
 ///
@@ -303,6 +305,7 @@ pub fn execute_compiled(
     device: &mut Device,
     config: &WeaverConfig,
 ) -> Result<PlanReport> {
+    device.config().validate()?;
     let window = RunWindow::open(device);
     let mut report = run(plan, compiled, bindings, device, config, &window)?;
     // The one span snapshot, taken after the arena's Free span.
@@ -836,18 +839,19 @@ fn run_compiled(
         release_slot(device, arena, &mut fp, slot)?;
     }
 
-    let outputs: BTreeMap<NodeId, Relation> = plan
-        .outputs()
-        .iter()
-        .map(|&o| {
-            values
-                .get(&o)
-                .map(|r| (o, r.as_ref().clone()))
-                .ok_or_else(|| {
-                    WeaverError::plan(format!("plan output {o} was never computed by any step"))
-                })
-        })
-        .collect::<Result<_>>()?;
+    // Move the outputs out of `values`: only an output that is itself a
+    // bound input (a borrowed value) is copied. An output listed twice is
+    // taken once.
+    let mut outputs: BTreeMap<NodeId, Relation> = BTreeMap::new();
+    for &o in plan.outputs() {
+        if outputs.contains_key(&o) {
+            continue;
+        }
+        let rel = values.remove(&o).ok_or_else(|| {
+            WeaverError::plan(format!("plan output {o} was never computed by any step"))
+        })?;
+        outputs.insert(o, rel.into_owned());
+    }
 
     Ok(Execution {
         outputs,

@@ -122,21 +122,26 @@ impl PlanCache {
         self.stats
     }
 
-    /// Look up `plan` under `config`, compiling on a miss. Returns the
-    /// compiled plan, shared with the cache, and whether the lookup hit
-    /// (`true`) or compiled (`false`).
+    /// Look up `plan` under `config` by its shape `key`, compiling on a
+    /// miss. Returns the compiled plan, shared with the cache, and whether
+    /// the lookup hit (`true`) or compiled (`false`).
+    ///
+    /// `key` must be [`plan_shape_key`]`(plan, config)`: rendering it walks
+    /// the whole plan, so a caller that looks up the same shape repeatedly
+    /// renders it once. Debug builds check that it matches.
     ///
     /// # Errors
     ///
     /// Propagates [`compile`] errors; failed compilations are not cached.
     pub fn get_or_compile(
         &mut self,
+        key: &str,
         plan: &QueryPlan,
         config: &WeaverConfig,
     ) -> Result<(Rc<CompiledPlan>, bool)> {
-        let key = plan_shape_key(plan, config);
+        debug_assert_eq!(key, plan_shape_key(plan, config), "key of another shape");
         self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
+        if let Some(entry) = self.entries.get_mut(key) {
             entry.last_used = self.tick;
             self.stats.hits += 1;
             return Ok((Rc::clone(&entry.compiled), true));
@@ -159,7 +164,7 @@ impl PlanCache {
                 }
             }
             self.entries.insert(
-                key,
+                key.to_owned(),
                 Entry {
                     compiled: Rc::clone(&compiled),
                     last_used: self.tick,
@@ -203,13 +208,24 @@ mod tests {
         p
     }
 
+    /// One lookup, with the key rendered as a caller renders it.
+    fn lookup(
+        cache: &mut PlanCache,
+        plan: &QueryPlan,
+        cfg: &WeaverConfig,
+    ) -> (Rc<CompiledPlan>, bool) {
+        cache
+            .get_or_compile(&plan_shape_key(plan, cfg), plan, cfg)
+            .unwrap()
+    }
+
     #[test]
     fn repeat_shapes_hit_and_return_equal_steps() {
         let plan = chain(3, 100);
         let cfg = WeaverConfig::default();
         let mut cache = PlanCache::new(4);
-        let (first, hit0) = cache.get_or_compile(&plan, &cfg).unwrap();
-        let (second, hit1) = cache.get_or_compile(&plan, &cfg).unwrap();
+        let (first, hit0) = lookup(&mut cache, &plan, &cfg);
+        let (second, hit1) = lookup(&mut cache, &plan, &cfg);
         assert!(!hit0);
         assert!(hit1);
         assert_eq!(first.steps.len(), second.steps.len());
@@ -255,16 +271,16 @@ mod tests {
         let cfg = WeaverConfig::default();
         let shapes: Vec<QueryPlan> = (1..=3).map(|d| chain(d, 100)).collect();
         let mut cache = PlanCache::new(2);
-        cache.get_or_compile(&shapes[0], &cfg).unwrap();
-        cache.get_or_compile(&shapes[1], &cfg).unwrap();
+        lookup(&mut cache, &shapes[0], &cfg);
+        lookup(&mut cache, &shapes[1], &cfg);
         // Touch shape 0 so shape 1 is the LRU victim.
-        cache.get_or_compile(&shapes[0], &cfg).unwrap();
-        cache.get_or_compile(&shapes[2], &cfg).unwrap();
+        lookup(&mut cache, &shapes[0], &cfg);
+        lookup(&mut cache, &shapes[2], &cfg);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        let (_, hit) = cache.get_or_compile(&shapes[0], &cfg).unwrap();
+        let (_, hit) = lookup(&mut cache, &shapes[0], &cfg);
         assert!(hit, "recently used shape must survive eviction");
-        let (_, hit) = cache.get_or_compile(&shapes[1], &cfg).unwrap();
+        let (_, hit) = lookup(&mut cache, &shapes[1], &cfg);
         assert!(!hit, "LRU shape must have been evicted");
     }
 
@@ -275,7 +291,7 @@ mod tests {
         let mut cache = PlanCache::disabled();
         assert!(!cache.is_enabled());
         for _ in 0..3 {
-            let (_, hit) = cache.get_or_compile(&plan, &cfg).unwrap();
+            let (_, hit) = lookup(&mut cache, &plan, &cfg);
             assert!(!hit);
         }
         assert_eq!(cache.len(), 0);

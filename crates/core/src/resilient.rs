@@ -150,7 +150,9 @@ pub(crate) fn rung_config(rung: AdmittedMode, config: &WeaverConfig) -> WeaverCo
 ///
 /// Propagates admission rejections ([`crate::WeaverError::Admission`]),
 /// transient faults that exhaust the per-rung retry budget, capacity misses
-/// with no rung left below, and all fatal errors.
+/// with no rung left below, and all fatal errors, among them a device
+/// configuration that fails [`kw_gpu_sim::DeviceConfig::validate`]
+/// (checked before the first attempt).
 ///
 /// # Examples
 ///
@@ -189,6 +191,7 @@ pub fn execute_compiled_resilient(
     config: &WeaverConfig,
     policy: &RetryPolicy,
 ) -> Result<PlanReport> {
+    device.config().validate()?;
     // One window for the whole episode: every attempt's report folds it,
     // so the one that lands covers failed attempts and backoff too.
     let window = RunWindow::open(device);

@@ -336,7 +336,9 @@ fn alloc_with_retry(
 /// # Errors
 ///
 /// Returns [`WeaverError::Plan`] when `queries` and `compiled` disagree in
-/// length (a caller bug, not a fault domain). Everything from admission
+/// length (a caller bug, not a fault domain), and [`WeaverError::Sim`] when
+/// the device configuration fails [`kw_gpu_sim::DeviceConfig::validate`].
+/// Everything from admission
 /// onward — binding errors, injected faults, capacity misses — is absorbed
 /// into per-query outcomes.
 ///
@@ -382,6 +384,7 @@ pub fn execute_batch(
     config: &WeaverConfig,
     policy: &RetryPolicy,
 ) -> Result<BatchReport> {
+    device.config().validate()?;
     let compiled: Vec<&CompiledPlan> = compiled.iter().map(|c| c.borrow()).collect();
     if queries.len() != compiled.len() {
         return Err(WeaverError::plan(format!(

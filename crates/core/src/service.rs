@@ -228,8 +228,9 @@ pub(crate) fn percentiles(latencies: &mut [f64]) -> ServicePercentiles {
 /// # Errors
 ///
 /// Returns [`crate::WeaverError`] when `shapes` is empty, when a shape
-/// fails to compile, or when the service configuration is non-physical
-/// (`offered_qps <= 0`, `max_dispatch == 0`). Faults *inside* a dispatch
+/// fails to compile, or when the service or device configuration is
+/// non-physical (`offered_qps <= 0`, `max_dispatch == 0`, or a field that
+/// fails [`kw_gpu_sim::DeviceConfig::validate`]). Faults *inside* a dispatch
 /// never error: they surface as per-query [`QueryOutcome`]s.
 pub fn run_service(
     shapes: &[BatchQuery<'_>],
@@ -237,6 +238,7 @@ pub fn run_service(
     config: &WeaverConfig,
     service: &ServiceConfig,
 ) -> Result<ServiceReport> {
+    device.config().validate()?;
     if shapes.is_empty() {
         return Err(crate::WeaverError::plan(
             "service needs at least one plan shape",
@@ -264,12 +266,13 @@ pub fn run_service(
         arrival_at.push(t);
     }
 
-    // One display fingerprint per shape: formatting a shape key walks the
-    // whole plan, so it is not redone per arrival.
-    let fingerprints: Vec<u64> = shapes
+    // One cache key and display fingerprint per shape: formatting a shape
+    // key walks the whole plan, so it is not redone per arrival.
+    let keys: Vec<String> = shapes
         .iter()
-        .map(|shape| shape_fingerprint(&plan_shape_key(shape.plan, config)))
+        .map(|shape| plan_shape_key(shape.plan, config))
         .collect();
+    let fingerprints: Vec<u64> = keys.iter().map(|key| shape_fingerprint(key)).collect();
     let mut cache = PlanCache::new(service.cache_capacity);
     // Compiled plan + (hit, compile seconds charged) per arrival, filled
     // lazily the first time the admission loop considers the arrival —
@@ -313,7 +316,8 @@ pub fn run_service(
             let shape = &shapes[ai % shapes.len()];
             if prepared[ai].is_none() {
                 let before = cache.stats();
-                let (compiled, hit) = cache.get_or_compile(shape.plan, config)?;
+                let key = &keys[ai % shapes.len()];
+                let (compiled, hit) = cache.get_or_compile(key, shape.plan, config)?;
                 debug_assert_eq!(
                     cache.stats().hits + cache.stats().misses,
                     before.hits + before.misses + 1

@@ -5,6 +5,8 @@
 //! and bandwidths. All cost-model parameters live here so experiments can
 //! ablate them.
 
+use crate::SimError;
+
 /// Static description of a simulated GPU.
 ///
 /// # Examples
@@ -161,6 +163,72 @@ impl DeviceConfig {
             sm_count: 2,
             ..DeviceConfig::fermi_c2050()
         }
+    }
+
+    /// Check that every field is physical: each float finite and positive,
+    /// each integer at least 1. The cost model divides by most of them, so
+    /// a zero, NaN or infinite field would panic or yield a non-finite, or
+    /// even a smaller, simulated time instead of an error. Every kernel
+    /// execution and every run entry point of the compiler checks it before
+    /// its first device operation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] naming the first field out of
+    /// range, integer fields before float fields.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use kw_gpu_sim::{DeviceConfig, SimError};
+    /// assert!(DeviceConfig::fermi_c2050().validate().is_ok());
+    /// let broken = DeviceConfig { warp_size: 0, ..DeviceConfig::fermi_c2050() };
+    /// assert!(matches!(
+    ///     broken.validate(),
+    ///     Err(SimError::InvalidConfig { field: "warp_size", .. })
+    /// ));
+    /// ```
+    pub fn validate(&self) -> Result<(), SimError> {
+        let integers = [
+            ("sm_count", u64::from(self.sm_count)),
+            ("warp_size", u64::from(self.warp_size)),
+            ("max_threads_per_sm", u64::from(self.max_threads_per_sm)),
+            ("max_warps_per_sm", u64::from(self.max_warps_per_sm)),
+            ("max_ctas_per_sm", u64::from(self.max_ctas_per_sm)),
+            ("max_threads_per_cta", u64::from(self.max_threads_per_cta)),
+            ("registers_per_sm", u64::from(self.registers_per_sm)),
+            ("register_granularity", u64::from(self.register_granularity)),
+            (
+                "max_registers_per_thread",
+                u64::from(self.max_registers_per_thread),
+            ),
+            ("shared_mem_per_sm", u64::from(self.shared_mem_per_sm)),
+            ("shared_granularity", u64::from(self.shared_granularity)),
+            ("global_mem_bytes", self.global_mem_bytes),
+            ("kernel_launch_cycles", self.kernel_launch_cycles),
+            ("barrier_cycles", self.barrier_cycles),
+            ("compute_engines", u64::from(self.compute_engines)),
+        ];
+        let floats = [
+            ("clock_ghz", self.clock_ghz),
+            ("global_bandwidth_gbs", self.global_bandwidth_gbs),
+            ("shared_bandwidth_ratio", self.shared_bandwidth_ratio),
+            ("alu_ops_per_cycle", self.alu_ops_per_cycle),
+            (
+                "bandwidth_saturation_occupancy",
+                self.bandwidth_saturation_occupancy,
+            ),
+            ("pcie_bandwidth_gbs", self.pcie_bandwidth_gbs),
+            ("pcie_latency_us", self.pcie_latency_us),
+        ];
+        let invalid = |field: &'static str, value: String| SimError::InvalidConfig { field, value };
+        if let Some(&(field, v)) = integers.iter().find(|(_, v)| *v == 0) {
+            return Err(invalid(field, v.to_string()));
+        }
+        if let Some(&(field, v)) = floats.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+            return Err(invalid(field, v.to_string()));
+        }
+        Ok(())
     }
 
     /// Global-memory bytes transferred per core cycle at peak bandwidth.

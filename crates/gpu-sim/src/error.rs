@@ -68,6 +68,15 @@ pub enum SimError {
         /// The arena's total upfront reservation.
         reservation: u64,
     },
+    /// A [`crate::DeviceConfig`] field is outside its physical range (see
+    /// [`crate::DeviceConfig::validate`]). Fatal: a retry or a cheaper
+    /// execution mode would run on the same configuration.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its value, rendered.
+        value: String,
+    },
 }
 
 impl SimError {
@@ -132,6 +141,13 @@ impl fmt::Display for SimError {
                     "scratch arena overflow: requested {requested} bytes with {free} \
                      free of a {reservation}-byte reservation (admission under-predicted \
                      the peak)"
+                )
+            }
+            SimError::InvalidConfig { field, value } => {
+                write!(
+                    f,
+                    "invalid device configuration: {field} = {value} (a float field must be \
+                     finite and positive, an integer field at least 1)"
                 )
             }
         }

@@ -14,15 +14,16 @@
 //! Kernel-dependent operators (SORT, grouped AGGREGATE) execute as
 //! multi-pass global kernels instead.
 //!
-//! ## Host execution: borrowed slots, canonical order only where needed
+//! ## Host execution: borrowed slots, order carried by type
 //!
 //! The compute stage runs the step list once per CTA. Slots are
 //! single-assignment, so steps read them by reference:
 //!
-//! * **Load** borrows the CTA's input range (checking that it is in
-//!   canonical order) instead of copying it;
+//! * **Load** borrows the CTA's input range as a [`RelView`], a sub-slice of
+//!   the input relation's view: canonical by construction, so neither
+//!   copied nor checked;
 //! * the thread-dependent steps — Filter, Project, Compute, Compact and
-//!   Store — write plain word buffers. Filter and Compute bind their
+//!   Store — write word buffers. Filter and Compute bind their
 //!   predicate or expressions once per operator and evaluate them once per
 //!   CTA block ([`BoundPredicate::eval_block`], [`BoundExpr::eval_block`]):
 //!   each node runs over all of the CTA's rows before its parent, the way
@@ -30,21 +31,23 @@
 //!   then copies the rows that pass; Compute interleaves its output columns
 //!   into rows;
 //! * only the CTA-dependent steps — Join, SemiJoin, SetOp, Unique and
-//!   Product — see a canonical [`Relation`] and call the same
+//!   Product — read a slot as a canonical [`RelView`] and call the same
 //!   `kw_relational::ops` function a step-at-a-time interpreter would.
 //!
-//! Each slot carries a `sorted` flag. Load and every CTA-dependent step set
-//! it, Filter and Compact keep their source's, Project and Compute clear
-//! it. A sorted slot holds exactly the relation a step-at-a-time
-//! interpreter would hold; an unsorted one holds the same multiset, and
-//! `Relation::from_words` turns it into that relation, because canonical
-//! order is full-tuple order and rows that compare equal are bit-identical
-//! (Project restores canonical order first for the one exception, F32 words
-//! with high bits set). Canonical order is therefore restored in two places
-//! only: when a CTA-dependent step reads an unsorted slot, and in the gather,
-//! which sorts the concatenated CTA results once per output. Every
-//! [`KernelQuantities`] charge comes from counts (rows, lanes, tuple bytes),
-//! so none depends on how the host represents a slot.
+//! A slot's order is its type. Load lends a view of the input, and a
+//! CTA-dependent step's result is a [`Relation`]; a Filter of either keeps
+//! the rows that pass as a relation too ([`RelView::filter`]), and Compact
+//! keeps its source's form. All of these are canonical without a check.
+//! Project and Compute write plain rows. Canonical rows are exactly the
+//! relation a step-at-a-time interpreter would hold; plain rows are the
+//! same multiset, and `Relation::from_words` turns them into that relation,
+//! because canonical order is full-tuple order and rows that compare equal
+//! are bit-identical (Project restores canonical order first for the one
+//! exception, F32 words with high bits set). Canonical order is therefore
+//! restored in two places only: when a CTA-dependent step reads plain rows,
+//! and in the gather, which sorts the concatenated CTA results once per
+//! output. Every [`KernelQuantities`] charge comes from counts (rows, lanes,
+//! tuple bytes), so none depends on how the host represents a slot.
 //!
 //! ## Divergence model
 //!
@@ -54,11 +57,9 @@
 //! Figure 20 effect), while stream compaction re-densifies lanes at the
 //! price of shared-memory traffic and a prefix sum.
 
-use std::borrow::Cow;
-
 use kw_gpu_sim::{Device, KernelQuantities, KernelResources, LaunchDims};
 use kw_relational::{
-    check_sorted, equal_rows_are_identical, ops, BoundExpr, BoundPredicate, Relation, Schema,
+    equal_rows_are_identical, ops, BoundExpr, BoundPredicate, RelView, Relation, Schema,
 };
 
 use crate::{
@@ -97,14 +98,17 @@ pub struct ExecResult {
 ///
 /// # Errors
 ///
-/// Returns [`IrError`] for invalid IR, schema-mismatched inputs, or device
-/// failures (out of memory, infeasible launch).
+/// Returns [`IrError`] for an invalid device configuration
+/// ([`kw_gpu_sim::DeviceConfig::validate`], checked before any device
+/// operation), invalid IR, schema-mismatched inputs, or device failures (out
+/// of memory, infeasible launch).
 pub fn execute(
     op: &GpuOperator,
     inputs: &[&Relation],
     device: &mut Device,
     opt: OptLevel,
 ) -> Result<ExecResult> {
+    device.config().validate()?;
     let inferred = validate(op)?;
     if inputs.len() != op.inputs.len() {
         return Err(IrError::validation(format!(
@@ -135,36 +139,45 @@ pub fn execute(
     }
 }
 
-/// The tuples a runtime slot holds for one CTA.
+/// The tuples a runtime slot holds for one CTA. The first two forms are
+/// in canonical order: exactly the relation a step-at-a-time interpreter
+/// would hold here.
 #[derive(Debug, Clone)]
 enum Tuples<'a> {
-    /// A borrowed range of an operator input (Load).
-    View(&'a [u64]),
-    /// Rows written by a thread-dependent step.
+    /// A range of an operator input, borrowed (Load).
+    Input(RelView<'a>),
+    /// Canonical rows a step produced: a CTA-dependent step's result, or
+    /// the canonical rows that passed a Filter.
+    Canonical(Relation),
+    /// The same multiset in another order (Project, Compute and the
+    /// Filters and Compacts of their rows); `Relation::from_words`
+    /// restores the relation.
     Rows(Vec<u64>),
-    /// The relation a CTA-dependent step returned.
-    Rel(Relation),
 }
 
 impl Tuples<'_> {
     fn words(&self) -> &[u64] {
         match self {
-            Tuples::View(w) => w,
+            Tuples::Input(v) => v.words(),
+            Tuples::Canonical(r) => r.words(),
             Tuples::Rows(w) => w,
-            Tuples::Rel(r) => r.words(),
+        }
+    }
+
+    /// The tuples as a canonical view, unless they are plain rows.
+    fn view(&self) -> Option<RelView<'_>> {
+        match self {
+            Tuples::Input(v) => Some(*v),
+            Tuples::Canonical(r) => Some(r.view()),
+            Tuples::Rows(_) => None,
         }
     }
 }
 
-/// A runtime slot: one CTA's tuples, whether they are in canonical order,
-/// and the occupied lane count.
+/// A runtime slot: one CTA's tuples and the occupied lane count.
 #[derive(Debug, Clone)]
 struct RtSlot<'a> {
     tuples: Tuples<'a>,
-    /// The tuples are exactly the relation a step-at-a-time interpreter
-    /// would hold here. When clear they are the same multiset in another
-    /// order, and `Relation::from_words` restores that relation.
-    sorted: bool,
     lanes: u64,
 }
 
@@ -441,7 +454,6 @@ impl<'a> Stage<'a, '_> {
         q: &mut KernelQuantities,
         dst: SlotId,
         tuples: Tuples<'a>,
-        sorted: bool,
         src_lanes: u64,
     ) -> RtSlot<'a> {
         let rows = (tuples.words().len() / self.info[dst.0].arity) as u64;
@@ -451,11 +463,7 @@ impl<'a> Stage<'a, '_> {
             rows
         };
         self.charge_write(q, dst, rows, lanes);
-        RtSlot {
-            tuples,
-            sorted,
-            lanes,
-        }
+        RtSlot { tuples, lanes }
     }
 
     /// Write the relation a CTA-dependent step returned: dense lanes,
@@ -469,23 +477,25 @@ impl<'a> Stage<'a, '_> {
         let lanes = rel.len() as u64;
         self.charge_write(q, dst, lanes, lanes);
         RtSlot {
-            tuples: Tuples::Rel(rel),
-            sorted: true,
+            tuples: Tuples::Canonical(rel),
             lanes,
         }
     }
 
-    /// The canonical relation slot `id` holds, for a CTA-dependent step.
-    fn relation<'r>(&self, id: SlotId, slot: &'r RtSlot) -> Result<Cow<'r, Relation>> {
-        if let Tuples::Rel(rel) = &slot.tuples {
-            return Ok(Cow::Borrowed(rel));
+    /// Slot `id` as a canonical view, for a CTA-dependent step: canonical
+    /// tuples are lent as they are; plain rows are sorted once, into
+    /// `sorted`.
+    fn view<'r>(
+        &self,
+        id: SlotId,
+        slot: &'r RtSlot,
+        sorted: &'r mut Option<Relation>,
+    ) -> Result<RelView<'r>> {
+        if let Some(view) = slot.tuples.view() {
+            return Ok(view);
         }
-        let (schema, words) = (self.schema(id)?.clone(), slot.tuples.words().to_vec());
-        Ok(Cow::Owned(if slot.sorted {
-            Relation::from_sorted_words(schema, words)?
-        } else {
-            Relation::from_words(schema, words)?
-        }))
+        let rel = Relation::from_words(self.schema(id)?.clone(), slot.tuples.words().to_vec())?;
+        Ok(sorted.insert(rel).view())
     }
 
     fn exec_step(
@@ -517,17 +527,13 @@ impl<'a> Stage<'a, '_> {
 
         let (dst, written) = match (step, bound) {
             (Step::Load { input, dst }, _) => {
-                let rel = self.inputs[*input];
-                let arity = rel.schema().arity();
                 let (start, end) = self.ranges[cta][*input];
-                let words = &rel.words()[start * arity..end * arity];
-                check_sorted(rel.schema(), words)?;
+                let view = self.inputs[*input].view().slice(start, end);
                 let rows = (end - start) as u64;
-                q.global_bytes_read += rows * rel.schema().tuple_bytes() as u64;
+                q.global_bytes_read += rows * view.schema().tuple_bytes() as u64;
                 self.charge_write(q, *dst, rows, rows);
                 let slot = RtSlot {
-                    tuples: Tuples::View(words),
-                    sorted: true,
+                    tuples: Tuples::Input(view),
                     lanes: rows,
                 };
                 (*dst, slot)
@@ -539,14 +545,20 @@ impl<'a> Stage<'a, '_> {
                 let arity = self.info[src.0].arity;
                 let words = s.tuples.words();
                 let pass = bound.eval_block(words, arity);
-                // At most every source row passes: one allocation, no regrowth.
-                let mut rows = Vec::with_capacity(words.len());
-                for (t, keep) in words.chunks_exact(arity).zip(pass) {
-                    if keep {
-                        rows.extend_from_slice(t);
+                let tuples = match s.tuples.view() {
+                    Some(view) => Tuples::Canonical(view.filter(&pass)),
+                    None => {
+                        // At most every row passes: one allocation, no regrowth.
+                        let mut rows = Vec::with_capacity(words.len());
+                        for (t, keep) in words.chunks_exact(arity).zip(pass) {
+                            if keep {
+                                rows.extend_from_slice(t);
+                            }
+                        }
+                        Tuples::Rows(rows)
                     }
-                }
-                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.sorted, s.lanes);
+                };
+                let slot = self.write_rows(q, *dst, tuples, s.lanes);
                 (*dst, slot)
             }
             (
@@ -565,7 +577,8 @@ impl<'a> Stage<'a, '_> {
                 // depends on the source's order, so restore the canonical
                 // one before projecting.
                 let canonical;
-                let words = if s.sorted || equal_rows_are_identical(schema, words) {
+                let words = if s.tuples.view().is_some() || equal_rows_are_identical(schema, words)
+                {
                     words
                 } else {
                     canonical = Relation::from_words(schema.clone(), words.to_vec())?;
@@ -575,7 +588,7 @@ impl<'a> Stage<'a, '_> {
                 for t in words.chunks_exact(schema.arity()) {
                     rows.extend(attrs.iter().map(|&a| t[a]));
                 }
-                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), false, s.lanes);
+                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.lanes);
                 (*dst, slot)
             }
             (
@@ -597,7 +610,7 @@ impl<'a> Stage<'a, '_> {
                 for r in 0..n {
                     rows.extend(columns.iter().map(|c| c[r]));
                 }
-                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), false, s.lanes);
+                let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.lanes);
                 (*dst, slot)
             }
             (
@@ -612,8 +625,12 @@ impl<'a> Stage<'a, '_> {
                 let (l, r) = (get(*left)?, get(*right)?);
                 self.charge_read(q, *left, l);
                 self.charge_read(q, *right, r);
-                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
-                let rel = ops::join(&l, &r, *key_len)?;
+                let (mut ls, mut rs) = (None, None);
+                let (l, r) = (
+                    self.view(*left, l, &mut ls)?,
+                    self.view(*right, r, &mut rs)?,
+                );
+                let rel = ops::join(l, r, *key_len)?;
                 q.alu_ops += (l.len() + r.len()) as u64 * *key_len as u64 + 2 * rel.len() as u64;
                 (*dst, self.write_relation(q, *dst, rel))
             }
@@ -621,8 +638,12 @@ impl<'a> Stage<'a, '_> {
                 let (l, r) = (get(*left)?, get(*right)?);
                 self.charge_read(q, *left, l);
                 self.charge_read(q, *right, r);
-                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
-                let rel = ops::product(&l, &r)?;
+                let (mut ls, mut rs) = (None, None);
+                let (l, r) = (
+                    self.view(*left, l, &mut ls)?,
+                    self.view(*right, r, &mut rs)?,
+                );
+                let rel = ops::product(l, r)?;
                 q.alu_ops += l.len() as u64 + rel.len() as u64;
                 (*dst, self.write_relation(q, *dst, rel))
             }
@@ -639,11 +660,15 @@ impl<'a> Stage<'a, '_> {
                 let (l, r) = (get(*left)?, get(*right)?);
                 self.charge_read(q, *left, l);
                 self.charge_read(q, *right, r);
-                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
+                let (mut ls, mut rs) = (None, None);
+                let (l, r) = (
+                    self.view(*left, l, &mut ls)?,
+                    self.view(*right, r, &mut rs)?,
+                );
                 let rel = if *negated {
-                    ops::anti_join(&l, &r, *key_len)?
+                    ops::anti_join(l, r, *key_len)?
                 } else {
-                    ops::semi_join(&l, &r, *key_len)?
+                    ops::semi_join(l, r, *key_len)?
                 };
                 // One binary search per left tuple over the right partition.
                 q.alu_ops += l.len() as u64
@@ -663,11 +688,15 @@ impl<'a> Stage<'a, '_> {
                 let (l, r) = (get(*left)?, get(*right)?);
                 self.charge_read(q, *left, l);
                 self.charge_read(q, *right, r);
-                let (l, r) = (self.relation(*left, l)?, self.relation(*right, r)?);
+                let (mut ls, mut rs) = (None, None);
+                let (l, r) = (
+                    self.view(*left, l, &mut ls)?,
+                    self.view(*right, r, &mut rs)?,
+                );
                 let rel = match kind {
-                    SetOpKind::Union => ops::union(&l, &r)?,
-                    SetOpKind::Intersect => ops::intersect(&l, &r)?,
-                    SetOpKind::Difference => ops::difference(&l, &r)?,
+                    SetOpKind::Union => ops::union(l, r)?,
+                    SetOpKind::Intersect => ops::intersect(l, r)?,
+                    SetOpKind::Difference => ops::difference(l, r)?,
                 };
                 q.alu_ops += (l.len() + r.len()) as u64 * l.schema().key_arity().max(1) as u64
                     + rel.len() as u64;
@@ -676,8 +705,9 @@ impl<'a> Stage<'a, '_> {
             (Step::Unique { src, dst }, _) => {
                 let s = get(*src)?;
                 self.charge_read(q, *src, s);
-                let s = self.relation(*src, s)?;
-                let rel = ops::unique(&s)?;
+                let mut sorted = None;
+                let s = self.view(*src, s, &mut sorted)?;
+                let rel = ops::unique(s)?;
                 q.alu_ops += s.len() as u64 * s.schema().arity() as u64;
                 (*dst, self.write_relation(q, *dst, rel))
             }
@@ -689,7 +719,6 @@ impl<'a> Stage<'a, '_> {
                 self.charge_write(q, *dst, rows, rows);
                 let slot = RtSlot {
                     tuples: s.tuples.clone(),
-                    sorted: s.sorted,
                     lanes: rows,
                 };
                 (*dst, slot)

@@ -5,7 +5,9 @@
 //! tuples — the storage format of Diamos et al. that the paper's multi-stage
 //! GPU skeletons rely on for binary-search partitioning. This crate provides:
 //!
-//! * the data model ([`Schema`], [`Relation`], [`Value`], [`AttrType`]),
+//! * the data model ([`Schema`], [`Relation`], [`Value`], [`AttrType`]) and
+//!   [`RelView`], the borrowed, canonical-by-construction form in which
+//!   every operator reads its inputs,
 //! * filter predicates ([`Predicate`]) and arithmetic expressions ([`Expr`]),
 //!   bound once to a schema and then evaluated per tuple (the reference the
 //!   operators in [`ops`] use) or over a block of rows at a time
@@ -40,7 +42,5 @@ pub mod ops;
 pub use error::{RelationalError, Result};
 pub use expr::{BoundExpr, Expr};
 pub use predicate::{BoundPredicate, CmpOp, Predicate};
-pub use relation::{
-    check_sorted, compare_keys, compare_tuples, equal_rows_are_identical, Relation,
-};
+pub use relation::{compare_keys, compare_tuples, equal_rows_are_identical, RelView, Relation};
 pub use types::{compare_words, AttrType, Schema, Value};

@@ -7,8 +7,10 @@
 
 use std::cmp::Ordering;
 
-use crate::relation::compare_keys;
-use crate::{ops::sort_on, AttrType, Relation, RelationalError, Result, Schema, Value};
+use crate::{
+    compare_words, ops::sort_on, AttrType, RelView, Relation, RelationalError, Result, Schema,
+    Value,
+};
 
 /// An aggregation function over one attribute of each group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +83,12 @@ fn check_numeric(schema: &Schema, attr: usize) -> Result<AttrType> {
 /// Output schema: the group attributes (as the key) followed by one
 /// attribute per aggregate. Groups appear in sorted order.
 ///
+/// Canonical order is full-tuple order, so it already groups the input on
+/// any leading prefix of its attributes: a `group_by` of `[0, 1, …, g-1]`,
+/// the empty one included, reads the input where it lies. Any other
+/// `group_by` first re-sorts a copy with the group attributes in front
+/// ([`sort_on`]).
+///
 /// # Errors
 ///
 /// Returns attribute/type errors from [`crate::RelationalError`] if a group
@@ -96,25 +104,48 @@ fn check_numeric(schema: &Schema, attr: usize) -> Result<AttrType> {
 /// assert_eq!(out.tuple(0), &[1, 30, 2]);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn aggregate(input: &Relation, group_by: &[usize], aggs: &[AggFn]) -> Result<Relation> {
+pub fn aggregate<'a>(
+    input: impl Into<RelView<'a>>,
+    group_by: &[usize],
+    aggs: &[AggFn],
+) -> Result<Relation> {
+    aggregate_view(input.into(), group_by, aggs)
+}
+
+fn aggregate_view(input: RelView<'_>, group_by: &[usize], aggs: &[AggFn]) -> Result<Relation> {
     for agg in aggs {
         if let Some(a) = agg.attr() {
             check_numeric(input.schema(), a)?;
         }
     }
-    // Sort so that group attributes lead; aggregate over runs.
-    let sorted = if group_by.is_empty() {
-        input.clone()
+    // Group attributes must lead; aggregate over runs.
+    let leading = group_by.len() <= input.schema().arity()
+        && group_by.iter().enumerate().all(|(i, &a)| a == i);
+    let resorted;
+    let grouped = if leading {
+        input
     } else {
-        sort_on(input, group_by)?
+        resorted = sort_on(input, group_by)?;
+        resorted.view()
     };
-    // After sort_on, attribute i of `sorted` maps back: group attrs occupy
-    // positions 0..group_by.len(); remaining attrs follow in original order.
-    let remap = build_remap(input.schema().arity(), group_by);
+    reduce(grouped, input.schema(), group_by, aggs)
+}
 
-    let mut out_attrs: Vec<AttrType> = group_by.iter().map(|&a| input.schema().attr(a)).collect();
+/// Aggregate `grouped`, whose first `group_by.len()` attributes are the
+/// group attributes of `orig` and whose rows are in canonical order. Its
+/// other attributes are those of `orig`, in their original order.
+fn reduce(
+    grouped: RelView<'_>,
+    orig: &Schema,
+    group_by: &[usize],
+    aggs: &[AggFn],
+) -> Result<Relation> {
+    // Attribute a of `orig` sits at remap[a] in `grouped`.
+    let remap = build_remap(orig.arity(), group_by);
+
+    let mut out_attrs: Vec<AttrType> = group_by.iter().map(|&a| orig.attr(a)).collect();
     for agg in aggs {
-        out_attrs.push(agg.result_type(input.schema())?);
+        out_attrs.push(agg.result_type(orig)?);
     }
     if out_attrs.is_empty() {
         return Err(RelationalError::BadKeyArity {
@@ -130,15 +161,15 @@ pub fn aggregate(input: &Relation, group_by: &[usize], aggs: &[AggFn]) -> Result
     let g = group_by.len();
     let mut out = Vec::new();
     let mut i = 0;
-    while i < sorted.len() {
+    while i < grouped.len() {
         // Find the end of this group (run of equal leading g attributes).
         let mut end = i + 1;
-        while end < sorted.len() && same_group(&sorted, i, end, g) {
+        while end < grouped.len() && same_group(grouped, i, end, g) {
             end += 1;
         }
-        out.extend_from_slice(&sorted.tuple(i)[..g]);
+        out.extend_from_slice(&grouped.tuple(i)[..g]);
         for agg in aggs {
-            out.push(eval_agg(&sorted, i, end, *agg, &remap, input.schema()));
+            out.push(eval_agg(grouped, i, end, *agg, &remap, orig));
         }
         i = end;
     }
@@ -146,32 +177,29 @@ pub fn aggregate(input: &Relation, group_by: &[usize], aggs: &[AggFn]) -> Result
 }
 
 fn build_remap(arity: usize, group_by: &[usize]) -> Vec<usize> {
-    // remap[original_attr] = position in sorted relation.
+    // remap[original_attr] = position in the grouped relation.
     let mut remap = vec![usize::MAX; arity];
     for (pos, &a) in group_by.iter().enumerate() {
         remap[a] = pos;
     }
     let mut next = group_by.len();
-    for (a, slot) in remap.iter_mut().enumerate() {
+    for slot in remap.iter_mut() {
         if *slot == usize::MAX {
             *slot = next;
             next += 1;
-            let _ = a;
         }
     }
     remap
 }
 
-fn same_group(rel: &Relation, a: usize, b: usize, g: usize) -> bool {
-    if g == 0 {
-        return true;
-    }
-    // After sort_on the group attributes are exactly the key prefix.
-    compare_keys(rel.schema(), rel.tuple(a), rel.tuple(b)) == Ordering::Equal
+/// Whether tuples `a` and `b` agree on the first `g` attributes.
+fn same_group(rel: RelView<'_>, a: usize, b: usize, g: usize) -> bool {
+    let (ta, tb) = (rel.tuple(a), rel.tuple(b));
+    (0..g).all(|k| compare_words(ta[k], tb[k], rel.schema().attr(k)) == Ordering::Equal)
 }
 
 fn eval_agg(
-    rel: &Relation,
+    rel: RelView<'_>,
     start: usize,
     end: usize,
     agg: AggFn,
@@ -209,7 +237,7 @@ fn eval_agg(
             let mut best = rel.tuple(start)[col];
             for i in start + 1..end {
                 let w = rel.tuple(i)[col];
-                let ord = crate::compare_words(w, best, ty);
+                let ord = compare_words(w, best, ty);
                 let better = if matches!(agg, AggFn::Min(_)) {
                     ord == Ordering::Less
                 } else {
@@ -227,6 +255,84 @@ fn eval_agg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::tests::Rows;
+    use proptest::prelude::*;
+
+    /// The re-sorting path for every `group_by`: the input copied through
+    /// [`sort_on`] (as it is when `group_by` is empty), then reduced.
+    fn aggregate_resorted(
+        input: &Relation,
+        group_by: &[usize],
+        aggs: &[AggFn],
+    ) -> Result<Relation> {
+        let sorted = if group_by.is_empty() {
+            input.clone()
+        } else {
+            sort_on(input, group_by)?
+        };
+        reduce(sorted.view(), input.schema(), group_by, aggs)
+    }
+
+    /// Every aggregate over every numeric attribute, plus a count.
+    fn all_aggs(schema: &Schema) -> Vec<AggFn> {
+        let mut aggs = vec![AggFn::Count];
+        for a in (0..schema.arity()).filter(|&a| schema.attr(a).is_numeric()) {
+            aggs.extend([AggFn::Sum(a), AggFn::Avg(a), AggFn::Min(a), AggFn::Max(a)]);
+        }
+        aggs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A leading-prefix `group_by`, the empty one included, reads the
+        /// input where it lies; the result must equal re-sorting it through
+        /// `sort_on`, bit for bit. The rows mix U32, U64, F32 and Bool
+        /// attributes, and some F32 words have high bits set, so rows can
+        /// compare equal yet differ in bytes. Non-prefix group-bys keep
+        /// re-sorting and are checked against the same reference.
+        #[test]
+        fn prop_leading_prefix_matches_resorting((schema, words) in Rows) {
+            let rel = Relation::from_words(schema.clone(), words).unwrap();
+            let aggs = all_aggs(&schema);
+            let arity = schema.arity();
+            let mut group_bys: Vec<Vec<usize>> = (0..=arity.min(4)).map(|g| (0..g).collect()).collect();
+            if arity > 1 {
+                group_bys.extend([vec![1], vec![1, 0], vec![0, 0]]);
+            }
+            for group_by in &group_bys {
+                let got = aggregate(&rel, group_by, &aggs);
+                let want = aggregate_resorted(&rel, group_by, &aggs);
+                prop_assert_eq!(&got, &want, "group_by {:?}", group_by);
+                if let Ok(out) = got {
+                    prop_assert!(out.is_sorted());
+                }
+            }
+            // A view of part of the relation takes the same path.
+            let half = rel.view().slice(0, rel.len() / 2);
+            prop_assert_eq!(
+                aggregate(half, &[0], &aggs),
+                aggregate_resorted(&half.to_relation(), &[0], &aggs)
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_groups_keep_the_first_rows_bytes() {
+        // F32 words equal in their low 32 bits but not in their high ones
+        // compare equal, so the group key and Min/Max keep the first row's
+        // bytes, on both paths.
+        let s = Schema::new(vec![AttrType::F32, AttrType::F32], 1);
+        let one = u64::from(1.0f32.to_bits());
+        let words = vec![one | 2 << 32, one, one | 1 << 32, one | 3 << 32];
+        let r = Relation::from_words(s, words).unwrap();
+        let aggs = [AggFn::Min(1), AggFn::Max(1), AggFn::Count];
+        let got = aggregate(&r, &[0], &aggs).unwrap();
+        assert_eq!(got, aggregate_resorted(&r, &[0], &aggs).unwrap());
+        assert_eq!(got.tuple(0), &[one | 2 << 32, one, one, 2]);
+        let global = aggregate(&r, &[], &aggs).unwrap();
+        assert_eq!(global, aggregate_resorted(&r, &[], &aggs).unwrap());
+    }
 
     #[test]
     fn grouped_sum_count() {

@@ -6,7 +6,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{compare_words, Relation, RelationalError, Result};
+use crate::{compare_words, RelView, Relation, RelationalError, Result};
 
 /// Tuples of `left` whose first `key_len` attributes match no tuple of
 /// `right`.
@@ -27,15 +27,12 @@ use crate::{compare_words, Relation, RelationalError, Result};
 /// assert_eq!(out.len(), 2); // keys 1 and 3 survive
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn anti_join(left: &Relation, right: &Relation, key_len: usize) -> Result<Relation> {
-    check_keys(left, right, key_len)?;
-    let mut out = Vec::new();
-    for t in left.iter() {
-        if !has_match(right, &t[..key_len], left, key_len) {
-            out.extend_from_slice(t);
-        }
-    }
-    Relation::from_sorted_words(left.schema().clone(), out)
+pub fn anti_join<'a>(
+    left: impl Into<RelView<'a>>,
+    right: impl Into<RelView<'a>>,
+    key_len: usize,
+) -> Result<Relation> {
+    matching(left.into(), right.into(), key_len, false)
 }
 
 /// SEMI-JOIN: tuples of `left` whose key prefix *does* match `right`
@@ -44,18 +41,34 @@ pub fn anti_join(left: &Relation, right: &Relation, key_len: usize) -> Result<Re
 /// # Errors
 ///
 /// Same conditions as [`anti_join`].
-pub fn semi_join(left: &Relation, right: &Relation, key_len: usize) -> Result<Relation> {
+pub fn semi_join<'a>(
+    left: impl Into<RelView<'a>>,
+    right: impl Into<RelView<'a>>,
+    key_len: usize,
+) -> Result<Relation> {
+    matching(left.into(), right.into(), key_len, true)
+}
+
+/// The tuples of `left` whose key prefix has a match in `right` exactly
+/// when `matched` is set.
+fn matching(
+    left: RelView<'_>,
+    right: RelView<'_>,
+    key_len: usize,
+    matched: bool,
+) -> Result<Relation> {
     check_keys(left, right, key_len)?;
     let mut out = Vec::new();
     for t in left.iter() {
-        if has_match(right, &t[..key_len], left, key_len) {
+        if has_match(right, &t[..key_len], left, key_len) == matched {
             out.extend_from_slice(t);
         }
     }
-    Relation::from_sorted_words(left.schema().clone(), out)
+    // An ordered subsequence of `left`.
+    Ok(Relation::from_canonical_words(left.schema().clone(), out))
 }
 
-fn check_keys(left: &Relation, right: &Relation, key_len: usize) -> Result<()> {
+fn check_keys(left: RelView<'_>, right: RelView<'_>, key_len: usize) -> Result<()> {
     if key_len == 0 || key_len > left.schema().key_arity() || key_len > right.schema().key_arity() {
         return Err(RelationalError::BadKeyArity {
             key_arity: key_len,
@@ -76,7 +89,7 @@ fn check_keys(left: &Relation, right: &Relation, key_len: usize) -> Result<()> {
     Ok(())
 }
 
-fn has_match(right: &Relation, probe: &[u64], left: &Relation, key_len: usize) -> bool {
+fn has_match(right: RelView<'_>, probe: &[u64], left: RelView<'_>, key_len: usize) -> bool {
     let lo = right.lower_bound(probe);
     if lo >= right.len() {
         return false;

@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use crate::{compare_words, Relation, RelationalError, Result, Schema};
+use crate::{compare_words, RelView, Relation, RelationalError, Result, Schema};
 
 /// Join `left` and `right` on their first `key_len` attributes.
 ///
@@ -30,7 +30,15 @@ use crate::{compare_words, Relation, RelationalError, Result, Schema};
 /// assert_eq!(out.len(), 3);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn join(left: &Relation, right: &Relation, key_len: usize) -> Result<Relation> {
+pub fn join<'a>(
+    left: impl Into<RelView<'a>>,
+    right: impl Into<RelView<'a>>,
+    key_len: usize,
+) -> Result<Relation> {
+    join_view(left.into(), right.into(), key_len)
+}
+
+fn join_view(left: RelView<'_>, right: RelView<'_>, key_len: usize) -> Result<Relation> {
     let schema = join_schema(left.schema(), right.schema(), key_len)?;
     let la = left.schema().arity();
     let ra = right.schema().arity();
@@ -105,7 +113,7 @@ fn compare_key_prefix(schema: &Schema, a: &[u64], b: &[u64], key_len: usize) -> 
     Ordering::Equal
 }
 
-fn run_end(rel: &Relation, start: usize, key_len: usize) -> usize {
+fn run_end(rel: RelView<'_>, start: usize, key_len: usize) -> usize {
     let mut end = start + 1;
     while end < rel.len()
         && compare_key_prefix(rel.schema(), rel.tuple(start), rel.tuple(end), key_len)

@@ -5,7 +5,7 @@
 //! (micro-benchmark pattern (e)). Each output attribute is an [`Expr`];
 //! `Expr::Attr(i)` passes an input attribute through unchanged.
 
-use crate::{Expr, Relation, RelationalError, Result, Schema};
+use crate::{Expr, RelView, Relation, RelationalError, Result, Schema};
 
 /// Produce a relation whose attributes are `outputs` evaluated per tuple of
 /// `input`; the first `key_arity` outputs form the new key.
@@ -25,7 +25,15 @@ use crate::{Expr, Relation, RelationalError, Result, Schema};
 /// assert_eq!(out.tuple(0), &[1, 20]);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn compute(input: &Relation, outputs: &[Expr], key_arity: usize) -> Result<Relation> {
+pub fn compute<'a>(
+    input: impl Into<RelView<'a>>,
+    outputs: &[Expr],
+    key_arity: usize,
+) -> Result<Relation> {
+    compute_view(input.into(), outputs, key_arity)
+}
+
+fn compute_view(input: RelView<'_>, outputs: &[Expr], key_arity: usize) -> Result<Relation> {
     if outputs.is_empty() || key_arity > outputs.len() {
         return Err(RelationalError::BadKeyArity {
             key_arity,

@@ -1,6 +1,6 @@
 //! CROSS PRODUCT: all ordered combinations of tuples from two relations.
 
-use crate::{Relation, Result, Schema};
+use crate::{RelView, Relation, Result, Schema};
 
 /// The cross product of `left` and `right`.
 ///
@@ -18,7 +18,14 @@ use crate::{Relation, Result, Schema};
 /// assert_eq!(out.tuple(0), &[3, 10, 3]);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn product(left: &Relation, right: &Relation) -> Result<Relation> {
+pub fn product<'a>(
+    left: impl Into<RelView<'a>>,
+    right: impl Into<RelView<'a>>,
+) -> Result<Relation> {
+    product_view(left.into(), right.into())
+}
+
+fn product_view(left: RelView<'_>, right: RelView<'_>) -> Result<Relation> {
     let mut attrs = left.schema().attrs().to_vec();
     attrs.extend_from_slice(right.schema().attrs());
     let schema = Schema::new(attrs, left.schema().key_arity());

@@ -1,6 +1,6 @@
 //! PROJECT: keep a subset of attributes.
 
-use crate::{Relation, Result};
+use crate::{RelView, Relation, Result};
 
 /// Project `input` onto the attribute indices `attrs` (in the given order);
 /// the first `key_arity` output attributes become the new key.
@@ -24,7 +24,15 @@ use crate::{Relation, Result};
 /// assert_eq!(out.tuple(0), &[2, 20]);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn project(input: &Relation, attrs: &[usize], key_arity: usize) -> Result<Relation> {
+pub fn project<'a>(
+    input: impl Into<RelView<'a>>,
+    attrs: &[usize],
+    key_arity: usize,
+) -> Result<Relation> {
+    project_view(input.into(), attrs, key_arity)
+}
+
+fn project_view(input: RelView<'_>, attrs: &[usize], key_arity: usize) -> Result<Relation> {
     let schema = input.schema().project(attrs, key_arity)?;
     let mut out = Vec::with_capacity(input.len() * attrs.len());
     for t in input.iter() {

@@ -1,6 +1,6 @@
 //! SELECT: filter tuples by a predicate.
 
-use crate::{Predicate, Relation, Result};
+use crate::{Predicate, RelView, Relation, Result};
 
 /// Keep the tuples of `input` satisfying `pred`.
 ///
@@ -19,7 +19,11 @@ use crate::{Predicate, Relation, Result};
 /// assert_eq!(out.len(), 2);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn select(input: &Relation, pred: &Predicate) -> Result<Relation> {
+pub fn select<'a>(input: impl Into<RelView<'a>>, pred: &Predicate) -> Result<Relation> {
+    select_view(input.into(), pred)
+}
+
+fn select_view(input: RelView<'_>, pred: &Predicate) -> Result<Relation> {
     let pred = pred.bind(input.schema())?;
     let mut out = Vec::new();
     for t in input.iter() {
@@ -28,7 +32,7 @@ pub fn select(input: &Relation, pred: &Predicate) -> Result<Relation> {
         }
     }
     // Filtering preserves order, so the result is already sorted.
-    Relation::from_sorted_words(input.schema().clone(), out)
+    Ok(Relation::from_canonical_words(input.schema().clone(), out))
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 use std::cmp::Ordering;
 
 use crate::relation::compare_keys;
-use crate::{Relation, RelationalError, Result};
+use crate::{RelView, Relation, RelationalError, Result};
 
-fn check_schemas(left: &Relation, right: &Relation) -> Result<()> {
+fn check_schemas(left: RelView<'_>, right: RelView<'_>) -> Result<()> {
     if left.schema() != right.schema() {
         return Err(RelationalError::SchemaMismatch {
             detail: format!(
@@ -39,9 +39,13 @@ fn check_schemas(left: &Relation, right: &Relation) -> Result<()> {
 /// assert_eq!(out.len(), 4); // keys 0,2,3,4
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
+pub fn union<'a>(left: impl Into<RelView<'a>>, right: impl Into<RelView<'a>>) -> Result<Relation> {
+    union_view(left.into(), right.into())
+}
+
+fn union_view(left: RelView<'_>, right: RelView<'_>) -> Result<Relation> {
     check_schemas(left, right)?;
-    let schema = left.schema().clone();
+    let schema = left.schema();
     let mut out = Vec::new();
     let mut i = 0;
     let mut j = 0;
@@ -51,7 +55,7 @@ pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
         } else if j >= right.len() {
             true
         } else {
-            compare_keys(&schema, left.tuple(i), right.tuple(j)) != Ordering::Greater
+            compare_keys(schema, left.tuple(i), right.tuple(j)) != Ordering::Greater
         };
         let t = if take_left {
             left.tuple(i)
@@ -62,7 +66,7 @@ pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
         let dup = out
             .len()
             .checked_sub(schema.arity())
-            .map(|s| compare_keys(&schema, &out[s..], t) == Ordering::Equal)
+            .map(|s| compare_keys(schema, &out[s..], t) == Ordering::Equal)
             .unwrap_or(false);
         if !dup {
             out.extend_from_slice(t);
@@ -73,7 +77,8 @@ pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
             j += 1;
         }
     }
-    Relation::from_sorted_words(schema, out)
+    // A key-ordered merge with one tuple per key.
+    Ok(Relation::from_canonical_words(schema.clone(), out))
 }
 
 /// Tuples of `left` whose keys are also present in `right`, deduplicated by
@@ -82,9 +87,13 @@ pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
 /// # Errors
 ///
 /// Returns [`RelationalError::SchemaMismatch`] unless both schemas are equal.
-pub fn intersect(left: &Relation, right: &Relation) -> Result<Relation> {
+pub fn intersect<'a>(
+    left: impl Into<RelView<'a>>,
+    right: impl Into<RelView<'a>>,
+) -> Result<Relation> {
+    let (left, right) = (left.into(), right.into());
     check_schemas(left, right)?;
-    filter_by_membership(left, right, true)
+    Ok(filter_by_membership(left, right, true))
 }
 
 /// Tuples of `left` whose keys are absent from `right`.
@@ -92,31 +101,36 @@ pub fn intersect(left: &Relation, right: &Relation) -> Result<Relation> {
 /// # Errors
 ///
 /// Returns [`RelationalError::SchemaMismatch`] unless both schemas are equal.
-pub fn difference(left: &Relation, right: &Relation) -> Result<Relation> {
+pub fn difference<'a>(
+    left: impl Into<RelView<'a>>,
+    right: impl Into<RelView<'a>>,
+) -> Result<Relation> {
+    let (left, right) = (left.into(), right.into());
     check_schemas(left, right)?;
-    filter_by_membership(left, right, false)
+    Ok(filter_by_membership(left, right, false))
 }
 
-fn filter_by_membership(left: &Relation, right: &Relation, keep_present: bool) -> Result<Relation> {
-    let schema = left.schema().clone();
+fn filter_by_membership(left: RelView<'_>, right: RelView<'_>, keep_present: bool) -> Relation {
+    let schema = left.schema();
     let mut out = Vec::new();
     for t in left.iter() {
         let lo = right.lower_bound(&t[..schema.key_arity()]);
         let present =
-            lo < right.len() && compare_keys(&schema, right.tuple(lo), t) == Ordering::Equal;
+            lo < right.len() && compare_keys(schema, right.tuple(lo), t) == Ordering::Equal;
         if present == keep_present {
             let dup = keep_present
                 && out
                     .len()
                     .checked_sub(schema.arity())
-                    .map(|s| compare_keys(&schema, &out[s..], t) == Ordering::Equal)
+                    .map(|s| compare_keys(schema, &out[s..], t) == Ordering::Equal)
                     .unwrap_or(false);
             if !dup {
                 out.extend_from_slice(t);
             }
         }
     }
-    Relation::from_sorted_words(schema, out)
+    // An ordered subsequence of `left`.
+    Relation::from_canonical_words(schema.clone(), out)
 }
 
 #[cfg(test)]

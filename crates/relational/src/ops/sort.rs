@@ -4,7 +4,7 @@
 //! as a global barrier in the dependence graph and can never be fused with
 //! its producers or consumers.
 
-use crate::{ops::project, Relation, Result};
+use crate::{ops::project, RelView, Relation, Result};
 
 /// Sort `input` on the attribute indices `attrs`, producing a relation whose
 /// schema is permuted so `attrs` come first and form the new key; the
@@ -23,7 +23,11 @@ use crate::{ops::project, Relation, Result};
 /// assert_eq!(out.tuple(0), &[3, 2]); // sorted on former attr 1
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn sort_on(input: &Relation, attrs: &[usize]) -> Result<Relation> {
+pub fn sort_on<'a>(input: impl Into<RelView<'a>>, attrs: &[usize]) -> Result<Relation> {
+    sort_view(input.into(), attrs)
+}
+
+fn sort_view(input: RelView<'_>, attrs: &[usize]) -> Result<Relation> {
     let mut order: Vec<usize> = attrs.to_vec();
     for a in 0..input.schema().arity() {
         if !attrs.contains(&a) {
@@ -36,8 +40,8 @@ pub fn sort_on(input: &Relation, attrs: &[usize]) -> Result<Relation> {
 /// Re-sort a relation on its existing key (logically the identity for the
 /// always-sorted [`Relation`] representation; exists so SORT plan nodes have
 /// a reference semantics).
-pub fn sort_identity(input: &Relation) -> Relation {
-    input.clone()
+pub fn sort_identity<'a>(input: impl Into<RelView<'a>>) -> Relation {
+    input.into().to_relation()
 }
 
 #[cfg(test)]

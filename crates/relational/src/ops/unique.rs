@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use crate::relation::compare_tuples;
-use crate::{Relation, Result};
+use crate::{RelView, Relation, Result};
 
 /// Remove exact duplicate tuples, keeping the first occurrence.
 ///
@@ -15,21 +15,26 @@ use crate::{Relation, Result};
 /// assert_eq!(ops::unique(&r)?.len(), 3);
 /// # Ok::<(), kw_relational::RelationalError>(())
 /// ```
-pub fn unique(input: &Relation) -> Result<Relation> {
-    let schema = input.schema().clone();
+pub fn unique<'a>(input: impl Into<RelView<'a>>) -> Result<Relation> {
+    Ok(unique_view(input.into()))
+}
+
+fn unique_view(input: RelView<'_>) -> Relation {
+    let schema = input.schema();
     let arity = schema.arity();
     let mut out: Vec<u64> = Vec::new();
     for t in input.iter() {
         let dup = out
             .len()
             .checked_sub(arity)
-            .map(|s| compare_tuples(&schema, &out[s..], t) == Ordering::Equal)
+            .map(|s| compare_tuples(schema, &out[s..], t) == Ordering::Equal)
             .unwrap_or(false);
         if !dup {
             out.extend_from_slice(t);
         }
     }
-    Relation::from_sorted_words(schema, out)
+    // An ordered subsequence of the input.
+    Relation::from_canonical_words(schema.clone(), out)
 }
 
 #[cfg(test)]

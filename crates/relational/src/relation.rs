@@ -1,4 +1,5 @@
-//! The [`Relation`] container: a densely packed, key-sorted array of tuples.
+//! The [`Relation`] container, a densely packed, key-sorted array of tuples,
+//! and [`RelView`], a borrowed run of such tuples.
 //!
 //! This mirrors the storage format of Diamos et al. used by the paper: a
 //! relation is a dense array of fixed-width tuples maintained in strict weak
@@ -17,7 +18,7 @@ use crate::{compare_words, AttrType, RelationalError, Result, Schema, Value};
 /// order, then the remaining attributes, i.e. full-tuple order under
 /// [`compare_tuples`] (the total order of [`compare_words`] per attribute).
 /// Operators such as [`crate::ops::unique`] rely on all of it, not only on
-/// key order.
+/// key order. Operators read a relation through its [`RelView`].
 ///
 /// # Examples
 ///
@@ -71,10 +72,24 @@ impl Relation {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`check_sorted`].
+    /// Returns [`RelationalError::MalformedData`] if `data.len()` is not a
+    /// multiple of the schema arity and [`RelationalError::NotSorted`] at the
+    /// first tuple that compares below its predecessor.
     pub fn from_sorted_words(schema: Schema, data: Vec<u64>) -> Result<Relation> {
         check_sorted(&schema, &data)?;
         Ok(Relation { schema, data })
+    }
+
+    /// Wrap words that are canonical by construction: an ordered
+    /// subsequence or an ordered merge of canonical rows. Only debug builds
+    /// check the order.
+    pub(crate) fn from_canonical_words(schema: Schema, data: Vec<u64>) -> Relation {
+        debug_assert_eq!(
+            check_sorted(&schema, &data),
+            Ok(()),
+            "rows built as canonical are not"
+        );
+        Relation { schema, data }
     }
 
     /// Build a relation from typed rows, sorting by key.
@@ -112,13 +127,17 @@ impl Relation {
         &self.schema
     }
 
+    /// The whole relation as a view, the form every operator reads.
+    pub fn view(&self) -> RelView<'_> {
+        RelView {
+            schema: &self.schema,
+            data: &self.data,
+        }
+    }
+
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        if self.data.is_empty() {
-            0
-        } else {
-            self.data.len() / self.schema.arity()
-        }
+        self.view().len()
     }
 
     /// Whether the relation contains no tuples.
@@ -128,7 +147,7 @@ impl Relation {
 
     /// Total packed size on the device, in bytes.
     pub fn byte_size(&self) -> usize {
-        self.len() * self.schema.tuple_bytes()
+        self.view().byte_size()
     }
 
     /// Raw word storage (row-major).
@@ -142,8 +161,7 @@ impl Relation {
     ///
     /// Panics if `i >= self.len()`.
     pub fn tuple(&self, i: usize) -> &[u64] {
-        let a = self.schema.arity();
-        &self.data[i * a..(i + 1) * a]
+        self.view().tuple(i)
     }
 
     /// The decoded value of attribute `attr` of tuple `i`.
@@ -157,7 +175,7 @@ impl Relation {
 
     /// Iterate over tuples as raw word slices.
     pub fn iter(&self) -> impl Iterator<Item = &[u64]> + '_ {
-        self.data.chunks_exact(self.schema.arity().max(1))
+        self.view().iter()
     }
 
     /// Compare the keys of two raw tuples under this relation's schema.
@@ -168,33 +186,13 @@ impl Relation {
     /// Index of the first tuple whose key is `>=` the key of `probe`
     /// (lower bound by binary search). `probe` needs only `key_arity` words.
     pub fn lower_bound(&self, probe: &[u64]) -> usize {
-        self.bound(probe, true)
+        self.view().lower_bound(probe)
     }
 
     /// Index of the first tuple whose key is `>` the key of `probe`
     /// (upper bound by binary search).
     pub fn upper_bound(&self, probe: &[u64]) -> usize {
-        self.bound(probe, false)
-    }
-
-    fn bound(&self, probe: &[u64], lower: bool) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let ord = compare_key_to_probe(&self.schema, self.tuple(mid), probe);
-            let go_right = if lower {
-                ord == Ordering::Less
-            } else {
-                ord != Ordering::Greater
-            };
-            if go_right {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.view().upper_bound(probe)
     }
 
     /// Whether the canonical-order invariant holds (always true for
@@ -213,15 +211,197 @@ impl Relation {
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Relation{} [{} tuples]", self.schema, self.len())?;
+        self.view().fmt_rows("Relation", f)
+    }
+}
+
+/// A borrowed run of tuples in canonical order: a schema plus row-major
+/// words, as in a [`Relation`].
+///
+/// The order holds by construction. A view is made from a [`Relation`]
+/// ([`Relation::view`], or `From<&Relation>`), by sub-slicing the rows of
+/// another view ([`RelView::slice`]), or by one order check
+/// ([`RelView::checked`]); there is no other constructor. Every operator in
+/// [`crate::ops`] reads its inputs as views, so none re-checks their order,
+/// and the rows a view selects or splits off ([`RelView::filter`],
+/// [`RelView::split`]) are relations without a check either: an ordered
+/// subsequence of canonical rows is canonical.
+///
+/// # Examples
+///
+/// ```
+/// use kw_relational::{RelView, Relation, Schema};
+/// let rel = Relation::from_words(Schema::uniform_u32(1), vec![3, 1, 2])?;
+/// let tail = rel.view().slice(1, 3);
+/// assert_eq!(tail.words(), &[2, 3]);
+/// assert!(RelView::checked(rel.schema(), &[3, 1]).is_err());
+/// # Ok::<(), kw_relational::RelationalError>(())
+/// ```
+#[derive(Clone, Copy)]
+pub struct RelView<'a> {
+    schema: &'a Schema,
+    data: &'a [u64],
+}
+
+impl<'a> RelView<'a> {
+    /// View `data` as tuples of `schema`, checking once that they are whole
+    /// tuples in canonical order.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Relation::from_sorted_words`].
+    pub fn checked(schema: &'a Schema, data: &'a [u64]) -> Result<RelView<'a>> {
+        check_sorted(schema, data)?;
+        Ok(RelView { schema, data })
+    }
+
+    /// The schema of the viewed tuples.
+    pub fn schema(self) -> &'a Schema {
+        self.schema
+    }
+
+    /// Raw word storage (row-major).
+    pub fn words(self) -> &'a [u64] {
+        self.data
+    }
+
+    /// Number of tuples.
+    pub fn len(self) -> usize {
+        if self.data.is_empty() {
+            0
+        } else {
+            self.data.len() / self.schema.arity()
+        }
+    }
+
+    /// Whether the view holds no tuples.
+    pub fn is_empty(self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Total packed size on the device, in bytes.
+    pub fn byte_size(self) -> usize {
+        self.len() * self.schema.tuple_bytes()
+    }
+
+    /// The raw words of tuple `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn tuple(self, i: usize) -> &'a [u64] {
+        let a = self.schema.arity();
+        &self.data[i * a..(i + 1) * a]
+    }
+
+    /// Iterate over tuples as raw word slices.
+    pub fn iter(self) -> std::slice::ChunksExact<'a, u64> {
+        self.data.chunks_exact(self.schema.arity().max(1))
+    }
+
+    /// Tuples `start..end` of this view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end > self.len()`.
+    pub fn slice(self, start: usize, end: usize) -> RelView<'a> {
+        let a = self.schema.arity();
+        RelView {
+            schema: self.schema,
+            data: &self.data[start * a..end * a],
+        }
+    }
+
+    /// Index of the first tuple whose key is `>=` the key of `probe`
+    /// (lower bound by binary search). `probe` needs only `key_arity` words.
+    pub fn lower_bound(self, probe: &[u64]) -> usize {
+        self.bound(probe, true)
+    }
+
+    /// Index of the first tuple whose key is `>` the key of `probe`
+    /// (upper bound by binary search).
+    pub fn upper_bound(self, probe: &[u64]) -> usize {
+        self.bound(probe, false)
+    }
+
+    fn bound(self, probe: &[u64], lower: bool) -> usize {
+        let mut lo = 0usize;
+        let mut hi = self.len();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let ord = compare_key_to_probe(self.schema, self.tuple(mid), probe);
+            let go_right = if lower {
+                ord == Ordering::Less
+            } else {
+                ord != Ordering::Greater
+            };
+            if go_right {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// A copy of the viewed tuples as an owned relation.
+    pub fn to_relation(self) -> Relation {
+        Relation {
+            schema: self.schema.clone(),
+            data: self.data.to_vec(),
+        }
+    }
+
+    /// The tuples whose flag in `keep` is set, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep.len() != self.len()`.
+    pub fn filter(self, keep: &[bool]) -> Relation {
+        assert_eq!(keep.len(), self.len(), "one flag per tuple");
+        // At most every tuple is kept: one allocation, no regrowth.
+        let mut data = Vec::with_capacity(self.data.len());
+        for (t, &k) in self.iter().zip(keep) {
+            if k {
+                data.extend_from_slice(t);
+            }
+        }
+        Relation::from_canonical_words(self.schema.clone(), data)
+    }
+
+    /// Split the tuples into `parts` relations, tuple `t` going to part
+    /// `part_of(t)`, each keeping the tuples' order. Every part is allocated
+    /// at its final size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part_of` returns an index `>= parts`.
+    pub fn split(self, parts: usize, part_of: impl Fn(&[u64]) -> usize) -> Vec<Relation> {
+        let mut sizes = vec![0usize; parts];
+        for t in self.iter() {
+            sizes[part_of(t)] += t.len();
+        }
+        let mut data: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for t in self.iter() {
+            data[part_of(t)].extend_from_slice(t);
+        }
+        data.into_iter()
+            .map(|words| Relation::from_canonical_words(self.schema.clone(), words))
+            .collect()
+    }
+
+    /// Debug rendering shared with [`Relation`]: the schema, the tuple count
+    /// and the first eight tuples.
+    fn fmt_rows(self, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{name}{} [{} tuples]", self.schema, self.len())?;
         let show = self.len().min(8);
         for i in 0..show {
             write!(f, "\n  (")?;
-            for a in 0..self.schema.arity() {
+            for (a, &w) in self.tuple(i).iter().enumerate() {
                 if a > 0 {
                     write!(f, ", ")?;
                 }
-                write!(f, "{}", self.value(i, a))?;
+                write!(f, "{}", Value::decode(w, self.schema.attr(a)))?;
             }
             write!(f, ")")?;
         }
@@ -229,6 +409,18 @@ impl fmt::Debug for Relation {
             write!(f, "\n  ... {} more", self.len() - show)?;
         }
         Ok(())
+    }
+}
+
+impl<'a> From<&'a Relation> for RelView<'a> {
+    fn from(rel: &'a Relation) -> RelView<'a> {
+        rel.view()
+    }
+}
+
+impl fmt::Debug for RelView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.fmt_rows("RelView", f)
     }
 }
 
@@ -256,13 +448,15 @@ pub fn compare_tuples(schema: &Schema, a: &[u64], b: &[u64]) -> Ordering {
 
 /// Check that `data` holds whole tuples of `schema` in canonical order (key
 /// order, then the remaining attributes), the invariant of [`Relation`].
+/// Only the checked constructors, [`Relation::from_sorted_words`] and
+/// [`RelView::checked`], and debug assertions call it.
 ///
 /// # Errors
 ///
 /// Returns [`RelationalError::MalformedData`] if `data.len()` is not a
 /// multiple of the schema arity and [`RelationalError::NotSorted`] at the
 /// first tuple that compares below its predecessor.
-pub fn check_sorted(schema: &Schema, data: &[u64]) -> Result<()> {
+fn check_sorted(schema: &Schema, data: &[u64]) -> Result<()> {
     let arity = schema.arity();
     if !data.len().is_multiple_of(arity) {
         return Err(RelationalError::MalformedData {
@@ -401,7 +595,7 @@ fn sort_by_comparator(schema: &Schema, data: &mut Vec<u64>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -516,7 +710,7 @@ mod tests {
     /// Random rows: arities 1-24 over all four attribute types, heavy
     /// duplication, F32 edge cases, and in some cases F32 words with high
     /// bits set.
-    struct Rows;
+    pub(crate) struct Rows;
 
     impl Strategy for Rows {
         type Value = (Schema, Vec<u64>);
@@ -582,6 +776,118 @@ mod tests {
             let rel = Relation::from_words(schema, reversed).unwrap();
             prop_assert_eq!(rel.words(), &expected_rev[..]);
         }
+    }
+
+    /// Random indices `lo <= hi <= n`.
+    fn range_in(rng: &mut TestRng, n: usize) -> (usize, usize) {
+        let a = rng.usize_in(0, n + 1);
+        let b = rng.usize_in(0, n + 1);
+        (a.min(b), a.max(b))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A sub-slice of a view, and a sub-slice of that, are canonical:
+        /// the checked constructors accept their words as they are.
+        #[test]
+        fn prop_sub_slices_stay_canonical((schema, words) in Rows, seed in any::<u32>()) {
+            let rel = Relation::from_words(schema.clone(), words).unwrap();
+            let mut rng = TestRng::for_case("picks", seed);
+            let (lo, hi) = range_in(&mut rng, rel.len());
+            let slice = rel.view().slice(lo, hi);
+            prop_assert_eq!(slice.len(), hi - lo);
+            let arity = schema.arity();
+            prop_assert_eq!(slice.words(), &rel.words()[lo * arity..hi * arity]);
+            prop_assert!(RelView::checked(&schema, slice.words()).is_ok());
+            let copy = Relation::from_sorted_words(schema.clone(), slice.words().to_vec());
+            prop_assert_eq!(copy.as_ref(), Ok(&slice.to_relation()));
+            let (a, b) = range_in(&mut rng, slice.len());
+            let inner = slice.slice(a, b);
+            prop_assert_eq!(inner.words(), rel.view().slice(lo + a, lo + b).words());
+            prop_assert!(RelView::checked(&schema, inner.words()).is_ok());
+        }
+
+        /// `RelView::checked` and `Relation::from_sorted_words` accept and
+        /// reject the same words, at the same `NotSorted` index.
+        #[test]
+        fn prop_checked_rejects_like_from_sorted_words((schema, words) in Rows, cut in 0usize..3) {
+            // Whole tuples, plus (for `cut == 2`) one stray word.
+            let mut words = words;
+            if cut == 2 {
+                words.push(0);
+            }
+            let view = RelView::checked(&schema, &words).map(RelView::len);
+            let rel = Relation::from_sorted_words(schema.clone(), words.clone());
+            prop_assert_eq!(view, rel.map(|r| r.len()));
+        }
+
+        /// The tuples a view filters or splits off keep canonical order.
+        #[test]
+        fn prop_filter_and_split_stay_canonical((schema, words) in Rows, seed in any::<u32>()) {
+            let rel = Relation::from_words(schema.clone(), words).unwrap();
+            let mut rng = TestRng::for_case("picks", seed);
+            let keep: Vec<bool> = (0..rel.len()).map(|_| rng.usize_in(0, 2) == 1).collect();
+            let kept = rel.view().filter(&keep);
+            prop_assert!(kept.is_sorted());
+            let expected: Vec<u64> = rel
+                .iter()
+                .zip(&keep)
+                .filter(|(_, &k)| k)
+                .flat_map(|(t, _)| t.iter().copied())
+                .collect();
+            prop_assert_eq!(kept.words(), &expected[..]);
+
+            let parts = rng.usize_in(1, 5);
+            let split = rel.view().split(parts, |t| (t[0] % parts as u64) as usize);
+            prop_assert_eq!(split.len(), parts);
+            let mut rows = 0;
+            for (p, part) in split.iter().enumerate() {
+                prop_assert!(part.is_sorted());
+                prop_assert!(part.iter().all(|t| (t[0] % parts as u64) as usize == p));
+                rows += part.len();
+            }
+            prop_assert_eq!(rows, rel.len());
+        }
+    }
+
+    #[test]
+    fn views_of_empty_relations() {
+        let empty = Relation::empty(schema2());
+        let view = empty.view();
+        assert!(view.is_empty());
+        assert_eq!(view.len(), 0);
+        assert_eq!(view.byte_size(), 0);
+        assert_eq!(view.iter().count(), 0);
+        assert_eq!(view.lower_bound(&[1]), 0);
+        assert_eq!(view.upper_bound(&[1]), 0);
+        assert!(view.slice(0, 0).is_empty());
+        assert_eq!(view.to_relation(), empty);
+        assert_eq!(view.filter(&[]), empty);
+        assert_eq!(view.split(3, |_| 0), vec![empty.clone(); 3]);
+        assert!(RelView::checked(&schema2(), &[]).unwrap().is_empty());
+        assert_eq!(crate::ops::unique(view).unwrap(), empty);
+        // An empty slice of a non-empty relation, at either end.
+        let r = Relation::from_words(schema2(), vec![1, 10, 2, 20]).unwrap();
+        assert!(r.view().slice(0, 0).is_empty());
+        assert!(r.view().slice(2, 2).is_empty());
+        assert_eq!(
+            format!("{:?}", r.view().slice(1, 1)),
+            "RelView(*u32, u32) [0 tuples]"
+        );
+    }
+
+    #[test]
+    fn view_bounds_and_debug_match_the_relation() {
+        let r = Relation::from_words(schema2(), vec![1, 0, 3, 0, 3, 1, 7, 0]).unwrap();
+        let v = RelView::from(&r);
+        assert_eq!(v.lower_bound(&[3]), r.lower_bound(&[3]));
+        assert_eq!(v.upper_bound(&[3]), r.upper_bound(&[3]));
+        assert_eq!(v.slice(1, 4).lower_bound(&[7]), 2);
+        assert_eq!(
+            format!("{v:?}").replacen("RelView", "Relation", 1),
+            format!("{r:?}")
+        );
     }
 
     #[test]

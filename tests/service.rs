@@ -72,8 +72,9 @@ proptest! {
         // Cached path: every compiled plan comes from the cache; after the
         // first miss each lookup is a hit serving the same artifact.
         let mut cache = PlanCache::new(4);
+        let key = plan_shape_key(&plan, &config);
         let compiled: Vec<_> = (0..repeats)
-            .map(|_| cache.get_or_compile(&plan, &config).unwrap().0)
+            .map(|_| cache.get_or_compile(&key, &plan, &config).unwrap().0)
             .collect();
         prop_assert_eq!(cache.stats().misses, 1);
         prop_assert_eq!(cache.stats().hits, repeats as u64 - 1);
