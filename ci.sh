@@ -28,6 +28,14 @@ cargo build --release --workspace
 echo "== cargo test -q"
 cargo test --workspace -q
 
+echo "== cargo test --release -q (kw-relational, kw-kernel-ir)"
+# The test profile builds at opt-level 1, but the block evaluators and the
+# row copies of these two crates are loops the release optimizer vectorizes
+# and reorders, and two NaN bugs (swapped NaN operands, an unquieted
+# signalling NaN) showed only in optimized code. So both crates' tests,
+# block_eval and interp_golden among them, run again at release settings.
+cargo test --release -q -p kw-relational -p kw-kernel-ir
+
 echo "== trace schema validation (examples/trace.rs)"
 # Runs TPC-H Q1 fused + unfused, reconciles per-span deltas against the
 # aggregate SimStats and validates the exported Chrome trace JSON, then

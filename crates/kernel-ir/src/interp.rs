@@ -25,11 +25,17 @@
 //! * the thread-dependent steps — Filter, Project, Compute, Compact and
 //!   Store — write word buffers. Filter and Compute bind their
 //!   predicate or expressions once per operator and evaluate them once per
-//!   CTA block ([`BoundPredicate::eval_block`], [`BoundExpr::eval_block`]):
-//!   each node runs over all of the CTA's rows before its parent, the way
-//!   the fused kernel runs each instruction across a CTA's threads. Filter
-//!   then copies the rows that pass; Compute interleaves its output columns
-//!   into rows;
+//!   CTA block ([`BoundPredicate::eval_block`],
+//!   [`BoundExpr::eval_block_into`]): each node runs over all of the CTA's
+//!   rows before its parent, the way the fused kernel runs each instruction
+//!   across a CTA's threads. Filter then compacts, as the kernel's stream
+//!   compaction does: its pass flags become the passing rows' positions,
+//!   and each passing row is copied once into a buffer of exactly their size
+//!   ([`keep_rows`]). Project and Compute size their output rows up front:
+//!   Project writes each row at its offset, and each of Compute's
+//!   expressions writes its own column into the rows. Compact takes its
+//!   source's rows when it is the last step to read that slot, and copies
+//!   them otherwise;
 //! * only the CTA-dependent steps — Join, SemiJoin, SetOp, Unique and
 //!   Product — read a slot as a canonical [`RelView`] and call the same
 //!   `kw_relational::ops` function a step-at-a-time interpreter would.
@@ -59,7 +65,7 @@
 
 use kw_gpu_sim::{Device, KernelQuantities, KernelResources, LaunchDims};
 use kw_relational::{
-    equal_rows_are_identical, ops, BoundExpr, BoundPredicate, RelView, Relation, Schema,
+    equal_rows_are_identical, keep_rows, ops, BoundExpr, BoundPredicate, RelView, Relation, Schema,
 };
 
 use crate::{
@@ -201,6 +207,8 @@ struct Stage<'a, 's> {
     inputs: &'s [&'a Relation],
     ranges: &'s [Vec<(usize, usize)>],
     info: Vec<SlotInfo<'s>>,
+    /// Per slot, the index of the last step that reads it.
+    last_read: Vec<Option<usize>>,
     opt: OptLevel,
 }
 
@@ -260,6 +268,7 @@ fn execute_streaming(
                 tuple_bytes: schema.as_ref().map_or(0, |s| s.tuple_bytes() as u64),
             })
             .collect(),
+        last_read: last_reads(steps, decls.len()),
         opt,
     };
     let bound = steps
@@ -272,8 +281,8 @@ fn execute_streaming(
     for cta in 0..grid as usize {
         slots.clear();
         slots.resize(decls.len(), None);
-        for (step, bound) in steps.iter().zip(&bound) {
-            stage.exec_step(step, bound, cta, &mut slots, &mut q, &mut out_words)?;
+        for (index, (step, bound)) in steps.iter().zip(&bound).enumerate() {
+            stage.exec_step(index, step, bound, cta, &mut slots, &mut q, &mut out_words)?;
         }
     }
     device.launch(format!("{}.compute", op.label), dims, resources, &q)?;
@@ -337,6 +346,17 @@ fn bind_step(step: &Step, inferred: &crate::InferredSchemas) -> Result<Bound> {
         }
         _ => Bound::None,
     })
+}
+
+/// For each of `slots` slots, the index of the last step that reads it.
+fn last_reads(steps: &[Step], slots: usize) -> Vec<Option<usize>> {
+    let mut last = vec![None; slots];
+    for (index, step) in steps.iter().enumerate() {
+        for src in step.sources() {
+            last[src.0] = Some(index);
+        }
+    }
+    last
 }
 
 /// Per-CTA input ranges: `ranges[cta][input] = (start, end)`.
@@ -498,8 +518,10 @@ impl<'a> Stage<'a, '_> {
         Ok(sorted.insert(rel).view())
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn exec_step(
         &self,
+        index: usize,
         step: &Step,
         bound: &Bound,
         cta: usize,
@@ -547,16 +569,7 @@ impl<'a> Stage<'a, '_> {
                 let pass = bound.eval_block(words, arity);
                 let tuples = match s.tuples.view() {
                     Some(view) => Tuples::Canonical(view.filter(&pass)),
-                    None => {
-                        // At most every row passes: one allocation, no regrowth.
-                        let mut rows = Vec::with_capacity(words.len());
-                        for (t, keep) in words.chunks_exact(arity).zip(pass) {
-                            if keep {
-                                rows.extend_from_slice(t);
-                            }
-                        }
-                        Tuples::Rows(rows)
-                    }
+                    None => Tuples::Rows(keep_rows(words, arity, &pass)),
                 };
                 let slot = self.write_rows(q, *dst, tuples, s.lanes);
                 (*dst, slot)
@@ -584,9 +597,15 @@ impl<'a> Stage<'a, '_> {
                     canonical = Relation::from_words(schema.clone(), words.to_vec())?;
                     canonical.words()
                 };
-                let mut rows = Vec::with_capacity(words.len() / schema.arity() * attrs.len());
-                for t in words.chunks_exact(schema.arity()) {
-                    rows.extend(attrs.iter().map(|&a| t[a]));
+                let width = attrs.len();
+                let mut rows = vec![0; words.len() / schema.arity() * width];
+                for (row, t) in rows
+                    .chunks_exact_mut(width)
+                    .zip(words.chunks_exact(schema.arity()))
+                {
+                    for (w, &a) in row.iter_mut().zip(attrs) {
+                        *w = t[a];
+                    }
                 }
                 let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.lanes);
                 (*dst, slot)
@@ -603,12 +622,10 @@ impl<'a> Stage<'a, '_> {
                 q.alu_ops += s.lanes * ops_per_tuple;
                 let arity = self.info[src.0].arity;
                 let words = s.tuples.words();
-                let columns: Vec<Vec<u64>> =
-                    bound.iter().map(|e| e.eval_block(words, arity)).collect();
-                let n = words.len() / arity;
-                let mut rows = Vec::with_capacity(n * columns.len());
-                for r in 0..n {
-                    rows.extend(columns.iter().map(|c| c[r]));
+                let width = bound.len();
+                let mut rows = vec![0; words.len() / arity * width];
+                for (col, e) in bound.iter().enumerate() {
+                    e.eval_block_into(words, arity, &mut rows, width, col);
                 }
                 let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.lanes);
                 (*dst, slot)
@@ -717,8 +734,15 @@ impl<'a> Stage<'a, '_> {
                 q.alu_ops += 2 * s.lanes; // prefix-sum scan over allocated lanes
                 let rows = self.rows(*src, s);
                 self.charge_write(q, *dst, rows, rows);
+                // The source's last reader takes its rows; an earlier one
+                // copies them.
+                let tuples = if self.last_read[src.0] == Some(index) {
+                    slots[src.0].take().expect("read above").tuples
+                } else {
+                    s.tuples.clone()
+                };
                 let slot = RtSlot {
-                    tuples: s.tuples.clone(),
+                    tuples,
                     lanes: rows,
                 };
                 (*dst, slot)
@@ -908,6 +932,29 @@ mod tests {
             ],
             PartitionSpec::Even,
         )
+    }
+
+    #[test]
+    fn compact_copies_a_source_that_a_later_step_reads() {
+        // The Compact's source is stored again after it, so the Compact must
+        // copy its rows rather than take them.
+        let input = gen::micro_input(5_000, 21);
+        let pred = Predicate::cmp(1, CmpOp::Lt, Value::U32(u32::MAX / 3));
+        let mut op = select_op(input.schema().clone(), pred.clone());
+        op.outputs = 2;
+        let OperatorBody::Streaming { steps, .. } = &mut op.body else {
+            unreachable!("select_op is streaming")
+        };
+        steps.push(Step::Store {
+            src: SlotId(1),
+            output: 1,
+        });
+        assert_eq!(last_reads(steps, 3), vec![Some(1), Some(5), Some(4)]);
+        let oracle = ops::select(&input, &pred).unwrap();
+        for opt in [OptLevel::O0, OptLevel::O3] {
+            let result = execute(&op, &[&input], &mut device(), opt).unwrap();
+            assert_eq!(result.outputs, vec![oracle.clone(), oracle.clone()]);
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! A [`BoundExpr`] evaluates two ways. [`BoundExpr::eval`] walks the tree
 //! once per tuple through [`Value`]; it is the reference semantics, and the
-//! CPU oracle [`crate::ops::compute`] uses it. [`BoundExpr::eval_block`]
+//! CPU oracle [`crate::ops::compute`] uses it. [`BoundExpr::eval_block_into`]
 //! evaluates each node over a whole block of rows before its parent, the way
-//! one CTA of the fused kernel runs each instruction across its threads; the
+//! one CTA of the fused kernel runs each instruction across its threads, and
+//! writes the root's words into one column of the caller's output rows; the
 //! kernel-IR interpreter uses it. Both give the same word for every row.
 
 use std::fmt;
@@ -237,18 +238,35 @@ impl BoundExpr {
     }
 
     /// Evaluate against every row of `block`, whole rows of `arity` words of
-    /// the bound schema, row-major. Returns one word per row, equal to
-    /// `self.eval(row).encode()`.
+    /// the bound schema, row-major, into column `col` of `out`, whole rows of
+    /// `width` words, one per block row: row `r`'s word,
+    /// `self.eval(row).encode()`, goes to `out[r * width + col]`, and no
+    /// other word of `out` is written.
     ///
     /// Each node is evaluated over the whole block before its parent, with
-    /// its operator and operand types resolved once per block.
+    /// its operator and operand types resolved once per block; the root
+    /// writes straight into `out`, so a Compute step fills its output rows
+    /// one expression column at a time.
     ///
     /// # Panics
     ///
     /// Panics if `arity` is zero or smaller than an attribute the expression
-    /// reads.
-    pub fn eval_block(&self, block: &[u64], arity: usize) -> Vec<u64> {
-        self.node.eval_block(block, arity)
+    /// reads, if `col >= width`, or if `out` does not hold exactly one row of
+    /// `width` words per row of `block`.
+    pub fn eval_block_into(
+        &self,
+        block: &[u64],
+        arity: usize,
+        out: &mut [u64],
+        width: usize,
+        col: usize,
+    ) {
+        assert!(
+            arity > 0 && col < width && out.len() == block.len() / arity * width,
+            "one output row of {width} words per row of {arity}, column {col} inside it"
+        );
+        let column = out.chunks_exact_mut(width).map(|row| &mut row[col]);
+        self.node.eval_into(block, arity, column);
     }
 }
 
@@ -362,6 +380,8 @@ fn int_word(v: Value) -> u64 {
 // `Node::eval` returns for that row. Under that encoding a U32, U64 or Bool
 // operand's word already is its `int_word` and, converted `as f64`, its
 // `Value::as_f64`; only an F32 operand is decoded from its low 32 bits.
+// Each node writes its column through an iterator over the places its words
+// go: an operand's own buffer, or for the root, one word of each output row.
 //
 // The arithmetic is stated again here rather than by calling `BinOp::int`
 // and `BinOp::float` per row: the operator is matched once per block, and
@@ -371,33 +391,48 @@ fn int_word(v: Value) -> u64 {
 const LOW32: u64 = 0xffff_ffff;
 
 impl Node {
-    fn eval_block(&self, block: &[u64], arity: usize) -> Vec<u64> {
+    /// This node's column over `block`, as an operand of its parent.
+    fn column(&self, block: &[u64], arity: usize) -> Vec<u64> {
+        let mut words = vec![0; block.len() / arity];
+        self.eval_into(block, arity, words.iter_mut());
+        words
+    }
+
+    /// Write this node's word for each row of `block` to the next place
+    /// `out` yields.
+    fn eval_into<'o>(&self, block: &[u64], arity: usize, out: impl Iterator<Item = &'o mut u64>) {
         let rows = block.chunks_exact(arity);
         match self {
             Node::Attr(i, ty) => {
                 let words = rows.map(|t| t[*i]);
                 match ty {
-                    AttrType::U64 => words.collect(),
-                    AttrType::U32 | AttrType::F32 => words.map(|w| w & LOW32).collect(),
-                    AttrType::Bool => words.map(|w| u64::from(w != 0)).collect(),
+                    AttrType::U64 => write(out, words),
+                    AttrType::U32 | AttrType::F32 => write(out, words.map(|w| w & LOW32)),
+                    AttrType::Bool => write(out, words.map(|w| u64::from(w != 0))),
                 }
             }
-            Node::Const(v) => vec![v.encode(); rows.len()],
+            Node::Const(v) => write(out, rows.map(|_| v.encode())),
             Node::Bin { op, ty, lhs, rhs } => {
-                let a = lhs.eval_block(block, arity);
-                let b = rhs.eval_block(block, arity);
+                let a = lhs.column(block, arity);
+                let b = rhs.column(block, arity);
+                let (a, b) = (&a[..], &b[..]);
                 match (ty, lhs.ty() == AttrType::F32, rhs.ty() == AttrType::F32) {
-                    (AttrType::F32, true, true) => float_block(*op, &a, &b, f32_word, f32_word),
-                    (AttrType::F32, true, false) => float_block(*op, &a, &b, f32_word, int_f64),
-                    (AttrType::F32, false, true) => float_block(*op, &a, &b, int_f64, f32_word),
-                    (AttrType::F32, false, false) => float_block(*op, &a, &b, int_f64, int_f64),
-                    (AttrType::U64, ..) => int_block(*op, &a, &b, u64::MAX),
+                    (AttrType::F32, true, true) => float_block(out, *op, a, b, f32_word, f32_word),
+                    (AttrType::F32, true, false) => float_block(out, *op, a, b, f32_word, int_f64),
+                    (AttrType::F32, false, true) => float_block(out, *op, a, b, int_f64, f32_word),
+                    (AttrType::F32, false, false) => float_block(out, *op, a, b, int_f64, int_f64),
+                    (AttrType::U64, ..) => int_block(out, *op, a, b, u64::MAX),
                     // `promote` gives an integer node no F32 operand.
-                    (AttrType::U32 | AttrType::Bool, ..) => int_block(*op, &a, &b, LOW32),
+                    (AttrType::U32 | AttrType::Bool, ..) => int_block(out, *op, a, b, LOW32),
                 }
             }
         }
     }
+}
+
+/// Write `words` to the places `out` yields, one each.
+fn write<'o>(out: impl Iterator<Item = &'o mut u64>, words: impl Iterator<Item = u64>) {
+    out.zip(words).for_each(|(place, w)| *place = w);
 }
 
 /// An F32 column word as `f64`.
@@ -410,49 +445,62 @@ fn int_f64(w: u64) -> f64 {
     w as f64
 }
 
-/// Apply `f` to the two operand columns row by row.
-fn zip_block(a: &[u64], b: &[u64], f: impl Fn(u64, u64) -> u64) -> Vec<u64> {
-    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+/// Apply `f` to the two operand columns row by row, into `out`.
+fn zip_block<'o>(
+    out: impl Iterator<Item = &'o mut u64>,
+    a: &[u64],
+    b: &[u64],
+    f: impl Fn(u64, u64) -> u64,
+) {
+    write(out, a.iter().zip(b).map(|(&x, &y)| f(x, y)));
 }
 
 /// An integer node over its operand columns: wrapping arithmetic, division
 /// by zero is zero, and the result keeps the bits in `mask`.
-fn int_block(op: BinOp, a: &[u64], b: &[u64], mask: u64) -> Vec<u64> {
+fn int_block<'o>(
+    out: impl Iterator<Item = &'o mut u64>,
+    op: BinOp,
+    a: &[u64],
+    b: &[u64],
+    mask: u64,
+) {
     match op {
-        BinOp::Add => zip_block(a, b, |x, y| x.wrapping_add(y) & mask),
-        BinOp::Sub => zip_block(a, b, |x, y| x.wrapping_sub(y) & mask),
-        BinOp::Mul => zip_block(a, b, |x, y| x.wrapping_mul(y) & mask),
-        BinOp::Div => zip_block(a, b, |x, y| x.checked_div(y).unwrap_or(0) & mask),
+        BinOp::Add => zip_block(out, a, b, |x, y| x.wrapping_add(y) & mask),
+        BinOp::Sub => zip_block(out, a, b, |x, y| x.wrapping_sub(y) & mask),
+        BinOp::Mul => zip_block(out, a, b, |x, y| x.wrapping_mul(y) & mask),
+        BinOp::Div => zip_block(out, a, b, |x, y| x.checked_div(y).unwrap_or(0) & mask),
     }
 }
 
 /// An F32 node over its operand columns, each widened to `f64` by `fa` or
 /// `fb`.
-fn float_block(
+fn float_block<'o>(
+    out: impl Iterator<Item = &'o mut u64>,
     op: BinOp,
     a: &[u64],
     b: &[u64],
     fa: impl Fn(u64) -> f64,
     fb: impl Fn(u64) -> f64,
-) -> Vec<u64> {
+) {
     match op {
-        BinOp::Add => float_zip(a, b, fa, fb, |x, y| x + y),
-        BinOp::Sub => float_zip(a, b, fa, fb, |x, y| x - y),
-        BinOp::Mul => float_zip(a, b, fa, fb, |x, y| x * y),
-        BinOp::Div => float_zip(a, b, fa, fb, |x, y| x / y),
+        BinOp::Add => float_zip(out, a, b, fa, fb, |x, y| x + y),
+        BinOp::Sub => float_zip(out, a, b, fa, fb, |x, y| x - y),
+        BinOp::Mul => float_zip(out, a, b, fa, fb, |x, y| x * y),
+        BinOp::Div => float_zip(out, a, b, fa, fb, |x, y| x / y),
     }
 }
 
 /// `f` over widened operands under [`BinOp::float`]'s NaN rule (a NaN
 /// operand is the result, the left one if both are), rounded to `f32`.
-fn float_zip(
+fn float_zip<'o>(
+    out: impl Iterator<Item = &'o mut u64>,
     a: &[u64],
     b: &[u64],
     fa: impl Fn(u64) -> f64,
     fb: impl Fn(u64) -> f64,
     f: impl Fn(f64, f64) -> f64,
-) -> Vec<u64> {
-    zip_block(a, b, |x, y| {
+) {
+    zip_block(out, a, b, |x, y| {
         let (x, y) = (fa(x), fb(y));
         if x.is_nan() {
             nan_f32_word(x)

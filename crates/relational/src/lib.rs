@@ -11,7 +11,8 @@
 //! * filter predicates ([`Predicate`]) and arithmetic expressions ([`Expr`]),
 //!   bound once to a schema and then evaluated per tuple (the reference the
 //!   operators in [`ops`] use) or over a block of rows at a time
-//!   ([`BoundPredicate::eval_block`], [`BoundExpr::eval_block`]),
+//!   ([`BoundPredicate::eval_block`], [`BoundExpr::eval_block_into`]), and
+//!   [`keep_rows`], which selects the rows a block's flags keep,
 //! * CPU reference implementations of every RA operator in [`ops`] (the
 //!   correctness oracle for the GPU simulator), and
 //! * reproducible random workload generators in [`gen`].
@@ -42,5 +43,7 @@ pub mod ops;
 pub use error::{RelationalError, Result};
 pub use expr::{BoundExpr, Expr};
 pub use predicate::{BoundPredicate, CmpOp, Predicate};
-pub use relation::{compare_keys, compare_tuples, equal_rows_are_identical, RelView, Relation};
+pub use relation::{
+    compare_keys, compare_tuples, equal_rows_are_identical, keep_rows, RelView, Relation,
+};
 pub use types::{compare_words, AttrType, Schema, Value};

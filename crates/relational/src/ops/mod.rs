@@ -24,5 +24,5 @@ pub use product::product;
 pub use project::project;
 pub use select::select;
 pub use set_ops::{difference, intersect, union};
-pub use sort::{sort_identity, sort_on};
+pub use sort::sort_on;
 pub use unique::unique;

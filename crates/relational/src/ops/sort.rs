@@ -37,13 +37,6 @@ fn sort_view(input: RelView<'_>, attrs: &[usize]) -> Result<Relation> {
     project(input, &order, attrs.len().max(1).min(order.len()))
 }
 
-/// Re-sort a relation on its existing key (logically the identity for the
-/// always-sorted [`Relation`] representation; exists so SORT plan nodes have
-/// a reference semantics).
-pub fn sort_identity<'a>(input: impl Into<RelView<'a>>) -> Relation {
-    input.into().to_relation()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

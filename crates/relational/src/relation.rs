@@ -352,38 +352,37 @@ impl<'a> RelView<'a> {
         }
     }
 
-    /// The tuples whose flag in `keep` is set, in order.
+    /// The tuples whose flag in `keep` is set, in order ([`keep_rows`]).
     ///
     /// # Panics
     ///
     /// Panics if `keep.len() != self.len()`.
     pub fn filter(self, keep: &[bool]) -> Relation {
         assert_eq!(keep.len(), self.len(), "one flag per tuple");
-        // At most every tuple is kept: one allocation, no regrowth.
-        let mut data = Vec::with_capacity(self.data.len());
-        for (t, &k) in self.iter().zip(keep) {
-            if k {
-                data.extend_from_slice(t);
-            }
-        }
+        let data = keep_rows(self.data, self.schema.arity(), keep);
         Relation::from_canonical_words(self.schema.clone(), data)
     }
 
     /// Split the tuples into `parts` relations, tuple `t` going to part
-    /// `part_of(t)`, each keeping the tuples' order. Every part is allocated
-    /// at its final size.
+    /// `part_of(t)`, each keeping the tuples' order. `part_of` runs once
+    /// per tuple, and every part is allocated at its final size.
     ///
     /// # Panics
     ///
     /// Panics if `part_of` returns an index `>= parts`.
     pub fn split(self, parts: usize, part_of: impl Fn(&[u64]) -> usize) -> Vec<Relation> {
         let mut sizes = vec![0usize; parts];
-        for t in self.iter() {
-            sizes[part_of(t)] += t.len();
-        }
+        let part: Vec<usize> = self
+            .iter()
+            .map(|t| {
+                let p = part_of(t);
+                sizes[p] += t.len();
+                p
+            })
+            .collect();
         let mut data: Vec<Vec<u64>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for t in self.iter() {
-            data[part_of(t)].extend_from_slice(t);
+        for (t, &p) in self.iter().zip(&part) {
+            data[p].extend_from_slice(t);
         }
         data.into_iter()
             .map(|words| Relation::from_canonical_words(self.schema.clone(), words))
@@ -513,14 +512,71 @@ fn compare_key_to_probe(schema: &Schema, tuple: &[u64], probe: &[u64]) -> Orderi
     Ordering::Equal
 }
 
-/// Widest tuple, in words, that [`sort_words`] sorts in place as a
-/// fixed-size row.
-const MAX_ROW_SORT_ARITY: usize = 16;
+/// Widest tuple, in words, that [`sort_words`] and [`keep_rows`] move as
+/// one fixed-size `[u64; N]` row.
+const MAX_ROW_ARITY: usize = 16;
+
+/// `$f::<N>($args)` for `N` = `$arity`, an arity from 1 to
+/// [`MAX_ROW_ARITY`].
+macro_rules! with_row_arity {
+    ($arity:expr, $f:ident $args:tt) => {
+        with_row_arity!(@ $arity, $f $args; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@ $arity:expr, $f:ident $args:tt; $($n:literal)+) => {
+        match $arity {
+            $($n => $f::<$n> $args,)+
+            a => unreachable!("arity {a} outside 1..=MAX_ROW_ARITY"),
+        }
+    };
+}
+
+/// The rows of `words`, whole rows of `arity` words, row-major, whose flag
+/// in `keep` is set, in order, in a buffer of exactly their size.
+///
+/// This is SELECT as a stream compaction, the way the fused kernels run it:
+/// the flags become the kept rows' positions without a branch, and each kept
+/// row is then copied once to its place, as one `[u64; N]` row for arities up
+/// to 16 and word by word for wider ones. Both
+/// [`RelView::filter`] and the kernel-IR interpreter's Filter of plain rows
+/// select through it.
+///
+/// # Panics
+///
+/// Panics if `arity` is zero or `words.len() != keep.len() * arity`.
+pub fn keep_rows(words: &[u64], arity: usize, keep: &[bool]) -> Vec<u64> {
+    assert!(
+        arity > 0 && words.len() == keep.len() * arity,
+        "whole rows of a non-zero arity, one flag per row"
+    );
+    let mut positions = vec![0; keep.len()];
+    let mut kept = 0;
+    for (i, &k) in keep.iter().enumerate() {
+        positions[kept] = i;
+        kept += usize::from(k);
+    }
+    positions.truncate(kept);
+    if arity > MAX_ROW_ARITY {
+        let mut out = vec![0; kept * arity];
+        for (row, &i) in out.chunks_exact_mut(arity).zip(&positions) {
+            row.copy_from_slice(&words[i * arity..(i + 1) * arity]);
+        }
+        return out;
+    }
+    with_row_arity!(arity, gather_rows(words, &positions))
+}
+
+/// The `N`-word rows of `words` at `positions`, in that order.
+fn gather_rows<const N: usize>(words: &[u64], positions: &[usize]) -> Vec<u64> {
+    let (rows, rest) = words.as_chunks::<N>();
+    debug_assert!(rest.is_empty(), "words are whole rows");
+    let out: Vec<[u64; N]> = positions.iter().map(|&i| rows[i]).collect();
+    out.into_flattened()
+}
 
 /// Sort raw tuple words into canonical order: by key, then by the remaining
 /// attributes, to make operator outputs deterministic.
 ///
-/// Tuples of up to [`MAX_ROW_SORT_ARITY`] words are sorted in place as
+/// Tuples of up to [`MAX_ROW_ARITY`] words are sorted in place as
 /// `[u64; N]` rows: each F32 word is first mapped to its [`f32::total_cmp`]
 /// image, so plain integer order on the row is [`compare_tuples`] order, and
 /// mapped back afterwards. Rows that compare equal are then bit-identical,
@@ -532,21 +588,13 @@ pub(crate) fn sort_words(schema: &Schema, data: &mut Vec<u64>) {
     if data.len() <= arity {
         return;
     }
-    if arity > MAX_ROW_SORT_ARITY || !equal_rows_are_identical(schema, data) {
+    if arity > MAX_ROW_ARITY || !equal_rows_are_identical(schema, data) {
         sort_by_comparator(schema, data);
         return;
     }
     let floats = f32_attrs(schema);
     map_words(data, arity, &floats, f32_order_image);
-    macro_rules! sort_rows_of {
-        ($($n:literal)+) => {
-            match arity {
-                $($n => sort_rows::<$n>(data),)+
-                _ => unreachable!("arity {arity} above MAX_ROW_SORT_ARITY"),
-            }
-        };
-    }
-    sort_rows_of!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    with_row_arity!(arity, sort_rows(data));
     map_words(data, arity, &floats, f32_from_order_image);
 }
 
@@ -848,6 +896,49 @@ pub(crate) mod tests {
                 rows += part.len();
             }
             prop_assert_eq!(rows, rel.len());
+        }
+    }
+
+    /// The reference [`keep_rows`] must reproduce: the kept rows, one at a
+    /// time.
+    fn reference_keep(words: &[u64], arity: usize, keep: &[bool]) -> Vec<u64> {
+        words
+            .chunks_exact(arity)
+            .zip(keep)
+            .filter(|(_, &k)| k)
+            .flat_map(|(t, _)| t.iter().copied())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `keep_rows` returns exactly the per-row reference's rows, in a
+        /// buffer of their size, for every arity from 1 to 20 (above 16 the
+        /// word-by-word copy) and masks that keep every row, none, every
+        /// other one, or a random 2%, 50% or 96%, over zero or more rows.
+        #[test]
+        fn prop_keep_rows_matches_per_row_reference(seed in any::<u32>()) {
+            let mut rng = TestRng::for_case("keep", seed);
+            let rows = if rng.usize_in(0, 8) == 0 { 0 } else { rng.usize_in(1, 600) };
+            for arity in 1..=20 {
+                let words: Vec<u64> = (0..rows * arity).map(|_| rng.next_u64()).collect();
+                for mask in 0..6 {
+                    let keep: Vec<bool> = (0..rows)
+                        .map(|i| match mask {
+                            0 => true,
+                            1 => false,
+                            2 => i % 2 == 0,
+                            3 => rng.usize_in(0, 50) == 0,
+                            4 => rng.usize_in(0, 2) == 0,
+                            _ => rng.usize_in(0, 25) != 0,
+                        })
+                        .collect();
+                    let kept = keep_rows(&words, arity, &keep);
+                    prop_assert_eq!(&kept, &reference_keep(&words, arity, &keep));
+                    prop_assert_eq!(kept.capacity(), kept.len());
+                }
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! Block evaluation against the per-tuple reference: for random schemas,
-//! expressions, predicates and blocks, [`BoundExpr::eval_block`] and
-//! [`BoundPredicate::eval_block`] must return, row by row, exactly
-//! `BoundExpr::eval(row).encode()` and `BoundPredicate::eval(row)`.
+//! expressions, predicates and blocks, [`BoundExpr::eval_block_into`] must
+//! write, row by row, exactly `BoundExpr::eval(row).encode()` into its column
+//! of the output rows and no other word, and [`BoundPredicate::eval_block`]
+//! must return exactly `BoundPredicate::eval(row)`.
 //!
 //! The word pools reach the edges where a column-at-a-time evaluator can
 //! drift from the reference: words with their high 32 bits set, F32 signed
@@ -141,14 +142,16 @@ fn random_block(schema: &Schema, rng: &mut TestRng) -> Vec<u64> {
         .collect()
 }
 
-/// One random case: a schema, expressions and a predicate over it, and a
-/// block of its rows.
+/// One random case: a schema, expressions and a predicate over it, a block
+/// of its rows, and for each expression the width of the output rows and
+/// the column it writes.
 #[derive(Debug)]
 struct Case {
     schema: Schema,
     exprs: Vec<Expr>,
     pred: Predicate,
     block: Vec<u64>,
+    layouts: Vec<(usize, usize)>,
 }
 
 struct Cases;
@@ -160,27 +163,51 @@ impl Strategy for Cases {
         let numeric: Vec<usize> = (0..schema.arity())
             .filter(|&a| schema.attr(a).is_numeric())
             .collect();
-        let exprs = (0..4).map(|_| random_expr(&numeric, 4, rng)).collect();
+        let exprs: Vec<Expr> = (0..4).map(|_| random_expr(&numeric, 4, rng)).collect();
         let pred = random_pred(&schema, 4, rng);
         let block = random_block(&schema, rng);
+        let layouts = exprs
+            .iter()
+            .map(|_| {
+                let width = rng.usize_in(1, 7);
+                (width, rng.usize_in(0, width))
+            })
+            .collect();
         Case {
             schema,
             exprs,
             pred,
             block,
+            layouts,
         }
     }
 }
 
-fn assert_expr_matches(e: &BoundExpr, block: &[u64], arity: usize, what: &str) {
-    let got = e.eval_block(block, arity);
-    let want: Vec<u64> = block
-        .chunks_exact(arity)
-        .map(|t| e.eval(t).encode())
-        .collect();
-    assert_eq!(got.len(), want.len(), "{what}: one word per row");
-    for (r, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(g, w, "{what}: row {r} {:x?}", &block[r * arity..][..arity]);
+/// What a word of the output rows holds until the evaluator writes it.
+const SENTINEL: u64 = 0xa5a5_5a5a_a5a5_5a5a;
+
+/// Evaluate `e` into column `col` of sentinel-filled output rows of `width`
+/// words: that column must hold the per-tuple reference's word for every
+/// row, and every other word must still be the sentinel.
+fn assert_expr_matches(
+    e: &BoundExpr,
+    block: &[u64],
+    arity: usize,
+    (width, col): (usize, usize),
+    what: &str,
+) {
+    let rows = block.len() / arity;
+    let mut out = vec![SENTINEL; rows * width];
+    e.eval_block_into(block, arity, &mut out, width, col);
+    for (r, (row, t)) in out
+        .chunks_exact(width)
+        .zip(block.chunks_exact(arity))
+        .enumerate()
+    {
+        assert_eq!(row[col], e.eval(t).encode(), "{what}: row {r} {t:x?}");
+        for (c, &w) in row.iter().enumerate().filter(|&(c, _)| c != col) {
+            assert_eq!(w, SENTINEL, "{what}: row {r} word {c} outside column {col}");
+        }
     }
 }
 
@@ -200,9 +227,10 @@ proptest! {
     #[test]
     fn prop_block_eval_matches_per_tuple(c in Cases) {
         let arity = c.schema.arity();
-        for e in &c.exprs {
+        for (e, &layout) in c.exprs.iter().zip(&c.layouts) {
             let bound = e.bind(&c.schema).expect("generated over numeric attributes");
-            assert_expr_matches(&bound, &c.block, arity, &format!("{e} over {}", c.schema));
+            let what = format!("{e} over {} into {layout:?}", c.schema);
+            assert_expr_matches(&bound, &c.block, arity, layout, &what);
         }
         let bound = c.pred.bind(&c.schema).expect("generated type-correct");
         assert_pred_matches(&bound, &c.block, arity, &format!("{} over {}", c.pred, c.schema));
@@ -249,7 +277,12 @@ fn block_eval_edges_match_per_tuple() {
         Expr::attr(0),
     ];
     for e in &exprs {
-        assert_expr_matches(&e.bind(&schema).unwrap(), &block, 4, &e.to_string());
+        let bound = e.bind(&schema).unwrap();
+        // Alone, as the last of three columns, and over no rows at all.
+        for layout in [(1, 0), (3, 2)] {
+            assert_expr_matches(&bound, &block, 4, layout, &e.to_string());
+            assert_expr_matches(&bound, &[], 4, layout, &e.to_string());
+        }
     }
     for op in CMP_OPS {
         for p in [
