@@ -17,8 +17,9 @@
 //! inputs use their actual bound sizes). The executor sizes its scratch
 //! arena with the same replay, so the predicted peak and the arena
 //! reservation are the same number by construction; an estimate that
-//! under-shoots surfaces as a typed arena overflow (or a counted spill),
-//! handled by the resilient driver's re-admission, not here.
+//! under-shoots spills to a counted device allocation
+//! (`kw_arena_spills_total`), and a spill the device cannot hold is a
+//! capacity miss for the resilient driver's ladder, not for admission.
 
 use std::collections::BTreeMap;
 
@@ -27,8 +28,8 @@ use kw_primitives::RaOp;
 use kw_relational::Relation;
 
 use crate::{
-    is_elementwise, select_chunk_strategy, ChunkStrategy, CompiledPlan, ExecMode, NodeId, PlanNode,
-    QueryPlan, Result, WeaverError,
+    select_chunk_strategy, ChunkStrategy, CompiledPlan, ExecMode, NodeId, PlanNode, QueryPlan,
+    Result, WeaverError,
 };
 
 /// Hard ceiling on the chunk count the ladder will try.
@@ -73,9 +74,6 @@ pub struct AdmissionReport {
     /// For plans with a chunk strategy: the smallest power-of-two chunk
     /// count whose predicted per-chunk peak fits, with that peak.
     pub chunked: Option<(usize, u64)>,
-    /// Whether the plan is elementwise (row-sliceable without
-    /// repartitioning).
-    pub elementwise: bool,
     /// The chunk strategy available to this plan, if any — `None` means the
     /// ladder has no rung below Staged.
     pub strategy: Option<ChunkStrategy>,
@@ -204,9 +202,9 @@ pub(crate) fn buffer_refcounts(
 /// The executor sizes its upfront [`kw_gpu_sim::ScratchArena`] reservation
 /// with this same replay, so the prediction and the reservation are one
 /// computation: the arena reservation *is* the predicted peak, the memory
-/// tracker charges exactly that, and any misprediction surfaces as a typed
-/// [`kw_gpu_sim::SimError::ArenaOverflow`] (or a counted spill) at the
-/// offending sub-allocation instead of a silent mid-plan OOM.
+/// tracker charges exactly that, and any misprediction surfaces as a
+/// counted spill at the offending sub-allocation instead of a silent
+/// mid-plan OOM.
 ///
 /// [`ArenaLayout`]: kw_gpu_sim::ArenaLayout
 fn predict_peak(
@@ -307,8 +305,8 @@ pub(crate) fn predict_reservation(
 ///
 /// Returns [`WeaverError::Binding`] for unbound plan inputs and
 /// [`WeaverError::Admission`] when no mode is predicted to fit (including
-/// chunked at [`MAX_CHUNKS`], or non-elementwise plans whose staged footprint
-/// exceeds capacity).
+/// chunked at [`MAX_CHUNKS`], or plans with no [`ChunkStrategy`] whose staged
+/// footprint exceeds capacity).
 pub fn admit(
     plan: &QueryPlan,
     compiled: &CompiledPlan,
@@ -319,7 +317,6 @@ pub fn admit(
     let whole = node_bytes(plan, &rows, 1);
     let resident_peak = predict_peak(plan, compiled, &whole, ExecMode::Resident);
     let staged_peak = predict_peak(plan, compiled, &whole, ExecMode::Staged);
-    let elementwise = is_elementwise(plan);
     let strategy = select_chunk_strategy(plan);
 
     let chunked = strategy.and_then(|_| {
@@ -358,140 +355,9 @@ pub fn admit(
         resident_peak,
         staged_peak,
         chunked,
-        elementwise,
         strategy,
         chosen,
     })
-}
-
-/// One query of a batch as [`plan_waves`] sees it: the plan, its compiled
-/// form, and its input bindings.
-pub type BatchAdmissionQuery<'a> = (
-    &'a QueryPlan,
-    &'a CompiledPlan,
-    &'a [(&'a str, &'a Relation)],
-);
-
-/// One query's place in a [`BatchWavePlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryAdmission {
-    /// Fits resident; scheduled concurrently inside the given wave.
-    Wave {
-        /// The per-query admission verdict (against the full capacity).
-        report: AdmissionReport,
-        /// Index of the wave the query was packed into.
-        wave: usize,
-    },
-    /// Too large to fit resident even alone: runs after the waves via the
-    /// Resident → Staged → Chunked degradation ladder.
-    Ladder {
-        /// The per-query admission verdict (a non-resident mode fits).
-        report: AdmissionReport,
-    },
-    /// No execution mode fits at all; the query cannot run on this device.
-    Rejected {
-        /// The admission error explaining why.
-        reason: String,
-    },
-}
-
-/// An elastic batch admission verdict: instead of rejecting a batch whose
-/// concurrent resident footprint exceeds capacity, the planner partitions
-/// it into sequential waves that each fit (first-fit-decreasing over
-/// resident peaks), routes queries too large for a solo wave down the
-/// degradation ladder, and rejects only queries no mode can run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchWavePlan {
-    /// Device bytes available when planning ran.
-    pub capacity: u64,
-    /// Per-query placements, in batch order.
-    pub per_query: Vec<QueryAdmission>,
-    /// Wave membership: query indices per wave, in issue order (descending
-    /// resident peak, ties by batch order — the first-fit-decreasing pack).
-    pub waves: Vec<Vec<usize>>,
-    /// Query indices routed down the ladder, in batch order.
-    pub ladder: Vec<usize>,
-    /// The largest single wave's summed resident peak — the concurrent
-    /// footprint the device must actually hold.
-    pub concurrent_peak: u64,
-}
-
-/// Partition a batch into admission waves (first-fit-decreasing over
-/// predicted resident peaks) so every wave's concurrent footprint fits in
-/// `capacity` device bytes.
-///
-/// Planning never fails the whole batch: queries whose
-/// resident peak exceeds capacity alone become [`QueryAdmission::Ladder`]
-/// (a cheaper mode fits), and queries no mode can run become
-/// [`QueryAdmission::Rejected`] — both are per-query verdicts the caller
-/// can act on without losing the rest of the batch.
-pub fn plan_waves(queries: &[BatchAdmissionQuery<'_>], capacity: u64) -> BatchWavePlan {
-    let mut per_query: Vec<QueryAdmission> = Vec::with_capacity(queries.len());
-    for &(plan, compiled, bindings) in queries {
-        per_query.push(match admit(plan, compiled, bindings, capacity) {
-            Ok(report) if report.chosen == AdmittedMode::Resident => QueryAdmission::Wave {
-                report,
-                wave: usize::MAX, // patched below by the packer
-            },
-            Ok(report) => QueryAdmission::Ladder { report },
-            Err(e) => QueryAdmission::Rejected {
-                reason: e.to_string(),
-            },
-        });
-    }
-
-    // First-fit-decreasing: sort wave-eligible queries by resident peak
-    // (descending, batch order breaking ties) and drop each into the first
-    // wave with room. Every such query fits an empty wave by construction
-    // (chosen == Resident means resident_peak <= capacity).
-    let mut eligible: Vec<(usize, u64)> = per_query
-        .iter()
-        .enumerate()
-        .filter_map(|(qi, a)| match a {
-            QueryAdmission::Wave { report, .. } => Some((qi, report.resident_peak)),
-            _ => None,
-        })
-        .collect();
-    eligible.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    let mut wave_free: Vec<u64> = Vec::new();
-    for (qi, peak) in eligible {
-        let slot = wave_free.iter().position(|&f| f >= peak);
-        let wi = match slot {
-            Some(wi) => wi,
-            None => {
-                waves.push(Vec::new());
-                wave_free.push(capacity);
-                waves.len() - 1
-            }
-        };
-        waves[wi].push(qi);
-        wave_free[wi] -= peak;
-        if let QueryAdmission::Wave { wave, .. } = &mut per_query[qi] {
-            *wave = wi;
-        }
-    }
-
-    let ladder: Vec<usize> = per_query
-        .iter()
-        .enumerate()
-        .filter_map(|(qi, a)| matches!(a, QueryAdmission::Ladder { .. }).then_some(qi))
-        .collect();
-    let concurrent_peak = waves
-        .iter()
-        .zip(&wave_free)
-        .map(|(_, &f)| capacity - f)
-        .max()
-        .unwrap_or(0);
-
-    BatchWavePlan {
-        capacity,
-        per_query,
-        waves,
-        ladder,
-        concurrent_peak,
-    }
 }
 
 #[cfg(test)]
@@ -657,78 +523,5 @@ mod tests {
         let compiled = compile(&plan, &WeaverConfig::default()).unwrap();
         let err = admit(&plan, &compiled, &[("wrong", &input)], u64::MAX).unwrap_err();
         assert!(matches!(err, WeaverError::Binding { .. }));
-    }
-
-    #[test]
-    fn wave_plan_packs_first_fit_decreasing() {
-        let small = gen::micro_input(10_000, 7);
-        let big = gen::micro_input(40_000, 8);
-        let ps = select_chain(small.schema().clone(), 2);
-        let pb = select_chain(big.schema().clone(), 2);
-        let cs = compile(&ps, &WeaverConfig::default()).unwrap();
-        let cb = compile(&pb, &WeaverConfig::default()).unwrap();
-        let bs: &[(&str, &Relation)] = &[("t", &small)];
-        let bb: &[(&str, &Relation)] = &[("t", &big)];
-
-        let small_peak = admit(&ps, &cs, bs, u64::MAX).unwrap().resident_peak;
-        let big_peak = admit(&pb, &cb, bb, u64::MAX).unwrap().resident_peak;
-        // Capacity holds one big + one small together, but not two bigs.
-        let capacity = big_peak + small_peak + small_peak / 2;
-
-        let queries: Vec<BatchAdmissionQuery<'_>> = vec![
-            (&ps, &cs, bs),
-            (&pb, &cb, bb),
-            (&ps, &cs, bs),
-            (&pb, &cb, bb),
-        ];
-        let plan = plan_waves(&queries, capacity);
-        assert_eq!(plan.waves.len(), 2, "{plan:?}");
-        assert!(plan.ladder.is_empty());
-        assert_eq!(plan.concurrent_peak, big_peak + small_peak);
-        // Decreasing order: each wave leads with a big query, and the
-        // smalls backfill the remaining room.
-        assert_eq!(plan.waves[0], vec![1, 0]);
-        assert_eq!(plan.waves[1], vec![3, 2]);
-        for (qi, a) in plan.per_query.iter().enumerate() {
-            match a {
-                QueryAdmission::Wave { wave, .. } => {
-                    assert!(plan.waves[*wave].contains(&qi));
-                }
-                other => panic!("query {qi} should be wave-admitted, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn wave_plan_routes_oversized_queries_to_the_ladder() {
-        let input = gen::micro_input(50_000, 9);
-        let plan = select_chain(input.schema().clone(), 2);
-        let compiled = compile(&plan, &WeaverConfig::default()).unwrap();
-        let bindings: &[(&str, &Relation)] = &[("t", &input)];
-        let solo = admit(&plan, &compiled, bindings, u64::MAX).unwrap();
-
-        // Capacity below the resident peak: no wave can hold the query, but
-        // staged/chunked modes still fit, so it rides the ladder.
-        let capacity = solo.resident_peak / 2;
-        let wave_plan = plan_waves(&[(&plan, &compiled, bindings)], capacity);
-        assert!(wave_plan.waves.is_empty());
-        assert_eq!(wave_plan.ladder, vec![0]);
-        assert!(matches!(
-            wave_plan.per_query[0],
-            QueryAdmission::Ladder { .. }
-        ));
-
-        // An unbound input is rejected per query, not per batch.
-        let wrong: &[(&str, &Relation)] = &[("wrong", &input)];
-        let mixed = plan_waves(
-            &[(&plan, &compiled, bindings), (&plan, &compiled, wrong)],
-            u64::MAX,
-        );
-        assert!(matches!(mixed.per_query[0], QueryAdmission::Wave { .. }));
-        assert!(matches!(
-            mixed.per_query[1],
-            QueryAdmission::Rejected { .. }
-        ));
-        assert_eq!(mixed.waves.len(), 1);
     }
 }

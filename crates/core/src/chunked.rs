@@ -24,7 +24,6 @@
 use std::collections::BTreeMap;
 
 use kw_gpu_sim::{ArenaStats, Device, Direction};
-use kw_primitives::{consumer_class, DependenceClass};
 use kw_relational::{Relation, Schema};
 
 use crate::chunk_strategy::{bucket_of, merge_partials, partial_aggregate_plan};
@@ -34,14 +33,6 @@ use crate::{
     compile, select_chunk_strategy, ChunkStrategy, CompiledPlan, NodeId, PlanReport, QueryPlan,
     Result, WeaverConfig, WeaverError, MAX_CHUNKS,
 };
-
-/// Whether every operator of `plan` is thread-dependent (elementwise), the
-/// prerequisite for *row-sliced* streaming (other plans may still chunk
-/// under a different [`ChunkStrategy`]).
-pub fn is_elementwise(plan: &QueryPlan) -> bool {
-    plan.operator_nodes()
-        .all(|(_, op, _)| consumer_class(op) == DependenceClass::Thread)
-}
 
 /// Execute `plan` over `bindings` in `chunks` chunks with simulated double
 /// buffering, under the strategy [`select_chunk_strategy`] picks, each
@@ -583,7 +574,10 @@ mod tests {
     fn joins_chunk_via_hash_partitioning() {
         let (a, b) = gen::join_inputs(8_000, 2, 0.5, 23);
         let (plan, out) = join_plan(&a, &b);
-        assert!(!is_elementwise(&plan));
+        assert_eq!(
+            select_chunk_strategy(&plan),
+            Some(ChunkStrategy::HashPartition)
+        );
         let oracle = ops::join(&a, &b, 1).unwrap();
 
         let mut dev = Device::new(DeviceConfig::fermi_c2050());

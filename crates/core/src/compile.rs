@@ -35,9 +35,6 @@ pub struct WeaverConfig {
     /// chunk; above [`crate::MAX_CHUNKS`] the run is rejected). `None` runs
     /// the whole plan at once.
     pub chunks: Option<usize>,
-    /// What to do when a buffer exceeds the scratch-arena reservation
-    /// (i.e. the admission estimates under-predicted the peak).
-    pub arena: crate::ArenaPolicy,
 }
 
 impl Default for WeaverConfig {
@@ -50,7 +47,6 @@ impl Default for WeaverConfig {
             threads_per_cta: DEFAULT_THREADS_PER_CTA,
             mode: ExecMode::Resident,
             chunks: None,
-            arena: crate::ArenaPolicy::default(),
         }
     }
 }

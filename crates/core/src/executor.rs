@@ -42,10 +42,9 @@
 //! [`kw_gpu_sim::MemoryTracker::peak`] equals the admission report's peak
 //! bit-exactly by construction. A sub-allocation that exceeds the
 //! reservation means the row estimates under-shot (duplicate-heavy joins
-//! are the one under-estimating case); [`ArenaPolicy`] decides whether
-//! that spills to a real device allocation (counted in
-//! `kw_arena_spills_total`) or fails with the typed
-//! [`kw_gpu_sim::SimError::ArenaOverflow`] for the resilient ladder.
+//! are the one under-estimating case), and it spills to a real device
+//! allocation counted in `kw_arena_spills_total`: the query completes, and
+//! the misprediction stays loud in the trace and the metrics.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -71,24 +70,6 @@ pub enum ExecMode {
     /// Inputs exceed GPU memory; stage every operator over PCIe (the
     /// Figure 21 setup).
     Staged,
-}
-
-/// What the executor does when a sub-allocation exceeds the scratch-arena
-/// reservation — i.e. when the admission row estimates under-predicted the
-/// true footprint (join outputs beyond `max(|L|, |R|)` rows are the one
-/// under-estimating case).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArenaPolicy {
-    /// Fall back to a real per-buffer device allocation for the oversized
-    /// request. Each spill emits its own alloc/free spans and increments
-    /// `kw_arena_spills_total`, so mispredictions stay loud in the trace
-    /// and metrics while the query still completes.
-    #[default]
-    Spill,
-    /// Propagate the typed [`kw_gpu_sim::SimError::ArenaOverflow`]. The
-    /// overflow is a capacity error, so under the resilient driver it
-    /// drops the run one ladder rung instead of silently OOMing mid-plan.
-    Strict,
 }
 
 /// The result of executing a plan.
@@ -532,8 +513,8 @@ pub(crate) fn execute_compiled_in_arena(
 
 /// One live buffer of an in-flight execution: a span-free arena slice, or
 /// a real device allocation the arena could not hold (an admission
-/// under-prediction running under [`ArenaPolicy::Spill`], with its byte
-/// size retained for footprint accounting).
+/// under-prediction, with its byte size retained for footprint
+/// accounting).
 #[derive(Debug, Clone, Copy)]
 enum Slot {
     Arena(ArenaSlice),
@@ -582,13 +563,13 @@ impl Footprint {
 }
 
 /// Sub-allocate `bytes` from the arena, spilling to a real device
-/// allocation under [`ArenaPolicy::Spill`] when the reservation is
-/// exhausted (`kw_arena_spills_total` counts every such misprediction).
+/// allocation when the reservation is exhausted (`kw_arena_spills_total`
+/// counts every such misprediction; each spill emits its own alloc and
+/// free spans).
 fn acquire_slot(
     device: &mut Device,
     arena: &mut ScratchArena,
     fp: &mut Footprint,
-    policy: ArenaPolicy,
     bytes: u64,
     label: impl FnOnce() -> String,
 ) -> Result<Slot> {
@@ -597,10 +578,7 @@ fn acquire_slot(
             fp.note(arena);
             Ok(Slot::Arena(slice))
         }
-        Err(e @ SimError::ArenaOverflow { .. }) => {
-            if policy == ArenaPolicy::Strict {
-                return Err(e.into());
-            }
+        Err(SimError::ArenaOverflow { .. }) => {
             let buf = device.alloc_spill(bytes, label())?;
             fp.spill_in_use += bytes;
             fp.note(arena);
@@ -692,9 +670,7 @@ fn run_compiled(
         {
             let rel = &values[&id];
             let bytes = rel.byte_size() as u64;
-            let slot = acquire_slot(device, arena, &mut fp, config.arena, bytes, || {
-                format!("input.{id}")
-            })?;
+            let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("input.{id}"))?;
             live.by_node.insert(id, slot);
             if let Some((h2d, _)) = copy_streams {
                 device.transfer_on(h2d, Direction::HostToDevice, bytes)?;
@@ -722,9 +698,7 @@ fn run_compiled(
                         WeaverError::plan(format!("step input {i} not yet computed"))
                     })?;
                     let bytes = rel.byte_size() as u64;
-                    let s = acquire_slot(device, arena, &mut fp, config.arena, bytes, || {
-                        format!("staged.{i}")
-                    })?;
+                    let s = acquire_slot(device, arena, &mut fp, bytes, || format!("staged.{i}"))?;
                     slot.insert(s);
                     // The bytes being re-staged come off the download that
                     // returned them to the host — the upload cannot start
@@ -761,15 +735,13 @@ fn run_compiled(
 
         // Acquire gather scratch + final output buffers.
         let out_bytes: u64 = result.outputs.iter().map(|r| r.byte_size() as u64).sum();
-        let scratch = acquire_slot(device, arena, &mut fp, config.arena, out_bytes, || {
+        let scratch = acquire_slot(device, arena, &mut fp, out_bytes, || {
             format!("{}.scratch", step.op.label)
         })?;
         live.scratch = Some(scratch);
         for (rel, &node) in result.outputs.iter().zip(&step.outputs) {
             let bytes = rel.byte_size() as u64;
-            let slot = acquire_slot(device, arena, &mut fp, config.arena, bytes, || {
-                format!("result.{node}")
-            })?;
+            let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("result.{node}"))?;
             live.by_node.insert(node, slot);
         }
         live.scratch = None;
@@ -1060,7 +1032,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_surfaces_typed_overflow_and_spill_completes() {
+    fn underestimated_join_spills_and_completes() {
         let (l, r) = all_collide_inputs(600, 400);
         let mut plan = QueryPlan::new();
         let x = plan.add_input("x", l.schema().clone());
@@ -1069,27 +1041,15 @@ mod tests {
         plan.mark_output(j);
         let bindings: &[(&str, &Relation)] = &[("x", &l), ("y", &r)];
 
-        // Strict: the quadratic output cannot fit the max(|L|,|R|)-sized
-        // reservation — the run dies with the typed overflow (a capacity
-        // error the ladder understands) and leaks nothing.
-        let strict = WeaverConfig {
-            arena: ArenaPolicy::Strict,
-            ..WeaverConfig::default()
-        };
+        // The quadratic output cannot fit the max(|L|,|R|)-sized
+        // reservation: the run spills, counts the mispredictions, and
+        // matches the oracle byte-for-byte.
         let mut d = device();
-        let err = execute_plan(&plan, bindings, &mut d, &strict).unwrap_err();
-        assert!(err.is_capacity(), "{err}");
-        assert!(err.to_string().contains("arena overflow"), "{err}");
-        assert_eq!(d.memory().in_use(), 0, "strict failure must not leak");
-
-        // The default Spill policy completes the same query, counts the
-        // mispredictions, and matches the oracle byte-for-byte.
-        let mut d2 = device();
-        let report = execute_plan(&plan, bindings, &mut d2, &WeaverConfig::default()).unwrap();
+        let report = execute_plan(&plan, bindings, &mut d, &WeaverConfig::default()).unwrap();
         let oracle = ops::join(&l, &r, 1).unwrap();
         assert_eq!(report.outputs[&j], oracle);
-        assert!(d2.metrics().counter("kw_arena_spills_total") > 0);
-        assert_eq!(d2.memory().in_use(), 0);
+        assert!(d.metrics().counter("kw_arena_spills_total") > 0);
+        assert_eq!(d.memory().in_use(), 0);
         // Spills are real allocations: the actual footprint exceeded the
         // reservation envelope and the report says so.
         let arena = report.arena.unwrap();

@@ -82,19 +82,16 @@ mod selection;
 mod service;
 mod weave;
 
-pub use admission::{
-    admit, plan_waves, AdmissionReport, AdmittedMode, BatchAdmissionQuery, BatchWavePlan,
-    QueryAdmission, MAX_CHUNKS,
-};
+pub use admission::{admit, AdmissionReport, AdmittedMode, MAX_CHUNKS};
 pub use candidates::{
     find_candidates, is_input_node, is_weavable, kernel_boundaries, FusionOptions,
 };
 pub use chunk_strategy::{select_chunk_strategy, ChunkStrategy};
-pub use chunked::{is_elementwise, pipeline_makespan};
+pub use chunked::pipeline_makespan;
 pub use compile::{compile, CompiledPlan, CompiledStep, WeaverConfig};
 pub use dot::plan_to_dot;
 pub use error::{LadderStop, Result, WeaverError};
-pub use executor::{execute_compiled, execute_plan, ArenaPolicy, ExecMode, PlanReport};
+pub use executor::{execute_compiled, execute_plan, ExecMode, PlanReport};
 pub use plan::{NodeId, PlanNode, QueryPlan};
 pub use plan_cache::{plan_shape_key, shape_fingerprint, PlanCache, PlanCacheStats};
 pub use profile::{Bottleneck, OperatorProfile, ProfileReport};

@@ -25,7 +25,7 @@
 //! show the failed attempts, fault markers and backoff next to the attempt
 //! that landed.
 
-use kw_gpu_sim::Device;
+use kw_gpu_sim::{Device, SimError};
 use kw_relational::Relation;
 
 use crate::admission::{admit, AdmissionReport, AdmittedMode, MAX_CHUNKS};
@@ -89,6 +89,24 @@ impl RetryBudget {
         self.spent += 1;
         self.retries += 1;
         true
+    }
+
+    /// Run one device operation inside this fault domain: each transient
+    /// fault is [`absorb`](Self::absorb)ed and the operation tried again,
+    /// until it succeeds, fails otherwise, or the budget runs out.
+    pub(crate) fn retry<T>(
+        &mut self,
+        device: &mut Device,
+        policy: &RetryPolicy,
+        mut op: impl FnMut(&mut Device) -> std::result::Result<T, SimError>,
+    ) -> Result<T> {
+        loop {
+            match op(device) {
+                Ok(value) => return Ok(value),
+                Err(e) if e.is_transient() && self.absorb(device, policy) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 }
 

@@ -28,12 +28,15 @@
 //!   exhaustion or a fatal error *quarantines* that query
 //!   ([`QueryOutcome::Failed`]) and frees its device reservation, instead
 //!   of aborting the batch.
-//! * **Admission waves** — when the sum of resident peaks exceeds free
-//!   device bytes, [`crate::plan_waves`] partitions the batch into
-//!   sequential waves that each fit (first-fit-decreasing over resident
-//!   peaks). Queries too large even for a solo wave run after the waves
-//!   via the [`crate::execute_compiled_resilient`] Resident → Staged →
-//!   Chunked ladder and report [`QueryOutcome::Degraded`].
+//! * **Admission waves** — each query is priced once, at its predicted
+//!   resident peak: the bytes its scratch arena and its wave reservation
+//!   hold. When the prices exceed free device bytes, the batch runs in
+//!   sequential waves that each fit, packed first-fit-decreasing (each
+//!   wave issues its members largest price first, ties in batch order).
+//!   Queries too large even for a solo wave run after the waves via the
+//!   [`crate::execute_compiled_resilient`] Resident → Staged → Chunked
+//!   ladder and report [`QueryOutcome::Degraded`]; the ladder's own
+//!   admission quarantines any query that no mode fits.
 //!
 //! Per-query computation runs ahead of the replay on a scratch run — one
 //! fork of the shared device per attempt, the same fork-and-replay seam
@@ -57,14 +60,13 @@ use kw_gpu_sim::{
 };
 use kw_relational::Relation;
 
-use crate::admission::{
-    plan_waves, AdmittedMode, BatchAdmissionQuery, BatchWavePlan, QueryAdmission,
-};
+use crate::admission::{predict_reservation, AdmittedMode};
 use crate::executor::{Execution, RunWindow};
 use crate::resilient::{rung_config, RetryBudget, RetryPolicy};
 use crate::scratch::{ScratchExecution, ScratchRun};
 use crate::{
-    CompiledPlan, NodeId, PlanNode, PlanReport, QueryPlan, Result, WeaverConfig, WeaverError,
+    CompiledPlan, ExecMode, NodeId, PlanNode, PlanReport, QueryPlan, Result, WeaverConfig,
+    WeaverError,
 };
 
 /// One query of a batch: a plan, its input bindings, and a name for
@@ -222,9 +224,6 @@ pub struct BatchReport {
     /// The first swallowed free error on the device over its lifetime, if
     /// any.
     pub first_free_error: Option<String>,
-    /// The elastic admission verdict: wave packing, ladder routing,
-    /// per-query rejections.
-    pub admission: BatchWavePlan,
 }
 
 impl BatchReport {
@@ -270,43 +269,6 @@ impl BatchReport {
         for q in self.queries.iter().filter(|q| q.outcome.is_success()) {
             let cycles = config.seconds_to_cycles(q.latency_seconds);
             metrics.observe("kw_batch_query_latency_cycles", cycles);
-        }
-    }
-}
-
-/// A streamed transfer inside a query's fault domain: transient faults are
-/// absorbed by `counters` until its budget runs out.
-fn transfer_with_retry(
-    device: &mut Device,
-    stream: StreamId,
-    direction: Direction,
-    bytes: u64,
-    policy: &RetryPolicy,
-    counters: &mut RetryBudget,
-) -> Result<()> {
-    loop {
-        match device.transfer_on(stream, direction, bytes) {
-            Ok(_) => return Ok(()),
-            Err(e) if e.is_transient() && counters.absorb(device, policy) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// An allocation inside a query's fault domain (wave reservations), with
-/// the same transient-fault absorption as [`transfer_with_retry`].
-fn alloc_with_retry(
-    device: &mut Device,
-    bytes: u64,
-    label: &str,
-    policy: &RetryPolicy,
-    counters: &mut RetryBudget,
-) -> Result<BufferId> {
-    loop {
-        match device.alloc(bytes, label) {
-            Ok(id) => return Ok(id),
-            Err(e) if e.is_transient() && counters.absorb(device, policy) => {}
-            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -393,242 +355,285 @@ pub fn execute_batch(
             compiled.len()
         )));
     }
+    let prices: Vec<Option<u64>> = queries
+        .iter()
+        .zip(&compiled)
+        .map(|(q, c)| price_of(q, c))
+        .collect();
+    run_priced(queries, &compiled, &prices, device, config, policy)
+}
 
+/// A batched query's one price: its predicted resident peak, the bytes its
+/// scratch arena and its wave reservation hold. `None` when the query
+/// cannot be priced (an unbound input); the ladder tail's admission then
+/// says why it fails.
+pub(crate) fn price_of(query: &BatchQuery<'_>, compiled: &CompiledPlan) -> Option<u64> {
+    predict_reservation(query.plan, compiled, query.bindings, ExecMode::Resident).ok()
+}
+
+/// Where a query of a batch runs.
+#[derive(Default)]
+enum Route {
+    /// In admission wave `wave`, its scratch arena and wave reservation
+    /// holding its `price`.
+    Wave { wave: usize, price: u64 },
+    /// Alone after the waves, down the Resident → Staged → Chunked ladder.
+    #[default]
+    Ladder,
+}
+
+/// What a query of a batch has produced so far.
+#[derive(Default)]
+enum Answer {
+    /// Nothing yet.
+    #[default]
+    Pending,
+    /// A wave query's run-ahead, replayed into its wave.
+    Scratch(ScratchExecution),
+    /// A ladder-tail query's resilient run.
+    Ladder(Box<PlanReport>),
+    /// Quarantined, with the peak of its scratch run if one ran.
+    Failed { reason: String, peak: u64 },
+}
+
+/// One query's record through a batch.
+#[derive(Default)]
+struct QueryRun {
+    route: Route,
+    /// The query's fault domain.
+    budget: RetryBudget,
+    /// The reservation of its price while its wave is in flight.
+    reservation: Option<BufferId>,
+    /// Cycles from the window's start until the query's last operation
+    /// finished: its wave steps' completion events, or the device makespan
+    /// after its ladder run.
+    finish_cycles: u64,
+    answer: Answer,
+}
+
+impl QueryRun {
+    /// Quarantine the query, keeping its scratch run's peak for the report.
+    fn fail(&mut self, reason: String) {
+        let peak = match &self.answer {
+            Answer::Scratch(ran) => ran.fork_peak,
+            _ => 0,
+        };
+        self.answer = Answer::Failed { reason, peak };
+    }
+}
+
+/// A wave member's issue state while its wave is in flight.
+struct Flight {
+    qi: usize,
+    /// One stream per step, created slot-major across the wave.
+    streams: Vec<StreamId>,
+    /// `node -> producing step index` for intermediate results.
+    producer: BTreeMap<NodeId, usize>,
+    /// Upload event per base relation; `None` for zero-byte uploads
+    /// (skipped outright, nothing to wait for).
+    uploaded: BTreeMap<NodeId, Option<(StreamId, EventId)>>,
+    /// Completion event per issued step.
+    step_done: Vec<Option<EventId>>,
+}
+
+/// The scope frame of query `qi`'s spans: `q{i}:{name}`.
+fn frame(qi: usize, query: &BatchQuery<'_>) -> String {
+    format!("q{qi}:{}", query.name)
+}
+
+/// First-fit-decreasing over prices: each query whose price fits `free`
+/// bytes alone joins the first wave with room for it, largest price first
+/// and ties in batch order, or opens a new wave. Returns each wave's
+/// members with their prices, in issue order; the queries left out take
+/// the ladder tail.
+fn pack_waves(prices: &[Option<u64>], free: u64) -> Vec<Vec<(usize, u64)>> {
+    let mut fits: Vec<(usize, u64)> = prices
+        .iter()
+        .enumerate()
+        .filter_map(|(qi, price)| price.filter(|&p| p <= free).map(|p| (qi, p)))
+        .collect();
+    // Stable, so equal prices keep batch order.
+    fits.sort_by_key(|&(_, price)| std::cmp::Reverse(price));
+    let mut waves: Vec<(Vec<(usize, u64)>, u64)> = Vec::new();
+    for (qi, price) in fits {
+        match waves.iter_mut().find(|(_, room)| *room >= price) {
+            Some((members, room)) => {
+                members.push((qi, price));
+                *room -= price;
+            }
+            None => waves.push((vec![(qi, price)], free - price)),
+        }
+    }
+    waves.into_iter().map(|(members, _)| members).collect()
+}
+
+/// [`execute_batch`] over queries already priced by [`price_of`]: the
+/// service prices each arrival once, when it packs a dispatch, and hands
+/// those prices here.
+pub(crate) fn run_priced(
+    queries: &[BatchQuery<'_>],
+    compiled: &[&CompiledPlan],
+    prices: &[Option<u64>],
+    device: &mut Device,
+    config: &WeaverConfig,
+    policy: &RetryPolicy,
+) -> Result<BatchReport> {
     // The batch window opens before phase 1: scratch runs charge nothing
     // to the shared clock except retry backoff, which belongs inside the
     // window (the wait delays the streamed work that follows).
     let window = RunWindow::open(device);
 
-    // Elastic admission: pack wave-sized queries first-fit-decreasing,
-    // route oversized ones to the ladder tail, reject per query.
+    // Elastic admission: the queries that fit the free bytes alone are
+    // packed into waves; the rest take the ladder tail.
     let free = device
         .memory()
         .capacity()
         .saturating_sub(device.memory().in_use());
-    let admission_input: Vec<BatchAdmissionQuery<'_>> = queries
-        .iter()
-        .zip(&compiled)
-        .map(|(q, &c)| (q.plan, c, q.bindings))
-        .collect();
-    let admission = plan_waves(&admission_input, free);
-
-    let mut wave_of: Vec<Option<usize>> = Vec::with_capacity(queries.len());
-    let mut on_ladder: Vec<bool> = Vec::with_capacity(queries.len());
-    let mut failed: Vec<Option<String>> = Vec::with_capacity(queries.len());
-    for verdict in &admission.per_query {
-        match verdict {
-            QueryAdmission::Wave { wave, .. } => {
-                wave_of.push(Some(*wave));
-                on_ladder.push(false);
-                failed.push(None);
-            }
-            QueryAdmission::Ladder { .. } => {
-                wave_of.push(None);
-                on_ladder.push(true);
-                failed.push(None);
-            }
-            QueryAdmission::Rejected { reason } => {
-                wave_of.push(None);
-                on_ladder.push(false);
-                failed.push(Some(reason.clone()));
-            }
+    let waves = pack_waves(prices, free);
+    let mut runs: Vec<QueryRun> = queries.iter().map(|_| QueryRun::default()).collect();
+    for (wave, members) in waves.iter().enumerate() {
+        for &(qi, price) in members {
+            runs[qi].route = Route::Wave { wave, price };
         }
     }
-    let mut counters: Vec<RetryBudget> = vec![RetryBudget::default(); queries.len()];
-    let mut degraded: Vec<Option<AdmittedMode>> = vec![None; queries.len()];
-    // Cycles from the window's start until each query's last operation
-    // finished: its wave steps' completion events, or the device makespan
-    // after its ladder run.
-    let mut finish_cycles: Vec<u64> = vec![0; queries.len()];
 
     // Phase 1: run every wave query on a scratch run (derived fault
     // streams keep injected faults striking inside query execution) to
     // obtain its outputs and measured per-step compute costs. Each query
     // is a fault domain: transients retry with backoff, a capacity miss
     // re-routes the query to the ladder tail, anything else quarantines it.
-    let mut scratch: Vec<Option<ScratchExecution>> = (0..queries.len()).map(|_| None).collect();
-    for (qi, q) in queries.iter().enumerate() {
-        if wave_of[qi].is_none() || failed[qi].is_some() {
+    let resident = rung_config(AdmittedMode::Resident, config);
+    for (qi, (q, run)) in queries.iter().zip(&mut runs).enumerate() {
+        let Route::Wave { price, .. } = run.route else {
             continue;
-        }
-        // Size the scratch run's arena from the admission verdict this wave
-        // was planned with — reservation and plan are one prediction.
-        let reservation = match &admission.per_query[qi] {
-            QueryAdmission::Wave { report, .. } => report.resident_peak,
-            _ => unreachable!("phase 1 only runs wave-admitted queries"),
         };
-        let cfg = rung_config(AdmittedMode::Resident, config);
         loop {
             // One scratch run per attempt: every fork advances the parent's
-            // fault stream, so a retry meets fresh derived faults.
-            let attempt =
-                ScratchRun::open(device, reservation, "plan.arena").and_then(|mut run| {
-                    let result = run.execute(q.plan, compiled[qi], q.bindings, &cfg);
-                    run.close(device);
-                    result
-                });
+            // fault stream, so a retry meets fresh derived faults. Its arena
+            // holds the price the wave was packed with.
+            let attempt = ScratchRun::open(device, price, "plan.arena").and_then(|mut scratch| {
+                let result = scratch.execute(q.plan, compiled[qi], q.bindings, &resident);
+                scratch.close(device);
+                result
+            });
             match attempt {
-                Ok(run) => {
-                    scratch[qi] = Some(run);
-                    break;
-                }
+                Ok(ran) => run.answer = Answer::Scratch(ran),
                 Err(e) if e.is_transient() => {
-                    device.push_scope(format!("q{qi}:{}", q.name));
-                    let absorbed = counters[qi].absorb(device, policy);
+                    device.push_scope(frame(qi, q));
+                    let absorbed = run.budget.absorb(device, policy);
                     device.pop_scope();
-                    if !absorbed {
-                        failed[qi] = Some(e.to_string());
-                        wave_of[qi] = None;
-                        break;
+                    if absorbed {
+                        continue;
                     }
+                    run.fail(e.to_string());
                 }
-                Err(e) if e.is_capacity() => {
-                    // Admission over-estimated the free headroom (or the
-                    // estimate under-shot the real footprint): fall out of
-                    // the wave and take the ladder after the batch.
-                    wave_of[qi] = None;
-                    on_ladder[qi] = true;
-                    break;
-                }
-                Err(e) => {
-                    failed[qi] = Some(e.to_string());
-                    wave_of[qi] = None;
-                    break;
-                }
+                // Admission over-estimated the free headroom (or the
+                // estimate under-shot the real footprint): fall out of the
+                // wave and take the ladder after the batch.
+                Err(e) if e.is_capacity() => run.route = Route::Ladder,
+                Err(e) => run.fail(e.to_string()),
             }
+            break;
         }
     }
 
     // Phase 2: schedule each wave on the shared device. Streams are
     // created slot-major so the engine round-robin spreads queries first.
     let mut waves_issued = 0usize;
-    for (wi, wave) in admission.waves.iter().enumerate() {
-        let members: Vec<usize> = wave
+    for wave in &waves {
+        let members: Vec<(usize, u64)> = wave
             .iter()
             .copied()
-            .filter(|&qi| wave_of[qi] == Some(wi) && failed[qi].is_none() && scratch[qi].is_some())
+            .filter(|&(qi, _)| matches!(runs[qi].answer, Answer::Scratch(_)))
             .collect();
         if members.is_empty() {
             continue;
         }
         waves_issued += 1;
 
-        // Reserve each member's predicted resident peak for the wave's
-        // flight, so the shared memory tracker sees the concurrent
-        // footprint admission signed off on. A reservation that cannot be
-        // allocated (past retries) quarantines only its query.
-        let mut reservations: BTreeMap<usize, BufferId> = BTreeMap::new();
-        for &qi in &members {
-            counters[qi].reset();
-            let peak = match &admission.per_query[qi] {
-                QueryAdmission::Wave { report, .. } => report.resident_peak,
-                _ => unreachable!("wave members are wave-admitted"),
-            };
-            if peak == 0 {
-                continue;
-            }
-            device.push_scope(format!("q{qi}:{}", queries[qi].name));
-            let got = alloc_with_retry(
-                device,
-                peak,
-                &format!("q{qi}.workingset"),
-                policy,
-                &mut counters[qi],
-            );
-            device.pop_scope();
-            match got {
-                Ok(buf) => {
-                    reservations.insert(qi, buf);
-                }
-                Err(e) => failed[qi] = Some(e.to_string()),
-            }
-        }
-
-        let alive: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&qi| failed[qi].is_none())
-            .collect();
-        let max_steps = alive
-            .iter()
-            .map(|&qi| compiled[qi].steps.len())
-            .max()
-            .unwrap_or(0);
-        let mut step_streams: Vec<Vec<StreamId>> = vec![Vec::new(); queries.len()];
-        for slot in 0..max_steps {
-            for &qi in &alive {
-                if slot < compiled[qi].steps.len() {
-                    step_streams[qi].push(device.create_stream());
-                }
-            }
-        }
-
-        // Per-query issue state for this wave.
-        struct QState {
-            /// `node -> producing step index` for intermediate results.
-            producer: BTreeMap<NodeId, usize>,
-            /// Upload event per base relation; `None` for zero-byte uploads
-            /// (skipped outright, nothing to wait for).
-            uploaded: BTreeMap<NodeId, Option<(StreamId, EventId)>>,
-            /// Completion event per issued step.
-            step_done: Vec<Option<EventId>>,
-        }
-        let mut states: BTreeMap<usize, QState> = alive
-            .iter()
-            .map(|&qi| {
-                let c = compiled[qi];
-                let mut producer = BTreeMap::new();
-                for (i, step) in c.steps.iter().enumerate() {
-                    for &o in &step.outputs {
-                        producer.insert(o, i);
+        // Reserve each member's price for the wave's flight, so the shared
+        // memory tracker sees the concurrent footprint admission signed off
+        // on. A reservation that cannot be allocated (past retries)
+        // quarantines only its query.
+        let mut flights: Vec<Flight> = Vec::with_capacity(members.len());
+        for (qi, price) in members {
+            let run = &mut runs[qi];
+            run.budget.reset();
+            if price > 0 {
+                device.push_scope(frame(qi, &queries[qi]));
+                let label = format!("q{qi}.workingset");
+                let got = run
+                    .budget
+                    .retry(device, policy, |d| d.alloc(price, label.as_str()));
+                device.pop_scope();
+                match got {
+                    Ok(buf) => run.reservation = Some(buf),
+                    Err(e) => {
+                        run.fail(e.to_string());
+                        continue;
                     }
                 }
-                (
-                    qi,
-                    QState {
-                        producer,
-                        uploaded: BTreeMap::new(),
-                        step_done: vec![None; c.steps.len()],
-                    },
-                )
-            })
-            .collect();
+            }
+            let steps = &compiled[qi].steps;
+            let mut producer = BTreeMap::new();
+            for (i, step) in steps.iter().enumerate() {
+                for &o in &step.outputs {
+                    producer.insert(o, i);
+                }
+            }
+            flights.push(Flight {
+                qi,
+                streams: Vec::with_capacity(steps.len()),
+                producer,
+                uploaded: BTreeMap::new(),
+                step_done: vec![None; steps.len()],
+            });
+        }
+
+        let max_steps = flights.iter().map(|f| f.step_done.len()).max().unwrap_or(0);
+        for slot in 0..max_steps {
+            for f in &mut flights {
+                if slot < f.step_done.len() {
+                    f.streams.push(device.create_stream());
+                }
+            }
+        }
 
         for slot in 0..max_steps {
-            for &qi in &alive {
-                if failed[qi].is_some() {
-                    continue; // quarantined mid-wave: skip its later slots
-                }
+            for f in &mut flights {
+                let qi = f.qi;
                 let q = &queries[qi];
+                let QueryRun {
+                    budget,
+                    finish_cycles,
+                    answer: Answer::Scratch(ran),
+                    ..
+                } = &mut runs[qi]
+                else {
+                    continue; // quarantined mid-wave: skip its later slots
+                };
                 let Some(step) = compiled[qi].steps.get(slot) else {
                     continue;
                 };
-                let stream = step_streams[qi][slot];
-                let state = states.get_mut(&qi).expect("alive queries have state");
-                let Execution { outputs, steps, .. } =
-                    &scratch[qi].as_ref().expect("alive queries ran ahead").exec;
-                let budget = &mut counters[qi];
-                let finish = &mut finish_cycles[qi];
+                let stream = f.streams[slot];
+                let Execution { outputs, steps, .. } = &ran.exec;
 
                 // Every span this step emits carries the query's identity,
                 // so a batch trace shows which query each overlapped op
                 // belongs to.
-                device.push_scope(format!("q{qi}:{}", q.name));
+                device.push_scope(frame(qi, q));
                 let issued = (|device: &mut Device| -> Result<()> {
                     // Upload base relations on their first consumer's
                     // stream. Zero-byte relations are skipped outright (no
                     // fabricated per-transfer latency), mirroring chunked
                     // execution.
                     for &node in &step.inputs {
-                        if !matches!(q.plan.node(node), PlanNode::Input { .. })
-                            || state.uploaded.contains_key(&node)
-                        {
+                        let PlanNode::Input { name, .. } = q.plan.node(node) else {
+                            continue;
+                        };
+                        if f.uploaded.contains_key(&node) {
                             continue;
                         }
-                        let name = match q.plan.node(node) {
-                            PlanNode::Input { name, .. } => name,
-                            PlanNode::Operator { .. } => unreachable!("checked above"),
-                        };
                         let bytes = q
                             .bindings
                             .iter()
@@ -638,33 +643,28 @@ pub fn execute_batch(
                                 WeaverError::binding(format!("no relation bound to '{name}'"))
                             })?;
                         let ev = if bytes > 0 {
-                            transfer_with_retry(
-                                device,
-                                stream,
-                                Direction::HostToDevice,
-                                bytes,
-                                policy,
-                                budget,
-                            )?;
+                            budget.retry(device, policy, |d| {
+                                d.transfer_on(stream, Direction::HostToDevice, bytes)
+                            })?;
                             Some((stream, device.record_event(stream)?))
                         } else {
                             None
                         };
-                        state.uploaded.insert(node, ev);
+                        f.uploaded.insert(node, ev);
                     }
 
                     // Dependence edges: producing steps and cross-stream
                     // uploads must complete before this step's kernels run.
                     // Same-stream uploads are already ordered by stream FIFO.
                     for &node in &step.inputs {
-                        if let Some(&p) = state.producer.get(&node) {
-                            let ev = state.step_done[p].ok_or_else(|| {
+                        if let Some(&p) = f.producer.get(&node) {
+                            let ev = f.step_done[p].ok_or_else(|| {
                                 WeaverError::plan(format!(
                                     "step input {node} scheduled before its producer"
                                 ))
                             })?;
                             device.wait_event(stream, ev)?;
-                        } else if let Some(&Some((src, ev))) = state.uploaded.get(&node) {
+                        } else if let Some(&Some((src, ev))) = f.uploaded.get(&node) {
                             if src != stream {
                                 device.wait_event(stream, ev)?;
                             }
@@ -683,19 +683,15 @@ pub fn execute_batch(
                         }
                         let bytes = outputs[&node].byte_size() as u64;
                         if bytes > 0 {
-                            transfer_with_retry(
-                                device,
-                                stream,
-                                Direction::DeviceToHost,
-                                bytes,
-                                policy,
-                                budget,
-                            )?;
+                            budget.retry(device, policy, |d| {
+                                d.transfer_on(stream, Direction::DeviceToHost, bytes)
+                            })?;
                         }
                     }
                     let done = device.record_event(stream)?;
-                    state.step_done[slot] = Some(done);
-                    *finish = (*finish).max(window.elapsed(device.streams().event_cycle(done)?));
+                    f.step_done[slot] = Some(done);
+                    *finish_cycles =
+                        (*finish_cycles).max(window.elapsed(device.streams().event_cycle(done)?));
                     Ok(())
                 })(device);
                 device.pop_scope();
@@ -705,7 +701,7 @@ pub fn execute_batch(
                     // nothing stays resident on its behalf, and let the
                     // rest of the wave keep issuing.
                     device.sync_streams();
-                    if let Some(buf) = reservations.remove(&qi) {
+                    if let Some(buf) = runs[qi].reservation.take() {
                         // A reservation that cannot be returned is
                         // accounting corruption, not a reason to abort the
                         // wave: count it and keep the first message.
@@ -713,7 +709,7 @@ pub fn execute_batch(
                             device.note_free_error(&fe);
                         }
                     }
-                    failed[qi] = Some(e.to_string());
+                    runs[qi].fail(e.to_string());
                 }
             }
         }
@@ -721,7 +717,7 @@ pub fn execute_batch(
         // Wave barrier: the next wave's reservations replace this one's,
         // so its streamed work must be fully drained and freed first.
         device.sync_streams();
-        for (_, buf) in reservations {
+        for buf in runs.iter_mut().filter_map(|run| run.reservation.take()) {
             device.free(buf)?;
         }
     }
@@ -729,12 +725,13 @@ pub fn execute_batch(
     // Ladder tail: queries too large for a solo wave (or whose scratch run
     // hit a capacity miss) run one at a time through the resilient
     // Resident → Staged → Chunked driver on the now-empty shared device.
-    let mut ladder_done: Vec<Option<PlanReport>> = (0..queries.len()).map(|_| None).collect();
-    for (qi, q) in queries.iter().enumerate() {
-        if !on_ladder[qi] || failed[qi].is_some() {
+    // Its admission quarantines any query no mode fits, or that cannot be
+    // priced at all.
+    for (qi, (q, run)) in queries.iter().zip(&mut runs).enumerate() {
+        if !matches!(run.route, Route::Ladder) {
             continue;
         }
-        device.push_scope(format!("q{qi}:{}", q.name));
+        device.push_scope(frame(qi, q));
         let result = crate::execute_compiled_resilient(
             q.plan,
             compiled[qi],
@@ -750,19 +747,16 @@ pub fn execute_batch(
                     .resilience
                     .as_ref()
                     .expect("resilient runs carry a resilience report");
-                counters[qi].retries += res.retries;
-                counters[qi].backoff_seconds += res.backoff_seconds;
-                if res.final_mode != AdmittedMode::Resident {
-                    degraded[qi] = Some(res.final_mode);
-                }
-                finish_cycles[qi] = finish_cycles[qi].max(window.elapsed(device.makespan()));
-                ladder_done[qi] = Some(report);
+                run.budget.retries += res.retries;
+                run.budget.backoff_seconds += res.backoff_seconds;
+                run.finish_cycles = run.finish_cycles.max(window.elapsed(device.makespan()));
+                run.answer = Answer::Ladder(Box::new(report));
             }
             Err(e) => {
                 // The executor's cleanup guards already freed the attempt's
                 // buffers; settle the clock and quarantine.
                 device.sync_streams();
-                failed[qi] = Some(e.to_string());
+                run.fail(e.to_string());
             }
         }
     }
@@ -788,22 +782,17 @@ pub fn execute_batch(
 
     let mut reports = Vec::with_capacity(queries.len());
     let mut latencies: Vec<f64> = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        let outcome = if let Some(reason) = failed[qi].take() {
-            QueryOutcome::Failed { reason }
-        } else if let Some(mode) = degraded[qi] {
-            QueryOutcome::Degraded { mode }
-        } else if counters[qi].retries > 0 {
+    for (qi, (q, run)) in queries.iter().zip(runs).enumerate() {
+        let clean = if run.budget.retries > 0 {
             QueryOutcome::Retried
         } else {
             QueryOutcome::Completed
         };
-
-        let (outputs, gpu_cycles, pcie_seconds, peak) = if let Some(run) = scratch[qi].take() {
-            if outcome.is_success() {
-                let gpu: u64 = run.exec.steps.iter().map(|s| s.gpu_cycles).sum();
+        let (outcome, outputs, gpu_cycles, pcie_seconds, peak) = match run.answer {
+            Answer::Scratch(ran) => {
+                let gpu: u64 = ran.exec.steps.iter().map(|s| s.gpu_cycles).sum();
                 // This query's streamed transfer spans, by scope frame.
-                let frame = format!("q{qi}:{}", q.name);
+                let frame = frame(qi, q);
                 let pcie: f64 = window
                     .spans(device)
                     .iter()
@@ -811,22 +800,29 @@ pub fn execute_batch(
                     .filter(|s| s.provenance.split('/').next() == Some(frame.as_str()))
                     .map(|s| s.delta.pcie_seconds)
                     .sum();
-                (run.exec.outputs, gpu, pcie, run.fork_peak)
-            } else {
-                (BTreeMap::new(), 0, 0.0, run.fork_peak)
+                (clean, ran.exec.outputs, gpu, pcie, ran.fork_peak)
             }
-        } else if let Some(report) = ladder_done[qi].take() {
-            (
-                report.outputs,
-                report.stats.gpu_cycles,
-                report.stats.pcie_seconds,
-                report.peak_device_bytes,
-            )
-        } else {
-            (BTreeMap::new(), 0, 0.0, 0)
+            Answer::Ladder(report) => {
+                let outcome = match report.resilience.as_ref().map(|r| r.final_mode) {
+                    Some(mode) if mode != AdmittedMode::Resident => QueryOutcome::Degraded { mode },
+                    _ => clean,
+                };
+                (
+                    outcome,
+                    report.outputs,
+                    report.stats.gpu_cycles,
+                    report.stats.pcie_seconds,
+                    report.peak_device_bytes,
+                )
+            }
+            Answer::Failed { reason, peak } => {
+                let outcome = QueryOutcome::Failed { reason };
+                (outcome, BTreeMap::new(), 0, 0.0, peak)
+            }
+            Answer::Pending => unreachable!("the waves and the ladder tail answer every query"),
         };
         let latency_cycles = if outcome.is_success() {
-            finish_cycles[qi]
+            run.finish_cycles
         } else {
             0
         };
@@ -836,13 +832,12 @@ pub fn execute_batch(
         }
         reports.push(BatchQueryReport {
             name: q.name.to_string(),
-            wave: if outcome.is_success() {
-                wave_of[qi]
-            } else {
-                None
+            wave: match run.route {
+                Route::Wave { wave, .. } if outcome.is_success() => Some(wave),
+                _ => None,
             },
-            retries: counters[qi].retries,
-            backoff_seconds: counters[qi].backoff_seconds,
+            retries: run.budget.retries,
+            backoff_seconds: run.budget.backoff_seconds,
             outputs,
             latency_seconds: device.config().cycles_to_seconds(latency_cycles),
             gpu_seconds: device.config().cycles_to_seconds(gpu_cycles),
@@ -886,12 +881,7 @@ pub fn execute_batch(
     let outcome_labels: Vec<(String, String)> = queries
         .iter()
         .enumerate()
-        .map(|(qi, q)| {
-            (
-                format!("q{qi}:{}", q.name),
-                reports[qi].outcome.name().to_string(),
-            )
-        })
+        .map(|(qi, q)| (frame(qi, q), reports[qi].outcome.name().to_string()))
         .collect();
     profile.annotate_outcomes(&outcome_labels);
 
@@ -917,7 +907,6 @@ pub fn execute_batch(
         profile,
         free_errors: device.free_errors(),
         first_free_error: device.first_free_error().map(String::from),
-        admission,
     })
 }
 
@@ -1157,6 +1146,110 @@ mod tests {
         assert!(small.wave.is_some());
         assert_eq!(dev.memory().in_use(), 0);
         kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
+    }
+
+    #[test]
+    fn query_no_mode_fits_fails_at_the_ladders_admission() {
+        // A full sort over more than the tiny device holds: its price
+        // exceeds the free bytes, so it takes the ladder tail, whose
+        // admission finds no mode (a sort has no chunk strategy) before
+        // any device operation. The small query runs in its wave.
+        let doomed_in = gen::micro_input(100_000, 54);
+        let mut doomed_plan = QueryPlan::new();
+        let t = doomed_plan.add_input("t", doomed_in.schema().clone());
+        let s = doomed_plan
+            .add_op(RaOp::Sort { attrs: vec![1] }, &[t])
+            .unwrap();
+        doomed_plan.mark_output(s);
+        let small_in = gen::micro_input(5_000, 55);
+        let small_plan = chain(small_in.schema().clone(), 2);
+        let bd = [("t", &doomed_in)];
+        let bs = [("t", &small_in)];
+        let queries = [
+            BatchQuery {
+                name: "doomed",
+                plan: &doomed_plan,
+                bindings: &bd,
+            },
+            BatchQuery {
+                name: "small",
+                plan: &small_plan,
+                bindings: &bs,
+            },
+        ];
+        // Without faults, and with seeded faults: the doomed query draws
+        // nothing from the device's fault stream either, so the small
+        // query meets the same faults as when it is batched alone.
+        for faults in [None, Some(FaultConfig::uniform(61, 0.2))] {
+            let run = |queries: &[BatchQuery<'_>]| {
+                let mut dev = Device::new(DeviceConfig::tiny());
+                if let Some(f) = &faults {
+                    dev.inject_faults(f.clone());
+                }
+                let batch = run_batch(queries, &mut dev, &WeaverConfig::default()).unwrap();
+                (batch, dev)
+            };
+            let (batch, dev) = run(&queries);
+            let doomed = &batch.queries[0];
+            match &doomed.outcome {
+                QueryOutcome::Failed { reason } => {
+                    assert!(reason.contains("no chunk strategy"), "{reason}")
+                }
+                other => panic!("expected an admission failure, got {other:?}"),
+            }
+            assert_eq!(doomed.wave, None);
+            assert!(doomed.outputs.is_empty());
+            assert!(
+                dev.spans()
+                    .iter()
+                    .all(|s| s.provenance.split('/').next() != Some("q0:doomed")),
+                "the doomed query must not reach the device"
+            );
+            assert_eq!(dev.memory().in_use(), 0);
+            kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
+
+            // The small query alone charges the device exactly as much:
+            // the doomed one added no work, no memory peak, no makespan.
+            let (alone, alone_dev) = run(&queries[1..]);
+            let (small, solo) = (&batch.queries[1], &alone.queries[0]);
+            assert_eq!(
+                (&small.outcome, small.wave, small.retries),
+                (&solo.outcome, solo.wave, solo.retries)
+            );
+            assert_eq!(small.outputs, solo.outputs);
+            assert_eq!(dev.stats(), alone_dev.stats());
+            assert_eq!(dev.memory().peak(), alone_dev.memory().peak());
+            assert_eq!(batch.makespan_seconds, alone.makespan_seconds);
+            if faults.is_none() {
+                assert_eq!(small.outcome, QueryOutcome::Completed);
+                assert_eq!(small.wave, Some(0));
+                let mut solo_dev = device();
+                let cfg = WeaverConfig::default();
+                let plain = execute_plan(&small_plan, &bs, &mut solo_dev, &cfg).unwrap();
+                assert_eq!(small.outputs, plain.outputs);
+            } else {
+                assert!(dev.stats().faults_injected > 0, "the faults must strike");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_waves_issues_first_fit_decreasing() {
+        // Room for one big and one small together, but not two bigs: each
+        // wave leads with a big query and a small backfills it.
+        let (small, big) = (10, 40);
+        let free = big + small + small / 2;
+        let waves = pack_waves(&[Some(small), Some(big), Some(small), Some(big)], free);
+        assert_eq!(
+            waves,
+            vec![vec![(1, big), (0, small)], vec![(3, big), (2, small)]]
+        );
+
+        // A query that cannot be priced, or that fits no wave alone, is left
+        // to the ladder tail; one that exactly fills the free bytes packs.
+        let waves = pack_waves(&[None, Some(free + 1), Some(free)], free);
+        assert_eq!(waves, vec![vec![(2, free)]]);
+        assert!(pack_waves(&[], free).is_empty());
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!   clock, so a run is a pure function of its seed. Arrival `i` takes the
 //!   `i % shapes`-th plan shape, giving the repeated-shape traffic a plan
 //!   cache exists for.
-//! * **Admission queue** — arrivals wait FIFO; each dispatch admits the
-//!   longest queue prefix whose summed [`admit`]-predicted resident peaks
-//!   fit the device's free bytes (capped at
-//!   [`ServiceConfig::max_dispatch`]), then hands it to
-//!   [`execute_batch`] — waves, per-query fault
-//!   domains and the degradation ladder all still apply inside a dispatch.
+//! * **Admission queue** — arrivals wait FIFO. Each arrival is priced once,
+//!   next to its cache lookup, at its predicted resident peak (the number
+//!   its wave reservation holds). Each dispatch takes the longest queue
+//!   prefix whose summed prices fit the device's free bytes (capped at
+//!   [`ServiceConfig::max_dispatch`]; an arrival priced above them
+//!   dispatches alone) and runs it as one [`crate::execute_batch`] on
+//!   those same prices — waves, per-query fault domains and the
+//!   degradation ladder all still apply inside a dispatch.
 //!   Per-query *queueing delay* (dispatch start − arrival) is recorded
 //!   separately from execution latency.
 //! * **Plan cache** — a [`PlanCache`] keyed by canonical shape
@@ -38,10 +40,9 @@ use rand::{Rng, SeedableRng};
 
 use kw_gpu_sim::{Device, DeviceConfig, MetricsRegistry};
 
-use crate::admission::admit;
 use crate::plan_cache::{plan_shape_key, shape_fingerprint, PlanCache};
 use crate::resilient::RetryPolicy;
-use crate::scheduler::{execute_batch, BatchQuery, QueryOutcome};
+use crate::scheduler::{price_of, run_priced, BatchQuery, QueryOutcome};
 use crate::{CompiledPlan, Result, WeaverConfig};
 
 /// Tuning of one [`run_service`] run.
@@ -197,6 +198,17 @@ impl ServiceReport {
     }
 }
 
+/// One arrival as the admission loop first saw it.
+struct Prepared {
+    compiled: Rc<CompiledPlan>,
+    /// Whether the plan came out of the cache.
+    hit: bool,
+    /// Simulated compile seconds the arrival charged (0 on a hit).
+    compile_seconds: f64,
+    /// The arrival's one price (see `scheduler::price_of`).
+    price: Option<u64>,
+}
+
 /// Exact nearest-rank percentile over `sorted` (ascending); 0.0 when empty.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
@@ -274,11 +286,9 @@ pub fn run_service(
         .collect();
     let fingerprints: Vec<u64> = keys.iter().map(|key| shape_fingerprint(key)).collect();
     let mut cache = PlanCache::new(service.cache_capacity);
-    // Compiled plan + (hit, compile seconds charged) per arrival, filled
-    // lazily the first time the admission loop considers the arrival —
-    // exactly one cache lookup per arrival.
-    let mut prepared: Vec<Option<(Rc<CompiledPlan>, bool, f64)>> =
-        (0..service.arrivals).map(|_| None).collect();
+    // Filled lazily the first time the admission loop considers the
+    // arrival — exactly one cache lookup and one price per arrival.
+    let mut prepared: Vec<Option<Prepared>> = (0..service.arrivals).map(|_| None).collect();
     let mut per_query: Vec<Option<ServiceQueryReport>> =
         (0..service.arrivals).map(|_| None).collect();
 
@@ -303,9 +313,9 @@ pub fn run_service(
         }
         max_queue_depth = max_queue_depth.max(queue.len());
 
-        // Admit the longest FIFO prefix whose predicted resident peaks fit
-        // free device bytes. Compilation (cache miss) happens here, charged
-        // to the service clock before the dispatch leaves.
+        // Admit the longest FIFO prefix whose prices fit free device
+        // bytes. Compilation (cache miss) happens here, charged to the
+        // service clock before the dispatch leaves.
         let free = capacity.saturating_sub(device.memory().in_use());
         let mut batch: Vec<usize> = Vec::new();
         let mut peak_sum: u64 = 0;
@@ -329,14 +339,19 @@ pub fn run_service(
                 };
                 now += cost;
                 compile_seconds_total += cost;
-                prepared[ai] = Some((compiled, hit, cost));
+                prepared[ai] = Some(Prepared {
+                    price: price_of(shape, &compiled),
+                    compiled,
+                    hit,
+                    compile_seconds: cost,
+                });
             }
-            let compiled = &prepared[ai].as_ref().expect("prepared above").0;
-            // Queries admission cannot price (estimate failure) dispatch
-            // with a zero predicted peak; the batch executor's own
-            // admission and ladder decide their fate.
-            let peak = admit(shape.plan, compiled, shape.bindings, free)
-                .map(|r| r.resident_peak)
+            // An arrival that cannot be priced (an unbound input) rides
+            // along at 0; its dispatch's ladder tail reports why it fails.
+            let peak = prepared[ai]
+                .as_ref()
+                .expect("prepared above")
+                .price
                 .unwrap_or(0);
             if batch.is_empty() || peak_sum.saturating_add(peak) <= free {
                 peak_sum = peak_sum.saturating_add(peak);
@@ -352,13 +367,17 @@ pub fn run_service(
         let dispatch_start = now;
         let batch_queries: Vec<BatchQuery<'_>> =
             batch.iter().map(|&ai| shapes[ai % shapes.len()]).collect();
-        let batch_compiled: Vec<&CompiledPlan> = batch
+        let (batch_compiled, batch_prices): (Vec<&CompiledPlan>, Vec<Option<u64>>) = batch
             .iter()
-            .map(|&ai| &*prepared[ai].as_ref().expect("admitted ⇒ prepared").0)
-            .collect();
-        let report = execute_batch(
+            .map(|&ai| {
+                let p = prepared[ai].as_ref().expect("admitted ⇒ prepared");
+                (&*p.compiled, p.price)
+            })
+            .unzip();
+        let report = run_priced(
             &batch_queries,
             &batch_compiled,
+            &batch_prices,
             device,
             config,
             &RetryPolicy::default(),
@@ -369,7 +388,7 @@ pub fn run_service(
 
         for (&ai, qr) in batch.iter().zip(&report.queries) {
             let shape = &shapes[ai % shapes.len()];
-            let (_, hit, compile_cost) = prepared[ai].as_ref().expect("admitted ⇒ prepared");
+            let p = prepared[ai].as_ref().expect("admitted ⇒ prepared");
             let queueing = (dispatch_start - arrival_at[ai]).max(0.0);
             let execution = if qr.outcome.is_success() {
                 qr.latency_seconds
@@ -385,10 +404,10 @@ pub fn run_service(
                 outcome: qr.outcome.clone(),
                 arrival_seconds: arrival_at[ai],
                 queueing_seconds: queueing,
-                compile_seconds: *compile_cost,
+                compile_seconds: p.compile_seconds,
                 execution_seconds: execution,
                 total_seconds: queueing + execution,
-                cache_hit: *hit,
+                cache_hit: p.hit,
             });
         }
     }
@@ -631,6 +650,68 @@ mod tests {
             assert_eq!(p, 0.0);
         }
         assert!(!report.slo_met);
+    }
+
+    #[test]
+    fn arrivals_no_mode_fits_fail_alone_and_the_rest_complete() {
+        // Even arrivals take a full sort over more than the tiny device
+        // holds, odd ones a small select chain. Each arrival is priced
+        // once: a doomed one at its resident peak, above the free bytes,
+        // so it dispatches alone and its ladder admission fails it; the
+        // runnable ones never share its dispatch.
+        let doomed_in = gen::micro_input(100_000, 11);
+        let mut doomed_plan = QueryPlan::new();
+        let t = doomed_plan.add_input("t", doomed_in.schema().clone());
+        let s = doomed_plan
+            .add_op(RaOp::Sort { attrs: vec![1] }, &[t])
+            .unwrap();
+        doomed_plan.mark_output(s);
+        let small_in = gen::micro_input(1 << 12, 12);
+        let small_plan = chain(small_in.schema().clone(), 2, u32::MAX / 2);
+        let bd = [("t", &doomed_in)];
+        let bs = [("t", &small_in)];
+        let shapes = [
+            BatchQuery {
+                name: "doomed",
+                plan: &doomed_plan,
+                bindings: &bd,
+            },
+            BatchQuery {
+                name: "small",
+                plan: &small_plan,
+                bindings: &bs,
+            },
+        ];
+        let mut dev = Device::new(DeviceConfig::tiny());
+        let cfg = ServiceConfig {
+            arrivals: 12,
+            offered_qps: 50_000.0,
+            ..service_cfg()
+        };
+        let report = run_service(&shapes, &mut dev, &WeaverConfig::default(), &cfg).unwrap();
+        for (i, q) in report.queries.iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(
+                    matches!(&q.outcome, QueryOutcome::Failed { reason }
+                        if reason.contains("no chunk strategy")),
+                    "arrival {i}: {}",
+                    q.outcome
+                );
+            } else {
+                assert!(q.outcome.is_success(), "arrival {i}: {}", q.outcome);
+            }
+        }
+        assert_eq!(report.failed, 6);
+        assert_eq!(report.completed, 6);
+        assert_eq!(
+            report.cache_hits + report.cache_misses,
+            report.arrivals as u64
+        );
+        // The queue alternates doomed and runnable arrivals, and neither
+        // can join the other's dispatch: one dispatch per arrival.
+        assert_eq!(report.dispatches, report.arrivals);
+        assert!(report.max_queue_depth > 1, "the load must queue arrivals");
+        assert_eq!(dev.memory().in_use(), 0);
     }
 
     #[test]

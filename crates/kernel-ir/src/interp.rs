@@ -32,10 +32,10 @@
 //!   compaction does: its pass flags become the passing rows' positions,
 //!   and each passing row is copied once into a buffer of exactly their size
 //!   ([`keep_rows`]). Project and Compute size their output rows up front:
-//!   Project writes each row at its offset, and each of Compute's
-//!   expressions writes its own column into the rows. Compact takes its
-//!   source's rows when it is the last step to read that slot, and copies
-//!   them otherwise;
+//!   Project appends each row to a buffer reserved for all of them, and
+//!   each of Compute's expressions writes its own column into the rows.
+//!   Compact takes its source's rows when it is the last step to read that
+//!   slot, and copies them otherwise;
 //! * only the CTA-dependent steps — Join, SemiJoin, SetOp, Unique and
 //!   Product — read a slot as a canonical [`RelView`] and call the same
 //!   `kw_relational::ops` function a step-at-a-time interpreter would.
@@ -597,15 +597,11 @@ impl<'a> Stage<'a, '_> {
                     canonical = Relation::from_words(schema.clone(), words.to_vec())?;
                     canonical.words()
                 };
-                let width = attrs.len();
-                let mut rows = vec![0; words.len() / schema.arity() * width];
-                for (row, t) in rows
-                    .chunks_exact_mut(width)
-                    .zip(words.chunks_exact(schema.arity()))
-                {
-                    for (w, &a) in row.iter_mut().zip(attrs) {
-                        *w = t[a];
-                    }
+                // Reserved up front and filled row by row: zero-filling a
+                // pre-sized buffer first costs more on short CTA blocks.
+                let mut rows = Vec::with_capacity(words.len() / schema.arity() * attrs.len());
+                for t in words.chunks_exact(schema.arity()) {
+                    rows.extend(attrs.iter().map(|&a| t[a]));
                 }
                 let slot = self.write_rows(q, *dst, Tuples::Rows(rows), s.lanes);
                 (*dst, slot)

@@ -2,12 +2,12 @@
 //! replay IS the executor's allocation schedule, so a fresh device's
 //! tracker peak equals the predicted peak bit-exactly), the O(1)
 //! alloc/free span invariant per fused plan, byte-identical outputs
-//! across chunk strategies and fault injection, and the Strict-policy
-//! typed overflow path.
+//! across chunk strategies and fault injection, and the spill that
+//! completes a run whose estimate under-shot.
 
 use kw_core::{
-    admit, compile, execute_compiled, execute_compiled_resilient, execute_plan, ArenaPolicy,
-    ChunkStrategy, ExecMode, PlanReport, QueryPlan, RetryPolicy, WeaverConfig,
+    admit, compile, execute_compiled, execute_compiled_resilient, execute_plan, ChunkStrategy,
+    ExecMode, PlanReport, QueryPlan, RetryPolicy, WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig, FaultConfig, SpanKind};
 use kw_primitives::RaOp;
@@ -327,13 +327,11 @@ fn faulted_runs_stay_byte_identical() {
     }
 }
 
-/// Strict policy: a duplicate-key join whose true output exceeds the
-/// admission estimate dies with the *typed* overflow — a capacity error the
-/// resilient ladder understands — instead of a silent mid-plan OOM. The
-/// default Spill policy completes the same query with the mispredictions
-/// counted.
+/// A duplicate-key join whose true output exceeds the admission estimate
+/// spills past the arena reservation and completes, with the
+/// mispredictions counted and the footprint above the reservation.
 #[test]
-fn strict_overflow_is_typed_and_spill_completes() {
+fn underestimated_join_spills_and_completes() {
     let schema = Schema::uniform_u32(2);
     let build = |n: usize, salt: u64| {
         let mut words = Vec::with_capacity(n * 2);
@@ -351,22 +349,12 @@ fn strict_overflow_is_typed_and_spill_completes() {
     plan.mark_output(j);
     let bindings: &[(&str, &Relation)] = &[("x", &l), ("y", &r)];
 
-    let strict = WeaverConfig {
-        arena: ArenaPolicy::Strict,
-        ..WeaverConfig::default()
-    };
     let mut dev = device();
-    let err = execute_plan(&plan, bindings, &mut dev, &strict).unwrap_err();
-    assert!(err.is_capacity(), "typed, ladder-visible: {err}");
-    assert!(err.to_string().contains("arena overflow"), "{err}");
-    assert_eq!(dev.memory().in_use(), 0, "strict failure must not leak");
-
-    let mut dev2 = device();
-    let report = execute_plan(&plan, bindings, &mut dev2, &WeaverConfig::default()).unwrap();
+    let report = execute_plan(&plan, bindings, &mut dev, &WeaverConfig::default()).unwrap();
     assert_eq!(report.outputs[&j], ops::join(&l, &r, 1).unwrap());
-    assert!(dev2.metrics().counter("kw_arena_spills_total") > 0);
+    assert!(dev.metrics().counter("kw_arena_spills_total") > 0);
     assert!(report.peak_device_bytes > report.arena.unwrap().reservation);
-    assert_eq!(dev2.memory().in_use(), 0);
+    assert_eq!(dev.memory().in_use(), 0);
 }
 
 proptest! {

@@ -3,7 +3,8 @@
 //! device targets — all through the public API only.
 
 use kw_core::{
-    compile, execute_plan, is_elementwise, plan_to_dot, reschedule, QueryPlan, WeaverConfig,
+    compile, execute_plan, plan_to_dot, reschedule, select_chunk_strategy, ChunkStrategy,
+    QueryPlan, WeaverConfig,
 };
 use kw_gpu_sim::{Device, DeviceConfig};
 use kw_primitives::RaOp;
@@ -51,7 +52,7 @@ fn chunked_execution_scales_with_chunk_count() {
     let t = plan.add_input("t", input.schema().clone());
     let s = plan.add_op(sel(2), &[t]).unwrap();
     plan.mark_output(s);
-    assert!(is_elementwise(&plan));
+    assert_eq!(select_chunk_strategy(&plan), Some(ChunkStrategy::RowSlice));
 
     let mut prev_outputs = None;
     for chunks in [1usize, 3, 16] {

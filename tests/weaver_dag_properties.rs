@@ -2,8 +2,7 @@
 //! producers, multiple outputs): whatever Algorithm 1/2 and the weaver
 //! decide, results must equal the CPU oracle (`kw_relational::ops` applied
 //! node by node) on every execution path — fused and unfused, resident,
-//! staged and chunked, under both arena policies, through the resilient
-//! ladder and in a batch.
+//! staged and chunked, through the resilient ladder and in a batch.
 
 use std::collections::BTreeMap;
 
@@ -11,8 +10,7 @@ use proptest::prelude::*;
 
 use kw_core::{
     compile, execute_batch, execute_compiled_resilient, execute_plan, select_chunk_strategy,
-    ArenaPolicy, BatchQuery, ExecMode, NodeId, PlanNode, QueryPlan, RetryPolicy, WeaverConfig,
-    WeaverError,
+    BatchQuery, ExecMode, NodeId, PlanNode, QueryPlan, RetryPolicy, WeaverConfig, WeaverError,
 };
 use kw_gpu_sim::{reconcile, Device, DeviceConfig};
 use kw_primitives::RaOp;
@@ -165,8 +163,8 @@ fn inputs_for(seed: u64, n: usize) -> (Relation, Relation) {
 
 /// Every single-query path of `plan` as a config: fused and unfused, each
 /// resident and staged, each whole and in 1, 2, 3 and 7 chunks (chunked
-/// only when the plan has a chunk strategy), under `arena`.
-fn path_configs(plan: &QueryPlan, arena: ArenaPolicy) -> Vec<WeaverConfig> {
+/// only when the plan has a chunk strategy).
+fn path_configs(plan: &QueryPlan) -> Vec<WeaverConfig> {
     let chunk_counts: &[Option<usize>] = if select_chunk_strategy(plan).is_some() {
         &[None, Some(1), Some(2), Some(3), Some(7)]
     } else {
@@ -180,7 +178,6 @@ fn path_configs(plan: &QueryPlan, arena: ArenaPolicy) -> Vec<WeaverConfig> {
                     fusion,
                     mode,
                     chunks,
-                    arena,
                     ..WeaverConfig::default()
                 });
             }
@@ -206,35 +203,26 @@ proptest! {
         // an error they share would pass a comparison between paths.
         let expected = oracle(&plan, &a, &b);
 
-        for arena in [ArenaPolicy::Spill, ArenaPolicy::Strict] {
-            for config in path_configs(&plan, arena) {
-                let mut dev = device();
-                match execute_plan(&plan, &bindings, &mut dev, &config) {
-                    Ok(report) => {
-                        prop_assert_eq!(&report.outputs, &expected, "{:?}", config);
-                        prop_assert!(report.gpu_seconds > 0.0, "{:?}", config);
-                        prop_assert!(report.stats.kernel_launches > 0, "{:?}", config);
-                        if config.chunks.is_some() {
-                            prop_assert!(report.strategy.is_some(), "{:?}", config);
-                            let reconciled = reconcile(dev.spans(), dev.stats());
-                            prop_assert!(reconciled.is_ok(), "{:?}: {:?}", config, reconciled);
-                        }
-                    }
-                    // A Strict arena may refuse a footprint the estimate
-                    // under-shot; nothing else may fail.
-                    Err(e) => prop_assert!(
-                        arena == ArenaPolicy::Strict && e.is_capacity(),
-                        "{:?}: {}", config, e
-                    ),
-                }
-                prop_assert_eq!(dev.memory().in_use(), 0, "{:?}: all buffers freed", config);
+        // A footprint the estimate under-shot spills, so no path may fail.
+        for config in path_configs(&plan) {
+            let mut dev = device();
+            let report = execute_plan(&plan, &bindings, &mut dev, &config)
+                .unwrap_or_else(|e| panic!("{config:?}: {e}"));
+            prop_assert_eq!(&report.outputs, &expected, "{:?}", config);
+            prop_assert!(report.gpu_seconds > 0.0, "{:?}", config);
+            prop_assert!(report.stats.kernel_launches > 0, "{:?}", config);
+            if config.chunks.is_some() {
+                prop_assert!(report.strategy.is_some(), "{:?}", config);
+                let reconciled = reconcile(dev.spans(), dev.stats());
+                prop_assert!(reconciled.is_ok(), "{:?}: {:?}", config, reconciled);
             }
+            prop_assert_eq!(dev.memory().in_use(), 0, "{:?}: all buffers freed", config);
         }
 
         // The ladder on a device half the size of the inputs: the oracle's
         // answer, or a typed error — admission when no rung is predicted to
         // fit, ladder exhaustion when a bucket of duplicate join keys still
-        // overflows at the chunk ceiling.
+        // does not fit at the chunk ceiling.
         let config = WeaverConfig::default();
         let compiled = compile(&plan, &config).expect("random DAGs compile");
         let input_bytes = (a.byte_size() + b.byte_size()) as u64;
