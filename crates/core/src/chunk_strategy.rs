@@ -26,8 +26,6 @@
 //! aggregate sandwiched between joins) genuinely cannot stream, and the
 //! ladder reports [`crate::LadderStop::NonElementwiseBlocksChunking`].
 
-use std::collections::BTreeMap;
-
 use kw_primitives::{consumer_class, DependenceClass, RaOp};
 use kw_relational::ops::AggFn;
 use kw_relational::{compare_words, AttrType, Relation, Schema, Value};
@@ -280,7 +278,12 @@ enum MergeCol {
 
 /// Merge per-chunk partial-aggregate rows into the final aggregate
 /// relation, byte-identical to resident execution of the original plan.
-pub(crate) fn merge_partials(spec: &PartialAggregate, partial_words: &[u64]) -> Result<Relation> {
+///
+/// `partials` is every chunk's partial rows merged into one canonical
+/// relation. Its group attributes lead each row and are non-F32, so rows
+/// of one group are adjacent and bit equality is group equality: one pass
+/// folds each run of a group into its final row, in group order.
+pub(crate) fn merge_partials(spec: &PartialAggregate, partials: &Relation) -> Result<Relation> {
     let g = spec.group_by.len();
     let mut merge_cols: Vec<MergeCol> = Vec::new();
     for agg in &spec.aggs {
@@ -294,54 +297,45 @@ pub(crate) fn merge_partials(spec: &PartialAggregate, partial_words: &[u64]) -> 
             }
         }
     }
-    let arity = g + merge_cols.len();
-    debug_assert_eq!(partial_words.len() % arity.max(1), 0);
+    debug_assert_eq!(partials.schema().arity(), g + merge_cols.len());
 
-    // Group attributes are non-F32, so bit equality IS group equality and a
-    // plain word-keyed map groups correctly; `from_words` re-sorts at the
-    // end, so map order is irrelevant.
-    let mut groups: BTreeMap<Vec<u64>, Vec<u64>> = BTreeMap::new();
-    for row in partial_words.chunks_exact(arity.max(1)) {
+    let mut out = Vec::new();
+    let mut acc: Vec<u64> = Vec::with_capacity(merge_cols.len());
+    let mut rows = partials.iter().peekable();
+    while let Some(row) = rows.next() {
         let (key, cols) = row.split_at(g);
-        match groups.entry(key.to_vec()) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(cols.to_vec());
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                for (acc, (&w, kind)) in slot.get_mut().iter_mut().zip(cols.iter().zip(&merge_cols))
-                {
-                    match kind {
-                        MergeCol::Add => *acc = acc.wrapping_add(w),
-                        MergeCol::Min(ty) => {
-                            if compare_words(w, *acc, *ty) == std::cmp::Ordering::Less {
-                                *acc = w;
-                            }
+        acc.clear();
+        acc.extend_from_slice(cols);
+        while let Some(next) = rows.next_if(|next| next[..g] == *key) {
+            for (acc, (&w, kind)) in acc.iter_mut().zip(next[g..].iter().zip(&merge_cols)) {
+                match kind {
+                    MergeCol::Add => *acc = acc.wrapping_add(w),
+                    MergeCol::Min(ty) => {
+                        if compare_words(w, *acc, *ty) == std::cmp::Ordering::Less {
+                            *acc = w;
                         }
-                        MergeCol::Max(ty) => {
-                            if compare_words(w, *acc, *ty) == std::cmp::Ordering::Greater {
-                                *acc = w;
-                            }
+                    }
+                    MergeCol::Max(ty) => {
+                        if compare_words(w, *acc, *ty) == std::cmp::Ordering::Greater {
+                            *acc = w;
                         }
                     }
                 }
             }
         }
-    }
 
-    // Finalize each group into the original aggregate's output layout.
-    let mut out = Vec::with_capacity(groups.len() * (g + spec.aggs.len()));
-    for (key, cols) in groups {
-        out.extend_from_slice(&key);
+        // Finalize the group into the original aggregate's output layout.
+        out.extend_from_slice(key);
         let mut c = 0usize;
         for agg in &spec.aggs {
             match *agg {
                 AggFn::Avg(_) => {
-                    let (sum, count) = (cols[c], cols[c + 1]);
+                    let (sum, count) = (acc[c], acc[c + 1]);
                     out.push(Value::F32((sum as f64 / count as f64) as f32).encode());
                     c += 2;
                 }
                 _ => {
-                    out.push(cols[c]);
+                    out.push(acc[c]);
                     c += 1;
                 }
             }

@@ -76,7 +76,7 @@ pub(crate) fn execute(
         ChunkStrategy::RowSlice => {
             let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks));
             let mut run = run_chunks(plan, compiled, &slots, device, config)?;
-            let outputs = concat_outputs(&mut run)?;
+            let outputs = merge_outputs(&mut run)?;
             (run, outputs)
         }
         ChunkStrategy::HashPartition => {
@@ -85,7 +85,7 @@ pub(crate) fn execute(
             // slots that are skipped below.
             let slots = hash_partition_inputs(bindings, chunks);
             let mut run = run_chunks(plan, compiled, &slots, device, config)?;
-            let outputs = concat_outputs(&mut run)?;
+            let outputs = merge_outputs(&mut run)?;
             (run, outputs)
         }
         ChunkStrategy::PartialAggregate => {
@@ -93,8 +93,10 @@ pub(crate) fn execute(
             let partial_compiled = compile(&spec.plan, config)?;
             let slots = row_slice_inputs(bindings, effective_chunks(bindings, chunks));
             let mut run = run_chunks(&spec.plan, &partial_compiled, &slots, device, config)?;
-            let partial_words = run.outputs.remove(&spec.node).unwrap_or_default();
-            let merged = merge_partials(&spec, &partial_words)?;
+            let partials = merge_outputs(&mut run)?
+                .remove(&spec.node)
+                .unwrap_or_else(|| Relation::empty(spec.plan.schema(spec.node).clone()));
+            let merged = merge_partials(&spec, &partials)?;
             (run, std::iter::once((spec.node, merged)).collect())
         }
     };
@@ -177,7 +179,8 @@ fn hash_partition_inputs<'a>(
 /// Accumulated results of the per-chunk execution loop, before the
 /// strategy-specific output assembly.
 struct ChunkRun {
-    outputs: BTreeMap<NodeId, Vec<u64>>,
+    /// Per output, each executed chunk's relation, in chunk order.
+    outputs: BTreeMap<NodeId, Vec<Relation>>,
     schemas: BTreeMap<NodeId, Schema>,
     /// Boundary transfer seconds: the H2D uploads of chunk inputs and D2H
     /// downloads of chunk outputs that the stream scheduler can overlap
@@ -193,15 +196,14 @@ struct ChunkRun {
     arena: Option<ArenaStats>,
 }
 
-/// Concatenate per-chunk output words into canonical relations (row slices
-/// concatenate in key order; hash buckets are disjoint, and `from_words`
-/// restores the canonical sort).
-fn concat_outputs(run: &mut ChunkRun) -> Result<BTreeMap<NodeId, Relation>> {
+/// Merge each output's per-chunk relations into one canonical relation,
+/// the one `Relation::from_words` would sort their concatenation into.
+fn merge_outputs(run: &mut ChunkRun) -> Result<BTreeMap<NodeId, Relation>> {
     std::mem::take(&mut run.outputs)
         .into_iter()
-        .map(|(node, words)| {
+        .map(|(node, parts)| {
             let schema = run.schemas[&node].clone();
-            Ok((node, Relation::from_words(schema, words)?))
+            Ok((node, Relation::merge(schema, parts)?))
         })
         .collect()
 }
@@ -257,7 +259,7 @@ fn replay_chunks(
     scratch: &mut Option<ScratchRun>,
 ) -> Result<ChunkRun> {
     let base_cycles = device.sync_streams();
-    let mut outputs: BTreeMap<NodeId, Vec<u64>> = Default::default();
+    let mut outputs: BTreeMap<NodeId, Vec<Relation>> = Default::default();
     let mut schemas: BTreeMap<NodeId, Schema> = Default::default();
     // Prepopulate so skipped slots still leave every marked output present
     // (as an empty relation) in the assembled report.
@@ -344,12 +346,9 @@ fn replay_chunks(
             };
         serialized_cycles += chunk_serialized;
 
-        for (&node, rel) in &exec.outputs {
-            outputs
-                .entry(node)
-                .or_default()
-                .extend_from_slice(rel.words());
+        for (node, rel) in exec.outputs {
             schemas.entry(node).or_insert_with(|| rel.schema().clone());
+            outputs.entry(node).or_default().push(rel);
         }
     }
 

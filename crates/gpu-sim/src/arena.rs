@@ -8,9 +8,10 @@
 //! once up front (one `Alloc` span), every input/staging/scratch/result
 //! buffer is a span-free sub-allocation inside that reservation, and the
 //! whole thing is returned with one `Free` span. A sub-allocation that does
-//! not fit is a loud, typed [`SimError::ArenaOverflow`] — the misprediction
-//! surfaces at the exact request that exceeded the envelope instead of as a
-//! silent device-level OOM.
+//! not fit is a typed [`SimError::ArenaOverflow`] at the exact request that
+//! exceeded the envelope. kw-core's executor answers it with a spill, a
+//! real device allocation counted in `kw_arena_spills_total`, so the run
+//! completes and no run returns the error.
 //!
 //! The allocator is split in two layers:
 //!

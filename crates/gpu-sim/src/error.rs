@@ -54,12 +54,12 @@ pub enum SimError {
         /// Human-readable description of the bad handle.
         detail: String,
     },
-    /// A scratch-arena sub-allocation exceeded the arena's upfront
-    /// reservation: the admission predictor under-estimated the plan's
-    /// peak. Like [`SimError::OutOfMemory`] this is a capacity miss —
-    /// recoverable by degrading to a cheaper execution mode — but it is
-    /// *loud*: the misprediction surfaces here instead of as a silent
-    /// mid-plan OOM against the whole device.
+    /// A sub-allocation did not fit in a [`crate::ScratchArena`]'s upfront
+    /// reservation. [`crate::ScratchArena::acquire`] returns it to its
+    /// direct callers, and like [`SimError::OutOfMemory`] it classifies as
+    /// a capacity miss ([`SimError::is_capacity`]). No kw-core run returns
+    /// it: the executor turns every overflow into a spill, a real device
+    /// allocation outside the arena, and the run goes on.
     ArenaOverflow {
         /// Bytes requested from the arena.
         requested: u64,
@@ -91,7 +91,10 @@ impl SimError {
     }
 
     /// Whether this is a capacity miss, recoverable by degrading to an
-    /// execution mode with a smaller device footprint.
+    /// execution mode with a smaller device footprint. A run meets it as
+    /// [`SimError::OutOfMemory`], when a spill does not fit on the device;
+    /// [`SimError::ArenaOverflow`] reaches only direct callers of
+    /// [`crate::ScratchArena`].
     pub fn is_capacity(&self) -> bool {
         matches!(
             self,

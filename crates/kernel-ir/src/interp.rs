@@ -34,8 +34,8 @@
 //!   ([`keep_rows`]). Project and Compute size their output rows up front:
 //!   Project appends each row to a buffer reserved for all of them, and
 //!   each of Compute's expressions writes its own column into the rows.
-//!   Compact takes its source's rows when it is the last step to read that
-//!   slot, and copies them otherwise;
+//!   Compact and Store take their source's rows when they are the last
+//!   step to read that slot, and copy them otherwise;
 //! * only the CTA-dependent steps — Join, SemiJoin, SetOp, Unique and
 //!   Product — read a slot as a canonical [`RelView`] and call the same
 //!   `kw_relational::ops` function a step-at-a-time interpreter would.
@@ -51,9 +51,39 @@
 //! are bit-identical (Project restores canonical order first for the one
 //! exception, F32 words with high bits set). Canonical order is therefore
 //! restored in two places only: when a CTA-dependent step reads plain rows,
-//! and in the gather, which sorts the concatenated CTA results once per
-//! output. Every [`KernelQuantities`] charge comes from counts (rows, lanes,
-//! tuple bytes), so none depends on how the host represents a slot.
+//! and once per output and range of CTAs (below). Every [`KernelQuantities`]
+//! charge comes from counts (rows, lanes, tuple bytes), so none depends on
+//! how the host represents a slot.
+//!
+//! ## Host threads: CTA ranges, merged at the gather
+//!
+//! As in the paper's skeleton, no CTA of the compute stage reads another's
+//! results, so the host runs a large grid's CTAs on several threads: at
+//! most one per hardware thread (read once per process), one per
+//! [`MIN_ROWS_PER_WORKER`] pivot rows and one per CTA. The calling thread
+//! is the first worker and `std::thread::scope` threads the others; a
+//! worker whose thread cannot start runs on the calling thread. Workers
+//! share the grid in pairs: each pair's block of CTAs is taken one CTA at
+//! a time, by one worker from the front and by the other from the back. So
+//! each worker's CTAs form one contiguous range, and a worker whose core
+//! runs faster (on a shared host one core of a machine can run 1.5× slower
+//! than the other) takes more of them instead of waiting for the slower
+//! one.
+//! Each worker keeps its own slots and [`KernelQuantities`], and Store
+//! collects each CTA's rows per output. At the end of its range every
+//! output is written once, in CTA order, into a buffer of its exact size
+//! and sorted into a canonical relation. The calling thread waits for the
+//! other workers awake rather than asleep, as a sleeping thread can take
+//! milliseconds to be scheduled again on a busy virtual machine. The
+//! gather sums the ranges' quantities and merges each output's parts with
+//! [`Relation::merge`], a stable merge in which the earlier range wins
+//! ties, which is exactly the stable sort of the concatenated CTA results
+//! a single thread would make. No device call moves, so outputs, charges,
+//! spans and simulated times do not depend on the number of workers or on
+//! where their ranges meet. A failure ends the call as the serial loop
+//! over the CTAs would: the lowest failing CTA's error is returned, and
+//! its panic resumes on the caller. Small grids (fewer than two workers'
+//! worth of rows) run on the calling thread alone.
 //!
 //! ## Divergence model
 //!
@@ -62,6 +92,13 @@
 //! (threads whose tuple failed the predicate idle but stay allocated — the
 //! Figure 20 effect), while stream compaction re-densifies lanes at the
 //! price of shared-memory traffic and a prefix sum.
+
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread;
 
 use kw_gpu_sim::{Device, KernelQuantities, KernelResources, LaunchDims};
 use kw_relational::{
@@ -114,6 +151,18 @@ pub fn execute(
     device: &mut Device,
     opt: OptLevel,
 ) -> Result<ExecResult> {
+    execute_with_workers(op, inputs, device, opt, None)
+}
+
+/// [`execute`] with a streaming operator's CTAs split over `workers` host
+/// threads, or over as many as [`workers_for`] picks when `None`.
+pub(crate) fn execute_with_workers(
+    op: &GpuOperator,
+    inputs: &[&Relation],
+    device: &mut Device,
+    opt: OptLevel,
+    workers: Option<usize>,
+) -> Result<ExecResult> {
     device.config().validate()?;
     let inferred = validate(op)?;
     if inputs.len() != op.inputs.len() {
@@ -137,7 +186,9 @@ pub fn execute(
     match &op.body {
         OperatorBody::Streaming {
             steps, partition, ..
-        } => execute_streaming(op, steps, *partition, inputs, &inferred, device, opt),
+        } => execute_streaming(
+            op, steps, *partition, inputs, &inferred, device, opt, workers,
+        ),
         OperatorBody::GlobalSort { attrs } => execute_sort(op, attrs, inputs[0], device),
         OperatorBody::GlobalAggregate { group_by, aggs } => {
             execute_aggregate(op, group_by, aggs, inputs[0], device)
@@ -202,14 +253,171 @@ enum Bound {
     Exprs(Vec<BoundExpr>),
 }
 
-/// Everything the compute stage shares across CTAs.
+/// Everything the compute stage shares across CTAs, and across the host
+/// threads that run them.
 struct Stage<'a, 's> {
     inputs: &'s [&'a Relation],
     ranges: &'s [Vec<(usize, usize)>],
+    steps: &'s [Step],
+    bound: Vec<Bound>,
     info: Vec<SlotInfo<'s>>,
     /// Per slot, the index of the last step that reads it.
     last_read: Vec<Option<usize>>,
+    /// The schema of each output.
+    outputs: Vec<&'s Schema>,
     opt: OptLevel,
+}
+
+/// What one contiguous range of CTAs produced: its work quantities and, per
+/// output, its rows as a canonical relation.
+struct RangeRun {
+    q: KernelQuantities,
+    outputs: Vec<Relation>,
+}
+
+/// Fewest pivot rows per host worker thread. The value keeps operators of
+/// 16,384 rows and fewer (the query service's, the ad-hoc plans' and
+/// out-of-core chunks) on the calling thread, while TPC-H's 96,000-row
+/// operators split. The thread's own cost would allow far fewer rows: on a
+/// 2-vCPU Intel Xeon virtual machine a scoped thread's start and join took
+/// 39–51 µs, about what 250 rows of TPC-H Q1's fused operator take. But at
+/// 8,192 rows, which splits the service's operators, the repo benchmark's
+/// `service_open_loop` served 6–9% fewer requests per second, and
+/// `tpch_analytics` read no resolved difference.
+const MIN_ROWS_PER_WORKER: usize = 32_768;
+
+/// The host's hardware threads, read once per process: asking on every
+/// operator call costs more than a small operator's whole run.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Host workers for a grid of `grid` CTAs over `pivot_rows` pivot rows:
+/// at most one per hardware thread, per [`MIN_ROWS_PER_WORKER`] rows and per
+/// CTA, and at least one.
+fn workers_for(pivot_rows: usize, grid: usize) -> usize {
+    host_threads()
+        .min(pivot_rows / MIN_ROWS_PER_WORKER)
+        .min(grid)
+        .max(1)
+}
+
+/// CTAs shared by at most two workers: one takes them one at a time from
+/// the front and the other from the back. Each worker's CTAs therefore stay
+/// one contiguous range, while the faster worker takes more of them.
+struct Block {
+    ctas: Range<usize>,
+    /// CTAs taken from either end so far.
+    taken: AtomicUsize,
+}
+
+/// The CTAs one worker takes from one end of a [`Block`], in the order it
+/// takes them: ascending from the front, descending from the back.
+struct Claims<'b> {
+    block: &'b Block,
+    from_back: bool,
+    /// CTAs this worker has taken.
+    taken: usize,
+}
+
+impl Iterator for Claims<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let ctas = &self.block.ctas;
+        if self.block.taken.fetch_add(1, Ordering::Relaxed) >= ctas.len() {
+            return None;
+        }
+        self.taken += 1;
+        Some(if self.from_back {
+            ctas.end - self.taken
+        } else {
+            ctas.start + self.taken - 1
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.block.ctas.len() - self.taken))
+    }
+}
+
+/// Run CTAs `0..grid` on `workers` workers, each over the CTAs of one
+/// contiguous range, in the order it takes them. One worker takes
+/// `0..grid` in order. More take [`Claims`]: worker `w` works block
+/// `w / 2`, from the front when `w` is even and from the back when it is
+/// odd, and each block holds an equal share of CTAs per worker. The
+/// calling thread is worker 0 and scoped threads are the rest; a worker
+/// whose thread cannot start runs on the calling thread after worker 0.
+/// The result is every worker's value in the order of their ranges, or the
+/// outcome of the lowest range that failed, as a serial loop over the CTAs
+/// would end: its error is returned and its panic resumes on the caller. A
+/// worker stops at its first failing CTA while the other worker of its
+/// block goes on taking CTAs, so every CTA below the lowest failing one
+/// runs, and the lowest failing range holds the lowest failing CTA.
+fn in_ranges<T: Send>(
+    grid: usize,
+    workers: usize,
+    run: impl Fn(&mut dyn Iterator<Item = usize>) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let workers = workers.clamp(1, grid.max(1));
+    if workers == 1 {
+        return Ok(vec![run(&mut (0..grid))?]);
+    }
+    let blocks: Vec<Block> = (0..workers.div_ceil(2))
+        .map(|b| Block {
+            ctas: 2 * b * grid / workers..(2 * b + 2).min(workers) * grid / workers,
+            taken: AtomicUsize::new(0),
+        })
+        .collect();
+    let claims = |w: usize| Claims {
+        block: &blocks[w / 2],
+        from_back: w % 2 == 1,
+        taken: 0,
+    };
+    let outcomes: Vec<Mutex<Option<thread::Result<Result<T>>>>> =
+        (0..workers).map(|_| Mutex::new(None)).collect();
+    let work = |w: usize| {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(&mut claims(w))));
+        *outcomes[w].lock().expect("no lock holder panics") = Some(outcome);
+    };
+    let finished = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        let (work, finished) = (&work, &finished);
+        let unstarted: Vec<usize> = (1..workers)
+            .filter(|&w| {
+                let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                    work(w);
+                    finished.fetch_add(1, Ordering::Release);
+                });
+                spawned.is_err()
+            })
+            .collect();
+        work(0);
+        for &w in &unstarted {
+            work(w);
+        }
+        // Wait for the other workers awake, not asleep in a join: a thread
+        // that sleeps until a worker exits can take milliseconds to be
+        // scheduled again on a busy virtual machine. The workers take CTAs
+        // one at a time, so they end together and the wait is short. A
+        // worker counts itself finished (Release) after storing its
+        // outcome, panic included, and this load (Acquire) pairs with it;
+        // the scope then waits for each worker to return.
+        while finished.load(Ordering::Acquire) + unstarted.len() + 1 < workers {
+            thread::yield_now();
+        }
+    });
+    let mut values = Vec::with_capacity(workers);
+    for outcome in outcomes {
+        match outcome.into_inner().expect("no lock holder panics") {
+            Some(Ok(Ok(value))) => values.push(value),
+            Some(Ok(Err(e))) => return Err(e),
+            Some(Err(panic)) => panic::resume_unwind(panic),
+            None => unreachable!("every worker ran before the scope ended"),
+        }
+    }
+    Ok(values)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -221,6 +429,7 @@ fn execute_streaming(
     inferred: &crate::InferredSchemas,
     device: &mut Device,
     opt: OptLevel,
+    workers: Option<usize>,
 ) -> Result<ExecResult> {
     let resources = estimate_resources(op, inferred, opt)?;
     let threads = cta_threads(op, device);
@@ -258,6 +467,11 @@ fn execute_streaming(
     let stage = Stage {
         inputs,
         ranges: &ranges,
+        steps,
+        bound: steps
+            .iter()
+            .map(|step| bind_step(step, inferred))
+            .collect::<Result<_>>()?,
         info: decls
             .iter()
             .zip(&inferred.slots)
@@ -269,21 +483,23 @@ fn execute_streaming(
             })
             .collect(),
         last_read: last_reads(steps, decls.len()),
+        outputs: inferred
+            .outputs
+            .iter()
+            .enumerate()
+            .map(|(i, schema)| {
+                schema
+                    .as_ref()
+                    .ok_or_else(|| IrError::validation(format!("output {i} never stored")))
+            })
+            .collect::<Result<_>>()?,
         opt,
     };
-    let bound = steps
-        .iter()
-        .map(|step| bind_step(step, inferred))
-        .collect::<Result<Vec<_>>>()?;
+    let workers = workers.unwrap_or_else(|| workers_for(n_pivot, grid as usize));
+    let runs = in_ranges(grid as usize, workers, |ctas| stage.run_range(ctas))?;
     let mut q = KernelQuantities::default();
-    let mut out_words: Vec<Vec<u64>> = vec![Vec::new(); op.outputs];
-    let mut slots: Vec<Option<RtSlot>> = Vec::with_capacity(decls.len());
-    for cta in 0..grid as usize {
-        slots.clear();
-        slots.resize(decls.len(), None);
-        for (index, (step, bound)) in steps.iter().zip(&bound).enumerate() {
-            stage.exec_step(index, step, bound, cta, &mut slots, &mut q, &mut out_words)?;
-        }
+    for run in &runs {
+        q.merge(&run.q);
     }
     device.launch(format!("{}.compute", op.label), dims, resources, &q)?;
 
@@ -291,27 +507,24 @@ fn execute_streaming(
     // The compute stage keeps each CTA's results on chip and records their
     // sizes; gather prefix-sums the size array and performs the (single)
     // dense global write — which the Store steps above already charged. The
-    // gather kernel itself only touches the per-CTA size array. Sorting the
-    // concatenated CTA results restores canonical order.
+    // gather kernel itself only touches the per-CTA size array. Each CTA
+    // range sorted its own rows, so merging the ranges' parts restores
+    // canonical order.
+    let mut parts: Vec<Vec<Relation>> = (0..op.outputs)
+        .map(|_| Vec::with_capacity(runs.len()))
+        .collect();
+    for run in runs {
+        for (part, rel) in parts.iter_mut().zip(run.outputs) {
+            part.push(rel);
+        }
+    }
     let mut outputs = Vec::with_capacity(op.outputs);
     let mut gq = KernelQuantities::default();
-    for (i, words) in out_words.into_iter().enumerate() {
-        let schema = inferred.outputs[i]
-            .clone()
-            .ok_or_else(|| IrError::validation(format!("output {i} never stored")))?;
+    for (part, schema) in parts.into_iter().zip(&stage.outputs) {
         gq.global_bytes_read += u64::from(grid) * 8;
         gq.global_bytes_written += u64::from(grid) * 8;
         gq.alu_ops += u64::from(grid); // prefix sum over CTA result sizes
-
-        // Store grew the buffer by doubling, and the output outlives this
-        // call: give it an exact-size copy. (Shrinking it in place with
-        // `shrink_to_fit` raised the benchmark's peak RSS instead.)
-        let words = if words.capacity() > words.len() {
-            words.as_slice().to_vec()
-        } else {
-            words
-        };
-        outputs.push(Relation::from_words(schema, words)?);
+        outputs.push(Relation::merge((*schema).clone(), part)?);
     }
     device.launch(
         format!("{}.gather", op.label),
@@ -427,6 +640,57 @@ fn compute_partitions(
 }
 
 impl<'a> Stage<'a, '_> {
+    /// Run the step list over the CTAs `ctas` yields, then write each
+    /// output's rows once, in CTA order, into a buffer of exactly their
+    /// size, and sort them.
+    fn run_range(&self, ctas: &mut dyn Iterator<Item = usize>) -> Result<RangeRun> {
+        let mut q = KernelQuantities::default();
+        let most = ctas.size_hint().1.unwrap_or(0);
+        let mut stored: Vec<Vec<(usize, Tuples<'a>)>> = (0..self.outputs.len())
+            .map(|_| Vec::with_capacity(most))
+            .collect();
+        let mut slots: Vec<Option<RtSlot>> = Vec::with_capacity(self.info.len());
+        for cta in ctas {
+            slots.clear();
+            slots.resize(self.info.len(), None);
+            for (index, (step, bound)) in self.steps.iter().zip(&self.bound).enumerate() {
+                self.exec_step(index, step, bound, cta, &mut slots, &mut q, &mut stored)?;
+            }
+        }
+        let outputs = stored
+            .into_iter()
+            .zip(&self.outputs)
+            .map(|(mut parts, schema)| {
+                // A worker at the back of its block stored its CTAs last
+                // first.
+                parts.sort_by_key(|&(cta, _)| cta);
+                let mut words =
+                    Vec::with_capacity(parts.iter().map(|(_, t)| t.words().len()).sum());
+                for (_, part) in parts {
+                    words.extend_from_slice(part.words());
+                }
+                Relation::from_words((*schema).clone(), words)
+            })
+            .collect::<kw_relational::Result<_>>()?;
+        Ok(RangeRun { q, outputs })
+    }
+
+    /// The tuples of slot `src` for the step at `index`: taken when that
+    /// step is the slot's last reader, copied otherwise.
+    fn take_or_copy(
+        &self,
+        index: usize,
+        src: SlotId,
+        slots: &mut [Option<RtSlot<'a>>],
+    ) -> Tuples<'a> {
+        let slot = &mut slots[src.0];
+        if self.last_read[src.0] == Some(index) {
+            slot.take().expect("read by the step").tuples
+        } else {
+            slot.as_ref().expect("read by the step").tuples.clone()
+        }
+    }
+
     fn schema(&self, id: SlotId) -> Result<&Schema> {
         self.info[id.0]
             .schema
@@ -527,7 +791,7 @@ impl<'a> Stage<'a, '_> {
         cta: usize,
         slots: &mut [Option<RtSlot<'a>>],
         q: &mut KernelQuantities,
-        out_words: &mut [Vec<u64>],
+        stored: &mut [Vec<(usize, Tuples<'a>)>],
     ) -> Result<()> {
         let get = |id: SlotId| -> Result<&RtSlot<'a>> {
             slots[id.0]
@@ -730,15 +994,8 @@ impl<'a> Stage<'a, '_> {
                 q.alu_ops += 2 * s.lanes; // prefix-sum scan over allocated lanes
                 let rows = self.rows(*src, s);
                 self.charge_write(q, *dst, rows, rows);
-                // The source's last reader takes its rows; an earlier one
-                // copies them.
-                let tuples = if self.last_read[src.0] == Some(index) {
-                    slots[src.0].take().expect("read above").tuples
-                } else {
-                    s.tuples.clone()
-                };
                 let slot = RtSlot {
-                    tuples,
+                    tuples: self.take_or_copy(index, *src, slots),
                     lanes: rows,
                 };
                 (*dst, slot)
@@ -751,7 +1008,8 @@ impl<'a> Stage<'a, '_> {
                 let s = get(*src)?;
                 self.charge_read(q, *src, s);
                 q.global_bytes_written += self.rows(*src, s) * self.info[src.0].tuple_bytes;
-                out_words[*output].extend_from_slice(s.tuples.words());
+                let tuples = self.take_or_copy(index, *src, slots);
+                stored[*output].push((cta, tuples));
                 return Ok(());
             }
             (Step::Filter { .. } | Step::Compute { .. }, _) => {
@@ -890,7 +1148,9 @@ mod tests {
     use crate::{PartitionSpec, SlotDecl, SlotId};
     use kw_gpu_sim::DeviceConfig;
     use kw_relational::ops::AggFn;
-    use kw_relational::{gen, CmpOp, Predicate, Schema, Value};
+    use kw_relational::{gen, AttrType, CmpOp, Expr, Predicate, Schema, Value};
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     fn device() -> Device {
         Device::new(DeviceConfig::fermi_c2050())
@@ -932,12 +1192,13 @@ mod tests {
 
     #[test]
     fn compact_copies_a_source_that_a_later_step_reads() {
-        // The Compact's source is stored again after it, so the Compact must
-        // copy its rows rather than take them.
+        // The Compact's source is stored after it, and the first Store's
+        // source is stored again, so both must copy their source's rows
+        // rather than take them.
         let input = gen::micro_input(5_000, 21);
         let pred = Predicate::cmp(1, CmpOp::Lt, Value::U32(u32::MAX / 3));
         let mut op = select_op(input.schema().clone(), pred.clone());
-        op.outputs = 2;
+        op.outputs = 3;
         let OperatorBody::Streaming { steps, .. } = &mut op.body else {
             unreachable!("select_op is streaming")
         };
@@ -945,11 +1206,15 @@ mod tests {
             src: SlotId(1),
             output: 1,
         });
-        assert_eq!(last_reads(steps, 3), vec![Some(1), Some(5), Some(4)]);
+        steps.push(Step::Store {
+            src: SlotId(2),
+            output: 2,
+        });
+        assert_eq!(last_reads(steps, 3), vec![Some(1), Some(5), Some(6)]);
         let oracle = ops::select(&input, &pred).unwrap();
         for opt in [OptLevel::O0, OptLevel::O3] {
             let result = execute(&op, &[&input], &mut device(), opt).unwrap();
-            assert_eq!(result.outputs, vec![oracle.clone(), oracle.clone()]);
+            assert_eq!(result.outputs, vec![oracle.clone(); 3]);
         }
     }
 
@@ -1148,6 +1413,421 @@ mod tests {
         let mut dev = device();
         let result = execute(&op, &[&empty], &mut dev, OptLevel::O3).unwrap();
         assert!(result.outputs[0].is_empty());
+    }
+
+    /// What one run of an operator leaves behind: its outputs, its kernel
+    /// count, and the device's stats and spans.
+    type Run = (
+        Vec<Relation>,
+        u64,
+        kw_gpu_sim::SimStats,
+        Vec<kw_gpu_sim::Span>,
+    );
+
+    fn run_at(op: &GpuOperator, inputs: &[&Relation], opt: OptLevel, workers: usize) -> Run {
+        let mut dev = device();
+        let result = execute_with_workers(op, inputs, &mut dev, opt, Some(workers)).unwrap();
+        (
+            result.outputs,
+            result.kernels,
+            *dev.stats(),
+            dev.spans().to_vec(),
+        )
+    }
+
+    /// Run `op` at 1, 2 and 3 host workers and at one more than its CTAs,
+    /// at `-O0` and `-O3`: every run must equal the one-worker run. Returns
+    /// the one-worker `-O3` outputs.
+    fn assert_split_is_invisible(op: &GpuOperator, inputs: &[&Relation]) -> Vec<Relation> {
+        let pivot = match op.body {
+            OperatorBody::Streaming {
+                partition: PartitionSpec::KeyRange { pivot, .. },
+                ..
+            } => pivot,
+            _ => 0,
+        };
+        let grid = grid_for(inputs[pivot].len() as u64, op.threads_per_cta) as usize;
+        assert!(grid >= 4, "{}: {grid} CTAs split trivially", op.label);
+        let mut outputs = Vec::new();
+        for opt in [OptLevel::O0, OptLevel::O3] {
+            let serial = run_at(op, inputs, opt, 1);
+            for workers in [2, 3, grid + 1] {
+                let split = run_at(op, inputs, opt, workers);
+                assert!(
+                    split == serial,
+                    "{} at {workers} workers, {opt:?}, differs from one worker",
+                    op.label
+                );
+            }
+            outputs = serial.0;
+        }
+        outputs
+    }
+
+    fn slots(spaces: &[Space]) -> Vec<SlotDecl> {
+        spaces
+            .iter()
+            .enumerate()
+            .map(|(i, &space)| SlotDecl::new(format!("s{i}"), space))
+            .collect()
+    }
+
+    /// Load both inputs into shared memory, apply `step` (slots 0 and 1 to
+    /// slot 2) and store slot 2.
+    fn binary_op(l: &Relation, r: &Relation, step: Step, partition: PartitionSpec) -> GpuOperator {
+        GpuOperator::streaming(
+            "binary",
+            vec![l.schema().clone(), r.schema().clone()],
+            1,
+            slots(&[Space::Shared; 3]),
+            vec![
+                Step::Load {
+                    input: 0,
+                    dst: SlotId(0),
+                },
+                Step::Load {
+                    input: 1,
+                    dst: SlotId(1),
+                },
+                Step::Barrier,
+                step,
+                Step::Barrier,
+                Step::Store {
+                    src: SlotId(2),
+                    output: 0,
+                },
+            ],
+            partition,
+        )
+    }
+
+    #[test]
+    fn split_fused_select_project_compute_chain() {
+        let input = gen::micro_input(5_000, 3);
+        let pred = Predicate::cmp(1, CmpOp::Lt, Value::U32(u32::MAX / 3));
+        let op = GpuOperator::streaming(
+            "chain",
+            vec![input.schema().clone()],
+            1,
+            slots(&[
+                Space::Register,
+                Space::Register,
+                Space::Register,
+                Space::Register,
+                Space::Shared,
+            ]),
+            vec![
+                Step::Load {
+                    input: 0,
+                    dst: SlotId(0),
+                },
+                Step::Filter {
+                    src: SlotId(0),
+                    pred,
+                    dst: SlotId(1),
+                },
+                Step::Project {
+                    src: SlotId(1),
+                    attrs: vec![2, 0],
+                    key_arity: 1,
+                    dst: SlotId(2),
+                },
+                Step::Compute {
+                    src: SlotId(2),
+                    exprs: vec![
+                        Expr::attr(0).div(Expr::lit(u32::MAX / 7)),
+                        Expr::attr(1).add(Expr::attr(0)),
+                    ],
+                    key_arity: 1,
+                    dst: SlotId(3),
+                },
+                Step::Compact {
+                    src: SlotId(3),
+                    dst: SlotId(4),
+                },
+                Step::Barrier,
+                Step::Store {
+                    src: SlotId(4),
+                    output: 0,
+                },
+            ],
+            PartitionSpec::Even,
+        );
+        assert_split_is_invisible(&op, &[&input]);
+    }
+
+    #[test]
+    fn split_key_range_join() {
+        let (l, r) = gen::join_inputs(5_000, 2, 0.5, 7);
+        let step = Step::Join {
+            left: SlotId(0),
+            right: SlotId(1),
+            key_len: 1,
+            dst: SlotId(2),
+        };
+        let partition = PartitionSpec::KeyRange {
+            pivot: 0,
+            key_len: 1,
+        };
+        let outputs = assert_split_is_invisible(&binary_op(&l, &r, step, partition), &[&l, &r]);
+        assert_eq!(outputs, vec![ops::join(&l, &r, 1).unwrap()]);
+    }
+
+    #[test]
+    fn split_unique() {
+        // Projecting to one narrow column leaves many duplicates per CTA.
+        let input = gen::micro_input(5_000, 5);
+        let op = GpuOperator::streaming(
+            "unique",
+            vec![input.schema().clone()],
+            1,
+            slots(&[Space::Register, Space::Shared, Space::Shared]),
+            vec![
+                Step::Load {
+                    input: 0,
+                    dst: SlotId(0),
+                },
+                Step::Compute {
+                    src: SlotId(0),
+                    exprs: vec![Expr::attr(1).div(Expr::lit(u32::MAX / 16))],
+                    key_arity: 1,
+                    dst: SlotId(1),
+                },
+                Step::Barrier,
+                Step::Unique {
+                    src: SlotId(1),
+                    dst: SlotId(2),
+                },
+                Step::Barrier,
+                Step::Store {
+                    src: SlotId(2),
+                    output: 0,
+                },
+            ],
+            PartitionSpec::Even,
+        );
+        let outputs = assert_split_is_invisible(&op, &[&input]);
+        // Every CTA keeps its own distinct values, so the merge sees many
+        // ties across ranges.
+        assert!(outputs[0].len() > 16);
+    }
+
+    #[test]
+    fn split_two_output_pattern_d() {
+        // Pattern (d): two selections of one shared input, fused into one
+        // operator with one Load and two outputs.
+        let input = gen::micro_input(5_000, 13);
+        let (p0, p1) = (
+            Predicate::cmp(1, CmpOp::Lt, Value::U32(u32::MAX / 2)),
+            Predicate::cmp(2, CmpOp::Ge, Value::U32(u32::MAX / 4)),
+        );
+        let op = GpuOperator::streaming(
+            "pattern_d",
+            vec![input.schema().clone()],
+            2,
+            slots(&[
+                Space::Register,
+                Space::Register,
+                Space::Shared,
+                Space::Register,
+                Space::Shared,
+            ]),
+            vec![
+                Step::Load {
+                    input: 0,
+                    dst: SlotId(0),
+                },
+                Step::Filter {
+                    src: SlotId(0),
+                    pred: p0.clone(),
+                    dst: SlotId(1),
+                },
+                Step::Compact {
+                    src: SlotId(1),
+                    dst: SlotId(2),
+                },
+                Step::Filter {
+                    src: SlotId(0),
+                    pred: p1.clone(),
+                    dst: SlotId(3),
+                },
+                Step::Compact {
+                    src: SlotId(3),
+                    dst: SlotId(4),
+                },
+                Step::Barrier,
+                Step::Store {
+                    src: SlotId(2),
+                    output: 0,
+                },
+                Step::Store {
+                    src: SlotId(4),
+                    output: 1,
+                },
+            ],
+            PartitionSpec::Even,
+        );
+        let outputs = assert_split_is_invisible(&op, &[&input]);
+        let oracle = vec![
+            ops::select(&input, &p0).unwrap(),
+            ops::select(&input, &p1).unwrap(),
+        ];
+        assert_eq!(outputs, oracle);
+    }
+
+    #[test]
+    fn split_replicate_right_product() {
+        let (l, r) = (gen::micro_input(1_500, 2), gen::micro_input(12, 3));
+        let step = Step::Product {
+            left: SlotId(0),
+            right: SlotId(1),
+            dst: SlotId(2),
+        };
+        let op = binary_op(&l, &r, step, PartitionSpec::ReplicateRight);
+        let outputs = assert_split_is_invisible(&op, &[&l, &r]);
+        assert_eq!(outputs, vec![ops::product(&l, &r).unwrap()]);
+    }
+
+    #[test]
+    fn split_empty_input() {
+        // One CTA: every worker count runs it on the calling thread.
+        let empty = Relation::empty(Schema::uniform_u32(4));
+        let op = select_op(empty.schema().clone(), Predicate::True);
+        let serial = run_at(&op, &[&empty], OptLevel::O3, 1);
+        assert!(serial.0[0].is_empty());
+        for workers in [2, 3] {
+            assert!(run_at(&op, &[&empty], OptLevel::O3, workers) == serial);
+        }
+    }
+
+    #[test]
+    fn split_project_keeps_the_order_of_compare_equal_f32_rows() {
+        // F32 words that compare equal but differ in their high 32 bits:
+        // which of them comes first is visible in the output bytes, and
+        // rows of every CTA range tie with rows of the others.
+        let schema = Schema::new(vec![AttrType::U32, AttrType::U32, AttrType::F32], 1);
+        let mut rng = gen::rng(61);
+        use rand::Rng;
+        let words: Vec<u64> = (0..5_000)
+            .flat_map(|_| {
+                let high = [0u64, 1 << 32, 5 << 32][rng.gen_range(0..3)];
+                let low = [0x7fc0_0000, 0, 0x8000_0000, 0x3fc0_0000][rng.gen_range(0..4)];
+                [rng.gen_range(0..1_000), rng.gen_range(0..3), high | low]
+            })
+            .collect();
+        let input = Relation::from_words(schema.clone(), words).unwrap();
+        let op = GpuOperator::streaming(
+            "project",
+            vec![schema],
+            1,
+            slots(&[Space::Register, Space::Register]),
+            vec![
+                Step::Load {
+                    input: 0,
+                    dst: SlotId(0),
+                },
+                Step::Project {
+                    src: SlotId(0),
+                    attrs: vec![1, 2],
+                    key_arity: 1,
+                    dst: SlotId(1),
+                },
+                Step::Store {
+                    src: SlotId(1),
+                    output: 0,
+                },
+            ],
+            PartitionSpec::Even,
+        );
+        let outputs = assert_split_is_invisible(&op, &[&input]);
+        assert!(!equal_rows_are_identical(
+            outputs[0].schema(),
+            outputs[0].words()
+        ));
+    }
+
+    /// A worker that fails at CTA `fail_from` and at every later one and
+    /// panics at CTA `panic_at`, each time naming the CTA, and otherwise
+    /// returns the CTAs it took in ascending order.
+    fn failing(
+        fail_from: usize,
+        panic_at: usize,
+    ) -> impl Fn(&mut dyn Iterator<Item = usize>) -> Result<Vec<usize>> + Sync {
+        move |claims: &mut dyn Iterator<Item = usize>| {
+            let mut ctas = Vec::new();
+            for cta in claims {
+                if cta == panic_at {
+                    panic!("CTA {cta}");
+                }
+                if cta >= fail_from {
+                    return Err(IrError::validation(format!("CTA {cta}")));
+                }
+                ctas.push(cta);
+            }
+            ctas.sort_unstable();
+            Ok(ctas)
+        }
+    }
+
+    #[test]
+    fn in_ranges_splits_in_order_and_fails_like_a_serial_loop() {
+        for workers in [1, 2, 3, 4, 64] {
+            // One contiguous range per worker (at most one per CTA), in
+            // CTA order.
+            let ranges = in_ranges(10, workers, failing(usize::MAX, usize::MAX)).unwrap();
+            assert_eq!(ranges.len(), workers.min(10));
+            assert_eq!(ranges.concat(), (0..10).collect::<Vec<_>>());
+            // The lowest failing CTA's error is returned ...
+            let err = in_ranges(10, workers, failing(4, usize::MAX)).unwrap_err();
+            assert_eq!(err, IrError::validation("CTA 4"));
+            // ... also over a panic at a later CTA ...
+            let err = in_ranges(10, workers, failing(4, 7)).unwrap_err();
+            assert_eq!(err, IrError::validation("CTA 4"));
+            // ... and a panic at an earlier CTA resumes on the caller.
+            let panic = panic::catch_unwind(|| in_ranges(10, workers, failing(7, 4))).unwrap_err();
+            assert_eq!(panic.downcast_ref::<String>().unwrap(), "CTA 4");
+        }
+    }
+
+    #[test]
+    fn a_faster_worker_takes_more_ctas() {
+        // The worker at the front of the block holds CTA 0 until the
+        // worker at the back has run out of CTAs, so the back worker takes
+        // all the others. (The hold ends after ten seconds whatever
+        // happens, so that a thread that never starts cannot hang the
+        // test.)
+        let back_done = AtomicBool::new(false);
+        let ranges = in_ranges(10, 2, |claims: &mut dyn Iterator<Item = usize>| {
+            let mut ctas = Vec::new();
+            for cta in claims {
+                let held = Instant::now();
+                while cta == 0
+                    && !back_done.load(Ordering::Acquire)
+                    && held.elapsed() < Duration::from_secs(10)
+                {
+                    thread::yield_now();
+                }
+                ctas.push(cta);
+            }
+            if !ctas.contains(&0) {
+                back_done.store(true, Ordering::Release);
+            }
+            ctas.sort_unstable();
+            Ok(ctas)
+        })
+        .unwrap();
+        assert_eq!(ranges, vec![vec![0], (1..10).collect()]);
+    }
+
+    #[test]
+    fn workers_stay_within_rows_ctas_and_host_threads() {
+        assert_eq!(workers_for(0, 1), 1);
+        assert_eq!(workers_for(MIN_ROWS_PER_WORKER - 1, 1_000), 1);
+        assert_eq!(workers_for(16_384, 64), 1);
+        assert_eq!(workers_for(10 * MIN_ROWS_PER_WORKER, 1), 1);
+        let many = workers_for(usize::MAX, usize::MAX);
+        assert_eq!(many, host_threads());
+        assert_eq!(workers_for(2 * MIN_ROWS_PER_WORKER, 1_000), many.min(2));
     }
 
     #[test]

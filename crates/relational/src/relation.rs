@@ -122,6 +122,58 @@ impl Relation {
         Relation::from_words(schema, data)
     }
 
+    /// Merge relations of `schema` into one, in canonical order: a stable
+    /// k-way merge in which an earlier part wins ties. The result is
+    /// therefore [`Relation::from_words`] of the parts' concatenation, word
+    /// for word, even where rows that compare equal differ in bytes (F32
+    /// words with high bits set).
+    ///
+    /// The parts are merged pairwise, neighbour with neighbour, in
+    /// `⌈log2 k⌉` rounds; a pair whose later part starts at or after the
+    /// end of the earlier one is concatenated without comparisons. A single
+    /// part is returned as it is.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use kw_relational::{Relation, Schema};
+    /// let schema = Schema::uniform_u32(1);
+    /// let a = Relation::from_words(schema.clone(), vec![1, 4])?;
+    /// let b = Relation::from_words(schema.clone(), vec![2, 3])?;
+    /// assert_eq!(Relation::merge(schema, vec![a, b])?.words(), &[1, 2, 3, 4]);
+    /// # Ok::<(), kw_relational::RelationalError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationalError::SchemaMismatch`] if a part's schema is not
+    /// `schema`.
+    pub fn merge(schema: Schema, parts: Vec<Relation>) -> Result<Relation> {
+        if let Some(part) = parts.iter().find(|p| p.schema != schema) {
+            return Err(RelationalError::SchemaMismatch {
+                detail: format!("merging a {} part into {schema}", part.schema),
+            });
+        }
+        let mut runs: Vec<Vec<u64>> = parts
+            .into_iter()
+            .map(|p| p.data)
+            .filter(|d| !d.is_empty())
+            .collect();
+        while runs.len() > 1 {
+            let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+            let mut pairs = runs.into_iter();
+            while let Some(first) = pairs.next() {
+                merged.push(match pairs.next() {
+                    Some(second) => merge_runs(&schema, &first, &second),
+                    None => first,
+                });
+            }
+            runs = merged;
+        }
+        let data = runs.pop().unwrap_or_default();
+        Ok(Relation::from_canonical_words(schema, data))
+    }
+
     /// The schema of this relation.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -632,6 +684,38 @@ fn f32_from_order_image(w: u64) -> u64 {
     u64::from(if b >> 31 == 1 { b & 0x7fff_ffff } else { !b })
 }
 
+/// Merge two runs of canonical rows of `schema` into one buffer of exactly
+/// their size; on ties the row of `first` goes first.
+fn merge_runs(schema: &Schema, first: &[u64], second: &[u64]) -> Vec<u64> {
+    let arity = schema.arity();
+    // Without F32 attributes, canonical order is the rows' integer order.
+    let plain = f32_attrs(schema).is_empty();
+    let below = |a: &[u64], b: &[u64]| {
+        if plain {
+            a < b
+        } else {
+            compare_tuples(schema, a, b) == Ordering::Less
+        }
+    };
+    let mut out = Vec::with_capacity(first.len() + second.len());
+    let (mut i, mut j) = (0, 0);
+    if below(&second[..arity], &first[first.len() - arity..]) {
+        while i < first.len() && j < second.len() {
+            let (a, b) = (&first[i..i + arity], &second[j..j + arity]);
+            if below(b, a) {
+                out.extend_from_slice(b);
+                j += arity;
+            } else {
+                out.extend_from_slice(a);
+                i += arity;
+            }
+        }
+    }
+    out.extend_from_slice(&first[i..]);
+    out.extend_from_slice(&second[j..]);
+    out
+}
+
 /// Stable sort under [`compare_tuples`], through a permutation of row
 /// indices: exact even when rows that compare equal differ in bytes.
 fn sort_by_comparator(schema: &Schema, data: &mut Vec<u64>) {
@@ -897,6 +981,63 @@ pub(crate) mod tests {
             }
             prop_assert_eq!(rows, rel.len());
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Merging 1-8 canonical parts gives `from_words` of their
+        /// concatenation, word for word: parts that interleave (each row
+        /// dealt to a random part) or do not overlap (the sorted rows cut
+        /// at random points, in either order), empty parts, duplicates and
+        /// compare-equal F32 rows that differ in their high bits.
+        #[test]
+        fn prop_merge_is_from_words_of_the_concatenation(
+            (schema, words) in Rows,
+            seed in any::<u32>(),
+        ) {
+            let mut rng = TestRng::for_case("parts", seed);
+            let arity = schema.arity();
+            let k = rng.usize_in(1, 9);
+            let mut dealt = vec![Vec::new(); k];
+            if rng.usize_in(0, 2) == 0 {
+                for row in words.chunks_exact(arity) {
+                    dealt[rng.usize_in(0, k)].extend_from_slice(row);
+                }
+            } else {
+                let sorted = Relation::from_words(schema.clone(), words.clone()).unwrap();
+                let mut cuts: Vec<usize> =
+                    (1..k).map(|_| rng.usize_in(0, sorted.len() + 1)).collect();
+                cuts.push(0);
+                cuts.push(sorted.len());
+                cuts.sort_unstable();
+                for (part, cut) in dealt.iter_mut().zip(cuts.windows(2)) {
+                    part.extend_from_slice(sorted.view().slice(cut[0], cut[1]).words());
+                }
+                if rng.usize_in(0, 2) == 0 {
+                    dealt.reverse();
+                }
+            }
+            let parts: Vec<Relation> = dealt
+                .into_iter()
+                .map(|w| Relation::from_words(schema.clone(), w).unwrap())
+                .collect();
+            let concatenated: Vec<u64> = parts.iter().flat_map(|p| p.words().to_vec()).collect();
+            let expected = Relation::from_words(schema.clone(), concatenated).unwrap();
+            let merged = Relation::merge(schema.clone(), parts).unwrap();
+            prop_assert_eq!(merged.words(), expected.words());
+        }
+    }
+
+    #[test]
+    fn merge_rejects_a_part_of_another_schema() {
+        let part = Relation::from_words(Schema::uniform_u32(1), vec![1]).unwrap();
+        let err = Relation::merge(schema2(), vec![part]).unwrap_err();
+        assert!(matches!(err, RelationalError::SchemaMismatch { .. }));
+        assert_eq!(
+            Relation::merge(schema2(), Vec::new()).unwrap(),
+            Relation::empty(schema2())
+        );
     }
 
     /// The reference [`keep_rows`] must reproduce: the kept rows, one at a
