@@ -28,6 +28,16 @@ cargo build --release --workspace
 echo "== cargo test -q"
 cargo test --workspace -q
 
+echo "== kw-kernel-ir unit tests, ten more runs"
+# The step interpreter runs a large grid's CTAs on several host threads,
+# and the tests of its claim protocol run real threads alongside the rest
+# of the binary. A test whose outcome depends on how the OS schedules them
+# then fails here, not in a later run by chance.
+for run in $(seq 10); do
+    echo "run $run of 10"
+    cargo test -q -p kw-kernel-ir --lib
+done
+
 echo "== cargo test --release -q (kw-relational, kw-kernel-ir)"
 # The test profile builds at opt-level 1, but the block evaluators and the
 # row copies of these two crates are loops the release optimizer vectorizes

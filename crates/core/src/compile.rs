@@ -4,14 +4,17 @@
 //! This is the full Kernel Weaver pipeline of Figure 5: candidate discovery
 //! (Algorithm 1) → greedy selection under resource budgets (Algorithm 2) →
 //! weaving/code generation → classic compiler optimization over the fused
-//! bodies.
+//! bodies. Algorithm 2 prices each set it tries by weaving it, so it hands
+//! each chosen set's woven operator, with the schemas weaving inferred, on
+//! to the optimizer: each fused set is woven and its schemas inferred once.
 
-use kw_kernel_ir::{optimize, GpuOperator, OptLevel, DEFAULT_THREADS_PER_CTA};
+use kw_kernel_ir::{optimize, optimize_inferred, GpuOperator, OptLevel, DEFAULT_THREADS_PER_CTA};
 use kw_primitives::build_unfused;
 
+use crate::selection::select_woven;
 use crate::{
-    find_candidates, select_fusions, weave, ExecMode, FusionOptions, NodeId, PlanNode, QueryPlan,
-    ResourceBudget, Result, WeaverError,
+    find_candidates, ExecMode, FusionOptions, NodeId, PlanNode, QueryPlan, ResourceBudget, Result,
+    WeaverError,
 };
 
 /// Configuration of the Kernel Weaver compiler and executor.
@@ -122,8 +125,11 @@ impl CompiledPlan {
 pub fn compile(plan: &QueryPlan, config: &WeaverConfig) -> Result<CompiledPlan> {
     plan.validate()?;
 
-    // Fusion decisions.
+    // Fusion decisions, and a step per fused set: Algorithm 2 hands over
+    // each set of two or more nodes with the operator its last admitted
+    // attempt wove, which is only optimized here.
     let mut fusion_sets: Vec<Vec<NodeId>> = Vec::new();
+    let mut steps: Vec<CompiledStep> = Vec::new();
     if config.fusion {
         let groups = find_candidates(
             plan,
@@ -132,24 +138,22 @@ pub fn compile(plan: &QueryPlan, config: &WeaverConfig) -> Result<CompiledPlan> 
             },
         );
         for group in groups {
-            let sets = select_fusions(plan, &group, config.budget, config.threads_per_cta)?;
-            fusion_sets.extend(sets.into_iter().filter(|s| s.len() >= 2));
+            for set in select_woven(plan, &group, config.budget, config.threads_per_cta) {
+                let Some(woven) = set.woven else { continue };
+                let (op, _) = optimize_inferred(woven.op, &woven.schemas, config.opt)?;
+                steps.push(CompiledStep {
+                    op,
+                    inputs: woven.external_inputs,
+                    outputs: woven.stored_nodes,
+                    fused: true,
+                });
+                fusion_sets.push(set.nodes);
+            }
         }
     }
     let in_fused = |n: NodeId| fusion_sets.iter().any(|s| s.contains(&n));
 
-    // Build steps.
-    let mut steps: Vec<CompiledStep> = Vec::new();
-    for set in &fusion_sets {
-        let woven = weave(plan, set, config.threads_per_cta)?;
-        let (op, _) = optimize(&woven.op, config.opt)?;
-        steps.push(CompiledStep {
-            op,
-            inputs: woven.external_inputs,
-            outputs: woven.stored_nodes,
-            fused: true,
-        });
-    }
+    // A step per unfused node.
     for (id, op, producers) in plan.operator_nodes() {
         if in_fused(id) {
             continue;
@@ -220,6 +224,25 @@ mod tests {
         let base = compile(&p, &WeaverConfig::default().baseline()).unwrap();
         assert_eq!(base.steps.len(), 3);
         assert!(base.fusion_sets.is_empty());
+    }
+
+    #[test]
+    fn each_fused_set_is_woven_once() {
+        // Algorithm 2 weaves {a, b}, {a, b, c} and {a, b, c, d} to price
+        // them, and code generation takes the last of them as it is.
+        let mut p = QueryPlan::new();
+        let t = p.add_input("t", Schema::uniform_u32(4));
+        let mut chain = vec![t];
+        for attr in 0..4 {
+            chain.push(p.add_op(sel(attr), &chain[attr..=attr]).unwrap());
+        }
+        p.mark_output(chain[4]);
+
+        let weaves = || crate::weave::WEAVES.with(std::cell::Cell::get);
+        let before = weaves();
+        let c = compile(&p, &WeaverConfig::default()).unwrap();
+        assert_eq!(c.fusion_sets, vec![chain[1..].to_vec()]);
+        assert_eq!(weaves() - before, 3);
     }
 
     #[test]

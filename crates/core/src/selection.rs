@@ -9,9 +9,9 @@
 //! candidate does not fit, the current set is closed and a new one starts.
 
 use kw_gpu_sim::DeviceConfig;
-use kw_kernel_ir::{estimate_resources, infer_schemas, OptLevel};
+use kw_kernel_ir::{estimate_resources, OptLevel};
 
-use crate::{weave, NodeId, QueryPlan, Result};
+use crate::{weave, NodeId, QueryPlan, Result, WovenOperator};
 
 /// Per-kernel resource budget Algorithm 2 enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,45 +61,76 @@ pub fn select_fusions(
     budget: ResourceBudget,
     threads_per_cta: u32,
 ) -> Result<Vec<Vec<NodeId>>> {
-    let mut sets: Vec<Vec<NodeId>> = Vec::new();
-    let mut current: Vec<NodeId> = Vec::new();
+    Ok(select_woven(plan, group, budget, threads_per_cta)
+        .into_iter()
+        .map(|set| set.nodes)
+        .collect())
+}
 
-    for &n in group {
-        if current.is_empty() {
-            current.push(n);
-            continue;
-        }
+/// One fusion set Algorithm 2 chose.
+pub(crate) struct FusionSet {
+    /// The set's plan nodes, in topological order.
+    pub(crate) nodes: Vec<NodeId>,
+    /// For a set of two or more nodes, the operator its last admitted
+    /// attempt wove: code generation for the set itself.
+    pub(crate) woven: Option<WovenOperator>,
+}
+
+/// [`select_fusions`], keeping the operator each set's last admitted
+/// attempt wove.
+pub(crate) fn select_woven(
+    plan: &QueryPlan,
+    group: &[NodeId],
+    budget: ResourceBudget,
+    threads_per_cta: u32,
+) -> Vec<FusionSet> {
+    let single = |n: NodeId| FusionSet {
+        nodes: vec![n],
+        woven: None,
+    };
+    let mut sets: Vec<FusionSet> = Vec::new();
+    let Some((&first, rest)) = group.split_first() else {
+        return sets;
+    };
+    let mut current = single(first);
+    for &n in rest {
         // All in-group producers of `n` must be in the current set.
         let producers_ok = plan
             .producers(n)
             .iter()
             .filter(|p| group.contains(p))
-            .all(|p| current.contains(p));
+            .all(|p| current.nodes.contains(p));
 
-        let mut attempt = current.clone();
+        let mut attempt = current.nodes.clone();
         attempt.push(n);
-        let fits = producers_ok && fused_fits(plan, &attempt, budget, threads_per_cta);
-        if fits {
-            current = attempt;
+        let woven = if producers_ok {
+            woven_within(plan, &attempt, budget, threads_per_cta)
         } else {
-            sets.push(std::mem::take(&mut current));
-            current.push(n);
+            None
+        };
+        match woven {
+            Some(woven) => {
+                current = FusionSet {
+                    nodes: attempt,
+                    woven: Some(woven),
+                }
+            }
+            None => sets.push(std::mem::replace(&mut current, single(n))),
         }
     }
-    if !current.is_empty() {
-        sets.push(current);
-    }
-    Ok(sets)
+    sets.push(current);
+    sets
 }
 
-/// Whether the woven fusion of `set` fits `budget` (a set that fails to
-/// weave at all — e.g. disconnected after splitting — also does not fit).
-fn fused_fits(
+/// The woven fusion of `set` if it fits `budget` (a set that fails to
+/// weave at all — e.g. disconnected after splitting — does not fit). The
+/// resources are estimated from the schemas weaving inferred.
+fn woven_within(
     plan: &QueryPlan,
     set: &[NodeId],
     budget: ResourceBudget,
     threads_per_cta: u32,
-) -> bool {
+) -> Option<WovenOperator> {
     // Scheduling acyclicity: no external input of the fused kernel may
     // transitively depend on a member of the set (that happens when a
     // kernel-dependent operator sits on a path *between* two candidates —
@@ -110,19 +141,12 @@ fn fused_fits(
         .filter(|p| !set.contains(p))
         .collect();
     if external.iter().any(|&p| depends_on_any(plan, p, set)) {
-        return false;
+        return None;
     }
 
-    let Ok(woven) = weave(plan, set, threads_per_cta) else {
-        return false;
-    };
-    let Ok(inferred) = infer_schemas(&woven.op) else {
-        return false;
-    };
-    let Ok(res) = estimate_resources(&woven.op, &inferred, OptLevel::O3) else {
-        return false;
-    };
-    budget.admits(res)
+    let woven = weave(plan, set, threads_per_cta).ok()?;
+    let res = estimate_resources(&woven.op, &woven.schemas, OptLevel::O3).ok()?;
+    budget.admits(res).then_some(woven)
 }
 
 /// Whether `node` transitively depends on any node in `targets`.

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use kw_kernel_ir::{GpuOperator, PartitionSpec, SlotDecl, SlotId, Space, Step};
+use kw_kernel_ir::{GpuOperator, InferredSchemas, PartitionSpec, SlotDecl, SlotId, Space, Step};
 use kw_primitives::{consumer_class, op_step, DependenceClass, RaOp};
 
 use crate::{is_weavable, NodeId, PlanNode, QueryPlan, Result, WeaverError};
@@ -27,10 +27,19 @@ use crate::{is_weavable, NodeId, PlanNode, QueryPlan, Result, WeaverError};
 pub struct WovenOperator {
     /// The generated fused operator.
     pub op: GpuOperator,
+    /// The schemas of `op`'s slots and outputs, as validating it inferred
+    /// them.
+    pub schemas: InferredSchemas,
     /// Plan nodes bound to the operator inputs, in input order.
     pub external_inputs: Vec<NodeId>,
     /// Plan nodes whose results the operator outputs, in output order.
     pub stored_nodes: Vec<NodeId>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`weave`] on this thread.
+    pub(crate) static WEAVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Weave the plan nodes `set` into one fused operator.
@@ -44,6 +53,8 @@ pub struct WovenOperator {
 /// Returns [`WeaverError`] if the set contains non-weavable operators or
 /// the generated IR fails validation.
 pub fn weave(plan: &QueryPlan, set: &[NodeId], threads_per_cta: u32) -> Result<WovenOperator> {
+    #[cfg(test)]
+    WEAVES.with(|w| w.set(w.get() + 1));
     if set.is_empty() {
         return Err(WeaverError::plan("cannot weave an empty set"));
     }
@@ -244,10 +255,11 @@ pub fn weave(plan: &QueryPlan, set: &[NodeId], threads_per_cta: u32) -> Result<W
         partition,
     );
     gpu.threads_per_cta = threads_per_cta;
-    kw_kernel_ir::validate(&gpu)?;
+    let schemas = kw_kernel_ir::validate(&gpu)?;
 
     Ok(WovenOperator {
         op: gpu,
+        schemas,
         external_inputs,
         stored_nodes,
     })

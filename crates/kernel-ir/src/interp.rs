@@ -70,11 +70,13 @@
 //! than the other) takes more of them instead of waiting for the slower
 //! one.
 //! Each worker keeps its own slots and [`KernelQuantities`], and Store
-//! collects each CTA's rows per output. At the end of its range every
-//! output is written once, in CTA order, into a buffer of its exact size
-//! and sorted into a canonical relation. The calling thread waits for the
-//! other workers awake rather than asleep, as a sleeping thread can take
-//! milliseconds to be scheduled again on a busy virtual machine. The
+//! collects each CTA's rows per output in the order the worker took the
+//! CTAs. At the end of its range every output is written once, in CTA
+//! order (a worker that took its CTAs from the back reverses its parts
+//! first), into a buffer of its exact size and sorted into a canonical
+//! relation. The calling thread waits for the other workers awake rather
+//! than asleep, as a sleeping thread can take milliseconds to be
+//! scheduled again on a busy virtual machine. The
 //! gather sums the ranges' quantities and merges each output's parts with
 //! [`Relation::merge`], a stable merge in which the earlier range wins
 //! ties, which is exactly the stable sort of the concatenated CTA results
@@ -646,27 +648,32 @@ impl<'a> Stage<'a, '_> {
     fn run_range(&self, ctas: &mut dyn Iterator<Item = usize>) -> Result<RangeRun> {
         let mut q = KernelQuantities::default();
         let most = ctas.size_hint().1.unwrap_or(0);
-        let mut stored: Vec<Vec<(usize, Tuples<'a>)>> = (0..self.outputs.len())
+        let mut stored: Vec<Vec<Tuples<'a>>> = (0..self.outputs.len())
             .map(|_| Vec::with_capacity(most))
             .collect();
         let mut slots: Vec<Option<RtSlot>> = Vec::with_capacity(self.info.len());
+        let (mut first, mut last) = (None, 0);
         for cta in ctas {
+            first.get_or_insert(cta);
+            last = cta;
             slots.clear();
             slots.resize(self.info.len(), None);
             for (index, (step, bound)) in self.steps.iter().zip(&self.bound).enumerate() {
                 self.exec_step(index, step, bound, cta, &mut slots, &mut q, &mut stored)?;
             }
         }
+        // Store kept each output's parts in the order the CTAs were taken,
+        // which a worker at the back of its block took last first.
+        let descended = first.is_some_and(|first| last < first);
         let outputs = stored
             .into_iter()
             .zip(&self.outputs)
             .map(|(mut parts, schema)| {
-                // A worker at the back of its block stored its CTAs last
-                // first.
-                parts.sort_by_key(|&(cta, _)| cta);
-                let mut words =
-                    Vec::with_capacity(parts.iter().map(|(_, t)| t.words().len()).sum());
-                for (_, part) in parts {
+                if descended {
+                    parts.reverse();
+                }
+                let mut words = Vec::with_capacity(parts.iter().map(|t| t.words().len()).sum());
+                for part in parts {
                     words.extend_from_slice(part.words());
                 }
                 Relation::from_words((*schema).clone(), words)
@@ -791,7 +798,7 @@ impl<'a> Stage<'a, '_> {
         cta: usize,
         slots: &mut [Option<RtSlot<'a>>],
         q: &mut KernelQuantities,
-        stored: &mut [Vec<(usize, Tuples<'a>)>],
+        stored: &mut [Vec<Tuples<'a>>],
     ) -> Result<()> {
         let get = |id: SlotId| -> Result<&RtSlot<'a>> {
             slots[id.0]
@@ -804,7 +811,6 @@ impl<'a> Stage<'a, '_> {
         if self.opt == OptLevel::O0 {
             let processed: u64 = step
                 .sources()
-                .into_iter()
                 .filter_map(|id| slots[id.0].as_ref().map(|s| self.rows(id, s)))
                 .sum();
             q.global_bytes_read += processed * O0_SPILL_BYTES;
@@ -1009,7 +1015,7 @@ impl<'a> Stage<'a, '_> {
                 self.charge_read(q, *src, s);
                 q.global_bytes_written += self.rows(*src, s) * self.info[src.0].tuple_bytes;
                 let tuples = self.take_or_copy(index, *src, slots);
-                stored[*output].push((cta, tuples));
+                stored[*output].push(tuples);
                 return Ok(());
             }
             (Step::Filter { .. } | Step::Compute { .. }, _) => {
@@ -1793,19 +1799,26 @@ mod tests {
     fn a_faster_worker_takes_more_ctas() {
         // The worker at the front of the block holds CTA 0 until the
         // worker at the back has run out of CTAs, so the back worker takes
-        // all the others. (The hold ends after ten seconds whatever
-        // happens, so that a thread that never starts cannot hang the
-        // test.)
-        let back_done = AtomicBool::new(false);
+        // all the others. The back worker, after its first CTA, waits
+        // until CTA 0 has been taken, so that it cannot take CTA 0 itself
+        // however the threads are scheduled. (Each wait ends after ten
+        // seconds whatever happens, so that a thread that never starts
+        // cannot hang the test.)
+        let wait_for = |done: &AtomicBool| {
+            let since = Instant::now();
+            while !done.load(Ordering::Acquire) && since.elapsed() < Duration::from_secs(10) {
+                thread::yield_now();
+            }
+        };
+        let (zero_taken, back_done) = (AtomicBool::new(false), AtomicBool::new(false));
         let ranges = in_ranges(10, 2, |claims: &mut dyn Iterator<Item = usize>| {
             let mut ctas = Vec::new();
             for cta in claims {
-                let held = Instant::now();
-                while cta == 0
-                    && !back_done.load(Ordering::Acquire)
-                    && held.elapsed() < Duration::from_secs(10)
-                {
-                    thread::yield_now();
+                if cta == 0 {
+                    zero_taken.store(true, Ordering::Release);
+                    wait_for(&back_done);
+                } else if ctas.is_empty() {
+                    wait_for(&zero_taken);
                 }
                 ctas.push(cta);
             }

@@ -73,7 +73,7 @@ pub use interp::{execute, ExecResult, MAX_GRID_CTAS, SORT_PASSES_PER_ATTR};
 pub use operator::{GpuOperator, OperatorBody, PartitionSpec, DEFAULT_THREADS_PER_CTA};
 pub use opt::{
     combine_filters, eliminate_common_steps, eliminate_dead_steps, fold_constants, optimize,
-    simplify_barriers, OptLevel, PassStats,
+    optimize_inferred, simplify_barriers, OptLevel, PassStats,
 };
 pub use resources::{estimate_resources, tuple_registers, BASE_REGISTERS, SHARED_SLOT_OVERHEAD};
 pub use step::{SetOpKind, SlotDecl, SlotId, Space, Step};

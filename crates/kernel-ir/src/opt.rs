@@ -18,7 +18,7 @@
 //! register reuse. That reproduces Figure 19's observation that fused
 //! kernels benefit *more* from optimization than unfused ones.
 
-use crate::{infer_schemas, validate, GpuOperator, OperatorBody, Result, Step};
+use crate::{infer_schemas, validate, GpuOperator, InferredSchemas, OperatorBody, Result, Step};
 
 /// Optimization level for code generation and execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -79,30 +79,47 @@ impl PassStats {
 /// # Ok::<(), kw_kernel_ir::IrError>(())
 /// ```
 pub fn optimize(op: &GpuOperator, level: OptLevel) -> Result<(GpuOperator, PassStats)> {
-    let mut out = op.clone();
+    if level == OptLevel::O0 || !op.body.is_streaming() {
+        return Ok((op.clone(), PassStats::default()));
+    }
+    optimize_inferred(op.clone(), &validate(op)?, level)
+}
+
+/// [`optimize`] for an operator whose schemas are known: `inferred` must be
+/// what [`validate`] returned for `op`, as the weaver keeps it. The input
+/// is not validated again; the output still is.
+///
+/// # Errors
+///
+/// Returns [`crate::IrError`] if the output fails validation, an internal
+/// invariant.
+pub fn optimize_inferred(
+    mut op: GpuOperator,
+    inferred: &InferredSchemas,
+    level: OptLevel,
+) -> Result<(GpuOperator, PassStats)> {
     let mut stats = PassStats::default();
     if level == OptLevel::O0 || !op.body.is_streaming() {
-        return Ok((out, stats));
+        return Ok((op, stats));
     }
-    validate(&out)?;
 
-    stats.constants_folded += fold_constants(&mut out)?;
+    stats.constants_folded += fold_inferred(&mut op, inferred);
     loop {
         let mut changed = 0;
-        changed += combine_filters(&mut out);
+        changed += combine_filters(&mut op);
         stats.filters_combined += changed;
-        let dedup = eliminate_common_steps(&mut out);
+        let dedup = eliminate_common_steps(&mut op);
         stats.steps_deduplicated += dedup;
         changed += dedup;
         if changed == 0 {
             break;
         }
     }
-    stats.dead_steps_removed += eliminate_dead_steps(&mut out);
-    stats.barriers_removed += simplify_barriers(&mut out);
+    stats.dead_steps_removed += eliminate_dead_steps(&mut op);
+    stats.barriers_removed += simplify_barriers(&mut op);
 
-    validate(&out)?;
-    Ok((out, stats))
+    validate(&op)?;
+    Ok((op, stats))
 }
 
 fn steps_mut(op: &mut GpuOperator) -> &mut Vec<Step> {
@@ -114,25 +131,21 @@ fn steps_mut(op: &mut GpuOperator) -> &mut Vec<Step> {
 
 /// Fold constant sub-expressions in every Compute step. Returns the number
 /// of expressions that shrank.
+///
+/// # Errors
+///
+/// Returns [`crate::IrError`] if `op`'s schemas cannot be inferred.
 pub fn fold_constants(op: &mut GpuOperator) -> Result<usize> {
     let inferred = infer_schemas(op)?;
+    Ok(fold_inferred(op, &inferred))
+}
+
+/// [`fold_constants`] over `op`'s known schemas.
+fn fold_inferred(op: &mut GpuOperator, inferred: &InferredSchemas) -> usize {
     let mut folded = 0;
-    // Collect source schemas first to avoid borrowing conflicts.
-    let src_schemas: Vec<Option<kw_relational::Schema>> = op
-        .steps()
-        .map(|steps| {
-            steps
-                .iter()
-                .map(|s| match s {
-                    Step::Compute { src, .. } => inferred.slots.get(src.0).and_then(|x| x.clone()),
-                    _ => None,
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    for (i, step) in steps_mut(op).iter_mut().enumerate() {
-        if let Step::Compute { exprs, .. } = step {
-            if let Some(Some(schema)) = src_schemas.get(i) {
+    for step in steps_mut(op) {
+        if let Step::Compute { src, exprs, .. } = step {
+            if let Some(Some(schema)) = inferred.slots.get(src.0) {
                 for e in exprs.iter_mut() {
                     let f = e.fold_constants(schema);
                     if f.alu_ops() < e.alu_ops() {
@@ -143,7 +156,7 @@ pub fn fold_constants(op: &mut GpuOperator) -> Result<usize> {
             }
         }
     }
-    Ok(folded)
+    folded
 }
 
 fn use_counts(steps: &[Step], slot_count: usize) -> Vec<usize> {

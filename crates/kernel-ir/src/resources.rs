@@ -11,6 +11,8 @@
 //! its registers for the whole kernel), which is how fusion's larger bodies
 //! lose occupancy without optimization (Figure 19's counterpoint).
 
+use std::ops::{AddAssign, SubAssign};
+
 use kw_gpu_sim::KernelResources;
 use kw_relational::{AttrType, Schema};
 
@@ -58,7 +60,33 @@ fn step_scratch(step: &Step) -> u32 {
     }
 }
 
+/// A slot's demand on the two budgets Algorithm 2 enforces.
+#[derive(Debug, Clone, Copy, Default)]
+struct Demand {
+    shared: u64,
+    registers: u32,
+}
+
+impl AddAssign for Demand {
+    fn add_assign(&mut self, other: Demand) {
+        self.shared += other.shared;
+        self.registers += other.registers;
+    }
+}
+
+impl SubAssign for Demand {
+    fn sub_assign(&mut self, other: Demand) {
+        self.shared -= other.shared;
+        self.registers -= other.registers;
+    }
+}
+
 /// Estimate the kernel resources of `op`.
+///
+/// One pass over the steps finds each slot's live range, from the first
+/// step that defines it to the last that reads it, and the largest
+/// per-step scratch; each used slot's demand is computed once; and at
+/// [`OptLevel::O3`] one sweep over the steps finds the largest live sets.
 ///
 /// # Errors
 ///
@@ -77,122 +105,77 @@ pub fn estimate_resources(
         });
     };
 
-    // Which slots are actually referenced.
-    let mut used = vec![false; slots.len()];
-    for step in steps {
+    // Per slot, the first step that defines it and the last that reads it.
+    let mut ranges: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); slots.len()];
+    let mut scratch = 0;
+    for (idx, step) in steps.iter().enumerate() {
         for s in step.sources() {
-            used[s.0] = true;
+            ranges[s.0].1 = Some(idx);
         }
         if let Some(d) = step.dest() {
-            used[d.0] = true;
+            ranges[d.0].0.get_or_insert(idx);
         }
+        scratch = scratch.max(step_scratch(step));
     }
 
-    // Shared memory: a tile of threads_per_cta tuples per used shared slot.
-    // At -O3 the allocator reuses tiles whose slots are dead (the paper's
-    // §4.3.3: "variables ... are live until they are no longer needed"), so
-    // the demand is the maximum *live* set; at -O0 every slot holds its
-    // tile for the whole kernel.
-    let tile_bytes = |i: usize| -> Result<u64> {
-        let schema = inferred
-            .slots
-            .get(i)
-            .and_then(|s| s.as_ref())
-            .ok_or_else(|| IrError::validation(format!("shared slot %{i} has no schema")))?;
-        Ok(u64::from(op.threads_per_cta) * schema.tuple_bytes() as u64
-            + u64::from(SHARED_SLOT_OVERHEAD))
-    };
-    let shared_slots: Vec<usize> = (0..slots.len())
-        .filter(|&i| used[i] && slots[i].space == Space::Shared)
-        .collect();
-    let shared: u64 = match opt {
-        OptLevel::O0 => {
-            let mut sum = 0;
-            for &i in &shared_slots {
-                sum += tile_bytes(i)?;
-            }
-            sum
-        }
-        OptLevel::O3 => {
-            let mut def = vec![usize::MAX; slots.len()];
-            let mut last_use = vec![0usize; slots.len()];
-            for (idx, step) in steps.iter().enumerate() {
-                if let Some(d) = step.dest() {
-                    def[d.0] = def[d.0].min(idx);
-                }
-                for s in step.sources() {
-                    last_use[s.0] = last_use[s.0].max(idx);
-                }
-            }
-            let mut max_live = 0u64;
-            for idx in 0..steps.len() {
-                let mut live = 0u64;
-                for &i in &shared_slots {
-                    if def[i] <= idx && last_use[i] >= idx {
-                        live += tile_bytes(i)?;
-                    }
-                }
-                max_live = max_live.max(live);
-            }
-            max_live
-        }
-    };
-
-    // Registers.
-    let width = |i: usize| -> Result<u32> {
+    // Each referenced slot's demand: a shared slot holds a tile of
+    // threads_per_cta tuples plus its bookkeeping, a register slot one
+    // tuple's words. At -O0 every slot holds it for the whole kernel. At
+    // -O3 the allocator reuses the tiles and registers of dead slots (the
+    // paper's §4.3.3: "variables ... are live until they are no longer
+    // needed"), so a slot's demand enters the live set at its definition
+    // and leaves it after its last read; a slot no step reads counts as
+    // last read at step 0.
+    let schema = |i: usize, space: &str| -> Result<&Schema> {
         inferred
             .slots
             .get(i)
-            .and_then(|s| s.as_ref())
-            .map(tuple_registers)
-            .ok_or_else(|| IrError::validation(format!("register slot %{i} has no schema")))
+            .and_then(Option::as_ref)
+            .ok_or_else(|| IrError::validation(format!("{space} slot %{i} has no schema")))
     };
-
-    let reg_slots: Vec<usize> = (0..slots.len())
-        .filter(|&i| used[i] && slots[i].space == Space::Register)
-        .collect();
-
-    let slot_regs = match opt {
-        OptLevel::O0 => {
-            // No reuse: every register slot is live for the whole kernel.
-            let mut sum = 0;
-            for &i in &reg_slots {
-                sum += width(i)?;
-            }
-            sum
+    let mut total = Demand::default();
+    // Per step, the demand (entering, leaving) the live set there.
+    let mut events = vec![(Demand::default(), Demand::default()); steps.len()];
+    for (i, (decl, &(def, last_read))) in slots.iter().zip(&ranges).enumerate() {
+        if def.is_none() && last_read.is_none() {
+            continue;
         }
+        let demand = match decl.space {
+            Space::Shared => Demand {
+                shared: u64::from(op.threads_per_cta) * schema(i, "shared")?.tuple_bytes() as u64
+                    + u64::from(SHARED_SLOT_OVERHEAD),
+                registers: 0,
+            },
+            Space::Register => Demand {
+                shared: 0,
+                registers: tuple_registers(schema(i, "register")?),
+            },
+            Space::Global => continue,
+        };
+        total += demand;
+        let end = last_read.unwrap_or(0);
+        if let Some(def) = def.filter(|&def| def <= end) {
+            events[def].0 += demand;
+            events[end].1 += demand;
+        }
+    }
+    let peak = match opt {
+        OptLevel::O0 => total,
         OptLevel::O3 => {
-            // Liveness-based reuse: maximum concurrently-live register width.
-            let mut def = vec![usize::MAX; slots.len()];
-            let mut last_use = vec![0usize; slots.len()];
-            for (idx, step) in steps.iter().enumerate() {
-                if let Some(d) = step.dest() {
-                    def[d.0] = def[d.0].min(idx);
-                }
-                for s in step.sources() {
-                    last_use[s.0] = last_use[s.0].max(idx);
-                }
+            let (mut live, mut peak) = (Demand::default(), Demand::default());
+            for &(enter, leave) in &events {
+                live += enter;
+                peak.shared = peak.shared.max(live.shared);
+                peak.registers = peak.registers.max(live.registers);
+                live -= leave;
             }
-            let mut max_live = 0u32;
-            for idx in 0..steps.len() {
-                let mut live = 0u32;
-                for &i in &reg_slots {
-                    if def[i] <= idx && last_use[i] >= idx {
-                        live += width(i)?;
-                    }
-                }
-                max_live = max_live.max(live);
-            }
-            max_live
+            peak
         }
     };
-
-    let scratch = steps.iter().map(step_scratch).max().unwrap_or(0);
-    let registers = BASE_REGISTERS + slot_regs + scratch;
 
     Ok(KernelResources {
-        registers_per_thread: registers,
-        shared_per_cta: shared.min(u64::from(u32::MAX)) as u32,
+        registers_per_thread: BASE_REGISTERS + peak.registers + scratch,
+        shared_per_cta: peak.shared.min(u64::from(u32::MAX)) as u32,
     })
 }
 

@@ -204,21 +204,22 @@ pub enum Step {
 }
 
 impl Step {
-    /// The slots this step reads.
-    pub fn sources(&self) -> Vec<SlotId> {
-        match self {
-            Step::Load { .. } | Step::Barrier => vec![],
+    /// The slots this step reads, at most two, in operand order.
+    pub fn sources(&self) -> impl Iterator<Item = SlotId> {
+        let (first, second) = match self {
+            Step::Load { .. } | Step::Barrier => (None, None),
             Step::Filter { src, .. }
             | Step::Project { src, .. }
             | Step::Compute { src, .. }
             | Step::Unique { src, .. }
             | Step::Compact { src, .. }
-            | Step::Store { src, .. } => vec![*src],
+            | Step::Store { src, .. } => (Some(*src), None),
             Step::Join { left, right, .. }
             | Step::Product { left, right, .. }
             | Step::SemiJoin { left, right, .. }
-            | Step::SetOp { left, right, .. } => vec![*left, *right],
-        }
+            | Step::SetOp { left, right, .. } => (Some(*left), Some(*right)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// The slot this step defines, if any.
@@ -355,10 +356,10 @@ mod tests {
             key_len: 1,
             dst: SlotId(3),
         };
-        assert_eq!(s.sources(), vec![SlotId(1), SlotId(2)]);
+        assert!(s.sources().eq([SlotId(1), SlotId(2)]));
         assert_eq!(s.dest(), Some(SlotId(3)));
         assert_eq!(Step::Barrier.dest(), None);
-        assert!(Step::Barrier.sources().is_empty());
+        assert_eq!(Step::Barrier.sources().count(), 0);
     }
 
     #[test]
@@ -369,7 +370,7 @@ mod tests {
             dst: SlotId(1),
         };
         s.map_slots(|SlotId(i)| SlotId(i + 10));
-        assert_eq!(s.sources(), vec![SlotId(10)]);
+        assert!(s.sources().eq([SlotId(10)]));
         assert_eq!(s.dest(), Some(SlotId(11)));
     }
 
