@@ -107,6 +107,16 @@ echo "== observability export gate (examples/profile.rs)"
 cargo run -q --release -p kw-examples --example profile \
     | diff -u bench_results/baselines/profile_example.txt -
 
+echo "== fusion inspector gate (examples/fusion_inspector.rs)"
+# Prints Figure 9's running example through the compiler: dependence
+# classes, Algorithm 1's candidate groups, Algorithm 2's fusion sets under
+# the default budget, the woven kernel IR after -O3, its resource estimate,
+# the Graphviz plan and the final schedule. Its stdout must match the
+# committed golden byte for byte, so a change to what selection chooses,
+# what weaving emits or what the estimate reads fails here.
+cargo run -q --release -p kw-examples --example fusion_inspector \
+    | diff -u bench_results/baselines/fusion_inspector.txt -
+
 echo "== repo benchmark fmt, clippy and tests (benchmark/)"
 # benchmark/ is its own workspace, so the workspace-wide fmt, clippy and
 # test runs above never reach its sources or its determinism,

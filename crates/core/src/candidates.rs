@@ -95,7 +95,7 @@ pub fn find_candidates(plan: &QueryPlan, opts: FusionOptions) -> Vec<Vec<NodeId>
         // Input-dependence edges: operators sharing any producer node.
         if opts.input_dependence {
             for &p in plan.producers(id) {
-                for c in plan.consumers(p) {
+                for &c in plan.consumers(p) {
                     if c != id && weavable.contains(&c) {
                         union(&mut parent, c.0, id.0);
                     }

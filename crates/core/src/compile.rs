@@ -4,14 +4,15 @@
 //! This is the full Kernel Weaver pipeline of Figure 5: candidate discovery
 //! (Algorithm 1) → greedy selection under resource budgets (Algorithm 2) →
 //! weaving/code generation → classic compiler optimization over the fused
-//! bodies. Algorithm 2 prices each set it tries by weaving it, so it hands
-//! each chosen set's woven operator, with the schemas weaving inferred, on
-//! to the optimizer: each fused set is woven and its schemas inferred once.
+//! bodies. Algorithm 2 prices each set it tries from the set's layout
+//! without weaving it, and code generation renders the layout of each set
+//! it chooses: each fused set is woven, and its schemas inferred, once.
 
 use kw_kernel_ir::{optimize, optimize_inferred, GpuOperator, OptLevel, DEFAULT_THREADS_PER_CTA};
 use kw_primitives::build_unfused;
 
-use crate::selection::select_woven;
+use crate::selection::select_in;
+use crate::weave::Layout;
 use crate::{
     find_candidates, ExecMode, FusionOptions, NodeId, PlanNode, QueryPlan, ResourceBudget, Result,
     WeaverError,
@@ -125,9 +126,10 @@ impl CompiledPlan {
 pub fn compile(plan: &QueryPlan, config: &WeaverConfig) -> Result<CompiledPlan> {
     plan.validate()?;
 
-    // Fusion decisions, and a step per fused set: Algorithm 2 hands over
-    // each set of two or more nodes with the operator its last admitted
-    // attempt wove, which is only optimized here.
+    // Fusion decisions, and a step per fused set: Algorithm 2 prices each
+    // attempt from its layout, and each set of two or more nodes it chooses
+    // is laid out once more, rendered and optimized here. One layout's
+    // buffers serve every attempt and every set.
     let mut fusion_sets: Vec<Vec<NodeId>> = Vec::new();
     let mut steps: Vec<CompiledStep> = Vec::new();
     if config.fusion {
@@ -137,9 +139,12 @@ pub fn compile(plan: &QueryPlan, config: &WeaverConfig) -> Result<CompiledPlan> 
                 input_dependence: config.input_dependence,
             },
         );
+        let mut layout = Layout::new(plan);
         for group in groups {
-            for set in select_woven(plan, &group, config.budget, config.threads_per_cta) {
-                let Some(woven) = set.woven else { continue };
+            let sets = select_in(&mut layout, &group, config.budget, config.threads_per_cta);
+            for set in sets.into_iter().filter(|set| set.len() >= 2) {
+                layout.lay_out(&set)?;
+                let woven = layout.render(config.threads_per_cta)?;
                 let (op, _) = optimize_inferred(woven.op, &woven.schemas, config.opt)?;
                 steps.push(CompiledStep {
                     op,
@@ -147,7 +152,7 @@ pub fn compile(plan: &QueryPlan, config: &WeaverConfig) -> Result<CompiledPlan> 
                     outputs: woven.stored_nodes,
                     fused: true,
                 });
-                fusion_sets.push(set.nodes);
+                fusion_sets.push(set);
             }
         }
     }
@@ -199,7 +204,7 @@ pub fn compile(plan: &QueryPlan, config: &WeaverConfig) -> Result<CompiledPlan> 
 mod tests {
     use super::*;
     use kw_primitives::RaOp;
-    use kw_relational::{CmpOp, Predicate, Schema, Value};
+    use kw_relational::{CmpOp, Expr, Predicate, Schema, Value};
 
     fn sel(attr: usize) -> RaOp {
         RaOp::Select {
@@ -226,10 +231,14 @@ mod tests {
         assert!(base.fusion_sets.is_empty());
     }
 
+    fn weaves() -> usize {
+        crate::weave::WEAVES.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn each_fused_set_is_woven_once() {
-        // Algorithm 2 weaves {a, b}, {a, b, c} and {a, b, c, d} to price
-        // them, and code generation takes the last of them as it is.
+        // Algorithm 2 prices {a, b}, {a, b, c} and {a, b, c, d} from their
+        // layouts, and code generation renders the last of them.
         let mut p = QueryPlan::new();
         let t = p.add_input("t", Schema::uniform_u32(4));
         let mut chain = vec![t];
@@ -238,11 +247,57 @@ mod tests {
         }
         p.mark_output(chain[4]);
 
-        let weaves = || crate::weave::WEAVES.with(std::cell::Cell::get);
         let before = weaves();
         let c = compile(&p, &WeaverConfig::default()).unwrap();
         assert_eq!(c.fusion_sets, vec![chain[1..].to_vec()]);
-        assert_eq!(weaves() - before, 3);
+        assert_eq!(weaves() - before, 1);
+    }
+
+    #[test]
+    fn a_chain_split_by_the_budget_is_woven_once_per_set() {
+        // t -> a (widen to 16 attributes) -> b (project back to 4) -> c
+        // (a filter of nine ALU operations) -> d. The registers of a
+        // kernel are its largest live set plus its largest step scratch:
+        // {a, b} holds 20 live words, {c, d} needs 10 scratch registers,
+        // and {a, b, c} needs both, so a budget between them splits the
+        // chain in two fused sets.
+        let mut p = QueryPlan::new();
+        let t = p.add_input("t", Schema::uniform_u32(4));
+        let widen = RaOp::Map {
+            exprs: (0..16).map(|i| Expr::attr(i % 4)).collect(),
+            key_arity: 1,
+        };
+        let a = p.add_op(widen, &[t]).unwrap();
+        let narrow = RaOp::Project {
+            attrs: vec![0, 1, 2, 3],
+            key_arity: 1,
+        };
+        let b = p.add_op(narrow, &[a]).unwrap();
+        let pred = (1..5).fold(Predicate::cmp(0, CmpOp::Lt, Value::U32(5)), |acc, i| {
+            acc.and(Predicate::cmp(i % 4, CmpOp::Lt, Value::U32(5)))
+        });
+        let c = p.add_op(RaOp::Select { pred }, &[b]).unwrap();
+        let d = p.add_op(sel(1), &[c]).unwrap();
+        p.mark_output(d);
+
+        let price = |set: &[NodeId]| {
+            crate::fused_resources(&p, set, DEFAULT_THREADS_PER_CTA)
+                .unwrap()
+                .registers_per_thread
+        };
+        let (ab, abc, cd) = (price(&[a, b]), price(&[a, b, c]), price(&[c, d]));
+        assert!(ab.max(cd) < abc, "{ab} {cd} {abc}");
+        let config = WeaverConfig {
+            budget: ResourceBudget {
+                max_registers_per_thread: ab.max(cd),
+                ..ResourceBudget::default()
+            },
+            ..WeaverConfig::default()
+        };
+        let before = weaves();
+        let compiled = compile(&p, &config).unwrap();
+        assert_eq!(compiled.fusion_sets, vec![vec![a, b], vec![c, d]]);
+        assert_eq!(weaves() - before, 2);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 2. [`find_candidates`] (Algorithm 1) removes kernel-dependent operators
 //!    (SORT, AGGREGATE) and groups the connected fusible remainder;
 //! 3. [`select_fusions`] (Algorithm 2) greedily grows fusion sets in
-//!    topological order under a register/shared-memory [`ResourceBudget`];
+//!    topological order under a register/shared-memory [`ResourceBudget`],
+//!    pricing each attempt from its layout ([`fused_resources`]) without
+//!    generating its code;
 //! 4. [`weave`] generates the fused kernel IR — thread-dependent
 //!    intermediates in registers, CTA-dependent ones in shared memory behind
 //!    barriers — and the `kw-kernel-ir` optimizer cleans it up;
@@ -102,4 +104,4 @@ pub use selection::{select_fusions, ResourceBudget};
 pub use service::{
     run_service, ServiceConfig, ServicePercentiles, ServiceQueryReport, ServiceReport,
 };
-pub use weave::{weave, WovenOperator};
+pub use weave::{fused_resources, weave, WovenOperator};

@@ -66,6 +66,11 @@ pub enum PlanNode {
 pub struct QueryPlan {
     nodes: Vec<PlanNode>,
     schemas: Vec<Schema>,
+    /// Every node's consumers back to back, each node's ascending and each
+    /// consumer once: node `i`'s end at `consumer_ends[i]` and start where
+    /// node `i - 1`'s end. One list for the plan, not one per node.
+    consumers: Vec<NodeId>,
+    consumer_ends: Vec<usize>,
     outputs: Vec<NodeId>,
 }
 
@@ -82,6 +87,7 @@ impl QueryPlan {
             schema: schema.clone(),
         });
         self.schemas.push(schema);
+        self.consumer_ends.push(self.consumers.len());
         NodeId(self.nodes.len() - 1)
     }
 
@@ -100,12 +106,24 @@ impl QueryPlan {
         }
         let in_schemas: Vec<&Schema> = inputs.iter().map(|&i| &self.schemas[i.0]).collect();
         let out = op.output_schema(&in_schemas)?;
+        let id = NodeId(self.nodes.len());
+        for (k, &i) in inputs.iter().enumerate() {
+            if inputs[..k].contains(&i) {
+                continue;
+            }
+            // `id` is the highest consumer yet, so it ends `i`'s list.
+            self.consumers.insert(self.consumer_ends[i.0], id);
+            for end in &mut self.consumer_ends[i.0..] {
+                *end += 1;
+            }
+        }
         self.nodes.push(PlanNode::Operator {
             op,
             inputs: inputs.to_vec(),
         });
         self.schemas.push(out);
-        Ok(NodeId(self.nodes.len() - 1))
+        self.consumer_ends.push(self.consumers.len());
+        Ok(id)
     }
 
     /// Mark a node as a plan output (its relation is returned to the host).
@@ -169,11 +187,15 @@ impl QueryPlan {
         }
     }
 
-    /// The consumer nodes of `id`.
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&c| self.producers(c).contains(&id))
-            .collect()
+    /// The consumer nodes of `id`, ascending, each once (a node that
+    /// consumes `id` twice, as a self-join does, is listed once).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn consumers(&self, id: NodeId) -> &[NodeId] {
+        let start = id.0.checked_sub(1).map_or(0, |i| self.consumer_ends[i]);
+        &self.consumers[start..self.consumer_ends[id.0]]
     }
 
     /// Whether node `id`'s result leaves the plan (is a marked output).
@@ -253,10 +275,33 @@ mod tests {
         p.mark_output(s);
 
         assert_eq!(p.schema(j).arity(), 3);
-        assert_eq!(p.consumers(j), vec![s]);
+        assert_eq!(p.consumers(j), [s]);
         assert_eq!(p.producers(j), &[a, b]);
         assert!(p.validate().is_ok());
         assert!(p.describe().contains("JOIN"));
+    }
+
+    #[test]
+    fn consumers_are_listed_once_in_node_order() {
+        let mut p = QueryPlan::new();
+        let a = p.add_input("a", Schema::uniform_u32(2));
+        let b = p.add_input("b", Schema::uniform_u32(2));
+        let self_join = p.add_op(RaOp::Join { key_len: 1 }, &[a, a]).unwrap();
+        let s = p.add_op(select(5), &[a]).unwrap();
+        let u = p.add_op(RaOp::Union, &[s, s]).unwrap();
+        let j = p.add_op(RaOp::Join { key_len: 1 }, &[b, a]).unwrap();
+        assert_eq!(p.consumers(a), [self_join, s, j]);
+        assert_eq!(p.consumers(b), [j]);
+        assert_eq!(p.consumers(s), [u]);
+        assert!(p.consumers(u).is_empty());
+        // The index lists what a scan of every node's producers finds.
+        for id in p.node_ids() {
+            let scanned: Vec<NodeId> = p
+                .node_ids()
+                .filter(|&c| p.producers(c).contains(&id))
+                .collect();
+            assert_eq!(p.consumers(id), scanned, "{id}");
+        }
     }
 
     #[test]

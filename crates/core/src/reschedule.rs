@@ -97,7 +97,7 @@ fn hoist_once(plan: &QueryPlan) -> Result<(QueryPlan, BTreeMap<NodeId, NodeId>, 
                         inputs: sort_inputs,
                     } = plan.node(*sort_id)
                     {
-                        let only_consumer = plan.consumers(*sort_id) == vec![id];
+                        let only_consumer = plan.consumers(*sort_id) == [id];
                         if only_consumer && !plan.is_output(*sort_id) {
                             let base = sort_inputs[0];
                             // Remap the predicate through the sort's
@@ -183,7 +183,7 @@ fn is_hoisted_select(plan: &QueryPlan, id: NodeId) -> bool {
                 ..
             } = plan.node(*sort_id)
             {
-                return plan.consumers(*sort_id) == vec![id] && !plan.is_output(*sort_id);
+                return plan.consumers(*sort_id) == [id] && !plan.is_output(*sort_id);
             }
         }
     }

@@ -9,9 +9,9 @@
 //! candidate does not fit, the current set is closed and a new one starts.
 
 use kw_gpu_sim::DeviceConfig;
-use kw_kernel_ir::{estimate_resources, OptLevel};
 
-use crate::{weave, NodeId, QueryPlan, Result, WovenOperator};
+use crate::weave::Layout;
+use crate::{NodeId, QueryPlan, Result};
 
 /// Per-kernel resource budget Algorithm 2 enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,119 +50,104 @@ impl Default for ResourceBudget {
 /// Sets of size one are returned too (the caller executes them unfused).
 /// Within a set, a node is only admitted if all its in-group producers are
 /// in the *current* set — an intermediate that already left the kernel
-/// cannot be re-fused.
+/// cannot be re-fused. Each attempt is priced from its layout, as
+/// [`fused_resources`](crate::fused_resources) prices it, and none is
+/// woven.
 ///
 /// # Errors
 ///
-/// Propagates codegen errors other than budget refusals.
+/// Never returns an error. An attempt that [`weave`](crate::weave) would
+/// refuse does not fit, like one over budget, and its node starts the next
+/// set.
 pub fn select_fusions(
     plan: &QueryPlan,
     group: &[NodeId],
     budget: ResourceBudget,
     threads_per_cta: u32,
 ) -> Result<Vec<Vec<NodeId>>> {
-    Ok(select_woven(plan, group, budget, threads_per_cta)
-        .into_iter()
-        .map(|set| set.nodes)
-        .collect())
+    Ok(select_in(
+        &mut Layout::new(plan),
+        group,
+        budget,
+        threads_per_cta,
+    ))
 }
 
-/// One fusion set Algorithm 2 chose.
-pub(crate) struct FusionSet {
-    /// The set's plan nodes, in topological order.
-    pub(crate) nodes: Vec<NodeId>,
-    /// For a set of two or more nodes, the operator its last admitted
-    /// attempt wove: code generation for the set itself.
-    pub(crate) woven: Option<WovenOperator>,
-}
-
-/// [`select_fusions`], keeping the operator each set's last admitted
-/// attempt wove.
-pub(crate) fn select_woven(
-    plan: &QueryPlan,
+/// [`select_fusions`], laying each attempt out in `layout`, which is left
+/// holding the last attempt's layout.
+pub(crate) fn select_in(
+    layout: &mut Layout,
     group: &[NodeId],
     budget: ResourceBudget,
     threads_per_cta: u32,
-) -> Vec<FusionSet> {
-    let single = |n: NodeId| FusionSet {
-        nodes: vec![n],
-        woven: None,
-    };
-    let mut sets: Vec<FusionSet> = Vec::new();
+) -> Vec<Vec<NodeId>> {
+    let plan = layout.plan();
+    let mut sets: Vec<Vec<NodeId>> = Vec::new();
     let Some((&first, rest)) = group.split_first() else {
         return sets;
     };
-    let mut current = single(first);
+    let mut current = vec![first];
     for &n in rest {
         // All in-group producers of `n` must be in the current set.
         let producers_ok = plan
             .producers(n)
             .iter()
             .filter(|p| group.contains(p))
-            .all(|p| current.nodes.contains(p));
+            .all(|p| current.contains(p));
 
-        let mut attempt = current.nodes.clone();
-        attempt.push(n);
-        let woven = if producers_ok {
-            woven_within(plan, &attempt, budget, threads_per_cta)
-        } else {
-            None
-        };
-        match woven {
-            Some(woven) => {
-                current = FusionSet {
-                    nodes: attempt,
-                    woven: Some(woven),
-                }
-            }
-            None => sets.push(std::mem::replace(&mut current, single(n))),
+        current.push(n);
+        if !(producers_ok && fits(layout, &current, budget, threads_per_cta)) {
+            current.pop();
+            sets.push(std::mem::replace(&mut current, vec![n]));
         }
     }
     sets.push(current);
     sets
 }
 
-/// The woven fusion of `set` if it fits `budget` (a set that fails to
-/// weave at all — e.g. disconnected after splitting — does not fit). The
-/// resources are estimated from the schemas weaving inferred.
-fn woven_within(
-    plan: &QueryPlan,
-    set: &[NodeId],
-    budget: ResourceBudget,
-    threads_per_cta: u32,
-) -> Option<WovenOperator> {
+/// Whether the fusion of `set`, laid out into `layout`, fits `budget` (a
+/// set that fails to lay out or to price, as one [`weave`](crate::weave)
+/// would refuse, does not fit). The resources are estimated from the
+/// layout and the plan's schemas.
+fn fits(layout: &mut Layout, set: &[NodeId], budget: ResourceBudget, threads_per_cta: u32) -> bool {
+    if layout.lay_out(set).is_err() {
+        return false;
+    }
     // Scheduling acyclicity: no external input of the fused kernel may
     // transitively depend on a member of the set (that happens when a
     // kernel-dependent operator sits on a path *between* two candidates —
     // e.g. `u → aggregate → j` with `u` and `j` both fusible).
-    let external: Vec<NodeId> = set
-        .iter()
-        .flat_map(|&n| plan.producers(n).iter().copied())
-        .filter(|p| !set.contains(p))
-        .collect();
-    if external.iter().any(|&p| depends_on_any(plan, p, set)) {
-        return None;
+    if depends_on_any(layout.plan(), layout.external_inputs(), set) {
+        return false;
     }
-
-    let woven = weave(plan, set, threads_per_cta).ok()?;
-    let res = estimate_resources(&woven.op, &woven.schemas, OptLevel::O3).ok()?;
-    budget.admits(res).then_some(woven)
+    layout
+        .resources(threads_per_cta)
+        .is_ok_and(|res| budget.admits(res))
 }
 
-/// Whether `node` transitively depends on any node in `targets`.
-fn depends_on_any(plan: &QueryPlan, node: NodeId, targets: &[NodeId]) -> bool {
-    let mut stack = vec![node];
+/// Whether any node of `from` transitively depends on a node of `targets`.
+fn depends_on_any(plan: &QueryPlan, from: &[NodeId], targets: &[NodeId]) -> bool {
+    // Producers precede their consumers, so nothing below the lowest
+    // target depends on one.
+    let Some(&lowest) = targets.iter().min() else {
+        return false;
+    };
+    let mut stack: Vec<NodeId> = from.iter().copied().filter(|&n| n > lowest).collect();
+    if stack.is_empty() {
+        return false;
+    }
     let mut seen = vec![false; plan.len()];
     while let Some(n) = stack.pop() {
-        if seen[n.0] {
+        if std::mem::replace(&mut seen[n.0], true) {
             continue;
         }
-        seen[n.0] = true;
         for &p in plan.producers(n) {
             if targets.contains(&p) {
                 return true;
             }
-            stack.push(p);
+            if p > lowest {
+                stack.push(p);
+            }
         }
     }
     false
@@ -309,6 +294,43 @@ mod tests {
         // And the whole plan compiles + schedules.
         let compiled = crate::compile(&p, &crate::WeaverConfig::default()).unwrap();
         assert!(!compiled.steps.is_empty());
+    }
+
+    #[test]
+    fn attempts_that_fail_to_weave_do_not_fit_and_are_no_error() {
+        // `select_fusions` never fails: an attempt that cannot be woven
+        // closes the current set, like one over budget. Each group below is
+        // one a caller could pass.
+        use kw_relational::AttrType;
+        let mut p = QueryPlan::new();
+        let t = p.add_input("t", Schema::uniform_u32(4));
+        let wide = p.add_input("wide", Schema::new(vec![AttrType::U64, AttrType::U32], 1));
+        let a = p.add_op(sel(0), &[t]).unwrap();
+        let srt = p.add_op(RaOp::Sort { attrs: vec![1] }, &[a]).unwrap();
+        let b = p.add_op(sel(1), &[srt]).unwrap();
+        // Neither result leaves {x, y}: no output, no outside consumer.
+        let x = p.add_op(sel(2), &[t]).unwrap();
+        let y = p.add_op(sel(3), &[x]).unwrap();
+        // A key-range kernel over inputs whose keys differ in type.
+        let w = p.add_op(sel(1), &[wide]).unwrap();
+        let j = p.add_op(RaOp::Join { key_len: 1 }, &[t, t]).unwrap();
+        p.mark_output(b);
+        p.mark_output(w);
+        p.mark_output(j);
+
+        let tpc = DEFAULT_THREADS_PER_CTA;
+        let budget = ResourceBudget::default();
+        let cases: [(&[NodeId], Vec<Vec<NodeId>>); 3] = [
+            (&[t, a, srt, b], vec![vec![t], vec![a], vec![srt], vec![b]]),
+            (&[x, y], vec![vec![x], vec![y]]),
+            (&[w, j], vec![vec![w], vec![j]]),
+        ];
+        for (group, sets) in cases {
+            assert_eq!(select_fusions(&p, group, budget, tpc).unwrap(), sets);
+            for pair in group.windows(2) {
+                assert!(crate::weave(&p, pair, tpc).is_err(), "{pair:?}");
+            }
+        }
     }
 
     #[test]

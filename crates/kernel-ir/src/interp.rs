@@ -314,6 +314,30 @@ struct Block {
     taken: AtomicUsize,
 }
 
+impl Block {
+    /// The claims of worker `w` of this block: from the front when `w` is
+    /// even, from the back when it is odd.
+    fn claims(&self, w: usize) -> Claims<'_> {
+        Claims {
+            block: self,
+            from_back: w % 2 == 1,
+            taken: 0,
+        }
+    }
+}
+
+/// The blocks over CTAs `0..grid` that `workers` workers share: worker `w`
+/// works block `w / 2`, and each block holds an equal share of CTAs per
+/// worker.
+fn blocks(grid: usize, workers: usize) -> Vec<Block> {
+    (0..workers.div_ceil(2))
+        .map(|b| Block {
+            ctas: 2 * b * grid / workers..(2 * b + 2).min(workers) * grid / workers,
+            taken: AtomicUsize::new(0),
+        })
+        .collect()
+}
+
 /// The CTAs one worker takes from one end of a [`Block`], in the order it
 /// takes them: ascending from the front, descending from the back.
 struct Claims<'b> {
@@ -346,9 +370,9 @@ impl Iterator for Claims<'_> {
 
 /// Run CTAs `0..grid` on `workers` workers, each over the CTAs of one
 /// contiguous range, in the order it takes them. One worker takes
-/// `0..grid` in order. More take [`Claims`]: worker `w` works block
-/// `w / 2`, from the front when `w` is even and from the back when it is
-/// odd, and each block holds an equal share of CTAs per worker. The
+/// `0..grid` in order. More take [`Claims`] of the [`blocks`] they share:
+/// worker `w` works block `w / 2`, from the front when `w` is even and
+/// from the back when it is odd. The
 /// calling thread is worker 0 and scoped threads are the rest; a worker
 /// whose thread cannot start runs on the calling thread after worker 0.
 /// The result is every worker's value in the order of their ranges, or the
@@ -366,17 +390,8 @@ fn in_ranges<T: Send>(
     if workers == 1 {
         return Ok(vec![run(&mut (0..grid))?]);
     }
-    let blocks: Vec<Block> = (0..workers.div_ceil(2))
-        .map(|b| Block {
-            ctas: 2 * b * grid / workers..(2 * b + 2).min(workers) * grid / workers,
-            taken: AtomicUsize::new(0),
-        })
-        .collect();
-    let claims = |w: usize| Claims {
-        block: &blocks[w / 2],
-        from_back: w % 2 == 1,
-        taken: 0,
-    };
+    let blocks = blocks(grid, workers);
+    let claims = |w: usize| blocks[w / 2].claims(w);
     let outcomes: Vec<Mutex<Option<thread::Result<Result<T>>>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
     let work = |w: usize| {
@@ -1792,6 +1807,60 @@ mod tests {
             // ... and a panic at an earlier CTA resumes on the caller.
             let panic = panic::catch_unwind(|| in_ranges(10, workers, failing(7, 4))).unwrap_err();
             assert_eq!(panic.downcast_ref::<String>().unwrap(), "CTA 4");
+        }
+    }
+
+    #[test]
+    fn claims_take_every_cta_once_in_every_interleaving() {
+        // Every interleaving of the claims of a block's front and back
+        // workers, on every block `in_ranges` lays out for 0 to 8 CTAs and
+        // 1 to 4 workers (the unclamped layouts too). A schedule says which
+        // worker claims next, one bit per claim; a worker whose claim came
+        // back empty claims no more, so the other one goes instead. The n
+        // claims that take a CTA come first, in any of the 2^n orders, and
+        // each worker's empty claim ends it.
+        for grid in 0..=8 {
+            for workers in 1..=4 {
+                let layout = blocks(grid, workers);
+                assert!(layout.iter().flat_map(|b| b.ctas.clone()).eq(0..grid));
+                for (b, laid) in layout.iter().enumerate() {
+                    let pair = (2 * b + 2).min(workers) - 2 * b;
+                    let n = laid.ctas.len();
+                    for schedule in 0..1usize << (n + pair) {
+                        let block = Block {
+                            ctas: laid.ctas.clone(),
+                            taken: AtomicUsize::new(0),
+                        };
+                        let mut claims: Vec<Claims> =
+                            (0..pair).map(|i| block.claims(2 * b + i)).collect();
+                        let mut taken = vec![Vec::new(); pair];
+                        let mut done = vec![false; pair];
+                        for claim in 0..n + pair {
+                            let mut w = (schedule >> claim & 1) % pair;
+                            if done[w] {
+                                w = 1 - w;
+                            }
+                            match claims[w].next() {
+                                Some(cta) => taken[w].push(cta),
+                                None => done[w] = true,
+                            }
+                        }
+                        let at = format!("grid {grid}, workers {workers}, block {b}, {schedule:b}");
+                        assert!(done.iter().all(|&d| d), "{at}: a worker never ran out");
+                        // The front run ascends from the block's start, the
+                        // back run descends from its end, and they meet, so
+                        // every CTA is taken once.
+                        let (front, back) = (&taken[0], taken.get(1).map_or(&[][..], |t| t));
+                        let (start, end) = (block.ctas.start, block.ctas.end);
+                        assert!(front.iter().copied().eq(start..start + front.len()), "{at}");
+                        assert!(
+                            back.iter().copied().eq((end - back.len()..end).rev()),
+                            "{at}"
+                        );
+                        assert_eq!(front.len() + back.len(), n, "{at}");
+                    }
+                }
+            }
         }
     }
 

@@ -75,6 +75,9 @@ pub use opt::{
     combine_filters, eliminate_common_steps, eliminate_dead_steps, fold_constants, optimize,
     optimize_inferred, simplify_barriers, OptLevel, PassStats,
 };
-pub use resources::{estimate_resources, tuple_registers, BASE_REGISTERS, SHARED_SLOT_OVERHEAD};
-pub use step::{SetOpKind, SlotDecl, SlotId, Space, Step};
+pub use resources::{
+    estimate_resources, sweep_resources, tuple_registers, StepUse, BASE_REGISTERS,
+    SHARED_SLOT_OVERHEAD,
+};
+pub use step::{SetOpKind, SlotDecl, SlotId, Space, Step, StepKind};
 pub use validate::validate;

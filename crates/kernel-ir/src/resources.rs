@@ -16,7 +16,10 @@ use std::ops::{AddAssign, SubAssign};
 use kw_gpu_sim::KernelResources;
 use kw_relational::{AttrType, Schema};
 
-use crate::{GpuOperator, InferredSchemas, IrError, OperatorBody, OptLevel, Result, Space, Step};
+use crate::{
+    GpuOperator, InferredSchemas, IrError, OperatorBody, OptLevel, Result, SlotId, Space, Step,
+    StepKind,
+};
 
 /// Base per-thread registers any kernel consumes (indices, bounds, loop
 /// counters).
@@ -36,27 +39,50 @@ pub fn tuple_registers(schema: &Schema) -> u32 {
         .sum()
 }
 
-/// Transient (stage-internal) registers of one step.
-fn step_scratch(step: &Step) -> u32 {
-    match step {
-        Step::Load { .. } => 2,
-        Step::Filter { pred, .. } => 2 + (pred.alu_ops() as u32).min(8),
-        Step::Project { .. } => 2,
-        Step::Compute { exprs, .. } => {
+/// One step as the live-range sweep reads it: what it computes, the slots
+/// it reads and the slot it defines.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepUse<'a> {
+    /// What the step computes: its transient registers depend on it.
+    pub kind: StepKind<'a>,
+    /// The slots the step reads, at most two, in operand order.
+    pub sources: [Option<SlotId>; 2],
+    /// The slot the step defines, if any.
+    pub dest: Option<SlotId>,
+}
+
+impl<'a> From<&'a Step> for StepUse<'a> {
+    fn from(step: &'a Step) -> StepUse<'a> {
+        let mut sources = step.sources();
+        StepUse {
+            kind: step.kind(),
+            sources: [sources.next(), sources.next()],
+            dest: step.dest(),
+        }
+    }
+}
+
+/// Transient (stage-internal) registers of a step of `kind`.
+fn step_scratch(kind: StepKind<'_>) -> u32 {
+    match kind {
+        StepKind::Load => 2,
+        StepKind::Filter(pred) => 2 + (pred.alu_ops() as u32).min(8),
+        StepKind::Project => 2,
+        StepKind::Compute(exprs) => {
             2 + exprs
                 .iter()
                 .map(|e| (e.alu_ops() as u32).min(8))
                 .max()
                 .unwrap_or(0)
         }
-        Step::Join { .. } => 24,
-        Step::Product { .. } => 12,
-        Step::SemiJoin { .. } => 14,
-        Step::SetOp { .. } => 12,
-        Step::Unique { .. } => 6,
-        Step::Compact { .. } => 4,
-        Step::Barrier => 0,
-        Step::Store { .. } => 2,
+        StepKind::Join => 24,
+        StepKind::Product => 12,
+        StepKind::SemiJoin => 14,
+        StepKind::SetOp => 12,
+        StepKind::Unique => 6,
+        StepKind::Compact => 4,
+        StepKind::Barrier => 0,
+        StepKind::Store => 2,
     }
 }
 
@@ -81,12 +107,8 @@ impl SubAssign for Demand {
     }
 }
 
-/// Estimate the kernel resources of `op`.
-///
-/// One pass over the steps finds each slot's live range, from the first
-/// step that defines it to the last that reads it, and the largest
-/// per-step scratch; each used slot's demand is computed once; and at
-/// [`OptLevel::O3`] one sweep over the steps finds the largest live sets.
+/// Estimate the kernel resources of `op`: [`sweep_resources`] over its
+/// steps, with each slot's space as declared and its schema as inferred.
 ///
 /// # Errors
 ///
@@ -104,18 +126,58 @@ pub fn estimate_resources(
             shared_per_cta: 4 * 1024,
         });
     };
+    sweep_resources(
+        steps.iter().map(StepUse::from),
+        slots.len(),
+        |i| {
+            (
+                slots[i].space,
+                inferred.slots.get(i).and_then(Option::as_ref),
+            )
+        },
+        op.threads_per_cta,
+        opt,
+    )
+}
 
+/// The kernel resources of a streaming body of `slot_count` slots whose
+/// steps, in order, are `steps`, where `slot(i)` is slot `i`'s space and
+/// the schema it holds, if known. It prices a body that is not yet an
+/// operator as [`estimate_resources`] prices one that is.
+///
+/// One pass over the steps finds each slot's live range, from the first
+/// step that defines it to the last that reads it, and the largest
+/// per-step scratch; each used slot's demand is computed once; and at
+/// [`OptLevel::O3`] one sweep over the steps finds the largest live sets.
+///
+/// # Errors
+///
+/// Returns [`IrError::Validation`] if a referenced shared or register slot
+/// has no schema.
+///
+/// # Panics
+///
+/// Panics if a step references a slot at or above `slot_count`.
+pub fn sweep_resources<'a, 's>(
+    steps: impl IntoIterator<Item = StepUse<'a>>,
+    slot_count: usize,
+    slot: impl Fn(usize) -> (Space, Option<&'s Schema>),
+    threads_per_cta: u32,
+    opt: OptLevel,
+) -> Result<KernelResources> {
     // Per slot, the first step that defines it and the last that reads it.
-    let mut ranges: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); slots.len()];
+    let mut ranges: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); slot_count];
     let mut scratch = 0;
-    for (idx, step) in steps.iter().enumerate() {
-        for s in step.sources() {
+    let mut step_count = 0;
+    for (idx, step) in steps.into_iter().enumerate() {
+        for s in step.sources.into_iter().flatten() {
             ranges[s.0].1 = Some(idx);
         }
-        if let Some(d) = step.dest() {
+        if let Some(d) = step.dest {
             ranges[d.0].0.get_or_insert(idx);
         }
-        scratch = scratch.max(step_scratch(step));
+        scratch = scratch.max(step_scratch(step.kind));
+        step_count = idx + 1;
     }
 
     // Each referenced slot's demand: a shared slot holds a tile of
@@ -126,29 +188,26 @@ pub fn estimate_resources(
     // needed"), so a slot's demand enters the live set at its definition
     // and leaves it after its last read; a slot no step reads counts as
     // last read at step 0.
-    let schema = |i: usize, space: &str| -> Result<&Schema> {
-        inferred
-            .slots
-            .get(i)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| IrError::validation(format!("{space} slot %{i} has no schema")))
-    };
     let mut total = Demand::default();
     // Per step, the demand (entering, leaving) the live set there.
-    let mut events = vec![(Demand::default(), Demand::default()); steps.len()];
-    for (i, (decl, &(def, last_read))) in slots.iter().zip(&ranges).enumerate() {
+    let mut events = vec![(Demand::default(), Demand::default()); step_count];
+    for (i, &(def, last_read)) in ranges.iter().enumerate() {
         if def.is_none() && last_read.is_none() {
             continue;
         }
-        let demand = match decl.space {
+        let (space, schema) = slot(i);
+        let schema = |space: &str| {
+            schema.ok_or_else(|| IrError::validation(format!("{space} slot %{i} has no schema")))
+        };
+        let demand = match space {
             Space::Shared => Demand {
-                shared: u64::from(op.threads_per_cta) * schema(i, "shared")?.tuple_bytes() as u64
+                shared: u64::from(threads_per_cta) * schema("shared")?.tuple_bytes() as u64
                     + u64::from(SHARED_SLOT_OVERHEAD),
                 registers: 0,
             },
             Space::Register => Demand {
                 shared: 0,
-                registers: tuple_registers(schema(i, "register")?),
+                registers: tuple_registers(schema("register")?),
             },
             Space::Global => continue,
         };

@@ -90,6 +90,38 @@ impl fmt::Display for SetOpKind {
     }
 }
 
+/// What a [`Step`] computes, without its slots: the operation, with the
+/// predicate or expressions a filter or a compute evaluates. It is what a
+/// step's transient registers depend on, so a step can be priced before it
+/// is emitted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StepKind<'a> {
+    /// [`Step::Load`].
+    Load,
+    /// [`Step::Filter`] by this predicate.
+    Filter(&'a Predicate),
+    /// [`Step::Project`].
+    Project,
+    /// [`Step::Compute`] of these expressions.
+    Compute(&'a [Expr]),
+    /// [`Step::Join`].
+    Join,
+    /// [`Step::Product`].
+    Product,
+    /// [`Step::SemiJoin`], negated or not.
+    SemiJoin,
+    /// [`Step::SetOp`] of any kind.
+    SetOp,
+    /// [`Step::Unique`].
+    Unique,
+    /// [`Step::Compact`].
+    Compact,
+    /// [`Step::Barrier`].
+    Barrier,
+    /// [`Step::Store`].
+    Store,
+}
+
 /// One data-parallel operation of a compute-stage kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
@@ -220,6 +252,24 @@ impl Step {
             | Step::SetOp { left, right, .. } => (Some(*left), Some(*right)),
         };
         first.into_iter().chain(second)
+    }
+
+    /// What this step computes, without its slots.
+    pub fn kind(&self) -> StepKind<'_> {
+        match self {
+            Step::Load { .. } => StepKind::Load,
+            Step::Filter { pred, .. } => StepKind::Filter(pred),
+            Step::Project { .. } => StepKind::Project,
+            Step::Compute { exprs, .. } => StepKind::Compute(exprs),
+            Step::Join { .. } => StepKind::Join,
+            Step::Product { .. } => StepKind::Product,
+            Step::SemiJoin { .. } => StepKind::SemiJoin,
+            Step::SetOp { .. } => StepKind::SetOp,
+            Step::Unique { .. } => StepKind::Unique,
+            Step::Compact { .. } => StepKind::Compact,
+            Step::Barrier => StepKind::Barrier,
+            Step::Store { .. } => StepKind::Store,
+        }
     }
 
     /// The slot this step defines, if any.

@@ -10,7 +10,7 @@
 //! fused body; the weaver (in `kw-core`) surrounds it with loads, compacts,
 //! barriers and stores according to the dependence classes involved.
 
-use kw_kernel_ir::{GpuOperator, PartitionSpec, SlotDecl, SlotId, Space, Step};
+use kw_kernel_ir::{GpuOperator, PartitionSpec, SlotDecl, SlotId, Space, Step, StepKind};
 use kw_relational::Schema;
 
 use crate::{IrBuildError, RaOp};
@@ -98,6 +98,23 @@ pub fn op_step(op: &RaOp, srcs: &[SlotId], dst: SlotId) -> Result<Step, IrBuildE
                 op.mnemonic()
             )))
         }
+    })
+}
+
+/// What the step [`op_step`] emits for `op` computes, without emitting it
+/// (so without cloning its predicate or expressions); `None` for the
+/// kernel-dependent SORT and AGGREGATE, which have no streaming step.
+pub fn op_step_kind(op: &RaOp) -> Option<StepKind<'_>> {
+    Some(match op {
+        RaOp::Select { pred } => StepKind::Filter(pred),
+        RaOp::Project { .. } => StepKind::Project,
+        RaOp::Map { exprs, .. } => StepKind::Compute(exprs),
+        RaOp::Join { .. } => StepKind::Join,
+        RaOp::Product => StepKind::Product,
+        RaOp::SemiJoin { .. } | RaOp::AntiJoin { .. } => StepKind::SemiJoin,
+        RaOp::Union | RaOp::Intersect | RaOp::Difference => StepKind::SetOp,
+        RaOp::Unique => StepKind::Unique,
+        RaOp::Sort { .. } | RaOp::Aggregate { .. } => return None,
     })
 }
 
@@ -297,6 +314,8 @@ mod tests {
                 vec![s4.clone()],
             ),
             (RaOp::Join { key_len: 1 }, vec![s4.clone(), s4.clone()]),
+            (RaOp::SemiJoin { key_len: 1 }, vec![s4.clone(), s4.clone()]),
+            (RaOp::AntiJoin { key_len: 1 }, vec![s4.clone(), s4.clone()]),
             (RaOp::Product, vec![s4.clone(), s4.clone()]),
             (RaOp::Union, vec![s4.clone(), s4.clone()]),
             (RaOp::Intersect, vec![s4.clone(), s4.clone()]),
@@ -314,6 +333,15 @@ mod tests {
         for (op, inputs) in ops {
             let gpu = build_unfused(&op, &inputs, op.mnemonic()).unwrap();
             validate(&gpu).unwrap_or_else(|e| panic!("{}: {e}", op.mnemonic()));
+            // The kind `op_step_kind` names is that of the step `op_step` emits.
+            let srcs = [SlotId(0), SlotId(1)];
+            let step = op_step(&op, &srcs[..op.arity()], SlotId(2)).ok();
+            assert_eq!(
+                op_step_kind(&op),
+                step.as_ref().map(Step::kind),
+                "{}",
+                op.mnemonic()
+            );
         }
     }
 

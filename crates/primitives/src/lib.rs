@@ -34,7 +34,7 @@ mod ra_op;
 
 use std::fmt;
 
-pub use build::{build_unfused, op_step, partition_spec};
+pub use build::{build_unfused, op_step, op_step_kind, partition_spec};
 pub use dependence::{consumer_class, edge_class, is_fusible, producer_class, DependenceClass};
 pub use ra_op::RaOp;
 

@@ -4,8 +4,10 @@
 //! node by node) on every execution path — fused and unfused, resident,
 //! staged and chunked, through the resilient ladder and in a batch. The
 //! plans `compile` builds must equal those its public phases build one
-//! after another, and every operator's resource estimate must equal the
-//! nested-loop estimate it replaced.
+//! after another, every operator's resource estimate must equal the
+//! nested-loop estimate it replaced, and Algorithm 2, which prices each
+//! fusion attempt from its layout, must choose what it chose when it wove
+//! every attempt.
 
 use std::collections::BTreeMap;
 
@@ -13,15 +15,17 @@ use proptest::prelude::*;
 
 use kw_core::{
     compile, execute_batch, execute_compiled_resilient, execute_plan, find_candidates,
-    select_chunk_strategy, select_fusions, weave, BatchQuery, CompiledPlan, CompiledStep, ExecMode,
-    FusionOptions, NodeId, PlanNode, QueryPlan, RetryPolicy, WeaverConfig, WeaverError,
+    fused_resources, is_weavable, select_chunk_strategy, select_fusions, weave, BatchQuery,
+    CompiledPlan, CompiledStep, ExecMode, FusionOptions, NodeId, PlanNode, QueryPlan,
+    ResourceBudget, RetryPolicy, WeaverConfig, WeaverError, WovenOperator,
 };
 use kw_gpu_sim::{reconcile, Device, DeviceConfig, KernelResources};
 use kw_kernel_ir::{
-    estimate_resources, infer_schemas, optimize, tuple_registers, GpuOperator, InferredSchemas,
-    IrError, OperatorBody, OptLevel, Space, Step, BASE_REGISTERS, SHARED_SLOT_OVERHEAD,
+    estimate_resources, infer_schemas, optimize, tuple_registers, validate, GpuOperator,
+    InferredSchemas, IrError, OperatorBody, OptLevel, PartitionSpec, SlotDecl, SlotId, Space, Step,
+    BASE_REGISTERS, DEFAULT_THREADS_PER_CTA, SHARED_SLOT_OVERHEAD,
 };
-use kw_primitives::{build_unfused, RaOp};
+use kw_primitives::{build_unfused, consumer_class, op_step, DependenceClass, RaOp};
 use kw_relational::{gen, ops, CmpOp, Expr, Predicate, Relation, Schema, Value};
 
 fn device() -> Device {
@@ -389,6 +393,343 @@ fn reference_resources(
         registers_per_thread: BASE_REGISTERS + slot_regs + scratch,
         shared_per_cta: shared.min(u64::from(u32::MAX)) as u32,
     })
+}
+
+/// `weave` as it was before it split into a layout and its rendering, kept
+/// as the reference of both: it weaves with maps keyed by node, and every
+/// attempt Algorithm 2 priced was woven this way.
+fn reference_weave(
+    plan: &QueryPlan,
+    set: &[NodeId],
+    threads_per_cta: u32,
+) -> Result<WovenOperator, WeaverError> {
+    if set.is_empty() {
+        return Err(WeaverError::plan("cannot weave an empty set"));
+    }
+    let in_set = |n: NodeId| set.contains(&n);
+
+    let mut ops: BTreeMap<NodeId, &RaOp> = BTreeMap::new();
+    for &n in set {
+        match plan.node(n) {
+            PlanNode::Operator { op, .. } if is_weavable(op) => {
+                ops.insert(n, op);
+            }
+            PlanNode::Operator { op, .. } => {
+                return Err(WeaverError::plan(format!(
+                    "node {n} ({op}) is not weavable"
+                )));
+            }
+            PlanNode::Input { .. } => {
+                return Err(WeaverError::plan(format!("node {n} is an input node")));
+            }
+        }
+    }
+
+    let mut external_inputs: Vec<NodeId> = Vec::new();
+    for &n in set {
+        for &p in plan.producers(n) {
+            if !in_set(p) && !external_inputs.contains(&p) {
+                external_inputs.push(p);
+            }
+        }
+    }
+
+    let stored_nodes: Vec<NodeId> = set
+        .iter()
+        .copied()
+        .filter(|&n| plan.is_output(n) || plan.consumers(n).iter().any(|&c| !in_set(c)))
+        .collect();
+    if stored_nodes.is_empty() {
+        return Err(WeaverError::plan("fused set stores no results"));
+    }
+
+    let thread_only_consumers = |n: NodeId| -> bool {
+        plan.consumers(n)
+            .iter()
+            .filter(|&&c| in_set(c))
+            .all(|&c| match plan.node(c) {
+                PlanNode::Operator { op, .. } => consumer_class(op) == DependenceClass::Thread,
+                PlanNode::Input { .. } => true,
+            })
+    };
+    let node_class = |n: NodeId| -> DependenceClass {
+        match plan.node(n) {
+            PlanNode::Operator { op, .. } => consumer_class(op),
+            PlanNode::Input { .. } => DependenceClass::Thread,
+        }
+    };
+
+    let any_cta = set.iter().any(|&n| node_class(n) == DependenceClass::Cta);
+    let partition = if any_cta {
+        PartitionSpec::KeyRange {
+            pivot: 0,
+            key_len: 1,
+        }
+    } else {
+        PartitionSpec::Even
+    };
+
+    let mut slots: Vec<SlotDecl> = Vec::new();
+    let alloc = |name: String, space: Space, slots: &mut Vec<SlotDecl>| -> SlotId {
+        slots.push(SlotDecl::new(name, space));
+        SlotId(slots.len() - 1)
+    };
+
+    let mut input_slot: BTreeMap<NodeId, SlotId> = BTreeMap::new();
+    let mut steps: Vec<Step> = Vec::new();
+    for (idx, &p) in external_inputs.iter().enumerate() {
+        let space = if thread_only_consumers(p) {
+            Space::Register
+        } else {
+            Space::Shared
+        };
+        let slot = alloc(format!("in{idx}"), space, &mut slots);
+        input_slot.insert(p, slot);
+        steps.push(Step::Load {
+            input: idx,
+            dst: slot,
+        });
+    }
+
+    let mut result_slot: BTreeMap<NodeId, SlotId> = BTreeMap::new();
+    let mut sparse: BTreeMap<NodeId, bool> = BTreeMap::new();
+    let mut unsynced: Vec<SlotId> = slots
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.space == Space::Shared)
+        .map(|(i, _)| SlotId(i))
+        .collect();
+
+    for &n in set {
+        let op = ops[&n];
+        let producers = plan.producers(n);
+        let srcs: Vec<SlotId> = producers
+            .iter()
+            .map(|p| {
+                if in_set(*p) {
+                    result_slot[p]
+                } else {
+                    input_slot[p]
+                }
+            })
+            .collect();
+
+        let needs_sync = srcs
+            .iter()
+            .any(|s| slots[s.0].space == Space::Shared && unsynced.contains(s));
+        if needs_sync {
+            steps.push(Step::Barrier);
+            unsynced.clear();
+        }
+
+        let class = consumer_class(op);
+        let space = if class == DependenceClass::Thread && thread_only_consumers(n) {
+            Space::Register
+        } else {
+            Space::Shared
+        };
+        let dst = alloc(format!("{}.{}", n, op.mnemonic()), space, &mut slots);
+        steps.push(op_step(op, &srcs, dst)?);
+        if space == Space::Shared {
+            unsynced.push(dst);
+        }
+        result_slot.insert(n, dst);
+
+        let s = if space != Space::Register {
+            false
+        } else {
+            match op {
+                RaOp::Select { .. } => true,
+                RaOp::Project { .. } | RaOp::Map { .. } => producers
+                    .iter()
+                    .any(|p| in_set(*p) && sparse.get(p).copied().unwrap_or(false)),
+                _ => false,
+            }
+        };
+        sparse.insert(n, s);
+    }
+
+    for (out_idx, &n) in stored_nodes.iter().enumerate() {
+        let mut src = result_slot[&n];
+        if sparse[&n] {
+            let dense = alloc(format!("{n}.dense"), Space::Shared, &mut slots);
+            steps.push(Step::Compact { src, dst: dense });
+            steps.push(Step::Barrier);
+            unsynced.clear();
+            src = dense;
+        } else if slots[src.0].space == Space::Shared && unsynced.contains(&src) {
+            steps.push(Step::Barrier);
+            unsynced.clear();
+        }
+        steps.push(Step::Store {
+            src,
+            output: out_idx,
+        });
+    }
+
+    let label = {
+        let names: Vec<String> = set
+            .iter()
+            .map(|n| format!("{}{}", ops[n].mnemonic(), n.0))
+            .collect();
+        format!("fused[{}]", names.join("+"))
+    };
+    let input_schemas = external_inputs
+        .iter()
+        .map(|&p| plan.schema(p).clone())
+        .collect();
+
+    let mut gpu = GpuOperator::streaming(
+        label,
+        input_schemas,
+        stored_nodes.len(),
+        slots,
+        steps,
+        partition,
+    );
+    gpu.threads_per_cta = threads_per_cta;
+    let schemas = validate(&gpu)?;
+
+    Ok(WovenOperator {
+        op: gpu,
+        schemas,
+        external_inputs,
+        stored_nodes,
+    })
+}
+
+/// Algorithm 2 as it was when it wove every attempt to price it, kept as
+/// the reference of `select_fusions`: the fusion sets it chooses, and
+/// every attempt it makes (each set it tries to grow into, whether or not
+/// it weaves it).
+fn reference_selection(
+    plan: &QueryPlan,
+    group: &[NodeId],
+    budget: ResourceBudget,
+    threads_per_cta: u32,
+) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
+    let (mut sets, mut attempts) = (Vec::new(), Vec::new());
+    let Some((&first, rest)) = group.split_first() else {
+        return (sets, attempts);
+    };
+    let mut current = vec![first];
+    for &n in rest {
+        let producers_ok = plan
+            .producers(n)
+            .iter()
+            .filter(|p| group.contains(p))
+            .all(|p| current.contains(p));
+        let mut attempt = current.clone();
+        attempt.push(n);
+        attempts.push(attempt.clone());
+        if producers_ok && reference_fits(plan, &attempt, budget, threads_per_cta) {
+            current = attempt;
+        } else {
+            sets.push(std::mem::replace(&mut current, vec![n]));
+        }
+    }
+    sets.push(current);
+    (sets, attempts)
+}
+
+/// Whether the woven fusion of `set` fits `budget`, as Algorithm 2 decided
+/// it by weaving: no external input may depend on a member, and the woven
+/// operator's `-O3` estimate must fit.
+fn reference_fits(
+    plan: &QueryPlan,
+    set: &[NodeId],
+    budget: ResourceBudget,
+    threads_per_cta: u32,
+) -> bool {
+    let depends_on_set = |node: NodeId| {
+        let mut stack = vec![node];
+        let mut seen = vec![false; plan.len()];
+        while let Some(n) = stack.pop() {
+            if seen[n.0] {
+                continue;
+            }
+            seen[n.0] = true;
+            for &p in plan.producers(n) {
+                if set.contains(&p) {
+                    return true;
+                }
+                stack.push(p);
+            }
+        }
+        false
+    };
+    let external = set
+        .iter()
+        .flat_map(|&n| plan.producers(n).iter().copied())
+        .filter(|p| !set.contains(p));
+    if external.clone().any(depends_on_set) {
+        return false;
+    }
+    let Ok(woven) = reference_weave(plan, set, threads_per_cta) else {
+        return false;
+    };
+    estimate_resources(&woven.op, &woven.schemas, OptLevel::O3).is_ok_and(|res| budget.admits(res))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn selection_prices_attempts_as_weaving_them_did(
+        steps in proptest::collection::vec(arb_grow(), 1..8),
+        registers in 16u32..64,
+        shared in 4_096u32..49_153,
+    ) {
+        let (plan, _) = grow_plan(&steps);
+        prop_assume!(plan.validate().is_ok());
+        let tpc = DEFAULT_THREADS_PER_CTA;
+        let tight = ResourceBudget {
+            max_registers_per_thread: registers,
+            max_shared_per_cta: shared,
+        };
+        for group in find_candidates(&plan, FusionOptions::default()) {
+            let mut attempts = Vec::new();
+            for budget in [ResourceBudget::default(), tight] {
+                let (sets, tried) = reference_selection(&plan, &group, budget, tpc);
+                prop_assert_eq!(
+                    select_fusions(&plan, &group, budget, tpc).unwrap(),
+                    sets,
+                    "{:?}", budget
+                );
+                attempts.extend(tried);
+            }
+            for attempt in &attempts {
+                let reference = reference_weave(&plan, attempt, tpc);
+                // The layout's price is the woven operator's estimate, and
+                // it refuses what weaving refuses, with the same error.
+                let priced = reference.as_ref().map_err(ToString::to_string).map(|w| {
+                    estimate_resources(&w.op, &w.schemas, OptLevel::O3).unwrap()
+                });
+                prop_assert_eq!(
+                    fused_resources(&plan, attempt, tpc).map_err(|e| e.to_string()),
+                    priced,
+                    "{:?}", attempt
+                );
+                // Rendering the layout weaves what the reference wove.
+                match (weave(&plan, attempt, tpc), &reference) {
+                    (Ok(w), Ok(r)) => {
+                        prop_assert_eq!(&w.op, &r.op);
+                        prop_assert_eq!(&w.schemas, &r.schemas);
+                        prop_assert_eq!(&w.external_inputs, &r.external_inputs);
+                        prop_assert_eq!(&w.stored_nodes, &r.stored_nodes);
+                    }
+                    (Err(w), Err(r)) => prop_assert_eq!(w.to_string(), r.to_string()),
+                    (w, r) => prop_assert!(
+                        false,
+                        "{:?}: weave {:?}, reference {:?}",
+                        attempt,
+                        w.map(|w| w.op.label),
+                        r.as_ref().map(|r| &r.op.label)
+                    ),
+                }
+            }
+        }
+    }
 }
 
 proptest! {
